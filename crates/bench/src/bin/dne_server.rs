@@ -93,9 +93,16 @@ fn serve(scale: u32, degree: u32, seed: u64, parts: u32) -> Result<(), String> {
     let mut service = AssignmentService::new(index);
     let served = server.serve(&mut service).map_err(|e| e.to_string())?;
     eprintln!(
-        "[dne-server: served {} requests over {} connections ({} protocol errors), \
-         {} B in / {} B out]",
-        served.requests, served.accepted, served.protocol_errors, served.bytes_in, served.bytes_out
+        "[dne-server: served {} requests over {} connections ({} protocol errors, {} accept \
+         errors), {} B in / {} B out, {:.1} requests/read, {:.1} responses/write]",
+        served.requests,
+        served.accepted,
+        served.protocol_errors,
+        served.accept_errors,
+        served.bytes_in,
+        served.bytes_out,
+        served.requests as f64 / served.read_calls.max(1) as f64,
+        served.requests as f64 / served.write_calls.max(1) as f64
     );
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())

@@ -102,7 +102,7 @@ pub mod wire;
 
 pub use cluster::{Cluster, ClusterOutcome, Ctx};
 pub use collectives::{CollMsg, CollectiveTopology, Collectives, PendingGather};
-pub use frame::{FrameItem, FramedReader};
+pub use frame::FramedReader;
 pub use memory::{peak_rss_bytes, reset_peak_rss, MemoryReport, MemoryTracker};
 pub use service::{
     parse_server_addr, server_addr_from_env, Service, ServiceReply, ServiceStats, WireClient,

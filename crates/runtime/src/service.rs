@@ -11,12 +11,18 @@
 //!   response, optionally ask the server to shut down afterwards;
 //! * [`WireServer`] — a poll-based multi-client server: one thread
 //!   multiplexes the accept loop and every client connection, with a
-//!   per-connection [`crate::FramedReader`]-equivalent assembler and
-//!   write queue;
+//!   per-connection assembler and write queue;
 //! * [`WireClient`] — a blocking client with request pipelining
-//!   ([`WireClient::send`] buffers, [`WireClient::recv`] flushes and
-//!   awaits), which is what makes six-figure lookup rates possible over
-//!   a single connection window.
+//!   ([`WireClient::send`] buffers, [`WireClient::recv`] flushes only
+//!   when it is about to block).
+//!
+//! Both ends pay for the socket per *batch that happened to arrive*, not
+//! per request: the server answers everything one `read` returned with
+//! one `write`; the client hands back buffered responses without touching
+//! the socket and writes its buffered requests only when it would
+//! otherwise block. A batch is whatever the other side produced since the
+//! last syscall — one under ping-pong, the window under pipelining — so
+//! there is no knob ([`ServiceStats::read_calls`] reports the outcome).
 //!
 //! # Wire format
 //!
@@ -35,20 +41,16 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 
-use crate::frame::{classic_frame, FrameItem, FramedReader};
-use crate::transport::{check_payload_bound, TransportError, FRAME_HEADER_BYTES};
+use crate::frame::{push_frame, FramedReader};
+use crate::transport::TransportError;
 use crate::wire::{WireDecode, WireEncode};
 
 #[cfg(unix)]
-use crate::frame::{Assembled, FrameAssembler, WriteQueue};
+use crate::frame::{classic_parts, Assembled, FrameAssembler, WriteQueue, READ_BUF_BYTES};
 #[cfg(unix)]
 use crate::poll;
 #[cfg(unix)]
-use crate::transport::BATCH_FLAG;
-#[cfg(unix)]
 use std::io::Read;
-#[cfg(unix)]
-use std::net::Shutdown;
 #[cfg(unix)]
 use std::os::unix::io::AsRawFd;
 #[cfg(unix)]
@@ -138,6 +140,13 @@ pub struct ServiceStats {
     pub bytes_in: u64,
     /// Payload and header bytes queued to clients.
     pub bytes_out: u64,
+    /// `read` syscalls issued on client connections.
+    pub read_calls: u64,
+    /// `write` syscalls issued on client connections (a failing
+    /// connection's last drain excepted).
+    pub write_calls: u64,
+    /// `accept` failures other than an empty backlog (e.g. `EMFILE`).
+    pub accept_errors: u64,
 }
 
 /// How long a shutting-down server keeps trying to flush queued response
@@ -154,11 +163,27 @@ struct Conn {
     queue: WriteQueue,
 }
 
+/// The poll entry of one connection slot: readable while serving,
+/// writable while bytes wait. An empty slot, or a connection with nothing
+/// to wait for, gets a negative fd, which `poll(2)` skips.
 #[cfg(unix)]
-impl Conn {
-    fn new(sock: TcpStream) -> Self {
-        Self { sock, assembler: FrameAssembler::new(), queue: WriteQueue::default() }
+fn poll_entry(conn: &Option<Conn>, shutting_down: bool) -> poll::PollFd {
+    let mut entry = poll::PollFd { fd: -1, events: 0, revents: 0 };
+    if let Some(c) = conn {
+        let read = if shutting_down { 0 } else { poll::POLLIN };
+        entry.events = read | if c.queue.is_empty() { 0 } else { poll::POLLOUT };
+        if entry.events != 0 {
+            entry.fd = c.sock.as_raw_fd();
+        }
     }
+    entry
+}
+
+/// Whether an `accept` error means the backlog is empty; after anything
+/// else (`EMFILE`, `ENFILE`, …) the pending connection is still there.
+#[cfg(unix)]
+fn backlog_drained(e: &std::io::Error) -> bool {
+    e.kind() == std::io::ErrorKind::WouldBlock
 }
 
 /// A poll-based multi-client request/response server over wire frames.
@@ -199,80 +224,58 @@ impl WireServer {
     pub fn serve<S: Service>(self, service: &mut S) -> Result<ServiceStats, TransportError> {
         let mut stats = ServiceStats::default();
         let mut conns: Vec<Option<Conn>> = Vec::new();
-        let mut scratch = vec![0u8; 64 << 10];
+        let mut scratch = vec![0u8; READ_BUF_BYTES];
         let mut shutdown: Option<Instant> = None;
+        // The poll set lives across iterations and is only ever patched in
+        // place: `fds[0]` is the listener (armed, or skipped with a negative
+        // fd, before every poll), `fds[1 + i]` mirrors `conns[i]`.
+        let mut fds = vec![poll::PollFd { fd: -1, events: poll::POLLIN, revents: 0 }];
+        // Set for one poll round after `accept` failed with connections
+        // pending (`EMFILE`…): polling the still-readable listener would spin.
+        let mut listener_paused = false;
         self.listener.set_nonblocking(true).map_err(|e| io_err("configuring listener", e))?;
 
         loop {
             if let Some(deadline) = shutdown {
                 // Drain queued response bytes, then stop. A client that
                 // stopped reading cannot wedge the shutdown forever.
-                let drained = conns.iter().flatten().all(|c| c.queue.frames.is_empty());
+                let drained = conns.iter().flatten().all(|c| c.queue.is_empty());
                 if drained || Instant::now() > deadline {
-                    for c in conns.iter().flatten() {
-                        let _ = c.sock.shutdown(Shutdown::Both);
-                    }
                     return Ok(stats);
                 }
+                for (i, c) in conns.iter().enumerate() {
+                    fds[1 + i] = poll_entry(c, true);
+                }
             }
+            let accepting = shutdown.is_none() && !listener_paused;
+            fds[0].fd = if accepting { self.listener.as_raw_fd() } else { -1 };
+            // A paused listener and a draining shutdown are both re-checked
+            // after a round of at most 50ms, even if poll reports nothing.
+            poll::poll_fds(&mut fds, if accepting { -1 } else { 50 })
+                .map_err(|e| io_err("polling the service", e))?;
 
-            // Poll set: the listener (while still accepting), then every
-            // connection — readable always, writable while bytes wait.
-            let mut fds = Vec::with_capacity(conns.len() + 1);
-            let mut idx: Vec<Option<usize>> = Vec::with_capacity(conns.len() + 1);
-            if shutdown.is_none() {
-                fds.push(poll::PollFd {
-                    fd: self.listener.as_raw_fd(),
-                    events: poll::POLLIN,
-                    revents: 0,
-                });
-                idx.push(None);
+            listener_paused = false;
+            if fds[0].revents != 0 {
+                listener_paused = !self.accept_ready(&mut conns, &mut fds, &mut stats);
             }
-            for (i, c) in conns.iter().enumerate() {
-                let Some(c) = c else { continue };
-                let mut events = 0i16;
-                if shutdown.is_none() {
-                    events |= poll::POLLIN;
-                }
-                if !c.queue.frames.is_empty() {
-                    events |= poll::POLLOUT;
-                }
-                if events != 0 {
-                    fds.push(poll::PollFd { fd: c.sock.as_raw_fd(), events, revents: 0 });
-                    idx.push(Some(i));
-                }
-            }
-            // While shutting down, re-check the drain condition at least
-            // every 50ms even if poll reports nothing.
-            let timeout = if shutdown.is_some() { 50 } else { -1 };
-            poll::poll_fds(&mut fds, timeout).map_err(|e| io_err("polling the service", e))?;
-
-            for (k, fd) in fds.iter().enumerate() {
-                if fd.revents == 0 {
+            for i in 0..conns.len() {
+                let revents = fds[1 + i].revents;
+                if revents == 0 {
                     continue;
                 }
-                match idx[k] {
-                    None => self.accept_ready(&mut conns, &mut stats),
-                    Some(i) => {
-                        let closing = fd.revents & (poll::POLLERR | poll::POLLHUP) != 0;
-                        let mut ok = true;
-                        if shutdown.is_none() && (fd.revents & poll::POLLIN != 0 || closing) {
-                            ok = read_ready(
-                                conns[i].as_mut().expect("polled conns exist"),
-                                &mut scratch,
-                                service,
-                                &mut stats,
-                                &mut shutdown,
-                            )?;
-                        }
-                        if ok && (fd.revents & poll::POLLOUT != 0 || closing) {
-                            ok = write_ready(conns[i].as_mut().expect("polled conns exist"));
-                        }
-                        if !ok {
-                            close(&mut conns[i]);
-                        }
-                    }
+                let c = conns[i].as_mut().expect("polled conns exist");
+                let closing = revents & (poll::POLLERR | poll::POLLHUP) != 0;
+                let mut ok = true;
+                if shutdown.is_none() && (revents & poll::POLLIN != 0 || closing) {
+                    ok = read_ready(c, &mut scratch, service, &mut stats, &mut shutdown)?;
                 }
+                if ok && (revents & poll::POLLOUT != 0 || closing) {
+                    ok = write_ready(c, &mut stats);
+                }
+                if !ok {
+                    conns[i] = None;
+                }
+                fds[1 + i] = poll_entry(&conns[i], shutdown.is_some());
             }
         }
     }
@@ -287,9 +290,16 @@ impl WireServer {
         })
     }
 
-    /// Accept every pending connection, reusing free slots.
+    /// Accept every pending connection, reusing free slots. `false`
+    /// means `accept` failed with the backlog still pending (counted in
+    /// [`ServiceStats::accept_errors`]): the caller pauses the listener.
     #[cfg(unix)]
-    fn accept_ready(&self, conns: &mut Vec<Option<Conn>>, stats: &mut ServiceStats) {
+    fn accept_ready(
+        &self,
+        conns: &mut Vec<Option<Conn>>,
+        fds: &mut Vec<poll::PollFd>,
+        stats: &mut ServiceStats,
+    ) -> bool {
         loop {
             match self.listener.accept() {
                 Ok((sock, _)) => {
@@ -298,42 +308,36 @@ impl WireServer {
                         continue;
                     }
                     stats.accepted += 1;
-                    let conn = Some(Conn::new(sock));
-                    match conns.iter_mut().find(|c| c.is_none()) {
-                        Some(slot) => *slot = conn,
-                        None => conns.push(conn),
-                    }
+                    let i = conns.iter().position(Option::is_none).unwrap_or_else(|| {
+                        conns.push(None);
+                        fds.push(poll_entry(&None, false));
+                        conns.len() - 1
+                    });
+                    let (assembler, queue) = (FrameAssembler::default(), WriteQueue::default());
+                    conns[i] = Some(Conn { sock, assembler, queue });
+                    fds[1 + i] = poll_entry(&conns[i], false);
                 }
-                // WouldBlock ends the backlog; a transient accept error
-                // (e.g. the peer resetting before we got to it) is not a
-                // server failure either way.
-                Err(_) => return,
+                Err(e) => {
+                    stats.accept_errors += u64::from(!backlog_drained(&e));
+                    return backlog_drained(&e);
+                }
             }
         }
-    }
-}
-
-/// Close one connection and free its slot.
-#[cfg(unix)]
-fn close(slot: &mut Option<Conn>) {
-    if let Some(c) = slot.take() {
-        let _ = c.sock.shutdown(Shutdown::Both);
     }
 }
 
 /// Flush one connection's queued responses; `false` means the connection
 /// failed and must be closed.
 #[cfg(unix)]
-fn write_ready(c: &mut Conn) -> bool {
-    let mut sock = &c.sock;
-    c.queue.drain_into(&mut sock).is_ok()
+fn write_ready(c: &mut Conn, stats: &mut ServiceStats) -> bool {
+    c.queue.drain_into(&mut &c.sock).map(|calls| stats.write_calls += calls).is_ok()
 }
 
 /// Read one connection's ready bytes, decode and handle every completed
-/// request, and enqueue the responses. Returns `Ok(false)` when the
-/// connection must be closed (EOF, goodbye, or a protocol violation —
-/// violations are counted, never propagated); `Err` only for server-side
-/// failures (a response exceeding the frame bound).
+/// request, and answer each read batch with one write. Returns
+/// `Ok(false)` when the connection must be closed (EOF, goodbye, or a
+/// protocol violation — violations are counted, never propagated); `Err`
+/// only for server-side failures (a response exceeding the frame bound).
 #[cfg(unix)]
 fn read_ready<S: Service>(
     c: &mut Conn,
@@ -345,76 +349,64 @@ fn read_ready<S: Service>(
     // Bound the reads per readable event so one firehose client cannot
     // starve the rest (the same fairness bound as the mesh io loop).
     for _ in 0..16 {
-        match (&c.sock).read(scratch) {
+        stats.read_calls += 1;
+        let n = match (&c.sock).read(scratch) {
             Ok(0) => {
                 // EOF at a frame boundary is a clean hangup; inside a
                 // frame it is a truncated request.
-                if c.assembler.mid_frame() {
-                    stats.protocol_errors += 1;
-                }
+                let truncated = matches!(c.assembler.eof_error(None), TransportError::Frame { .. });
+                stats.protocol_errors += u64::from(truncated);
                 return Ok(false);
             }
-            Ok(n) => {
-                stats.bytes_in += n as u64;
-                let items = match c.assembler.push(&scratch[..n], 0) {
-                    Ok(items) => items,
-                    Err(_) => {
-                        // Oversized length prefix or other framing
-                        // violation: close this client, keep serving.
-                        stats.protocol_errors += 1;
-                        return Ok(false);
-                    }
-                };
-                for item in items {
-                    let frame = match item {
-                        // A goodbye frame is a polite hangup.
-                        Assembled::Bye => return Ok(false),
-                        Assembled::Frame(f) => f,
-                    };
-                    let len = u64::from_le_bytes(frame[0..8].try_into().expect("8-byte slice"));
-                    if len & BATCH_FLAG != 0 {
-                        // Multi-message frames belong to the mesh, not
-                        // the request/response protocol.
-                        stats.protocol_errors += 1;
-                        return Ok(false);
-                    }
-                    let seq = u32::from_le_bytes(frame[8..12].try_into().expect("4-byte slice"));
-                    let req = match S::Req::from_wire(&frame[FRAME_HEADER_BYTES..]) {
-                        Ok(req) => req,
-                        Err(_) => {
-                            stats.protocol_errors += 1;
-                            return Ok(false);
-                        }
-                    };
-                    stats.requests += 1;
-                    let (resp, stop) = match service.handle(req) {
-                        ServiceReply::Reply(r) => (r, false),
-                        ServiceReply::ReplyThenShutdown(r) => (r, true),
-                    };
-                    let payload = resp.to_wire();
-                    // An oversized response is a server bug, not client
-                    // misbehavior: abort the serve loop with the same
-                    // typed error every sending backend raises.
-                    check_payload_bound(payload.len(), seq as usize)?;
-                    let frame = classic_frame(seq, &payload);
-                    stats.bytes_out += frame.len() as u64;
-                    c.queue.frames.push_back(frame);
-                    if stop {
-                        *shutdown = Some(Instant::now() + SHUTDOWN_DRAIN_TIMEOUT);
-                    }
-                }
-                // Opportunistic flush: answer within the same poll
-                // iteration instead of waiting for a POLLOUT wakeup.
-                if !write_ready(c) {
-                    return Ok(false);
-                }
-                if shutdown.is_some() {
-                    return Ok(true);
-                }
-            }
+            Ok(n) => n,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(true),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return Ok(false),
+        };
+        stats.bytes_in += n as u64;
+        c.assembler.push(&scratch[..n]);
+        loop {
+            let frame = match c.assembler.next(None) {
+                Ok(Some(Assembled::Frame(frame))) => frame,
+                Ok(None) => break,
+                // A goodbye frame is a polite hangup.
+                Ok(Some(Assembled::Bye)) => return Ok(false),
+                Err(_) => {
+                    // Oversized length prefix: close this client, keep
+                    // serving the rest.
+                    stats.protocol_errors += 1;
+                    return Ok(false);
+                }
+            };
+            // Multi-message frames belong to the mesh, not the
+            // request/response protocol; undecodable requests to nobody.
+            let parts = classic_parts(frame).map(|(seq, p)| (seq, S::Req::from_wire(p)));
+            let Some((seq, Ok(req))) = parts else {
+                stats.protocol_errors += 1;
+                return Ok(false);
+            };
+            stats.requests += 1;
+            let (resp, stop) = match service.handle(req) {
+                ServiceReply::Reply(r) => (r, false),
+                ServiceReply::ReplyThenShutdown(r) => (r, true),
+            };
+            // An oversized response is a server bug, not client
+            // misbehavior: abort the serve loop with the same typed
+            // error every sending backend raises.
+            stats.bytes_out += push_frame(c.queue.tail(), seq, &resp)? as u64;
+            if stop {
+                *shutdown = Some(Instant::now() + SHUTDOWN_DRAIN_TIMEOUT);
+            }
+        }
+        // Answer the whole read batch with one write, within the same
+        // poll iteration instead of waiting for a POLLOUT wakeup.
+        if !write_ready(c, stats) {
+            return Ok(false);
+        }
+        // A short read emptied the socket: skip the read that would only
+        // find WouldBlock (level-triggered poll reports later arrivals).
+        if shutdown.is_some() || n < scratch.len() {
+            return Ok(true);
         }
     }
     Ok(true)
@@ -423,11 +415,11 @@ fn read_ready<S: Service>(
 /// Blocking client of a [`WireServer`], generic over the request and
 /// response codec types (which must match the server's [`Service`]).
 ///
-/// [`WireClient::call`] is the simple ping-pong path.
-/// [`WireClient::send`]/[`WireClient::recv`] expose the pipelined path:
-/// sends are buffered and flushed lazily, so a client can keep a window
-/// of requests in flight and hide the round-trip latency — the lookup
-/// load generator drives six-figure request rates through this.
+/// [`WireClient::call`] is the simple ping-pong path (one write, one
+/// read). [`WireClient::send`]/[`WireClient::recv`] expose the pipelined
+/// path: sends are buffered and written only when `recv` is about to
+/// block, so a client keeping a window of requests in flight pays one
+/// write and one read per batch the server answered, not per request.
 pub struct WireClient<Req, Resp> {
     stream: TcpStream,
     reader: FramedReader<TcpStream>,
@@ -502,22 +494,23 @@ impl<Req: WireEncode, Resp: WireDecode> WireClient<Req, Resp> {
         )
     }
 
-    /// Buffer one request for sending and return the sequence number its
-    /// response will echo. Flushes on its own when the buffer grows past
-    /// a threshold; [`WireClient::recv`] flushes the rest.
+    /// Encode one request into the send buffer and return the sequence
+    /// number its response will echo. Nothing is written unless the
+    /// buffer grows past a threshold; [`WireClient::recv`] writes the
+    /// rest before it blocks.
     pub fn send(&mut self, req: &Req) -> Result<u32, TransportError> {
-        let payload = req.to_wire();
-        check_payload_bound(payload.len(), self.next_seq as usize)?;
         let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
-        self.out.extend_from_slice(&classic_frame(seq, &payload));
+        push_frame(&mut self.out, seq, req)?;
+        self.next_seq = seq.wrapping_add(1);
         if self.out.len() >= CLIENT_FLUSH_BYTES {
             self.flush()?;
         }
         Ok(seq)
     }
 
-    /// Write every buffered request to the socket.
+    /// Write every buffered request to the socket (one `write` for the
+    /// lot). Only needed by a caller that stops calling
+    /// [`WireClient::recv`] while requests are still buffered.
     pub fn flush(&mut self) -> Result<(), TransportError> {
         use std::io::Write;
         if self.out.is_empty() {
@@ -534,10 +527,13 @@ impl<Req: WireEncode, Resp: WireDecode> WireClient<Req, Resp> {
         Ok(())
     }
 
-    /// Flush, then block for the next `(sequence, response)` pair.
-    /// Responses arrive in request order (the server handles each
-    /// connection FIFO), so a pipelining caller can match them by queue
-    /// position as well as by sequence number.
+    /// The next `(sequence, response)` pair: an already-buffered response
+    /// is returned without touching the socket; otherwise the buffered
+    /// requests are flushed (never block with requests unsent) and one
+    /// `read` collects every response that has arrived. Responses arrive
+    /// in request order (the server handles each connection FIFO), so a
+    /// pipelining caller can match them by queue position as well as by
+    /// sequence number.
     ///
     /// A server that vanishes — EOF, `ECONNRESET`, a broken pipe — while
     /// requests are in flight is a **hard failure**: the returned error
@@ -545,19 +541,18 @@ impl<Req: WireEncode, Resp: WireDecode> WireClient<Req, Resp> {
     /// so a caller driving a pipeline cannot mistake a dead server for a
     /// slow one or exit zero with lookups unverified.
     pub fn recv(&mut self) -> Result<(u32, Resp), TransportError> {
-        self.flush()?;
+        if !self.reader.frame_buffered() {
+            self.flush()?;
+        }
         match self.reader.read_frame() {
-            Ok(FrameItem::Frame { src: seq, payload }) => {
-                let resp = Resp::from_wire(&payload)
+            Ok(Some((seq, payload))) => {
+                let resp = Resp::from_wire(payload)
                     .map_err(|error| TransportError::Decode { src: seq as usize, error })?;
                 self.awaiting = seq.wrapping_add(1);
                 Ok((seq, resp))
             }
-            Ok(FrameItem::Bye { .. }) => Err(self.connection_lost(std::io::Error::new(
-                std::io::ErrorKind::ConnectionAborted,
-                "the server closed the connection with a goodbye frame",
-            ))),
-            Err(TransportError::Disconnected { .. }) => {
+            // A goodbye frame or a bare EOF: either way the server is gone.
+            Ok(None) | Err(TransportError::Disconnected { .. }) => {
                 Err(self.connection_lost(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "the server closed the connection",
@@ -587,7 +582,60 @@ impl<Req: WireEncode, Resp: WireDecode> WireClient<Req, Resp> {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use crate::frame::push_classic_frame;
+    use crate::transport::BATCH_FLAG;
     use std::io::Write;
+    use std::net::Shutdown;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    fn classic_frame(seq: u32, payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        push_classic_frame(&mut frame, seq, payload);
+        frame
+    }
+
+    /// Run `body` on its own thread and fail — rather than hang the
+    /// suite — if it is still running two minutes later. The lazy-flush
+    /// failure mode is a deadlock (client blocked in `read` with requests
+    /// still sitting in its send buffer), which only a watchdog can turn
+    /// into a test failure.
+    fn watchdog(body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(120)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("liveness: the client/server pair hung")
+            }
+            // Finished, or panicked before reporting: surface the panic.
+            _ => worker.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+        }
+    }
+
+    /// Drive `total` echo requests through `c` keeping up to `window` in
+    /// flight, asserting every response arrives, in order, with the
+    /// echoed sequence number.
+    fn pipeline(c: &mut WireClient<u64, u64>, total: u64, window: u64) {
+        let first_seq = c.next_seq;
+        let mut received = 0u64;
+        for i in 0..total {
+            assert_eq!(c.send(&i).unwrap(), first_seq.wrapping_add(i as u32));
+            if i + 1 - received >= window {
+                assert_eq!(
+                    c.recv().unwrap(),
+                    (first_seq.wrapping_add(received as u32), received * 2)
+                );
+                received += 1;
+            }
+        }
+        while received < total {
+            assert_eq!(c.recv().unwrap(), (first_seq.wrapping_add(received as u32), received * 2));
+            received += 1;
+        }
+        assert_eq!(c.in_flight(), 0);
+    }
 
     /// Echo service: replies with the request; a `u64::MAX` request asks
     /// the server to shut down.
@@ -772,5 +820,73 @@ mod tests {
             let err = parse_server_addr(bad).unwrap_err();
             assert!(err.contains("expected"), "{bad:?}: {err}");
         }
+    }
+
+    #[test]
+    fn only_would_block_ends_the_accept_backlog() {
+        use std::io::{Error, ErrorKind};
+        assert!(backlog_drained(&Error::from(ErrorKind::WouldBlock)));
+        // EMFILE (24) / ENFILE (23): the pending connection stays in the
+        // backlog and the listener stays readable.
+        assert!(!backlog_drained(&Error::from_raw_os_error(24)));
+        assert!(!backlog_drained(&Error::from_raw_os_error(23)));
+        assert!(!backlog_drained(&Error::from(ErrorKind::ConnectionAborted)));
+    }
+
+    #[test]
+    fn deep_pipeline_completes_and_batches_its_syscalls() {
+        watchdog(|| {
+            let (addr, handle) = spawn_echo();
+            let mut c = WireClient::<u64, u64>::connect(addr).unwrap();
+            pipeline(&mut c, 50_000, 64);
+            shutdown_server(addr);
+            let stats = handle.join().unwrap();
+            assert_eq!(stats.requests, 50_001);
+            assert_eq!((stats.protocol_errors, stats.accept_errors), (0, 0));
+            // Well under one syscall per request in either direction.
+            assert!(stats.requests >= 4 * stats.read_calls, "{stats:?}");
+            assert!(stats.requests >= 4 * stats.write_calls, "{stats:?}");
+        });
+    }
+
+    #[test]
+    fn send_everything_then_receive_everything_does_not_hang() {
+        // 5 000 × 20-byte requests cross CLIENT_FLUSH_BYTES, so part of
+        // the stream leaves from `send` and the rest from the first
+        // `recv` — which must flush before it blocks.
+        watchdog(|| {
+            let (addr, handle) = spawn_echo();
+            let mut c = WireClient::<u64, u64>::connect(addr).unwrap();
+            pipeline(&mut c, 5_000, u64::MAX);
+            shutdown_server(addr);
+            assert_eq!(handle.join().unwrap().requests, 5_001);
+        });
+    }
+
+    #[test]
+    fn firehose_client_does_not_starve_a_ping_pong_client() {
+        watchdog(|| {
+            let (addr, handle) = spawn_echo();
+            let ponged = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                // The firehose keeps a 4096-deep window full for as long
+                // as the ping-pong client is still working.
+                s.spawn(|| {
+                    let mut c = WireClient::<u64, u64>::connect(addr).unwrap();
+                    while !ponged.load(Ordering::SeqCst) {
+                        pipeline(&mut c, 20_000, 4096);
+                    }
+                });
+                let mut c = WireClient::<u64, u64>::connect(addr).unwrap();
+                for i in 0..500u64 {
+                    assert_eq!(c.call(&i).unwrap(), i * 2);
+                }
+                ponged.store(true, Ordering::SeqCst);
+            });
+            shutdown_server(addr);
+            let stats = handle.join().unwrap();
+            assert!(stats.requests > 20_500, "{stats:?}");
+            assert_eq!(stats.protocol_errors, 0);
+        });
     }
 }

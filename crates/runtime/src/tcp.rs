@@ -64,7 +64,7 @@
 //! arrivals, bounding the length prefix by [`MAX_FRAME_PAYLOAD`] and by
 //! the bytes that actually arrive (a truncated connection is a typed
 //! error, never an unbounded allocation or a forever-block). The
-//! pull-based [`FramedReader`] remains for blocking-stream callers. A
+//! blocking [`FramedReader`] drives the same assembler for stream callers. A
 //! length prefix of `u64::MAX` is the *goodbye frame*: endpoints send it
 //! on every link when dropped, which is how peers distinguish a graceful
 //! teardown (the link retires silently) from a killed process (EOF
@@ -109,9 +109,9 @@ use parking_lot::Mutex;
 use crate::cluster::Ctx;
 use crate::collectives::{CollMsg, CollectiveTopology, Collectives};
 use crate::comm::CommEndpoint;
-use crate::frame::{bye_frame, classic_frame, WriteQueue};
+use crate::frame::{bye_frame, push_classic_frame, WriteQueue};
 #[cfg(unix)]
-use crate::frame::{Assembled, FrameAssembler};
+use crate::frame::{Assembled, FrameAssembler, READ_BUF_BYTES};
 use crate::memory::MemoryTracker;
 #[cfg(unix)]
 use crate::poll as sys;
@@ -122,7 +122,7 @@ use crate::transport::{
     check_payload_bound, encode_batch_frame, BatchConfig, Transport, TransportError,
 };
 
-pub use crate::frame::{FrameItem, FramedReader};
+pub use crate::frame::FramedReader;
 pub use crate::transport::MAX_FRAME_PAYLOAD;
 use crate::wire::{WireDecode, WireEncode};
 
@@ -686,7 +686,7 @@ struct Shared {
 
 impl Shared {
     fn queue_empty(&self, peer: usize) -> bool {
-        self.queues[peer].as_ref().is_none_or(|q| q.lock().frames.is_empty())
+        self.queues[peer].as_ref().is_none_or(|q| q.lock().is_empty())
     }
 }
 
@@ -970,10 +970,11 @@ impl<M> TcpTransport<M> {
     #[cfg(not(unix))]
     fn wake_io(&self) {}
 
-    /// Hand one encoded frame to the io thread and count it.
-    fn enqueue_frame(&self, dst: usize, frame: Vec<u8>) {
+    /// Have `encode` append one frame to `dst`'s write queue, hand it to
+    /// the io thread and count it.
+    fn enqueue_frame(&self, dst: usize, encode: impl FnOnce(&mut Vec<u8>)) {
         if let Some(q) = &self.shared.queues[dst] {
-            q.lock().frames.push_back(frame);
+            encode(q.lock().tail());
         }
         self.stats.record_frames(self.rank, 1);
         self.wake_io();
@@ -989,7 +990,8 @@ impl<M> TcpTransport<M> {
             buf.bytes = 0;
             std::mem::take(&mut buf.payloads)
         };
-        self.enqueue_frame(dst, encode_batch_frame(self.rank, &payloads));
+        let frame = encode_batch_frame(self.rank, &payloads);
+        self.enqueue_frame(dst, |out| out.extend_from_slice(&frame));
     }
 }
 
@@ -1010,7 +1012,13 @@ struct PeerLink {
 #[cfg(unix)]
 impl PeerLink {
     fn new(sock: Arc<TcpStream>) -> Self {
-        Self { sock, assembler: FrameAssembler::new(), reading: true, writing: true, done: false }
+        Self {
+            sock,
+            assembler: FrameAssembler::default(),
+            reading: true,
+            writing: true,
+            done: false,
+        }
     }
 
     /// The link failed: retire both directions and emit the one fault.
@@ -1053,7 +1061,7 @@ fn io_loop<M: Send + WireDecode>(
 ) {
     let mut peers: Vec<Option<PeerLink>> =
         socks.into_iter().map(|s| s.map(PeerLink::new)).collect();
-    let mut scratch = vec![0u8; 64 << 10];
+    let mut scratch = vec![0u8; READ_BUF_BYTES];
     // Once a graceful shutdown begins, the deadline after which queued
     // frames and goodbyes are abandoned.
     let mut goodbye: Option<Instant> = None;
@@ -1091,7 +1099,7 @@ fn io_loop<M: Send + WireDecode>(
                 if let Some(p) = p {
                     if p.writing {
                         if let Some(q) = &shared.queues[i] {
-                            q.lock().frames.push_back(bye_frame(rank).to_vec());
+                            q.lock().tail().extend_from_slice(&bye_frame(rank));
                         }
                     }
                 }
@@ -1208,8 +1216,7 @@ fn write_ready<M>(
         match q.drain_into(&mut (&*p.sock)) {
             Ok(_) => Ok(()),
             Err(e) => {
-                q.frames.clear();
-                q.offset = 0;
+                q.clear();
                 Err(e)
             }
         }
@@ -1245,32 +1252,24 @@ fn read_ready<M: WireDecode>(
     for _ in 0..16 {
         match (&*p.sock).read(scratch) {
             Ok(0) => {
-                let err = if p.assembler.mid_frame() {
-                    TransportError::Frame {
-                        src: Some(peer),
-                        detail: "stream ended mid-frame".into(),
-                    }
-                } else {
-                    TransportError::Disconnected { peer: Some(peer) }
-                };
+                let err = p.assembler.eof_error(Some(peer));
                 p.fault(tx, err);
                 return;
             }
             Ok(n) => {
-                let items = match p.assembler.push(&scratch[..n], peer) {
-                    Ok(items) => items,
-                    Err(e) => {
-                        p.fault(tx, e);
-                        return;
-                    }
-                };
-                for item in items {
-                    match item {
-                        Assembled::Bye => {
+                p.assembler.push(&scratch[..n]);
+                loop {
+                    match p.assembler.next(Some(peer)) {
+                        Ok(None) => break,
+                        Err(e) => {
+                            p.fault(tx, e);
+                            return;
+                        }
+                        Ok(Some(Assembled::Bye)) => {
                             p.bye(tx);
                             return;
                         }
-                        Assembled::Frame(frame) => {
+                        Ok(Some(Assembled::Frame(frame))) => {
                             let claimed =
                                 u32::from_le_bytes(frame[8..12].try_into().expect("4-byte slice"))
                                     as usize;
@@ -1287,7 +1286,7 @@ fn read_ready<M: WireDecode>(
                                 );
                                 return;
                             }
-                            match decode_frames::<M>(&frame) {
+                            match decode_frames::<M>(frame) {
                                 Ok((_, msgs)) => {
                                     for msg in msgs {
                                         let _ = tx.send(Event::Frame(peer, msg));
@@ -1349,14 +1348,14 @@ where
             return Ok(wire);
         }
         if !self.batch.enabled() {
-            self.enqueue_frame(dst, classic_frame(self.rank as u32, &payload));
+            self.enqueue_frame(dst, |out| push_classic_frame(out, self.rank as u32, &payload));
             return Ok(wire);
         }
         if wire >= self.batch.max_bytes {
             // Too big to coalesce: flush what's buffered first (FIFO
             // order is preserved), then ship it as its own frame.
             self.flush_dst(dst);
-            self.enqueue_frame(dst, classic_frame(self.rank as u32, &payload));
+            self.enqueue_frame(dst, |out| push_classic_frame(out, self.rank as u32, &payload));
             return Ok(wire);
         }
         let full = {

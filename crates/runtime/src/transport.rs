@@ -598,17 +598,24 @@ pub(crate) fn check_payload_bound(wire: usize, src: usize) -> Result<(), Transpo
 /// (`[u64 payload len][u32 src][payload]`) — the format shared by the
 /// bytes backend and the TCP socket fabric.
 pub(crate) fn encode_frame<M: WireEncode>(src: usize, msg: &M) -> Vec<u8> {
-    let payload_len = msg.wire_bytes();
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload_len);
-    (payload_len as u64).encode(&mut frame);
-    (src as u32).encode(&mut frame);
-    msg.encode(&mut frame);
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + msg.wire_bytes());
+    encode_frame_into(&mut frame, src as u32, msg);
+    frame
+}
+
+/// [`encode_frame`] straight onto the end of `out` (no intermediate
+/// buffer); returns the frame's size.
+pub(crate) fn encode_frame_into<M: WireEncode>(out: &mut Vec<u8>, src: u32, msg: &M) -> usize {
+    let (start, payload_len) = (out.len(), msg.wire_bytes());
+    (payload_len as u64).encode(out);
+    src.encode(out);
+    msg.encode(out);
     debug_assert_eq!(
-        frame.len(),
+        out.len() - start,
         FRAME_HEADER_BYTES + payload_len,
         "encoder must emit exactly wire_bytes() payload bytes"
     );
-    frame
+    FRAME_HEADER_BYTES + payload_len
 }
 
 /// Decode one wire frame back into its envelope. Malformed frames are

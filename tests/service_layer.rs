@@ -206,3 +206,58 @@ fn lookup_service_over_sockets_matches_offline_answers() {
     assert_eq!(stats.requests, 2 * requests.len() as u64 + 1);
     assert_eq!(stats.protocol_errors, 0);
 }
+
+/// A 64-deep pipelined client costs the server well under one `read` (and
+/// one `write`) per request: both ends pay for the socket per batch that
+/// arrived, and every response is still byte-identical to the offline
+/// answer, in order, under its request's sequence number.
+#[cfg(unix)]
+#[test]
+fn pipelined_lookups_cost_well_under_one_read_per_request() {
+    use distributed_ne::graph::gen;
+    use distributed_ne::runtime::{WireClient, WireServer};
+
+    const WINDOW: usize = 64;
+    let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 11));
+    let a = distributed_ne::core::DistributedNe::new(
+        distributed_ne::core::NeConfig::default().with_seed(11),
+    )
+    .partition(&g, 3);
+    let offline = AssignmentService::new(ShardedAssignmentIndex::build(&g, &a, 4));
+
+    let server = WireServer::bind(&"127.0.0.1:0".parse().unwrap()).unwrap();
+    let addr = server.local_addr();
+    let serving = std::thread::spawn(move || {
+        let mut svc = AssignmentService::new(ShardedAssignmentIndex::build(&g, &a, 4));
+        server.serve(&mut svc).unwrap()
+    });
+
+    let requests: Vec<LookupRequest> = (0..10_000)
+        .map(|i| {
+            let r = distributed_ne::graph::hash::mix2(11, i);
+            LookupRequest::LookupEdge { u: r & 0xff, v: r >> 8 & 0xff }
+        })
+        .collect();
+    let mut client = WireClient::<LookupRequest, LookupResponse>::connect(addr).unwrap();
+    let mut answered = 0;
+    for (i, req) in requests.iter().enumerate() {
+        assert_eq!(client.send(req).unwrap(), i as u32);
+        if i + 1 - answered >= WINDOW {
+            let (seq, got) = client.recv().unwrap();
+            assert_eq!((seq, got), (answered as u32, offline.answer(&requests[answered])));
+            answered += 1;
+        }
+    }
+    while answered < requests.len() {
+        let (seq, got) = client.recv().unwrap();
+        assert_eq!((seq, got), (answered as u32, offline.answer(&requests[answered])));
+        answered += 1;
+    }
+    assert_eq!(client.call(&LookupRequest::Shutdown).unwrap(), LookupResponse::ShuttingDown);
+
+    let stats = serving.join().unwrap();
+    assert_eq!(stats.requests, requests.len() as u64 + 1);
+    assert_eq!(stats.protocol_errors, 0);
+    assert!(stats.requests >= 4 * stats.read_calls, "{stats:?}");
+    assert!(stats.requests >= 4 * stats.write_calls, "{stats:?}");
+}
