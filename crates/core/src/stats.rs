@@ -21,9 +21,10 @@ pub struct NeStats {
     pub comm_msgs: u64,
     /// Physical frames carrying those messages. Without coalescing this
     /// equals `comm_msgs` minus self-sends (one frame per remote
-    /// envelope); with `DNE_COMM_BATCH` it drops as small envelopes share
-    /// multi-message frames. Results and the two counters above are
-    /// bit-identical either way.
+    /// envelope); with `DNE_COMM_BATCH` it drops on the bytes and tcp
+    /// transports as small envelopes share multi-message frames
+    /// (loopback has no frames to coalesce and keeps counting envelopes).
+    /// Results and the two counters above are bit-identical either way.
     pub comm_frames: u64,
     /// Collective rounds (barrier / all-gather / all-reduce) each rank
     /// executed — identical across ranks by the lock-step structure. With

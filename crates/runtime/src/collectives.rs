@@ -151,18 +151,7 @@ impl CollectiveTopology {
     /// topologies — a misconfigured run (`DNE_COLLECTIVES=trees`) must
     /// fail loudly before it silently measures the wrong topology.
     pub fn from_env() -> Self {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(v) if !v.trim().is_empty() => {
-                v.parse().unwrap_or_else(|e| panic!("invalid {}: {e}", Self::ENV_VAR))
-            }
-            Err(std::env::VarError::NotUnicode(raw)) => {
-                panic!(
-                    "invalid {}: non-Unicode value {raw:?} (expected {TOPOLOGY_NAMES})",
-                    Self::ENV_VAR
-                )
-            }
-            _ => CollectiveTopology::Flat,
-        }
+        crate::env_knob(Self::ENV_VAR, TOPOLOGY_NAMES, || CollectiveTopology::Flat, str::parse)
     }
 
     /// Exact `(bytes, messages)` one collective charges to `rank` in a

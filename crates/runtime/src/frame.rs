@@ -1,11 +1,33 @@
-//! Session-agnostic wire framing: the length-prefixed frame machinery
-//! shared by the rank-mesh TCP fabric ([`crate::tcp`]) and the
-//! request/response service layer ([`crate::service`]).
+//! The wire-frame layer: both frame layouts, encode and decode, and the
+//! stream machinery built on them. Everything that knows what a frame
+//! looks like lives here; the byte-shipping backends
+//! ([`crate::transport::BytesTransport`], [`crate::tcp::TcpTransport`])
+//! and the request/response service layer ([`crate::service`]) only move
+//! the bytes this module produces.
 //!
-//! A frame is `[u64 payload len][u32 src][payload]`, little-endian (see
-//! [`crate::transport`] for the batch-flag variant). This module owns the
-//! three stream-facing pieces both event loops are built from:
+//! Two layouts share one 12-byte little-endian header,
+//! `[u64 length prefix][u32 source word]`:
 //!
+//! * **classic** — `[u64 payload len][u32 src][payload]`, one envelope;
+//! * **multi-message** — the top bit of the length prefix set:
+//!   `[u64 body len | BATCH_FLAG][u32 src][u32 count][(u32 sublen)(payload)]×count`,
+//!   several same-destination envelopes in send order.
+//!
+//! A length prefix of `u64::MAX` is the goodbye marker of a graceful
+//! shutdown (checked before the flag bit wherever both can occur). The
+//! source word is the sender's rank on mesh links and a request sequence
+//! number in the service layer.
+//!
+//! The pieces:
+//!
+//! * `Outbox` (crate-internal) — the **one** send path under the bytes
+//!   and tcp backends: it owns the [`BatchConfig`] policy, encodes each
+//!   envelope straight into a frame (coalescing off, self-sends, large
+//!   envelopes) or in place into a per-destination pending body that
+//!   leaves as one multi-message frame at the next flush point, enforces
+//!   the payload bound and counts physical frames. A backend supplies
+//!   only a `FrameSink`: where a finished frame's bytes go.
+//! * `decode_frames` — the one decoder, for either layout.
 //! * `FrameAssembler` (crate-internal) — the one reassembly
 //!   implementation (short reads, coalesced arrivals, bounded
 //!   allocation): bytes are pushed in, borrowed frames are pulled out;
@@ -15,16 +37,34 @@
 //!   socket takes, with partial-write resume.
 //!
 //! Every malformed condition — EOF mid-frame, a length prefix beyond
-//! [`MAX_FRAME_PAYLOAD`] — is a typed [`TransportError`], never a panic
-//! or an unbounded allocation.
+//! [`MAX_FRAME_PAYLOAD`], a message count the body cannot hold, a payload
+//! that fails to decode — is a typed [`TransportError`], never a panic or
+//! an allocation sized by the peer.
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
-use crate::transport::{
-    check_payload_bound, encode_frame_into, TransportError, BATCH_FLAG, FRAME_HEADER_BYTES,
-    MAX_FRAME_PAYLOAD,
-};
-use crate::wire::WireEncode;
+use parking_lot::Mutex;
+
+use crate::stats::CommStats;
+use crate::transport::{BatchConfig, TransportError};
+use crate::wire::{WireDecode, WireEncode, WireReader};
+
+/// Frame header: `[u64 length prefix][u32 source word]`, little-endian.
+pub(crate) const FRAME_HEADER_BYTES: usize = 12;
+
+/// Upper bound on a single message's encoded payload (1 GiB). Enforced
+/// identically by *every* backend's `send` — on the framing backends a
+/// corrupt or adversarial length prefix must not drive the reader into a
+/// giant allocation, and bounding loopback the same way keeps the three
+/// backends observationally identical even at the limit.
+pub const MAX_FRAME_PAYLOAD: u64 = 1 << 30;
+
+/// Flag bit set in the `u64` length prefix of a *multi-message* frame.
+/// The body of a flagged frame is `[u32 count][(u32 sublen)(payload)]…`
+/// instead of a single payload. The goodbye sentinel (`u64::MAX`, every
+/// bit set) is checked before this flag everywhere both can occur.
+pub(crate) const BATCH_FLAG: u64 = 1 << 63;
 
 /// Length-prefix sentinel marking a goodbye frame.
 pub(crate) const BYE_LEN: u64 = u64::MAX;
@@ -32,6 +72,284 @@ pub(crate) const BYE_LEN: u64 = u64::MAX;
 /// Bytes one `read` may return: the size of the scratch buffer every
 /// reader (blocking or poll loop) hands to the socket.
 pub(crate) const READ_BUF_BYTES: usize = 64 << 10;
+
+fn frame_err(src: Option<usize>, detail: String) -> TransportError {
+    TransportError::Frame { src, detail }
+}
+
+/// Reject an outgoing payload that would exceed the frame bound.
+pub(crate) fn check_payload_bound(wire: usize, src: usize) -> Result<(), TransportError> {
+    if wire as u64 > MAX_FRAME_PAYLOAD {
+        return Err(frame_err(
+            Some(src),
+            format!(
+                "outgoing message payload of {wire} bytes exceeds the \
+                 {MAX_FRAME_PAYLOAD}-byte frame bound"
+            ),
+        ));
+    }
+    Ok(())
+}
+
+// ----------------------------------------------------------------- encode --
+
+/// The 12-byte goodbye frame of rank `src`.
+pub(crate) fn bye_frame(src: usize) -> [u8; FRAME_HEADER_BYTES] {
+    let mut f = [0u8; FRAME_HEADER_BYTES];
+    f[0..8].copy_from_slice(&BYE_LEN.to_le_bytes());
+    f[8..12].copy_from_slice(&(src as u32).to_le_bytes());
+    f
+}
+
+/// Encode `msg` as one classic frame (`[u64 payload len][u32 src][payload]`)
+/// straight onto the end of `out` — no intermediate buffer — and return
+/// the frame's size.
+fn encode_frame_into<M: WireEncode>(out: &mut Vec<u8>, src: u32, msg: &M) -> usize {
+    let (start, payload_len) = (out.len(), msg.wire_bytes());
+    out.reserve(FRAME_HEADER_BYTES + payload_len);
+    (payload_len as u64).encode(out);
+    src.encode(out);
+    msg.encode(out);
+    debug_assert_eq!(
+        out.len() - start,
+        FRAME_HEADER_BYTES + payload_len,
+        "encoder must emit exactly wire_bytes() payload bytes"
+    );
+    out.len() - start
+}
+
+/// [`encode_frame_into`] behind the payload bound: a payload beyond
+/// [`MAX_FRAME_PAYLOAD`] is the typed error every sending backend raises,
+/// and leaves `out` untouched.
+pub(crate) fn push_frame<M: WireEncode>(
+    out: &mut Vec<u8>,
+    src: u32,
+    msg: &M,
+) -> Result<usize, TransportError> {
+    check_payload_bound(msg.wire_bytes(), src as usize)?;
+    Ok(encode_frame_into(out, src, msg))
+}
+
+/// Where an [`Outbox`] puts finished frames — the one backend-specific
+/// piece of the send path.
+pub(crate) trait FrameSink {
+    /// Have `write` append exactly one whole frame to a buffer bound for
+    /// `dst` (which may be this endpoint itself), and ship that buffer.
+    fn put(&self, dst: usize, write: impl FnOnce(&mut Vec<u8>)) -> Result<(), TransportError>;
+}
+
+/// Envelopes for one destination waiting to share a multi-message frame:
+/// the frame's body after its count word, encoded in place.
+#[derive(Default)]
+struct Pending {
+    /// `[(u32 sublen)(payload)]…`, in send order.
+    body: Vec<u8>,
+    count: u32,
+}
+
+/// The send path of the framing backends: one copy of the coalescing
+/// policy, the frame encoders, the payload bound and the physical-frame
+/// count, over whatever [`FrameSink`] the backend is.
+///
+/// With coalescing off (the default) every envelope is encoded straight
+/// into its own classic frame and no lock is taken. With it on, small
+/// envelopes for another rank are encoded in place into that rank's
+/// pending body and leave as one multi-message frame when the body fills
+/// (`max_msgs` envelopes or `max_bytes` payload bytes) or at the next
+/// [`Outbox::flush`]; an envelope of `max_bytes` or more flushes the body
+/// (the link stays FIFO) and travels as a classic frame. Self-sends
+/// round-trip the codec as classic frames but never cross a wire, so they
+/// are never buffered and never counted.
+pub(crate) struct Outbox {
+    rank: usize,
+    policy: BatchConfig,
+    pending: Vec<Mutex<Pending>>,
+    stats: Arc<CommStats>,
+}
+
+impl Outbox {
+    /// The send path of endpoint `rank` in an `nprocs`-endpoint fabric,
+    /// counting the frames it emits into `stats`.
+    pub(crate) fn new(
+        rank: usize,
+        nprocs: usize,
+        policy: BatchConfig,
+        stats: Arc<CommStats>,
+    ) -> Self {
+        Self { rank, policy, pending: (0..nprocs).map(|_| Mutex::default()).collect(), stats }
+    }
+
+    /// Frame `msg` for `dst` — now, or with its neighbours at the next
+    /// flush point — and return its encoded payload size. The size
+    /// excludes frame and sub-message headers: [`WireSize`](crate::wire::WireSize)
+    /// estimates are payload-only, and every backend must account
+    /// identically for identical traffic, coalesced or not.
+    pub(crate) fn send<M: WireEncode>(
+        &self,
+        sink: &impl FrameSink,
+        dst: usize,
+        msg: &M,
+    ) -> Result<usize, TransportError> {
+        let wire = msg.wire_bytes();
+        // Enforced at the sender: shipping a gigabyte only for the
+        // receiver to reject it as stream corruption would waste the
+        // transfer and misattribute a legitimate (if oversized) message.
+        check_payload_bound(wire, self.rank)?;
+        let coalescing = dst != self.rank && self.policy.enabled();
+        if coalescing && wire < self.policy.max_bytes {
+            let mut p = self.pending[dst].lock();
+            let start = p.body.len();
+            (wire as u32).encode(&mut p.body);
+            msg.encode(&mut p.body);
+            p.count += 1;
+            let sent = p.body.len() - start - 4;
+            debug_assert_eq!(sent, wire, "encoder must emit exactly wire_bytes() payload bytes");
+            let payload_bytes = p.body.len() - 4 * p.count as usize;
+            if p.count as usize >= self.policy.max_msgs || payload_bytes >= self.policy.max_bytes {
+                self.flush_pending(sink, dst, &mut p)?;
+            }
+            return Ok(sent);
+        }
+        if coalescing {
+            self.flush_pending(sink, dst, &mut self.pending[dst].lock())?;
+        }
+        let mut frame = 0;
+        sink.put(dst, |out| frame = encode_frame_into(out, self.rank as u32, msg))?;
+        if dst != self.rank {
+            self.stats.record_frames(self.rank, 1);
+        }
+        Ok(frame - FRAME_HEADER_BYTES)
+    }
+
+    /// Ship every pending body (one multi-message frame per destination
+    /// that has one). A no-op, lock-free, when coalescing is off.
+    pub(crate) fn flush(&self, sink: &impl FrameSink) -> Result<(), TransportError> {
+        if self.policy.enabled() {
+            for (dst, p) in self.pending.iter().enumerate() {
+                self.flush_pending(sink, dst, &mut p.lock())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Ship what is pending for `dst` as one multi-message frame:
+    /// `[u64 body len | BATCH_FLAG][u32 src][u32 count][(u32 sublen)(payload)]…`.
+    fn flush_pending(
+        &self,
+        sink: &impl FrameSink,
+        dst: usize,
+        p: &mut Pending,
+    ) -> Result<(), TransportError> {
+        if p.count == 0 {
+            return Ok(());
+        }
+        sink.put(dst, |out| {
+            out.reserve(FRAME_HEADER_BYTES + 4 + p.body.len());
+            ((4 + p.body.len()) as u64 | BATCH_FLAG).encode(out);
+            (self.rank as u32).encode(out);
+            p.count.encode(out);
+            out.extend_from_slice(&p.body);
+        })?;
+        // Like `WriteQueue::clear`: a burst's capacity goes back to the
+        // allocator, a steady trickle's is reused.
+        p.body.clear();
+        p.body.shrink_to(READ_BUF_BYTES);
+        p.count = 0;
+        self.stats.record_frames(self.rank, 1);
+        Ok(())
+    }
+}
+
+// ----------------------------------------------------------------- decode --
+
+/// The `(length prefix, source word)` of the header `bytes` start with,
+/// once all of it has arrived.
+fn header(bytes: &[u8]) -> Option<(u64, u32)> {
+    let h = bytes.get(..FRAME_HEADER_BYTES)?;
+    Some((
+        u64::from_le_bytes(h[0..8].try_into().expect("8-byte slice")),
+        u32::from_le_bytes(h[8..12].try_into().expect("4-byte slice")),
+    ))
+}
+
+/// The source word of a complete frame, as an [`Assembled::Frame`] is.
+pub(crate) fn source_word(frame: &[u8]) -> u32 {
+    header(frame).expect("a complete frame starts with its header").1
+}
+
+/// Split a complete classic frame into its source word and payload;
+/// `None` for a multi-message frame.
+pub(crate) fn classic_parts(frame: &[u8]) -> Option<(u32, &[u8])> {
+    let (len, src) = header(frame)?;
+    (len & BATCH_FLAG == 0).then(|| (src, &frame[FRAME_HEADER_BYTES..]))
+}
+
+/// Decode one whole encoded frame — classic or multi-message — into its
+/// source rank and its envelopes in send order: the one decoder under the
+/// bytes backend and the tcp io loop, so both understand coalesced
+/// traffic identically. Malformed frames are typed errors, never panics:
+/// on the in-process bytes backend they would indicate a codec bug, but
+/// the same frames cross real sockets on the tcp backend, where
+/// truncation and corruption are input conditions.
+pub(crate) fn decode_frames<M: WireDecode>(
+    frame: &[u8],
+) -> Result<(usize, Vec<M>), TransportError> {
+    let Some((len, src)) = header(frame) else {
+        return Err(frame_err(None, format!("{} bytes are too short for a header", frame.len())));
+    };
+    let (src, body) = (src as usize, &frame[FRAME_HEADER_BYTES..]);
+    if len & !BATCH_FLAG != body.len() as u64 {
+        return Err(frame_err(
+            Some(src),
+            format!(
+                "length prefix mismatch: header claims {} body bytes, {} present",
+                len & !BATCH_FLAG,
+                body.len()
+            ),
+        ));
+    }
+    let msgs = if len & BATCH_FLAG == 0 {
+        vec![M::from_wire(body).map_err(|error| TransportError::Decode { src, error })?]
+    } else {
+        decode_batch_body(src, body)?
+    };
+    Ok((src, msgs))
+}
+
+/// Decode the body of a multi-message frame (everything after the 12-byte
+/// header) into its logical envelopes, in send order.
+fn decode_batch_body<M: WireDecode>(src: usize, body: &[u8]) -> Result<Vec<M>, TransportError> {
+    let truncated = |what: String, e| frame_err(Some(src), format!("batch frame {what}: {e}"));
+    let mut r = WireReader::new(body);
+    let count = u32::decode(&mut r).map_err(|e| truncated("too short for its count".into(), e))?;
+    // The count comes off the wire: every sub-message costs at least its
+    // 4-byte length word, so the body bounds how many it can hold — and
+    // with that how much is reserved for them.
+    if count as usize > r.remaining() / 4 {
+        return Err(frame_err(
+            Some(src),
+            format!("batch frame claims {count} messages in a {}-byte body", body.len()),
+        ));
+    }
+    let mut out = Vec::with_capacity(count as usize);
+    for i in 0..count {
+        let sublen = u32::decode(&mut r)
+            .map_err(|e| truncated(format!("truncated at sub-message {i}/{count}"), e))?;
+        let payload = r
+            .read_bytes(sublen as usize)
+            .map_err(|e| truncated(format!("sub-message {i}/{count} truncated"), e))?;
+        out.push(M::from_wire(payload).map_err(|error| TransportError::Decode { src, error })?);
+    }
+    if r.remaining() != 0 {
+        return Err(frame_err(
+            Some(src),
+            format!("{} trailing bytes after {count} batched messages", r.remaining()),
+        ));
+    }
+    Ok(out)
+}
+
+// ----------------------------------------------------------------- stream --
 
 /// Blocking frame reads over a byte stream: the pull-based driver of the
 /// same `FrameAssembler` the poll loops push into. Each `read` lands in a
@@ -88,52 +406,6 @@ impl<R: Read> FramedReader<R> {
             },
         }
     }
-}
-
-/// The 12-byte goodbye frame of rank `src`.
-pub(crate) fn bye_frame(src: usize) -> [u8; FRAME_HEADER_BYTES] {
-    let mut f = [0u8; FRAME_HEADER_BYTES];
-    f[0..8].copy_from_slice(&BYE_LEN.to_le_bytes());
-    f[8..12].copy_from_slice(&(src as u32).to_le_bytes());
-    f
-}
-
-/// Append the classic single-message frame around an already-encoded
-/// payload. `src` is the source rank on mesh links, a request sequence
-/// number in the service layer.
-pub(crate) fn push_classic_frame(out: &mut Vec<u8>, src: u32, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&src.to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-/// Encode `msg` as one classic frame straight onto the end of `out` and
-/// return the frame's size. A payload beyond [`MAX_FRAME_PAYLOAD`] is the
-/// typed error every sending backend raises, and leaves `out` untouched.
-pub(crate) fn push_frame<M: WireEncode>(
-    out: &mut Vec<u8>,
-    src: u32,
-    msg: &M,
-) -> Result<usize, TransportError> {
-    check_payload_bound(msg.wire_bytes(), src as usize)?;
-    Ok(encode_frame_into(out, src, msg))
-}
-
-/// Split a complete classic frame into its source word and payload;
-/// `None` for a multi-message frame.
-pub(crate) fn classic_parts(frame: &[u8]) -> Option<(u32, &[u8])> {
-    let (len, src) = header(frame)?;
-    (len & BATCH_FLAG == 0).then(|| (src, &frame[FRAME_HEADER_BYTES..]))
-}
-
-/// The `(length prefix, source word)` of the header `bytes` start with,
-/// once all of it has arrived.
-fn header(bytes: &[u8]) -> Option<(u64, u32)> {
-    let h = bytes.get(..FRAME_HEADER_BYTES)?;
-    Some((
-        u64::from_le_bytes(h[0..8].try_into().expect("8-byte slice")),
-        u32::from_le_bytes(h[8..12].try_into().expect("4-byte slice")),
-    ))
 }
 
 /// One complete item handed out by the [`FrameAssembler`], borrowed from
@@ -281,8 +553,230 @@ impl WriteQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{encode_batch_frame, encode_frame};
-    use crate::wire::WireDecode;
+
+    /// `msg` as one classic frame from rank `src`.
+    fn encode_frame<M: WireEncode>(src: usize, msg: &M) -> Vec<u8> {
+        let mut frame = Vec::new();
+        push_frame(&mut frame, src as u32, msg).unwrap();
+        frame
+    }
+
+    /// A sink that keeps every frame put to it, in order.
+    #[derive(Default)]
+    struct Kept(Mutex<Vec<Vec<u8>>>);
+
+    impl FrameSink for Kept {
+        fn put(&self, _: usize, write: impl FnOnce(&mut Vec<u8>)) -> Result<(), TransportError> {
+            let mut frame = Vec::new();
+            write(&mut frame);
+            self.0.lock().push(frame);
+            Ok(())
+        }
+    }
+
+    /// Rank `src`'s outbox in a fabric just big enough to have a peer
+    /// (`src + 1`), with its frame counters.
+    fn outbox(src: usize, policy: BatchConfig) -> (Outbox, Arc<CommStats>) {
+        let stats = CommStats::new(src + 2);
+        (Outbox::new(src, src + 2, policy, Arc::clone(&stats)), stats)
+    }
+
+    /// `msgs` as one multi-message frame from rank `src`.
+    fn batch_frame<M: WireEncode>(src: usize, msgs: &[M]) -> Vec<u8> {
+        let (outbox, _) = outbox(src, BatchConfig::msgs(msgs.len() + 1));
+        let kept = Kept::default();
+        for m in msgs {
+            outbox.send(&kept, src + 1, m).unwrap();
+        }
+        outbox.flush(&kept).unwrap();
+        let mut frames = kept.0.into_inner();
+        assert_eq!(frames.len(), 1, "one flush, one frame");
+        frames.pop().unwrap()
+    }
+
+    // ---------------------------------------------------------- layouts --
+
+    #[test]
+    fn classic_layout_is_length_prefixed_little_endian() {
+        let frame = encode_frame(3, &0x0102_0304_0506_0708u64);
+        assert_eq!(&frame[0..8], &8u64.to_le_bytes(), "payload length prefix");
+        assert_eq!(&frame[8..12], &3u32.to_le_bytes(), "source rank");
+        assert_eq!(&frame[12..], &0x0102_0304_0506_0708u64.to_le_bytes());
+        assert_eq!(decode_frames::<u64>(&frame).unwrap(), (3, vec![0x0102_0304_0506_0708]));
+    }
+
+    #[test]
+    fn multi_message_layout_is_pinned_byte_for_byte() {
+        // [u64 body | BATCH_FLAG][u32 src][u32 count][(u32 sublen)(payload)]×3,
+        // all little-endian: a u64 (8 bytes), an empty Vec<u64> (its
+        // 8-byte length word), and a u32 (4 bytes) from rank 5.
+        let (outbox, stats) = outbox(5, BatchConfig::msgs(8));
+        let kept = Kept::default();
+        assert_eq!(outbox.send(&kept, 6, &0x1122_3344_5566_7788u64).unwrap(), 8);
+        assert_eq!(outbox.send(&kept, 6, &Vec::<u64>::new()).unwrap(), 8);
+        assert_eq!(outbox.send(&kept, 6, &0xAABB_CCDDu32).unwrap(), 4);
+        assert!(kept.0.lock().is_empty(), "nothing leaves before the flush point");
+        outbox.flush(&kept).unwrap();
+        #[rustfmt::skip]
+        let golden: Vec<u8> = vec![
+            0x24, 0, 0, 0, 0, 0, 0, 0x80, // body = 4 + (4+8) + (4+8) + (4+4) = 36, flag bit 63
+            5, 0, 0, 0,                   // src
+            3, 0, 0, 0,                   // count
+            8, 0, 0, 0, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+            8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            4, 0, 0, 0, 0xDD, 0xCC, 0xBB, 0xAA,
+        ];
+        assert_eq!(kept.0.into_inner(), vec![golden]);
+        assert_eq!(stats.frames_by(5), 1, "three envelopes, one physical frame");
+    }
+
+    #[test]
+    fn multi_message_frame_roundtrips_in_send_order() {
+        let frame = batch_frame(5, &[7u64, 8, 9]);
+        assert!(classic_parts(&frame).is_none(), "flag bit must mark multi-message frames");
+        assert!(classic_parts(&encode_frame(5, &7u64)).is_some());
+        assert_eq!(decode_frames::<u64>(&frame).unwrap(), (5, vec![7, 8, 9]));
+    }
+
+    #[test]
+    fn truncated_frames_are_typed_errors() {
+        let classic = encode_frame(0, &7u64);
+        let batch = batch_frame(1, &[3u64, 4]);
+        let cuts = [
+            (&classic, classic.len() - 1),
+            (&classic, FRAME_HEADER_BYTES - 1),
+            (&batch, batch.len() - 1),
+            (&batch, FRAME_HEADER_BYTES + 5),
+            (&batch, FRAME_HEADER_BYTES),
+        ];
+        for (frame, cut) in cuts {
+            let err = decode_frames::<u64>(&frame[..cut]).unwrap_err();
+            assert!(
+                matches!(err, TransportError::Frame { .. }),
+                "cut at {cut} must surface as a framing error, got {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn undecodable_payload_names_the_source() {
+        // A frame whose header is intact but whose payload is garbage for
+        // the target type must attribute the decode failure to its sender.
+        let frame = encode_frame(2, &vec![1u8, 2, 3]);
+        match decode_frames::<Vec<u64>>(&frame) {
+            Err(TransportError::Decode { src: 2, .. }) => {}
+            other => panic!("expected Decode error from rank 2, got {other:?}"),
+        }
+    }
+
+    /// `[4 | BATCH_FLAG][src][count = u32::MAX]`: sixteen bytes that pass
+    /// the assembler (a 4-byte body is fine) and claim four billion
+    /// sub-messages.
+    fn hostile_count_frame(src: u32) -> Vec<u8> {
+        let mut frame = (4u64 | BATCH_FLAG).to_le_bytes().to_vec();
+        frame.extend_from_slice(&src.to_le_bytes());
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn message_count_off_the_wire_cannot_size_an_allocation() {
+        // Reserving for the claimed count would ask the allocator for
+        // u32::MAX × size_of::<Vec<u64>>() bytes and abort the process.
+        let frame = hostile_count_frame(1);
+        let mut a = FrameAssembler::default();
+        a.push(&frame);
+        assert_eq!(a.next(Some(1)).unwrap(), Some(Assembled::Frame(&frame[..])));
+        match decode_frames::<Vec<u64>>(&frame) {
+            Err(TransportError::Frame { src: Some(1), detail }) => {
+                assert!(detail.contains("4294967295 messages"), "{detail}");
+            }
+            other => panic!("expected a framing error from rank 1, got {other:?}"),
+        }
+        // A count the body *can* hold but does not is still truncation.
+        let mut short = batch_frame(1, &[3u64, 4]);
+        short[FRAME_HEADER_BYTES] = 3;
+        assert!(matches!(decode_frames::<u64>(&short), Err(TransportError::Frame { .. })));
+    }
+
+    // ----------------------------------------------------------- outbox --
+
+    #[test]
+    fn outbox_output_survives_any_split_of_the_stream() {
+        // Everything a sender can put on a link — a classic frame
+        // (coalescing off), a multi-message frame, a large envelope that
+        // bypasses the pending body, the flushed remainder, the goodbye —
+        // concatenated, cut in two at every byte offset, reassembled and
+        // decoded: the send sequence comes back, in order.
+        let kept = Kept::default();
+        let big: Vec<u64> = (0..40).collect();
+        let sent: Vec<Vec<u64>> = vec![vec![1], vec![], vec![2, 3], big, vec![4]];
+        let (plain, _) = outbox(0, BatchConfig::disabled());
+        plain.send(&kept, 1, &sent[0]).unwrap();
+        let (batched, stats) = outbox(0, BatchConfig { max_msgs: 64, max_bytes: 64 });
+        for msg in &sent[1..] {
+            batched.send(&kept, 1, msg).unwrap();
+        }
+        batched.flush(&kept).unwrap();
+        let frames = kept.0.into_inner();
+        assert_eq!(frames.len(), 4, "classic, coalesced pair, bypassed big, flushed tail");
+        assert_eq!(stats.frames_by(0), 3, "the batched outbox counted its three");
+        assert!(classic_parts(&frames[1]).is_none() && classic_parts(&frames[2]).is_some());
+        let mut stream = frames.concat();
+        stream.extend_from_slice(&bye_frame(0));
+
+        for cut in 0..=stream.len() {
+            let mut a = FrameAssembler::default();
+            let (mut got, mut bye) = (Vec::new(), false);
+            for part in [&stream[..cut], &stream[cut..]] {
+                a.push(part);
+                while let Some(item) = a.next(Some(0)).unwrap() {
+                    match item {
+                        Assembled::Bye => bye = true,
+                        Assembled::Frame(f) => {
+                            assert!(!bye, "nothing follows the goodbye");
+                            let (src, msgs) = decode_frames::<Vec<u64>>(f).unwrap();
+                            assert_eq!((src, source_word(f)), (0, 0));
+                            got.extend(msgs);
+                        }
+                    }
+                }
+            }
+            assert!(bye && got == sent, "cut at {cut}: got {got:?}");
+        }
+    }
+
+    #[test]
+    fn self_sends_are_classic_frames_never_buffered_never_counted() {
+        let (outbox, stats) = outbox(0, BatchConfig::msgs(8));
+        let kept = Kept::default();
+        assert_eq!(outbox.send(&kept, 0, &7u64).unwrap(), 8);
+        let frames = kept.0.into_inner();
+        assert_eq!(frames, vec![encode_frame(0, &7u64)], "out at once, as a classic frame");
+        assert_eq!(stats.frames_by(0), 0, "no wire crossed");
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_before_anything_is_encoded() {
+        struct Huge;
+        impl crate::wire::WireSize for Huge {
+            fn wire_bytes(&self) -> usize {
+                MAX_FRAME_PAYLOAD as usize + 1
+            }
+        }
+        impl WireEncode for Huge {
+            fn encode(&self, _: &mut Vec<u8>) {
+                panic!("the bound is checked before the encoder runs");
+            }
+        }
+        for policy in [BatchConfig::disabled(), BatchConfig::msgs(8)] {
+            let (outbox, stats) = outbox(0, policy);
+            let kept = Kept::default();
+            let err = outbox.send(&kept, 1, &Huge).unwrap_err();
+            assert!(matches!(err, TransportError::Frame { src: Some(0), .. }), "{err}");
+            assert!(kept.0.lock().is_empty() && stats.frames_by(0) == 0);
+        }
+    }
 
     // ------------------------------------------------- framed reader --
 
@@ -421,7 +915,7 @@ mod tests {
 
     #[test]
     fn multi_message_frame_is_rejected_on_a_single_message_stream() {
-        let bytes = encode_batch_frame(0, &[vec![1, 2], vec![3]]);
+        let bytes = batch_frame(0, &[1u64, 2]);
         let err = FramedReader::new(io::Cursor::new(bytes)).read_frame().unwrap_err();
         assert!(matches!(err, TransportError::Frame { .. }), "{err}");
     }
@@ -446,13 +940,9 @@ mod tests {
         // trickled in one byte at a time — the worst short-read schedule.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&encode_frame(3, &7u64));
-        bytes.extend_from_slice(&encode_batch_frame(3, &[vec![1, 2], vec![3]]));
+        bytes.extend_from_slice(&batch_frame(3, &[1u64, 2]));
         bytes.extend_from_slice(&bye_frame(3));
-        let want = vec![
-            Some(encode_frame(3, &7u64)),
-            Some(encode_batch_frame(3, &[vec![1, 2], vec![3]])),
-            None,
-        ];
+        let want = vec![Some(encode_frame(3, &7u64)), Some(batch_frame(3, &[1u64, 2])), None];
         let mut a = FrameAssembler::default();
         let mut items = Vec::new();
         for b in &bytes {

@@ -23,9 +23,10 @@
 //!   it. Select with [`Cluster::with_transport`] or the `DNE_TRANSPORT`
 //!   environment variable (`loopback` | `bytes` | `tcp`). Transport
 //!   failures (a dead peer, an undecodable frame) surface as typed
-//!   [`TransportError`]s, not panics. Small same-destination envelopes
-//!   can be coalesced into multi-message frames ([`BatchConfig`], the
-//!   `DNE_COMM_BATCH` environment variable): logical message/byte
+//!   [`TransportError`]s, not panics. On the two framing backends small
+//!   same-destination envelopes can be coalesced into multi-message
+//!   frames ([`BatchConfig`], the `DNE_COMM_BATCH` environment variable;
+//!   one send path in [`frame`], loopback ignores it): logical message/byte
 //!   accounting and results are bit-identical with batching on or off,
 //!   only the physical frame count ([`CommStats::total_frames`]) and
 //!   syscall count change;
@@ -94,6 +95,7 @@ pub mod frame;
 pub mod memory;
 #[cfg(unix)]
 mod poll;
+pub mod rendezvous;
 pub mod service;
 pub mod stats;
 pub mod tcp;
@@ -115,3 +117,25 @@ pub use transport::{
     DEFAULT_BATCH_BYTES,
 };
 pub use wire::{WireDecode, WireEncode, WireError, WireReader, WireSize};
+
+/// Read one strict environment knob of this crate: unset or blank means
+/// `default()`, anything else must `parse`.
+///
+/// # Panics
+/// Panics on an unparsable or non-Unicode value, naming the variable and
+/// the accepted forms (`expected`) — a misconfigured run must fail loudly
+/// before it silently measures the wrong configuration.
+fn env_knob<T>(
+    var: &str,
+    expected: &str,
+    default: impl FnOnce() -> T,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> T {
+    match std::env::var(var) {
+        Ok(v) if !v.trim().is_empty() => parse(&v).unwrap_or_else(|e| panic!("invalid {var}: {e}")),
+        Err(std::env::VarError::NotUnicode(raw)) => {
+            panic!("invalid {var}: non-Unicode value {raw:?} (expected {expected})")
+        }
+        _ => default(),
+    }
+}

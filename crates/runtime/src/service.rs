@@ -87,15 +87,7 @@ pub fn server_addr_from_env(default: &str) -> SocketAddr {
         parse_server_addr(default)
             .unwrap_or_else(|e| panic!("invalid {SERVER_ADDR_ENV} default: {e}"))
     };
-    match std::env::var(SERVER_ADDR_ENV) {
-        Ok(v) if !v.trim().is_empty() => {
-            parse_server_addr(&v).unwrap_or_else(|e| panic!("invalid {SERVER_ADDR_ENV}: {e}"))
-        }
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            panic!("invalid {SERVER_ADDR_ENV}: non-Unicode value {raw:?} (expected {ADDR_FORMS})")
-        }
-        _ => fallback(),
-    }
+    crate::env_knob(SERVER_ADDR_ENV, ADDR_FORMS, fallback, parse_server_addr)
 }
 
 /// What a [`Service`] wants done with one request.
@@ -582,15 +574,17 @@ impl<Req: WireEncode, Resp: WireDecode> WireClient<Req, Resp> {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::frame::push_classic_frame;
-    use crate::transport::BATCH_FLAG;
+    use crate::frame::BATCH_FLAG;
     use std::io::Write;
     use std::net::Shutdown;
     use std::sync::atomic::{AtomicBool, Ordering};
 
+    /// A classic frame around raw payload bytes, laid out by hand: these
+    /// tests feed the server bytes no encoder of ours would produce.
     fn classic_frame(seq: u32, payload: &[u8]) -> Vec<u8> {
-        let mut frame = Vec::new();
-        push_classic_frame(&mut frame, seq, payload);
+        let mut frame = (payload.len() as u64).to_le_bytes().to_vec();
+        frame.extend_from_slice(&seq.to_le_bytes());
+        frame.extend_from_slice(payload);
         frame
     }
 

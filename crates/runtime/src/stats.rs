@@ -21,9 +21,11 @@ pub struct CommStats {
     collective_rounds: Vec<AtomicU64>,
     /// Physical wire frames emitted per rank. Without coalescing every
     /// inter-rank envelope is its own frame, so `frames == msgs`; with
-    /// `DNE_COMM_BATCH` many envelopes share one multi-message frame and
-    /// this counter falls while `msgs_sent` keeps counting logical
-    /// envelopes. Self-sends never cross a wire and are never counted.
+    /// `DNE_COMM_BATCH` many envelopes share one multi-message frame on
+    /// the bytes and tcp backends and this counter falls while
+    /// `msgs_sent` keeps counting logical envelopes (loopback has no
+    /// frames: it always counts inter-rank envelopes). Self-sends never
+    /// cross a wire and are never counted.
     frames_sent: Vec<AtomicU64>,
 }
 
@@ -66,8 +68,9 @@ impl CommStats {
     }
 
     /// Record `frames` physical wire frames emitted by `rank`. Called by
-    /// the transports themselves (never by `CommEndpoint`): only the
-    /// backend knows when envelopes were coalesced into one frame.
+    /// the transports' send path (the framing backends' shared `Outbox`,
+    /// loopback per inter-rank envelope), never by `CommEndpoint`: only
+    /// the send path knows when envelopes were coalesced into one frame.
     #[inline]
     pub fn record_frames(&self, rank: usize, frames: u64) {
         self.frames_sent[rank].fetch_add(frames, Ordering::Relaxed);
