@@ -30,8 +30,8 @@
 //! data ([`Kernel`]), states each kernel's tolerance contract
 //! (bit-identical where exact, an asserted ULP bound where
 //! floating-point), and checks distributed runs against the references —
-//! the machinery behind the `app_suite` integration tests and bench
-//! binary.
+//! the machinery behind the `app_suite` integration tests and the
+//! `dne-bench apps` subcommand.
 //!
 //! ## Quick start
 //!

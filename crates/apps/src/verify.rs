@@ -1,5 +1,5 @@
 //! Reference verification of the kernel suite — the machinery behind the
-//! `app_suite` integration tests and bench binary.
+//! `app_suite` integration tests and the `dne-bench apps` subcommand.
 //!
 //! Every kernel the engine runs has a single-threaded reference
 //! implementation on the raw [`Graph`]; this module names the six kernels

@@ -16,17 +16,14 @@
 
 use dne_apps::verify::Kernel;
 use dne_apps::Engine;
-use dne_bench::datasets::{self, DATASETS};
-use dne_bench::table::{f2, parse_mode, secs, Table};
+use dne_bench::datasets;
+use dne_bench::table::{f2, secs, Table};
 use dne_core::{DistributedNe, NeConfig};
 use dne_partition::{EdgePartitioner, PartitionQuality};
 
-fn main() {
-    let quick = parse_mode();
+pub fn run(quick: bool, _sections: &[String]) {
     let k = if quick { 8 } else { 64 };
     let pr_iters = if quick { 10 } else { 100 };
-    let sets: Vec<&datasets::Dataset> =
-        if quick { datasets::midsize() } else { DATASETS.iter().collect() };
     let kernels = [
         Kernel::Bfs { source: 0 },
         Kernel::Sssp { source: 0 },
@@ -37,8 +34,8 @@ fn main() {
     ];
     let mut t =
         Table::new(&["dataset", "kernel", "V", "E", "P", "RF", "EB", "iters", "comm_B", "ET_s"]);
-    for d in sets {
-        let g = if quick { d.build_quick() } else { d.build() };
+    for d in datasets::sweep(quick) {
+        let g = d.build_for(quick);
         eprintln!("{}: |V|={} |E|={}", d.name, g.num_vertices(), g.num_edges());
         let a = DistributedNe::new(NeConfig::default().with_seed(17)).partition(&g, k);
         let q = PartitionQuality::measure(&g, &a);
@@ -59,9 +56,8 @@ fn main() {
             ]);
         }
     }
-    println!("\n=== Application suite (Graphalytics-style): |P| = {k}, PageRank({pr_iters}) ===");
-    t.print();
-    if let Ok(p) = t.write_tsv("app_suite") {
-        eprintln!("wrote {}", p.display());
-    }
+    t.publish(
+        &format!("Application suite (Graphalytics-style): |P| = {k}, PageRank({pr_iters})"),
+        "app_suite",
+    );
 }

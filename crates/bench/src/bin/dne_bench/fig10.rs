@@ -1,6 +1,7 @@
 //! Figure 10 reproduction: elapsed partitioning time.
 //!
-//! Sub-experiments (select with an argument; default runs all):
+//! Sub-experiments (select with section arguments after the mode; default
+//! runs all):
 //! * `real`  — Fig 10(a–g): time vs number of machines on the stand-ins;
 //! * `ef`    — Fig 10(h): time vs RMAT edge factor at |P| = 64;
 //! * `scale` — Fig 10(i): time vs RMAT scale at a fixed edge factor;
@@ -17,8 +18,8 @@
 
 use std::time::Instant;
 
-use dne_bench::datasets::{self, DATASETS};
-use dne_bench::table::{parse_mode, secs, Table};
+use dne_bench::datasets;
+use dne_bench::table::{secs, Table};
 use dne_core::{DistributedNe, NeConfig};
 use dne_graph::gen::{rmat_parallel, RmatConfig};
 use dne_graph::parallel::default_ingest_threads;
@@ -53,19 +54,15 @@ fn time_all(name: &str, g: &Graph, k: u32, table: &mut Table) {
 
 fn run_real(quick: bool) {
     let ks: &[u32] = if quick { &[4, 16, 64] } else { &[4, 8, 16, 32, 64] };
-    let sets: Vec<&datasets::Dataset> =
-        if quick { datasets::midsize() } else { DATASETS.iter().collect() };
     let mut table = Table::new(&["dataset", "|P|", "method", "time_s", "iterations"]);
-    for d in sets {
-        let g = if quick { d.build_quick() } else { d.build() };
+    for d in datasets::sweep(quick) {
+        let g = d.build_for(quick);
         eprintln!("{}: |E|={}", d.name, g.num_edges());
         for &k in ks {
             time_all(d.name, &g, k, &mut table);
         }
     }
-    println!("\n=== Figure 10(a-g): elapsed time vs machines ===");
-    table.print();
-    let _ = table.write_tsv("fig10_real");
+    table.publish("Figure 10(a-g): elapsed time vs machines", "fig10_real");
 }
 
 fn run_ef(quick: bool) {
@@ -77,9 +74,7 @@ fn run_ef(quick: bool) {
         eprintln!("RMAT s{scale} ef{ef}: |E|={}", g.num_edges());
         time_all(&format!("RMAT-s{scale}-ef{ef}"), &g, 64, &mut table);
     }
-    println!("\n=== Figure 10(h): elapsed time vs edge factor (|P| = 64) ===");
-    table.print();
-    let _ = table.write_tsv("fig10_ef");
+    table.publish("Figure 10(h): elapsed time vs edge factor (|P| = 64)", "fig10_ef");
 }
 
 fn run_scale(quick: bool) {
@@ -91,9 +86,10 @@ fn run_scale(quick: bool) {
         eprintln!("RMAT s{s} ef{ef}: |E|={}", g.num_edges());
         time_all(&format!("RMAT-s{s}-ef{ef}"), &g, 64, &mut table);
     }
-    println!("\n=== Figure 10(i): elapsed time vs graph scale (EF {ef}, |P| = 64) ===");
-    table.print();
-    let _ = table.write_tsv("fig10_scale");
+    table.publish(
+        &format!("Figure 10(i): elapsed time vs graph scale (EF {ef}, |P| = 64)"),
+        "fig10_scale",
+    );
 }
 
 fn run_weak(quick: bool) {
@@ -121,26 +117,20 @@ fn run_weak(quick: bool) {
             eprintln!("machines {p} ef {ef}: done in {:?}", stats.elapsed);
         }
     }
-    println!("\n=== Figure 10(j): weak scaling (2^{verts_per_machine} vertices/machine) ===",);
-    table.print();
-    let _ = table.write_tsv("fig10_weak");
+    table.publish(
+        &format!("Figure 10(j): weak scaling (2^{verts_per_machine} vertices/machine)"),
+        "fig10_weak",
+    );
 }
 
-fn main() {
-    let quick = parse_mode();
-    let which: Vec<String> =
-        std::env::args().skip(1).filter(|a| a != "full" && a != "quick").collect();
-    let all = which.is_empty();
-    if all || which.iter().any(|w| w == "real") {
-        run_real(quick);
-    }
-    if all || which.iter().any(|w| w == "ef") {
-        run_ef(quick);
-    }
-    if all || which.iter().any(|w| w == "scale") {
-        run_scale(quick);
-    }
-    if all || which.iter().any(|w| w == "weak") {
-        run_weak(quick);
+/// The sub-experiments [`run`] accepts as sections, in run order.
+pub const SECTIONS: &[&str] = &["real", "ef", "scale", "weak"];
+
+pub fn run(quick: bool, sections: &[String]) {
+    let runs: [fn(bool); 4] = [run_real, run_ef, run_scale, run_weak];
+    for (name, section) in SECTIONS.iter().zip(runs) {
+        if sections.is_empty() || sections.iter().any(|s| s == name) {
+            section(quick);
+        }
     }
 }

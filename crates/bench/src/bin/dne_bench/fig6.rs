@@ -7,17 +7,16 @@
 //! the default λ = 0.1.
 
 use dne_bench::datasets;
-use dne_bench::table::{f2, parse_mode, Table};
+use dne_bench::table::{f2, Table};
 use dne_core::{DistributedNe, NeConfig};
 use dne_partition::PartitionQuality;
 
-fn main() {
-    let quick = parse_mode();
+pub fn run(quick: bool, _sections: &[String]) {
     let k = 32;
     let lambdas = [1e-4, 1e-3, 1e-2, 1e-1, 1.0];
     let mut table = Table::new(&["dataset", "lambda", "iterations", "RF"]);
     for d in datasets::midsize() {
-        let g = if quick { d.build_quick() } else { d.build() };
+        let g = d.build_for(quick);
         eprintln!("{}: |V|={} |E|={}", d.name, g.num_vertices(), g.num_edges());
         for &lambda in &lambdas {
             let ne = DistributedNe::new(NeConfig::default().with_seed(7).with_lambda(lambda));
@@ -31,9 +30,8 @@ fn main() {
             ]);
         }
     }
-    println!("\n=== Figure 6: iterations and RF vs expansion factor (|P| = {k}) ===");
-    table.print();
-    if let Ok(p) = table.write_tsv("fig6_lambda") {
-        eprintln!("wrote {}", p.display());
-    }
+    table.publish(
+        &format!("Figure 6: iterations and RF vs expansion factor (|P| = {k})"),
+        "fig6_lambda",
+    );
 }

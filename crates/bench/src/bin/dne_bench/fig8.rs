@@ -10,23 +10,20 @@
 //! * RF grows with the edge factor but is insensitive to the RMAT scale at
 //!   a fixed edge factor (Fig 8h–j).
 
-use dne_bench::datasets::{self, DATASETS};
+use dne_bench::datasets;
 use dne_bench::suite::figure8_roster;
-use dne_bench::table::{f2, parse_mode, Table};
+use dne_bench::table::{f2, Table};
 use dne_graph::gen::{rmat_parallel, RmatConfig};
 use dne_graph::parallel::default_ingest_threads;
 use dne_partition::PartitionQuality;
 
-fn main() {
-    let quick = parse_mode();
+pub fn run(quick: bool, _sections: &[String]) {
     let seed = 7;
     // --- Fig 8(a–g): real-world stand-ins across partition counts.
     let ks: &[u32] = if quick { &[4, 16, 64] } else { &[4, 8, 16, 32, 64] };
-    let sets: Vec<&datasets::Dataset> =
-        if quick { datasets::midsize() } else { DATASETS.iter().collect() };
     let mut table = Table::new(&["dataset", "|P|", "method", "RF", "EB"]);
-    for d in sets {
-        let g = if quick { d.build_quick() } else { d.build() };
+    for d in datasets::sweep(quick) {
+        let g = d.build_for(quick);
         eprintln!("{}: |V|={} |E|={}", d.name, g.num_vertices(), g.num_edges());
         for &k in ks {
             for m in figure8_roster(seed) {
@@ -42,11 +39,7 @@ fn main() {
             }
         }
     }
-    println!("\n=== Figure 8(a-g): RF of real-world stand-ins ===");
-    table.print();
-    if let Ok(p) = table.write_tsv("fig8_real") {
-        eprintln!("wrote {}", p.display());
-    }
+    table.publish("Figure 8(a-g): RF of real-world stand-ins", "fig8_real");
 
     // --- Fig 8(h–j): RMAT scales × edge factors at fixed |P| = 64.
     let scales: &[u32] = if quick { &[12, 13] } else { &[12, 13, 14] };
@@ -69,9 +62,5 @@ fn main() {
             }
         }
     }
-    println!("\n=== Figure 8(h-j): RF of RMAT graphs (|P| = {k}) ===");
-    table2.print();
-    if let Ok(p) = table2.write_tsv("fig8_rmat") {
-        eprintln!("wrote {}", p.display());
-    }
+    table2.publish(&format!("Figure 8(h-j): RF of RMAT graphs (|P| = {k})"), "fig8_rmat");
 }

@@ -18,8 +18,8 @@
 //! do, so the paper's order-of-magnitude gap compresses to a smaller — but
 //! same-direction — gap here (see EXPERIMENTS.md).
 
-use dne_bench::datasets::{self, DATASETS};
-use dne_bench::table::{f2, parse_mode, Table};
+use dne_bench::datasets;
+use dne_bench::table::{f2, Table};
 use dne_core::{DistributedNe, NeConfig};
 use dne_graph::gen::{rmat_parallel, RmatConfig};
 use dne_graph::parallel::default_ingest_threads;
@@ -118,16 +118,13 @@ fn mem_rows(name: &str, g: &Graph, k: u32, table: &mut Table) {
     ]);
 }
 
-fn main() {
-    let quick = parse_mode();
+pub fn run(quick: bool, _sections: &[String]) {
     let k = if quick { 16 } else { 64 };
     let mut table =
         Table::new(&["graph", "|P|", "method", "storage", "mem score (B/edge)", "peak RSS (MiB)"]);
     // Fig 9(a): real-world stand-ins.
-    let sets: Vec<&datasets::Dataset> =
-        if quick { datasets::midsize() } else { DATASETS.iter().collect() };
-    for d in sets {
-        let g = with_env_storage(if quick { d.build_quick() } else { d.build() }, d.name);
+    for d in datasets::sweep(quick) {
+        let g = with_env_storage(d.build_for(quick), d.name);
         eprintln!("{}: |E|={}", d.name, g.num_edges());
         mem_rows(d.name, &g, k, &mut table);
     }
@@ -143,9 +140,5 @@ fn main() {
         eprintln!("{name}: |E|={}", g.num_edges());
         mem_rows(&name, &g, k, &mut table);
     }
-    println!("\n=== Figure 9: memory consumption (bytes per edge at peak) ===");
-    table.print();
-    if let Ok(p) = table.write_tsv("fig9_memory") {
-        eprintln!("wrote {}", p.display());
-    }
+    table.publish("Figure 9: memory consumption (bytes per edge at peak)", "fig9_memory");
 }

@@ -1,8 +1,9 @@
-//! Out-of-core smoke test: partition a graph whose in-memory CSR does not
-//! fit under a hard address-space cap (`ulimit -v`), using the storage
-//! backend selected by `DNE_GRAPH_STORAGE`.
+//! Out-of-core smoke test (`dne-bench oocore …`): partition a graph whose
+//! in-memory CSR does not fit under a hard address-space cap
+//! (`ulimit -v`), using the storage backend selected by
+//! `DNE_GRAPH_STORAGE`.
 //!
-//! Two subcommands, designed to be driven from a shell (see README
+//! Two commands, designed to be driven from a shell (see README
 //! "Out-of-core partitioning" and `.github/workflows/ci.yml`):
 //!
 //! * `prepare <chunked-path> [scale] [edge-factor]` — generate an RMAT
@@ -19,29 +20,24 @@
 //! Everything is deterministic: same file + same `k` + same seed =>
 //! same fingerprint, on every backend and transport.
 
+use std::path::Path;
+
+use dne_bench::harness::{arg, Failure};
 use dne_core::{DistributedNe, NeConfig};
 use dne_graph::gen::{rmat_parallel, RmatConfig};
 use dne_graph::parallel::default_ingest_threads;
 use dne_graph::{io, StorageKind};
-use std::path::Path;
-use std::process::ExitCode;
 
 const SEED: u64 = 7;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: oocore_smoke prepare <chunked-path> [scale] [edge-factor]\n\
-         \x20      oocore_smoke run <chunked-path> [k] [frontier-budget]"
-    );
-    ExitCode::FAILURE
-}
+/// The two command lines, for the dispatcher's usage text.
+pub const USAGE: [&str; 2] = [
+    "oocore prepare <chunked-path> [scale] [edge-factor]",
+    "oocore run <chunked-path> [k] [frontier-budget]",
+];
 
-fn arg_u64(args: &[String], i: usize, default: u64) -> u64 {
-    args.get(i).map(|s| s.parse().expect("numeric argument")).unwrap_or(default)
-}
-
-fn prepare(path: &Path, scale: u64, ef: u64) -> std::io::Result<()> {
-    let g = rmat_parallel(&RmatConfig::graph500(scale as u32, ef, SEED), default_ingest_threads());
+fn prepare(path: &Path, scale: u32, ef: u64) -> std::io::Result<()> {
+    let g = rmat_parallel(&RmatConfig::graph500(scale, ef, SEED), default_ingest_threads());
     let (n, m) = (g.num_vertices(), g.num_edges());
     io::write_chunked(&g, path, 1 << 16)?;
     // In-memory CSR footprint: edges (16m) + offsets (8(n+1)) + adjacency
@@ -51,7 +47,7 @@ fn prepare(path: &Path, scale: u64, ef: u64) -> std::io::Result<()> {
     Ok(())
 }
 
-fn run(path: &Path, k: u32, frontier_budget: u64) -> std::io::Result<()> {
+fn run_partition(path: &Path, k: u32, frontier_budget: u64) -> std::io::Result<()> {
     let kind = StorageKind::from_env();
     let g = io::open_chunked_with(path, kind)?;
     let mut config = NeConfig::default().with_seed(SEED);
@@ -72,22 +68,23 @@ fn run(path: &Path, k: u32, frontier_budget: u64) -> std::io::Result<()> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// `args` is everything after `oocore`.
+pub fn run(args: &[String]) -> Result<(), Failure> {
     let (Some(cmd), Some(path)) = (args.first(), args.get(1)) else {
-        return usage();
+        return Err(Failure::Usage("oocore needs a command and a <chunked-path>".into()));
     };
     let path = Path::new(path);
-    let result = match cmd.as_str() {
-        "prepare" => prepare(path, arg_u64(&args, 2, 16), arg_u64(&args, 3, 24)),
-        "run" => run(path, arg_u64(&args, 2, 8) as u32, arg_u64(&args, 3, 0)),
-        _ => return usage(),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("oocore_smoke {cmd} failed: {e}");
-            ExitCode::FAILURE
+    let opt = |i: usize, what: &str, default: u64| {
+        if args.len() > i {
+            arg(args, i, what)
+        } else {
+            Ok(default)
         }
-    }
+    };
+    let result = match cmd.as_str() {
+        "prepare" => prepare(path, opt(2, "scale", 16)? as u32, opt(3, "edge-factor", 24)?),
+        "run" => run_partition(path, opt(2, "k", 8)? as u32, opt(3, "frontier-budget", 0)?),
+        other => return Err(Failure::Usage(format!("unknown oocore command {other:?}"))),
+    };
+    result.map_err(|e| Failure::Run(format!("oocore {cmd} failed: {e}")))
 }

@@ -11,7 +11,7 @@
 use dne_bench::table::{f2, Table};
 use dne_core::theory;
 
-fn main() {
+pub fn run(_quick: bool, _sections: &[String]) {
     let p = 256;
     let paper: &[(f64, [f64; 4])] = &[
         (2.2, [5.88, 4.82, 5.54, 2.88]),
@@ -44,14 +44,13 @@ fn main() {
             f2(want[3]),
         ]);
     }
-    println!("\n=== Table 1: theoretical RF upper bounds, power-law graphs, |P| = {p} ===");
-    table.print();
+    table.publish(
+        &format!("Table 1: theoretical RF upper bounds, power-law graphs, |P| = {p}"),
+        "table1_bounds",
+    );
     println!(
         "\nDistributed NE column uses the paper's closed form (exact match);\n\
          hash columns are numerical evaluations of the Xie et al. models\n\
          (DBH~ is a documented approximation of their Theorem 4)."
     );
-    if let Ok(path) = table.write_tsv("table1_bounds") {
-        eprintln!("wrote {}", path.display());
-    }
 }

@@ -12,16 +12,15 @@ use std::time::Instant;
 
 use dne_bench::datasets;
 use dne_bench::suite::table4_roster;
-use dne_bench::table::{f2, parse_mode, secs, Table};
+use dne_bench::table::{f2, secs, Table};
 use dne_core::{DistributedNe, NeConfig};
 use dne_partition::PartitionQuality;
 
-fn main() {
-    let quick = parse_mode();
+pub fn run(quick: bool, _sections: &[String]) {
     let k = 64;
     let mut table = Table::new(&["dataset", "method", "RF", "time_s"]);
     for d in datasets::midsize() {
-        let g = if quick { d.build_quick() } else { d.build() };
+        let g = d.build_for(quick);
         eprintln!("{}: |E|={}", d.name, g.num_edges());
         for m in table4_roster(11) {
             let t = Instant::now();
@@ -40,9 +39,8 @@ fn main() {
             secs(stats.elapsed),
         ]);
     }
-    println!("\n=== Table 4: comparison with sequential algorithms (|P| = {k}) ===");
-    table.print();
-    if let Ok(p) = table.write_tsv("table4_sequential") {
-        eprintln!("wrote {}", p.display());
-    }
+    table.publish(
+        &format!("Table 4: comparison with sequential algorithms (|P| = {k})"),
+        "table4_sequential",
+    );
 }

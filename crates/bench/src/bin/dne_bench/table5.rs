@@ -13,21 +13,18 @@
 //! (communication-light); its VB is the loosest but that does not hurt ET.
 
 use dne_apps::Engine;
-use dne_bench::datasets::{self, DATASETS};
+use dne_bench::datasets;
 use dne_bench::suite::table5_roster;
-use dne_bench::table::{f2, parse_mode, secs, Table};
+use dne_bench::table::{f2, secs, Table};
 use dne_partition::PartitionQuality;
 
-fn main() {
-    let quick = parse_mode();
+pub fn run(quick: bool, _sections: &[String]) {
     let k = if quick { 16 } else { 64 };
     let pr_iters = if quick { 20 } else { 100 };
-    let sets: Vec<&datasets::Dataset> =
-        if quick { datasets::midsize() } else { DATASETS.iter().collect() };
     let mut quality = Table::new(&["dataset", "method", "RF", "EB", "VB"]);
     let mut apps = Table::new(&["dataset", "method", "app", "ET_s", "COM_MB", "WB"]);
-    for d in sets {
-        let g = if quick { d.build_quick() } else { d.build() };
+    for d in datasets::sweep(quick) {
+        let g = d.build_for(quick);
         eprintln!("{}: |E|={}", d.name, g.num_edges());
         for m in table5_roster(17) {
             let a = m.partition(&g, k);
@@ -53,12 +50,9 @@ fn main() {
             }
         }
     }
-    println!("\n=== Table 5 (quality): |P| = {k} ===");
-    quality.print();
-    println!("\n=== Table 5 (applications): SSSP / WCC / PageRank({pr_iters}) ===");
-    apps.print();
-    let _ = quality.write_tsv("table5_quality");
-    if let Ok(p) = apps.write_tsv("table5_apps") {
-        eprintln!("wrote {}", p.display());
-    }
+    quality.publish(&format!("Table 5 (quality): |P| = {k}"), "table5_quality");
+    apps.publish(
+        &format!("Table 5 (applications): SSSP / WCC / PageRank({pr_iters})"),
+        "table5_apps",
+    );
 }

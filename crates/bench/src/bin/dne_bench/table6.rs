@@ -8,11 +8,10 @@
 
 use dne_bench::datasets::road_networks;
 use dne_bench::suite::full_roster;
-use dne_bench::table::{f2, parse_mode, Table};
+use dne_bench::table::{f2, Table};
 use dne_partition::PartitionQuality;
 
-fn main() {
-    let quick = parse_mode();
+pub fn run(quick: bool, _sections: &[String]) {
     let k = 64;
     let mut table = Table::new(&["network", "|V|", "|E|", "method", "RF"]);
     for (name, g) in road_networks(quick) {
@@ -29,9 +28,5 @@ fn main() {
             ]);
         }
     }
-    println!("\n=== Table 6: RF on road networks (|P| = {k}) ===");
-    table.print();
-    if let Ok(p) = table.write_tsv("table6_roads") {
-        eprintln!("wrote {}", p.display());
-    }
+    table.publish(&format!("Table 6: RF on road networks (|P| = {k})"), "table6_roads");
 }

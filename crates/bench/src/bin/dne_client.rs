@@ -23,49 +23,31 @@
 //! acceptance gate — CI runs it as the server smoke step.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, ExitCode};
 use std::time::Instant;
 
-use dne_bench::lookup::{conns_from_env, AssignmentService, LookupRequest, LookupResponse};
+use dne_bench::fleet::Fleet;
+use dne_bench::harness::{self, arg, Failure, Mode, Spec};
+use dne_bench::lookup::{
+    conns_from_env, shards_from_env, AssignmentService, LookupRequest, LookupResponse, ADDR_TAG,
+    FPRINT_TAG,
+};
 use dne_bench::table::Table;
-use dne_core::{DistributedNe, NeConfig};
 use dne_graph::hash::mix2;
-use dne_graph::{gen, Graph};
-use dne_partition::{shards_from_env, PartitionId, ShardedAssignmentIndex};
+use dne_graph::Graph;
+use dne_partition::{PartitionId, ShardedAssignmentIndex};
 use dne_runtime::{WireClient, WireEncode};
-
-/// Stdout markers printed by `dne-server` (scraped by the launcher).
-const ADDR_TAG: &str = "DNE_SERVER_ADDR";
-const FPRINT_TAG: &str = "DNE_SERVER_FPRINT";
 
 /// In-flight requests per connection: deep enough to hide the socket
 /// round trip, shallow enough that tail latency stays meaningful.
 const WINDOW: usize = 64;
 
-/// Benchmark spec: the graph/partition parameters (which must match the
-/// server's) plus the per-connection lookup count.
-#[derive(Clone, Copy)]
-struct Spec {
-    scale: u32,
-    degree: u32,
-    seed: u64,
-    parts: u32,
-    lookups_per_conn: u64,
-}
-
-impl Spec {
-    /// The acceptance-gate preset: scale-16 RMAT, ≥ 8 connections.
-    fn quick() -> Self {
-        Spec { scale: 16, degree: 8, seed: 42, parts: 4, lookups_per_conn: 25_000 }
-    }
-
-    fn full() -> Self {
-        Spec { scale: 18, degree: 8, seed: 42, parts: 8, lookups_per_conn: 50_000 }
-    }
-
-    fn graph(&self) -> Graph {
-        gen::rmat(&gen::RmatConfig::graph500(self.scale, self.degree as u64, self.seed))
+/// The acceptance-gate presets: the job (which must match the server's)
+/// and the per-connection lookup count. Quick is scale-16 RMAT.
+fn preset(mode: Mode) -> (Spec, u64) {
+    match mode {
+        Mode::Quick => (Spec { scale: 16, degree: 8, seed: 42, parts: 4 }, 25_000),
+        Mode::Full => (Spec { scale: 18, degree: 8, seed: 42, parts: 8 }, 50_000),
     }
 }
 
@@ -100,13 +82,13 @@ fn request(spec: &Spec, g: &Graph, conn: u64, i: u64) -> LookupRequest {
 fn drive_conn(
     addr: &str,
     spec: &Spec,
+    n: u64,
     g: &Graph,
     offline: &AssignmentService,
     conn: u64,
 ) -> Result<Vec<f64>, String> {
     let mut client = WireClient::<LookupRequest, LookupResponse>::connect(addr)
         .map_err(|e| format!("conn {conn}: {e}"))?;
-    let n = spec.lookups_per_conn;
     let mut latencies = Vec::with_capacity(n as usize);
     let mut inflight: VecDeque<(u32, Instant, Vec<u8>)> = VecDeque::with_capacity(WINDOW);
     let settle = |client: &mut WireClient<LookupRequest, LookupResponse>,
@@ -153,15 +135,14 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 /// Bench an already-listening server at `addr` and verify every byte.
 /// Returns the aggregate lookups/s.
-fn bench(addr: &str, spec: Spec) -> Result<f64, String> {
+fn bench(addr: &str, spec: Spec, lookups_per_conn: u64) -> Result<f64, String> {
     let conns = conns_from_env();
     eprintln!(
         "[dne-client: building the offline reference (scale {}, {} parts)…]",
         spec.scale, spec.parts
     );
     let g = spec.graph();
-    let ne = DistributedNe::new(NeConfig::default().with_seed(spec.seed));
-    let (assignment, _) = ne.partition_with_stats(&g, spec.parts);
+    let (assignment, _) = spec.partitioner().partition_with_stats(&g, spec.parts);
     let fingerprint = assignment.fingerprint();
     let offline =
         AssignmentService::new(ShardedAssignmentIndex::build(&g, &assignment, shards_from_env()));
@@ -185,17 +166,14 @@ fn bench(addr: &str, spec: Spec) -> Result<f64, String> {
     }
     drop(probe);
 
-    eprintln!(
-        "[dne-client: {conns} connections × {} lookups, window {WINDOW}]",
-        spec.lookups_per_conn
-    );
+    eprintln!("[dne-client: {conns} connections × {lookups_per_conn} lookups, window {WINDOW}]");
     let started = Instant::now();
     let mut all: Vec<f64> = Vec::new();
     let results: Vec<Result<Vec<f64>, String>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..conns)
             .map(|c| {
                 let (g, offline, spec) = (&g, &offline, &spec);
-                s.spawn(move || drive_conn(addr, spec, g, offline, c as u64))
+                s.spawn(move || drive_conn(addr, spec, lookups_per_conn, g, offline, c as u64))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("connection thread panicked")).collect()
@@ -224,9 +202,7 @@ fn bench(addr: &str, spec: Spec) -> Result<f64, String> {
         format!("{fingerprint:016x}"),
     ]);
     table.print();
-    if let Ok(path) = table.write_tsv("lookup_service") {
-        println!("wrote {}", path.display());
-    }
+    table.save("lookup_service");
     println!(
         "OK: {} lookups over {conns} connections, every response byte-identical to the \
          offline assignment ({qps:.0} lookups/s)",
@@ -235,68 +211,23 @@ fn bench(addr: &str, spec: Spec) -> Result<f64, String> {
     Ok(qps)
 }
 
-/// Reaper for the spawned server: kill + wait on early error returns.
-struct Server(Option<Child>);
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        if let Some(child) = &mut self.0 {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
 /// Default mode: spawn a sibling `dne-server`, bench it, shut it down.
-fn launch_and_bench(spec: Spec) -> Result<(), String> {
-    let me = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let exe = me
-        .parent()
-        .ok_or("own binary has no parent directory")?
-        .join(format!("dne-server{}", std::env::consts::EXE_SUFFIX));
-    let mut child = Command::new(&exe)
-        .args([
-            "serve",
-            &spec.scale.to_string(),
-            &spec.degree.to_string(),
-            &spec.seed.to_string(),
-            &spec.parts.to_string(),
-        ])
-        .stdout(Stdio::piped())
-        .spawn()
-        .map_err(|e| format!("spawning {}: {e}", exe.display()))?;
-    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
-    let mut server = Server(Some(child));
-    let (mut addr, mut served_fprint) = (None, None);
-    while addr.is_none() || served_fprint.is_none() {
-        let line = lines
-            .next()
-            .ok_or("dne-server exited before advertising its address")?
-            .map_err(|e| format!("reading dne-server stdout: {e}"))?;
-        if let Some(a) = line.strip_prefix(ADDR_TAG) {
-            addr = Some(a.trim().to_string());
-        } else if let Some(f) = line.strip_prefix(FPRINT_TAG) {
-            served_fprint = Some(f.trim().to_string());
-        }
-    }
-    let addr = addr.expect("loop exits with an address");
-    eprintln!("[dne-client: server at {addr}, fingerprint {}]", served_fprint.expect("checked"));
+fn launch_and_bench(spec: Spec, lookups_per_conn: u64) -> Result<(), String> {
+    let mut fleet = Fleet::new();
+    let mut server = Command::new(harness::sibling_exe("dne-server")?);
+    server.arg("serve").args(spec.args()).arg(spec.parts.to_string());
+    let mut announced = fleet.spawn_piped("dne-server", &mut server)?;
+    let addr = announced.wait_for(ADDR_TAG)?;
+    let served_fprint = announced.wait_for(FPRINT_TAG)?;
+    eprintln!("[dne-client: server at {addr}, fingerprint {served_fprint}]");
 
-    let qps = match bench(&addr, spec) {
-        Ok(qps) => qps,
-        Err(e) => {
-            // If the sibling server died underneath the bench, that is the
-            // root cause — name it next to the connection-level symptom
-            // (which itself names the in-flight request sequence window).
-            if let Some(child) = &mut server.0 {
-                if let Ok(Some(status)) = child.try_wait() {
-                    server.0 = None;
-                    return Err(format!("{e}\n  (dne-server died mid-run: {status})"));
-                }
-            }
-            return Err(e);
-        }
-    };
+    // If the sibling server died underneath the bench, that is the root
+    // cause — name it next to the connection-level symptom (which itself
+    // names the in-flight request sequence window).
+    let qps = bench(&addr, spec, lookups_per_conn).map_err(|e| match fleet.exited() {
+        Some(died) => format!("{e}\n  ({died} mid-run)"),
+        None => e,
+    })?;
 
     // Graceful teardown: ask the server to stop, then reap it.
     let mut c = WireClient::<LookupRequest, LookupResponse>::connect(addr.as_str())
@@ -305,55 +236,32 @@ fn launch_and_bench(spec: Spec) -> Result<(), String> {
         LookupResponse::ShuttingDown => {}
         other => return Err(format!("shutdown: unexpected response {other:?}")),
     }
-    let mut child = server.0.take().expect("server still owned");
-    let status = child.wait().map_err(|e| format!("waiting for dne-server: {e}"))?;
-    if !status.success() {
-        return Err(format!("dne-server exited with {status}"));
-    }
+    fleet.reap_all()?;
     if qps <= 0.0 {
         return Err("zero lookup throughput".into());
     }
     Ok(())
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: dne-client [quick|full]\n\
-         \x20      dne-client bench <addr> <scale> <degree> <seed> <parts> [lookups-per-conn]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: dne-client [quick|full]\n\
+     \x20      dne-client bench <addr> <scale> <degree> <seed> <parts> [lookups-per-conn]";
 
-fn arg<T: std::str::FromStr>(args: &[String], i: usize, what: &str) -> T {
-    args.get(i).and_then(|a| a.parse().ok()).unwrap_or_else(|| {
-        eprintln!("missing or invalid <{what}> argument");
-        usage()
-    })
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let result = match args.get(1).map(String::as_str) {
-        None | Some("quick") => launch_and_bench(Spec::quick()),
-        Some("full") => launch_and_bench(Spec::full()),
-        Some("bench") => {
-            let addr: String = arg(&args, 2, "addr");
-            let mut spec = Spec {
-                scale: arg(&args, 3, "scale"),
-                degree: arg(&args, 4, "degree"),
-                seed: arg(&args, 5, "seed"),
-                parts: arg(&args, 6, "parts"),
-                lookups_per_conn: Spec::quick().lookups_per_conn,
-            };
-            if args.len() > 7 {
-                spec.lookups_per_conn = arg(&args, 7, "lookups-per-conn");
-            }
-            bench(&addr, spec).map(|_| ())
+fn run(args: &[String]) -> Result<(), Failure> {
+    if args.get(1).map(String::as_str) == Some("bench") {
+        let addr: String = arg(args, 2, "addr")?;
+        let spec = Spec::parse(args, 3, arg(args, 6, "parts")?)?;
+        let mut lookups_per_conn = preset(Mode::Quick).1;
+        if args.len() > 7 {
+            lookups_per_conn = arg(args, 7, "lookups-per-conn")?;
         }
-        Some(_) => usage(),
-    };
-    if let Err(e) = result {
-        eprintln!("dne-client: {e}");
-        std::process::exit(1);
+        bench(&addr, spec, lookups_per_conn)?;
+    } else {
+        let (spec, lookups_per_conn) = preset(Mode::parse(args, 1)?);
+        launch_and_bench(spec, lookups_per_conn)?;
     }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    harness::main("dne-client", USAGE, run)
 }

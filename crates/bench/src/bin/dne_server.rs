@@ -31,40 +31,24 @@
 //! `dne-client` (the load generator and verification harness) spawns this
 //! binary for its default mode; see that binary for the full workflow.
 
-use std::io::Write;
+use std::process::ExitCode;
 
-use dne_bench::lookup::AssignmentService;
-use dne_core::{DistributedNe, NeConfig};
-use dne_graph::{gen, io, StorageKind};
-use dne_partition::{shards_from_env, ShardedAssignmentIndex};
+use dne_bench::harness::{self, arg, Failure, Spec};
+use dne_bench::lookup::{announce, shards_from_env, AssignmentService};
+use dne_graph::{io, StorageKind};
+use dne_partition::ShardedAssignmentIndex;
 use dne_runtime::{server_addr_from_env, WireServer};
 
-/// Stdout marker carrying the bound service address.
-const ADDR_TAG: &str = "DNE_SERVER_ADDR";
+const USAGE: &str = "usage: dne-server serve <scale> <degree> <seed> <parts>";
 
-/// Stdout marker carrying the served assignment fingerprint.
-const FPRINT_TAG: &str = "DNE_SERVER_FPRINT";
-
-fn usage() -> ! {
-    eprintln!("usage: dne-server serve <scale> <degree> <seed> <parts>");
-    std::process::exit(2);
-}
-
-fn arg<T: std::str::FromStr>(args: &[String], i: usize, what: &str) -> T {
-    args.get(i).and_then(|a| a.parse().ok()).unwrap_or_else(|| {
-        eprintln!("missing or invalid <{what}> argument");
-        usage()
-    })
-}
-
-fn serve(scale: u32, degree: u32, seed: u64, parts: u32) -> Result<(), String> {
+fn serve(spec: Spec) -> Result<(), String> {
     let storage = StorageKind::from_env();
     let shards = shards_from_env();
 
     // Deterministic graph, round-tripped through chunked storage so the
     // selected backend (not the generator's in-memory graph) feeds
     // everything downstream.
-    let g = gen::rmat(&gen::RmatConfig::graph500(scale, degree as u64, seed));
+    let g = spec.graph();
     let dir = std::env::temp_dir().join(format!("dne_server_{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let chunked = dir.join("graph.chunks");
@@ -72,8 +56,8 @@ fn serve(scale: u32, degree: u32, seed: u64, parts: u32) -> Result<(), String> {
     drop(g);
     let g = io::open_chunked_env(&chunked).map_err(|e| format!("opening chunked graph: {e}"))?;
 
-    let ne = DistributedNe::new(NeConfig::default().with_seed(seed));
-    let (assignment, stats) = ne.partition_with_stats(&g, parts);
+    let parts = spec.parts;
+    let (assignment, stats) = spec.partitioner().partition_with_stats(&g, parts);
     let index = ShardedAssignmentIndex::build(&g, &assignment, shards);
     eprintln!(
         "[dne-server: storage {storage}, |V|={} |E|={}, {parts} parts in {} iterations, \
@@ -86,9 +70,7 @@ fn serve(scale: u32, degree: u32, seed: u64, parts: u32) -> Result<(), String> {
 
     let addr = server_addr_from_env("127.0.0.1:0");
     let server = WireServer::bind(&addr).map_err(|e| e.to_string())?;
-    println!("{ADDR_TAG} {}", server.local_addr());
-    println!("{FPRINT_TAG} {:016x}", index.fingerprint());
-    std::io::stdout().flush().ok();
+    announce(server.local_addr(), index.fingerprint());
 
     let mut service = AssignmentService::new(index);
     let served = server.serve(&mut service).map_err(|e| e.to_string())?;
@@ -108,19 +90,13 @@ fn serve(scale: u32, degree: u32, seed: u64, parts: u32) -> Result<(), String> {
     Ok(())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let result = match args.get(1).map(String::as_str) {
-        Some("serve") => serve(
-            arg(&args, 2, "scale"),
-            arg(&args, 3, "degree"),
-            arg(&args, 4, "seed"),
-            arg(&args, 5, "parts"),
-        ),
-        _ => usage(),
-    };
-    if let Err(e) = result {
-        eprintln!("dne-server: {e}");
-        std::process::exit(1);
+fn run(args: &[String]) -> Result<(), Failure> {
+    match args.get(1).map(String::as_str) {
+        Some("serve") => Ok(serve(Spec::parse(args, 2, arg(args, 5, "parts")?)?)?),
+        _ => Err(Failure::Usage("expected the serve command".into())),
     }
+}
+
+fn main() -> ExitCode {
+    harness::main("dne-server", USAGE, run)
 }

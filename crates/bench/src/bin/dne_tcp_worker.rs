@@ -12,8 +12,9 @@
 //! Modes:
 //!
 //! ```text
-//! dne-tcp-worker [quick|full]                    # compare (default; used by run_all)
+//! dne-tcp-worker [quick|full]                    # compare (default; used by `dne-bench all`)
 //! dne-tcp-worker compare [quick|full]            # loopback vs bytes vs multi-process tcp
+//! dne-tcp-worker recover                         # kill a rank mid-run, restart and migrate
 //! dne-tcp-worker launch <nprocs> <scale> <degree> <seed>
 //! dne-tcp-worker reference <transport> <nprocs> <scale> <degree> <seed>
 //! dne-tcp-worker worker <rank> <nprocs> <addr> <scale> <degree> <seed> [--rejoin]
@@ -39,8 +40,22 @@
 //! rank is relaunched with `--rejoin` (same arguments plus the flag).
 //! The resumed run's result row is bit-identical to an uninterrupted
 //! run's in every column except the comm/timing ones (replayed rounds
-//! re-send their traffic). The `recovery_smoke` binary drives this
-//! end-to-end with an injected crash (`DNE_FAULT_ROUND`).
+//! re-send their traffic).
+//!
+//! `recover` drives that end-to-end: it launches the quick job with
+//! per-round checkpointing (`DNE_CHECKPOINT_EVERY=1`) and an injected
+//! crash on rank 1 (`DNE_FAULT_ROUND=2`: it panics at the end of round 2,
+//! after writing that round's checkpoint — its peers find out through the
+//! broken sockets, exactly like a SIGKILL). Then:
+//!
+//! * **Restart path** — rank 1 is relaunched with `--rejoin`; the finished
+//!   job's iterations, RF, EB and assignment fingerprint must be
+//!   **bit-identical** to an uninterrupted in-process run.
+//! * **Migration path** — treating rank 1 as permanently dead instead,
+//!   [`migrate_dead_rank`] evacuates its partition onto the survivors
+//!   straight from the checkpoint directory. Every edge must end up on a
+//!   survivor and the migrated replication factor must stay within 10%
+//!   of the uninterrupted run's.
 //!
 //! A manual 4-process run on localhost (any fixed port works):
 //!
@@ -51,62 +66,37 @@
 //! dne-tcp-worker worker 3 4 127.0.0.1:7571 9 8 42
 //! ```
 
-use std::io::{BufRead, BufReader, Write};
-use std::process::{Command, Stdio};
+use std::io::Write;
+use std::path::Path;
+use std::process::{Command, ExitCode};
 use std::time::Instant;
 
+use dne_bench::fleet::{Fleet, TaggedLines};
+use dne_bench::harness::{self, arg, Failure, Mode, Spec};
 use dne_bench::table::Table;
-use dne_core::{CheckpointPolicy, DistributedNe, NeConfig, NeMsg, RankSnapshot};
-use dne_graph::hash::mix2;
-use dne_graph::{gen, EdgeId, Graph};
+use dne_core::{migrate_dead_rank, CheckpointPolicy, DistributedNe, NeConfig, NeMsg, RankSnapshot};
+use dne_graph::{EdgeId, Graph};
+use dne_partition::{combine_fingerprints, edge_set_fingerprint};
 use dne_runtime::{Ctx, TcpProcessCluster, TransportError, TransportKind, EPOCH_ANY};
 
 /// Stdout marker carrying rank 0's bound rendezvous address.
-const ADDR_TAG: &str = "DNE_TCP_ADDR";
+pub const ADDR_TAG: &str = "DNE_TCP_ADDR";
 
 /// Stdout marker carrying the finished run's TSV row.
-const ROW_TAG: &str = "DNE_TCP_ROW";
+pub const ROW_TAG: &str = "DNE_TCP_ROW";
 
-/// Graph + run parameters shared by every mode.
-#[derive(Clone, Copy)]
-struct Spec {
-    nprocs: usize,
-    scale: u32,
-    degree: u32,
-    seed: u64,
-}
-
-impl Spec {
-    fn quick() -> Self {
-        Spec { nprocs: 4, scale: 8, degree: 4, seed: 42 }
-    }
-
-    fn full() -> Self {
-        Spec { nprocs: 8, scale: 10, degree: 8, seed: 42 }
-    }
-
-    fn graph(&self) -> Graph {
-        gen::rmat(&gen::RmatConfig::graph500(self.scale, self.degree as u64, self.seed))
-    }
-
-    fn partitioner(&self) -> DistributedNe {
-        DistributedNe::new(NeConfig::default().with_seed(self.seed))
+/// The job `compare` and `recover` run (`Spec::parts` worker processes).
+/// Quick is small enough to finish in seconds, big enough that `recover`'s
+/// round-2 crash lands mid-expansion with plenty of rounds left.
+fn preset(mode: Mode) -> Spec {
+    match mode {
+        Mode::Quick => Spec { scale: 8, degree: 4, seed: 42, parts: 4 },
+        Mode::Full => Spec { scale: 10, degree: 8, seed: 42, parts: 8 },
     }
 }
 
-/// One result row. Every column except `transport` is non-timing and must
-/// be identical across backends; wall-clock goes to stderr only.
-struct Row {
-    transport: String,
-    spec: Spec,
-    iterations: u64,
-    comm_bytes: u64,
-    comm_msgs: u64,
-    rf: f64,
-    eb: f64,
-    fingerprint: u64,
-}
-
+/// The columns of a result row. Every one except `TRANSPORT` is non-timing
+/// and must be identical across backends; wall-clock goes to stderr only.
 const HEADER: [&str; 11] = [
     "TRANSPORT",
     "NPROCS",
@@ -121,59 +111,24 @@ const HEADER: [&str; 11] = [
     "FPRINT",
 ];
 
-impl Row {
-    fn cells(&self) -> Vec<String> {
-        vec![
-            self.transport.clone(),
-            self.spec.nprocs.to_string(),
-            self.spec.scale.to_string(),
-            self.spec.degree.to_string(),
-            self.spec.seed.to_string(),
-            self.iterations.to_string(),
-            self.comm_bytes.to_string(),
-            self.comm_msgs.to_string(),
-            format!("{:.6}", self.rf),
-            format!("{:.6}", self.eb),
-            format!("{:016x}", self.fingerprint),
-        ]
-    }
-
-    /// The equality key: every column except the transport name.
-    fn non_timing_key(&self) -> Vec<String> {
-        self.cells()[1..].to_vec()
-    }
-
-    fn parse(line: &str) -> Option<Row> {
-        let mut it = line.split('\t');
-        let transport = it.next()?.to_string();
-        let next_u64 = |it: &mut std::str::Split<'_, char>| it.next()?.parse::<u64>().ok();
-        let nprocs = next_u64(&mut it)? as usize;
-        let scale = next_u64(&mut it)? as u32;
-        let degree = next_u64(&mut it)? as u32;
-        let seed = next_u64(&mut it)?;
-        let iterations = next_u64(&mut it)?;
-        let comm_bytes = next_u64(&mut it)?;
-        let comm_msgs = next_u64(&mut it)?;
-        let rf = it.next()?.parse::<f64>().ok()?;
-        let eb = it.next()?.parse::<f64>().ok()?;
-        let fingerprint = u64::from_str_radix(it.next()?, 16).ok()?;
-        Some(Row {
-            transport,
-            spec: Spec { nprocs, scale, degree, seed },
-            iterations,
-            comm_bytes,
-            comm_msgs,
-            rf,
-            eb,
-            fingerprint,
-        })
-    }
+/// The cells of a [`ROW_TAG`] line, if there is one per [`HEADER`] column.
+/// Nothing parses them further: a row from another process is only ever
+/// printed and compared, cell by cell, with an in-process reference's.
+fn parse_row(line: &str) -> Option<Vec<String>> {
+    let cells: Vec<String> = line.split('\t').map(str::to_string).collect();
+    (cells.len() == HEADER.len()).then_some(cells)
 }
 
-/// Hash of one partition's (sorted) edge-id set.
-fn partition_fingerprint(edges: &mut [EdgeId]) -> u64 {
-    edges.sort_unstable();
-    edges.iter().fold(0x444E_4531u64, |h, &e| mix2(h, e))
+/// The equality key of `compare`: every column except the transport name.
+fn non_timing_key(cells: &[String]) -> &[String] {
+    &cells[1..]
+}
+
+/// What a recovered run must reproduce of the uninterrupted one: the
+/// job, ITER, RF, EB and FPRINT — not the comm columns (replayed rounds
+/// re-send their traffic).
+fn result_key(cells: &[String]) -> Vec<String> {
+    [&cells[1..6], &cells[8..]].concat()
 }
 
 /// Distinct endpoint count of an edge set — the partition's `|V(Ep)|`.
@@ -204,49 +159,56 @@ struct Metrics {
     fingerprints: Vec<u64>,
 }
 
-/// Fold the gathered quantities into the row. All arithmetic here is
-/// shared by the reference and worker paths, so the two compute
-/// byte-identical strings.
-fn assemble_row(transport: String, spec: Spec, g: &Graph, metrics: Metrics) -> Row {
-    let m = g.num_edges();
-    let k = spec.nprocs as u64;
-    let max_size = metrics.sizes.iter().copied().max().unwrap_or(0);
-    let fingerprint = metrics.fingerprints.iter().fold(0x4D45_5348u64, |h, &f| mix2(h, f));
-    Row {
-        transport,
-        spec,
-        iterations: metrics.iterations,
-        comm_bytes: metrics.comm_bytes,
-        comm_msgs: metrics.comm_msgs,
-        rf: metrics.replicas as f64 / g.num_vertices() as f64,
-        eb: max_size as f64 * k as f64 / m as f64,
-        fingerprint,
+impl Metrics {
+    /// Replication factor: `Σ_p |V(Ep)| / |V|`.
+    fn rf(&self, g: &Graph) -> f64 {
+        self.replicas as f64 / g.num_vertices() as f64
+    }
+
+    /// Fold the gathered quantities into the [`HEADER`] cells of `spec`'s
+    /// result row. All arithmetic here is shared by the reference and
+    /// worker paths, so the two compute byte-identical strings.
+    fn cells(&self, transport: &str, spec: Spec, g: &Graph) -> Vec<String> {
+        let max_size = self.sizes.iter().copied().max().unwrap_or(0);
+        let eb = max_size as f64 * spec.parts as f64 / g.num_edges() as f64;
+        vec![
+            transport.to_string(),
+            spec.parts.to_string(),
+            spec.scale.to_string(),
+            spec.degree.to_string(),
+            spec.seed.to_string(),
+            self.iterations.to_string(),
+            self.comm_bytes.to_string(),
+            self.comm_msgs.to_string(),
+            format!("{:.6}", self.rf(g)),
+            format!("{eb:.6}"),
+            format!("{:016x}", combine_fingerprints(&self.fingerprints)),
+        ]
     }
 }
 
-/// In-process reference run on an explicit backend.
-fn reference_row(kind: TransportKind, spec: Spec) -> Row {
-    let g = spec.graph();
+/// In-process reference run of `spec`'s job (whose graph is `g`) on an
+/// explicit backend.
+fn reference(kind: TransportKind, spec: Spec, g: &Graph) -> Metrics {
     let ne = DistributedNe::new(NeConfig::default().with_seed(spec.seed).with_transport(kind));
-    let (assignment, stats) = ne.partition_with_stats(&g, spec.nprocs as u32);
-    let mut sizes = Vec::with_capacity(spec.nprocs);
-    let mut fingerprints = Vec::with_capacity(spec.nprocs);
+    let (assignment, stats) = ne.partition_with_stats(g, spec.parts);
+    let mut sizes = Vec::new();
+    let mut fingerprints = Vec::new();
     let mut replicas = 0;
     for mut edges in assignment.edges_by_partition() {
         sizes.push(edges.len() as u64);
-        replicas += distinct_endpoints(&g, &edges);
-        fingerprints.push(partition_fingerprint(&mut edges));
+        replicas += distinct_endpoints(g, &edges);
+        fingerprints.push(edge_set_fingerprint(&mut edges));
     }
     eprintln!("[reference {kind}: ET {:.3}s]", stats.elapsed.as_secs_f64());
-    let metrics = Metrics {
+    Metrics {
         iterations: stats.iterations,
         comm_bytes: stats.comm_bytes,
         comm_msgs: stats.comm_msgs,
         sizes,
         replicas,
         fingerprints,
-    };
-    assemble_row(kind.to_string(), spec, &g, metrics)
+    }
 }
 
 /// Agree on the round every rank resumes from — the *minimum* of the
@@ -285,12 +247,12 @@ fn agree_and_load(
 /// resume path.
 fn worker(
     rank: usize,
-    nprocs: usize,
     addr: &str,
     bind: Option<&str>,
     rejoin: bool,
     spec: Spec,
 ) -> Result<(), String> {
+    let nprocs = spec.parts as usize;
     let g = spec.graph();
     let part = spec.partitioner();
     let checkpoint = part.config().resolved_checkpoint();
@@ -326,7 +288,7 @@ fn worker(
     };
     let started = Instant::now();
     let mut run = loop {
-        match part.run_rank_from(&mut session.ctx, &g, nprocs as u32, resume.take()) {
+        match part.run_rank_from(&mut session.ctx, &g, spec.parts, resume.take()) {
             Ok(run) => break run,
             Err(TransportError::Disconnected { peer }) if checkpoint.is_some() => {
                 let cp = checkpoint.as_ref().expect("guarded by the match arm");
@@ -361,230 +323,246 @@ fn worker(
         sizes: ctx.try_all_gather_u64(run.edges.len() as u64).map_err(gather)?,
         replicas: ctx.try_all_reduce_sum_u64(distinct_endpoints(&g, &run.edges)).map_err(gather)?,
         fingerprints: ctx
-            .try_all_gather_u64(partition_fingerprint(&mut run.edges))
+            .try_all_gather_u64(edge_set_fingerprint(&mut run.edges))
             .map_err(gather)?,
     };
     eprintln!("[worker rank {rank}/{nprocs}: ET {:.3}s]", elapsed.as_secs_f64());
     if rank == 0 {
-        let row = assemble_row("tcp".into(), spec, &g, metrics);
-        println!("{ROW_TAG}\t{}", row.cells().join("\t"));
+        println!("{ROW_TAG}\t{}", metrics.cells("tcp", spec, &g).join("\t"));
         std::io::stdout().flush().ok();
     }
     Ok(())
 }
 
-/// Spawn `nprocs` worker processes of this same binary and collect rank
-/// 0's result row.
-fn launch_row(spec: Spec) -> Result<Row, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let spec_args = [spec.scale.to_string(), spec.degree.to_string(), spec.seed.to_string()];
-    let mut rank0 = Command::new(&exe)
-        .args(["worker", "0", &spec.nprocs.to_string(), "127.0.0.1:0"])
-        .args(&spec_args)
-        .stdout(Stdio::piped())
-        .spawn()
-        .map_err(|e| format!("spawning rank 0: {e}"))?;
-    let mut lines = BufReader::new(rank0.stdout.take().expect("piped stdout")).lines();
-    // Every spawned worker lives in this reaper: any early error return
-    // kills and reaps the whole fleet instead of leaking orphans (which
-    // could otherwise linger in bootstrap accept loops).
-    let mut fleet = Fleet(vec![rank0]);
-    let addr = loop {
-        let line = lines
-            .next()
-            .ok_or("rank 0 exited before advertising its rendezvous address")?
-            .map_err(|e| format!("reading rank 0 stdout: {e}"))?;
-        if let Some(addr) = line.strip_prefix(ADDR_TAG) {
-            break addr.trim().to_string();
-        }
-    };
-    for rank in 1..spec.nprocs {
-        let peer = Command::new(&exe)
-            .args(["worker", &rank.to_string(), &spec.nprocs.to_string(), &addr])
-            .args(&spec_args)
-            .stdout(Stdio::null())
-            .spawn()
-            .map_err(|e| format!("spawning rank {rank}: {e}"))?;
-        fleet.0.push(peer);
-    }
-    let row = loop {
-        let line = lines
-            .next()
-            .ok_or("rank 0 exited without printing a result row")?
-            .map_err(|e| format!("reading rank 0 stdout: {e}"))?;
-        if let Some(cells) = line.strip_prefix(ROW_TAG) {
-            break Row::parse(cells.trim_start_matches('\t'))
-                .ok_or_else(|| format!("malformed result row {line:?}"))?;
-        }
-    };
-    // Reap every rank before judging statuses so a failure mid-loop
-    // cannot leave un-waited children behind.
-    let mut failure = None;
-    for (rank, child) in fleet.0.iter_mut().enumerate() {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => {
-                failure.get_or_insert(format!("rank {rank} exited with {status}"));
-            }
-            Err(e) => {
-                failure.get_or_insert(format!("waiting for rank {rank}: {e}"));
-            }
-        }
-    }
-    fleet.0.clear(); // all reaped; nothing left for the drop guard
-    match failure {
-        None => Ok(row),
-        Some(f) => Err(f),
-    }
+/// The command line of one `worker` rank of `spec`'s job.
+fn worker_cmd(exe: &Path, spec: Spec, rank: usize, addr: &str) -> Command {
+    let mut cmd = Command::new(exe);
+    cmd.args(["worker", &rank.to_string(), &spec.parts.to_string(), addr]).args(spec.args());
+    cmd
 }
 
-/// Drop guard over the spawned worker fleet: on an early error return,
-/// kill and reap whatever is still running.
-struct Fleet(Vec<std::process::Child>);
+/// The cells of rank 0's result row, once every rank finished.
+fn awaited_row(rank0: &mut TaggedLines) -> Result<Vec<String>, String> {
+    let line = rank0.wait_for(ROW_TAG)?;
+    parse_row(&line).ok_or_else(|| format!("malformed result row {line:?}"))
+}
 
-impl Drop for Fleet {
-    fn drop(&mut self) {
-        for child in &mut self.0 {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+/// Spawn `spec.parts` worker processes of this same binary and collect
+/// rank 0's result row.
+fn launch_row(spec: Spec) -> Result<Vec<String>, String> {
+    let exe = harness::own_exe()?;
+    let mut fleet = Fleet::new();
+    let mut rank0 = fleet.spawn_piped("rank 0", &mut worker_cmd(&exe, spec, 0, "127.0.0.1:0"))?;
+    let addr = rank0.wait_for(ADDR_TAG)?;
+    for rank in 1..spec.parts as usize {
+        fleet.spawn(&format!("rank {rank}"), &mut worker_cmd(&exe, spec, rank, &addr))?;
     }
+    let row = awaited_row(&mut rank0)?;
+    fleet.reap_all()?;
+    Ok(row)
 }
 
 /// The acceptance gate: loopback vs bytes (in-process) vs tcp (real
 /// processes) must agree on every non-timing column.
 fn compare(spec: Spec) -> Result<(), String> {
+    let g = spec.graph();
+    let in_process =
+        |kind: TransportKind| reference(kind, spec, &g).cells(&kind.to_string(), spec, &g);
     let rows = vec![
-        reference_row(TransportKind::Loopback, spec),
-        reference_row(TransportKind::Bytes, spec),
+        in_process(TransportKind::Loopback),
+        in_process(TransportKind::Bytes),
         launch_row(spec)?,
     ];
     let mut table = Table::new(&HEADER);
     for row in &rows {
-        table.row(row.cells());
+        table.row(row.clone());
     }
     table.print();
-    if let Ok(path) = table.write_tsv("tcp_compare") {
-        println!("wrote {}", path.display());
-    }
-    let reference = rows[0].non_timing_key();
+    table.save("tcp_compare");
+    let reference = non_timing_key(&rows[0]);
     for row in &rows[1..] {
-        if row.non_timing_key() != reference {
+        if non_timing_key(row) != reference {
             return Err(format!(
                 "transport {} diverges from loopback:\n  loopback: {:?}\n  {}: {:?}",
-                row.transport,
+                row[0],
                 reference,
-                row.transport,
-                row.non_timing_key()
+                row[0],
+                non_timing_key(row)
             ));
         }
     }
     println!(
         "OK: {} backends agree on all non-timing columns ({} processes, scale {})",
         rows.len(),
-        spec.nprocs,
+        spec.parts,
         spec.scale
     );
     Ok(())
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: dne-tcp-worker [quick|full]\n\
-         \x20      dne-tcp-worker compare [quick|full]\n\
-         \x20      dne-tcp-worker launch <nprocs> <scale> <degree> <seed>\n\
-         \x20      dne-tcp-worker reference <loopback|bytes|tcp> <nprocs> <scale> <degree> <seed>\n\
-         \x20      dne-tcp-worker worker <rank> <nprocs> <addr> <scale> <degree> <seed> \
-         [--bind <addr>] [--rejoin]"
-    );
-    std::process::exit(2);
-}
+/// `recover`'s injected fault: rank 1 panics at the end of round 2.
+const FAULT_ROUND: u64 = 2;
+const DEAD_RANK: u32 = 1;
 
-fn arg<T: std::str::FromStr>(args: &[String], i: usize, what: &str) -> T {
-    args.get(i).and_then(|a| a.parse().ok()).unwrap_or_else(|| {
-        eprintln!("missing or invalid <{what}> argument");
-        usage()
-    })
-}
-
-fn spec_from(args: &[String], from: usize, nprocs: usize) -> Spec {
-    Spec {
-        nprocs,
-        scale: arg(args, from, "scale"),
-        degree: arg(args, from + 1, "degree"),
-        seed: arg(args, from + 2, "seed"),
+/// The kill-and-restart leg: the job runs with per-round checkpoints into
+/// `ckpt`, rank 1 dies at the fault round and is relaunched with
+/// `--rejoin`. Returns rank 0's finished result row.
+fn killed_and_restarted_row(spec: Spec, ckpt: &Path) -> Result<Vec<String>, String> {
+    let exe = harness::own_exe()?;
+    let rank_cmd = |rank: usize, addr: &str| {
+        let mut cmd = worker_cmd(&exe, spec, rank, addr);
+        cmd.env(CheckpointPolicy::EVERY_ENV_VAR, "1")
+            .env(CheckpointPolicy::DIR_ENV_VAR, ckpt)
+            .env_remove("DNE_FAULT_ROUND");
+        cmd
+    };
+    let mut fleet = Fleet::new();
+    let mut rank0 = fleet.spawn_piped("rank 0", &mut rank_cmd(0, "127.0.0.1:0"))?;
+    let addr = rank0.wait_for(ADDR_TAG)?;
+    // Rank 1 carries the injected fault; the others are healthy survivors.
+    let dead = DEAD_RANK as usize;
+    fleet.spawn(
+        "doomed rank",
+        rank_cmd(dead, &addr).env("DNE_FAULT_ROUND", FAULT_ROUND.to_string()),
+    )?;
+    for rank in (1..spec.parts as usize).filter(|&r| r != dead) {
+        fleet.spawn(&format!("rank {rank}"), &mut rank_cmd(rank, &addr))?;
     }
+    // The injected panic must kill the process (nonzero exit) — that is
+    // the whole point of the crash-teardown path.
+    let status = fleet.wait("doomed rank")?;
+    if status.success() {
+        return Err("rank 1 was supposed to crash at the injected fault round".into());
+    }
+    eprintln!("[recover: rank {dead} died ({status}); relaunching with --rejoin]");
+    fleet.spawn("rejoined rank", rank_cmd(dead, &addr).arg("--rejoin"))?;
+    let row = awaited_row(&mut rank0)?;
+    fleet.reap_all()?;
+    Ok(row)
 }
 
-fn preset(args: &[String], i: usize) -> Spec {
-    match args.get(i).map(String::as_str) {
-        Some("full") => Spec::full(),
-        Some("quick") | None => Spec::quick(),
-        Some(other) => {
-            eprintln!("unknown mode {other:?}");
-            usage()
+/// The elastic-fault-tolerance gate: both recovery paths against the
+/// uninterrupted in-process run of the same job.
+fn recover(spec: Spec) -> Result<(), String> {
+    let ckpt = std::env::temp_dir().join(format!("dne-recovery-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let g = spec.graph();
+    let truth = reference(TransportKind::Loopback, spec, &g);
+    let truth_row = truth.cells("loopback", spec, &g);
+    if truth.iterations <= FAULT_ROUND {
+        return Err(format!(
+            "the job must outlive the injected fault round (got {} rounds)",
+            truth.iterations
+        ));
+    }
+
+    // ---- Leg 1: kill rank 1 mid-run, restart it, demand bit-identity.
+    let row = killed_and_restarted_row(spec, &ckpt)?;
+    if result_key(&row) != result_key(&truth_row) {
+        return Err(format!(
+            "restart path diverged from the uninterrupted run:\n  recovered:     {:?}\n  \
+             uninterrupted: {:?}",
+            result_key(&row),
+            result_key(&truth_row)
+        ));
+    }
+    println!(
+        "restart path OK: recovered run bit-identical (fingerprint {}, {} rounds)",
+        row[10], row[5]
+    );
+
+    // ---- Leg 2: treat rank 1 as permanently dead and migrate its edges
+    // out of the checkpoints the killed run left behind.
+    let report = migrate_dead_rank(&ckpt, &g, spec.parts, spec.seed, DEAD_RANK)
+        .map_err(|e| format!("migration failed: {e}"))?;
+    for e in 0..g.num_edges() {
+        if report.assignment.part_of(e) == DEAD_RANK {
+            return Err(format!("edge {e} still assigned to the dead rank after migration"));
         }
     }
+    let truth_rf = truth.rf(&g);
+    if report.replication_factor > truth_rf * 1.10 {
+        return Err(format!(
+            "migration RF {:.6} above 110% of uninterrupted {:.6}",
+            report.replication_factor, truth_rf
+        ));
+    }
+    println!(
+        "migration path OK: {} migrated + {} completed edges from round {}, \
+         RF {:.6} (uninterrupted {:.6}), live EB {:.6}",
+        report.migrated_edges,
+        report.completed_edges,
+        report.round,
+        report.replication_factor,
+        truth_rf,
+        report.edge_balance
+    );
+    let _ = std::fs::remove_dir_all(&ckpt);
+    println!("OK: both recovery paths hold their acceptance bars");
+    Ok(())
 }
+
+const USAGE: &str = "usage: dne-tcp-worker [quick|full]\n\
+     \x20      dne-tcp-worker compare [quick|full]\n\
+     \x20      dne-tcp-worker recover\n\
+     \x20      dne-tcp-worker launch <nprocs> <scale> <degree> <seed>\n\
+     \x20      dne-tcp-worker reference <loopback|bytes|tcp> <nprocs> <scale> <degree> <seed>\n\
+     \x20      dne-tcp-worker worker <rank> <nprocs> <addr> <scale> <degree> <seed> \
+     [--bind <addr>] [--rejoin]";
 
 /// Remove `--bind <addr>` (both tokens) from `args`, returning the addr.
 /// A trailing `--bind` with no value is a usage error.
-fn take_bind(args: &mut Vec<String>) -> Option<String> {
-    let i = args.iter().position(|a| a == "--bind")?;
+fn take_bind(args: &mut Vec<String>) -> Result<Option<String>, Failure> {
+    let Some(i) = args.iter().position(|a| a == "--bind") else {
+        return Ok(None);
+    };
     if i + 1 >= args.len() {
-        eprintln!("--bind requires an <addr> value");
-        usage();
+        return Err(Failure::Usage("--bind requires an <addr> value".into()));
     }
     let addr = args.remove(i + 1);
     args.remove(i);
-    Some(addr)
+    Ok(Some(addr))
 }
 
 /// Remove `--rejoin` from `args`, returning whether it was present.
 fn take_rejoin(args: &mut Vec<String>) -> bool {
-    match args.iter().position(|a| a == "--rejoin") {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
+    let before = args.len();
+    args.retain(|a| a != "--rejoin");
+    args.len() < before
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let bind = take_bind(&mut args);
+fn print_row(cells: Vec<String>) {
+    let mut table = Table::new(&HEADER);
+    table.row(cells);
+    table.print();
+}
+
+fn run(args: &[String]) -> Result<(), Failure> {
+    let mut args = args.to_vec();
+    let bind = take_bind(&mut args)?;
     let rejoin = take_rejoin(&mut args);
-    let result = match args.get(1).map(String::as_str) {
-        None | Some("quick") | Some("full") => compare(preset(&args, 1)),
-        Some("compare") => compare(preset(&args, 2)),
-        Some("launch") => {
-            let nprocs: usize = arg(&args, 2, "nprocs");
-            launch_row(spec_from(&args, 3, nprocs)).map(|row| {
-                let mut table = Table::new(&HEADER);
-                table.row(row.cells());
-                table.print();
-            })
-        }
+    match args.get(1).map(String::as_str) {
+        None | Some("quick") | Some("full") => compare(preset(Mode::parse(&args, 1)?))?,
+        Some("compare") => compare(preset(Mode::parse(&args, 2)?))?,
+        Some("recover") => recover(preset(Mode::Quick))?,
+        Some("launch") => print_row(launch_row(Spec::parse(&args, 3, arg(&args, 2, "nprocs")?)?)?),
         Some("reference") => {
-            let kind: TransportKind = arg(&args, 2, "transport");
-            let nprocs: usize = arg(&args, 3, "nprocs");
-            let row = reference_row(kind, spec_from(&args, 4, nprocs));
-            let mut table = Table::new(&HEADER);
-            table.row(row.cells());
-            table.print();
-            Ok(())
+            let kind: TransportKind = arg(&args, 2, "transport")?;
+            let spec = Spec::parse(&args, 4, arg(&args, 3, "nprocs")?)?;
+            let g = spec.graph();
+            print_row(reference(kind, spec, &g).cells(&kind.to_string(), spec, &g));
         }
         Some("worker") => {
-            let rank: usize = arg(&args, 2, "rank");
-            let nprocs: usize = arg(&args, 3, "nprocs");
-            let addr: String = arg(&args, 4, "addr");
-            worker(rank, nprocs, &addr, bind.as_deref(), rejoin, spec_from(&args, 5, nprocs))
+            let rank: usize = arg(&args, 2, "rank")?;
+            let addr: String = arg(&args, 4, "addr")?;
+            let spec = Spec::parse(&args, 5, arg(&args, 3, "nprocs")?)?;
+            worker(rank, &addr, bind.as_deref(), rejoin, spec)?;
         }
-        Some(_) => usage(),
-    };
-    if let Err(e) = result {
-        eprintln!("dne-tcp-worker: {e}");
-        std::process::exit(1);
+        Some(other) => return Err(Failure::Usage(format!("unknown mode {other:?}"))),
     }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    harness::main("dne-tcp-worker", USAGE, run)
 }

@@ -65,6 +65,15 @@ impl Dataset {
         let scale = self.scale.saturating_sub(2).max(8);
         rmat_parallel(&self.config_at(scale), default_ingest_threads())
     }
+
+    /// The graph a run in the given mode partitions.
+    pub fn build_for(&self, quick: bool) -> Graph {
+        if quick {
+            self.build_quick()
+        } else {
+            self.build()
+        }
+    }
 }
 
 /// The seven real-world stand-ins of the paper's Table 2, ordered as the
@@ -138,6 +147,16 @@ pub fn dataset(name: &str) -> Option<&'static Dataset> {
 /// LiveJ., Orkut — the paper's "middle-scale" graphs).
 pub fn midsize() -> Vec<&'static Dataset> {
     ["Pokec", "Flickr", "LiveJ", "Orkut"].iter().map(|n| dataset(n).unwrap()).collect()
+}
+
+/// The stand-ins a sweep covers: the mid-size subset in quick mode, all
+/// seven in full mode.
+pub fn sweep(quick: bool) -> Vec<&'static Dataset> {
+    if quick {
+        midsize()
+    } else {
+        DATASETS.iter().collect()
+    }
 }
 
 /// Road-network stand-ins for Table 6: lattice dimensions sized to the

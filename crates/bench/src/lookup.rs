@@ -14,9 +14,13 @@
 //! `Shutdown` answers and then stops the server (the CI smoke and the
 //! benchmark harness use it for deterministic teardown).
 
+use std::io::Write;
+
 use dne_graph::EdgeId;
-use dne_partition::{PartitionId, ShardedAssignmentIndex};
-use dne_runtime::{Service, ServiceReply, WireDecode, WireEncode, WireError, WireReader, WireSize};
+use dne_partition::{parse_shards, PartitionId, ShardedAssignmentIndex};
+use dne_runtime::{
+    env_knob, Service, ServiceReply, WireDecode, WireEncode, WireError, WireReader, WireSize,
+};
 
 /// Environment variable consulted by [`conns_from_env`]: how many
 /// concurrent connections `dne-client` drives.
@@ -41,15 +45,37 @@ pub fn parse_conns(s: &str) -> Result<usize, String> {
 /// Panics on a value that is not a positive integer (or not Unicode),
 /// naming the valid form.
 pub fn conns_from_env() -> usize {
-    match std::env::var(CLIENT_CONNS_ENV) {
-        Ok(v) if !v.trim().is_empty() => {
-            parse_conns(&v).unwrap_or_else(|e| panic!("invalid {CLIENT_CONNS_ENV} {v:?}: {e}"))
-        }
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            panic!("invalid {CLIENT_CONNS_ENV}: non-Unicode value {raw:?} (expected {CONNS_FORMS})")
-        }
-        _ => 8,
-    }
+    env_knob(CLIENT_CONNS_ENV, CONNS_FORMS, || 8, parse_conns)
+}
+
+/// Environment variable consulted by [`shards_from_env`]: how many hash
+/// shards `dne-server` (and `dne-client`'s offline reference) index into.
+pub const SERVER_SHARDS_ENV: &str = "DNE_SERVER_SHARDS";
+
+/// Read the index shard count from `DNE_SERVER_SHARDS`. Unset or empty
+/// means 8.
+///
+/// # Panics
+/// Panics on a value that is not a positive power of two (or not
+/// Unicode), naming the valid form — a typo like `DNE_SERVER_SHARDS=12`
+/// must fail loudly, not silently serve from a default.
+pub fn shards_from_env() -> usize {
+    env_knob(SERVER_SHARDS_ENV, "a power-of-two shard count like 8", || 8, parse_shards)
+}
+
+/// Stdout marker carrying `dne-server`'s bound address — deliberately
+/// spelled like the variable that sets it.
+pub const ADDR_TAG: &str = dne_runtime::SERVER_ADDR_ENV;
+
+/// Stdout marker carrying the served assignment's fingerprint.
+pub const FPRINT_TAG: &str = "DNE_SERVER_FPRINT";
+
+/// Print the two startup markers a launcher scrapes off `dne-server`'s
+/// stdout, address first.
+pub fn announce(addr: std::net::SocketAddr, fingerprint: u64) {
+    println!("{ADDR_TAG} {addr}");
+    println!("{FPRINT_TAG} {fingerprint:016x}");
+    std::io::stdout().flush().ok();
 }
 
 /// One lookup request.

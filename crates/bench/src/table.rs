@@ -59,6 +59,23 @@ impl Table {
         }
         Ok(path)
     }
+
+    /// [`Table::write_tsv`], reporting the written path (or why it could
+    /// not be written) on stderr.
+    pub fn save(&self, name: &str) {
+        match self.write_tsv(name) {
+            Ok(path) => eprintln!("wrote {}", path.display()),
+            Err(e) => eprintln!("could not write {name}.tsv: {e}"),
+        }
+    }
+
+    /// What every artifact ends with: print `heading` and the aligned
+    /// table to stdout, then [`Table::save`] it as `<tsv>.tsv`.
+    pub fn publish(&self, heading: &str, tsv: &str) {
+        println!("\n=== {heading} ===");
+        self.print();
+        self.save(tsv);
+    }
 }
 
 /// Format a float with 2 decimals (the paper's RF precision).
@@ -69,30 +86,6 @@ pub fn f2(x: f64) -> String {
 /// Format a duration in seconds with 3 decimals.
 pub fn secs(d: std::time::Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
-}
-
-/// Parse the common `quick`/`full` mode argument (default quick) and
-/// report the run configuration: the transport backend selected via
-/// `DNE_TRANSPORT`, the envelope-coalescing policy selected via
-/// `DNE_COMM_BATCH`, and the graph-storage backend selected via
-/// `DNE_GRAPH_STORAGE` (every simulated cluster / chunked-file opener in
-/// the binaries honors them).
-pub fn parse_mode() -> bool {
-    let quick = !std::env::args().any(|a| a == "full");
-    let transport = dne_runtime::TransportKind::from_env();
-    let batch = dne_runtime::BatchConfig::from_env();
-    let batch = if batch.enabled() { format!("{}", batch.max_msgs) } else { "off".into() };
-    let storage = dne_graph::StorageKind::from_env();
-    if quick {
-        eprintln!(
-            "[mode: quick — pass `full` for the paper-scale sweep | transport: {transport} | batch: {batch} | storage: {storage}]"
-        );
-    } else {
-        eprintln!(
-            "[mode: full — this can take a while | transport: {transport} | batch: {batch} | storage: {storage}]"
-        );
-    }
-    quick
 }
 
 #[cfg(test)]

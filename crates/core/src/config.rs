@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use dne_runtime::{BatchConfig, CollectiveTopology, TransportKind};
+use dne_runtime::{env_knob, BatchConfig, CollectiveTopology, TransportKind};
 
 /// Per-round checkpointing policy: every `every` completed rounds each
 /// rank writes a `DNESNAP1` snapshot of its machine state (see
@@ -39,24 +39,29 @@ impl CheckpointPolicy {
     /// naming the accepted form — a misconfigured run must fail loudly
     /// before it silently runs without fault tolerance.
     pub fn from_env() -> Option<Self> {
-        let every = match std::env::var(Self::EVERY_ENV_VAR) {
-            Ok(v) if !v.trim().is_empty() => v.trim().parse::<u64>().ok().filter(|&n| n >= 1),
-            Err(std::env::VarError::NotUnicode(raw)) => panic!(
-                "invalid {}: non-Unicode value {raw:?} (expected a round count >= 1)",
-                Self::EVERY_ENV_VAR
-            ),
-            _ => return None,
-        }
-        .unwrap_or_else(|| panic!("invalid {}: expected a round count >= 1", Self::EVERY_ENV_VAR));
-        let dir = match std::env::var(Self::DIR_ENV_VAR) {
-            Ok(v) if !v.trim().is_empty() => PathBuf::from(v),
-            Err(std::env::VarError::NotUnicode(raw)) => {
-                panic!("invalid {}: non-Unicode value {raw:?}", Self::DIR_ENV_VAR)
-            }
-            _ => PathBuf::from(Self::DEFAULT_DIR),
-        };
+        let every = round_knob(Self::EVERY_ENV_VAR, "a round count >= 1")?;
+        let dir = env_knob(
+            Self::DIR_ENV_VAR,
+            "a directory path",
+            || PathBuf::from(Self::DEFAULT_DIR),
+            |v| Ok(PathBuf::from(v)),
+        );
         Some(Self { every, dir })
     }
+}
+
+/// Read an optional 1-based round knob: unset or blank is `None`, anything
+/// else must be an integer `>= 1` (`expected` names the form in the panic).
+fn round_knob(var: &str, expected: &str) -> Option<u64> {
+    env_knob(
+        var,
+        expected,
+        || None,
+        |v| match v.trim().parse::<u64>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!("expected {expected}")),
+        },
+    )
 }
 
 /// Tunable parameters of Distributed NE. Defaults follow the paper's
@@ -252,19 +257,7 @@ impl NeConfig {
     /// Panics on a malformed `DNE_FAULT_ROUND` (zero, non-numeric,
     /// non-Unicode), naming the accepted form.
     pub fn resolved_fault_round(&self) -> Option<u64> {
-        self.fault_round.or_else(|| match std::env::var("DNE_FAULT_ROUND") {
-            Ok(v) if !v.trim().is_empty() => {
-                Some(
-                    v.trim().parse::<u64>().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                        panic!("invalid DNE_FAULT_ROUND: expected a round >= 1")
-                    }),
-                )
-            }
-            Err(std::env::VarError::NotUnicode(raw)) => {
-                panic!("invalid DNE_FAULT_ROUND: non-Unicode value {raw:?}")
-            }
-            _ => None,
-        })
+        self.fault_round.or_else(|| round_knob("DNE_FAULT_ROUND", "a round >= 1"))
     }
 }
 

@@ -141,20 +141,6 @@ impl AllocatorPart {
         Self::from_owned_edges(local_edges, rank, seed)
     }
 
-    /// Build the subgraph from a pre-bucketed list of owned global edge
-    /// ids, resolving endpoints through `g` (compatibility wrapper around
-    /// [`AllocatorPart::from_owned_edges`]).
-    pub fn from_edges(g: &Graph, local_edges: Vec<EdgeId>, rank: u32, seed: u64) -> Self {
-        let owned = local_edges
-            .into_iter()
-            .map(|e| {
-                let (u, v) = g.edge(e);
-                (e, u, v)
-            })
-            .collect();
-        Self::from_owned_edges(owned, rank, seed)
-    }
-
     /// Build the subgraph from this rank's pre-bucketed `(edge id, u, v)`
     /// triplets — the "initial deployment" the paper excludes from
     /// partitioning time. The triplets carry their own endpoints, so the

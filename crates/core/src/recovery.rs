@@ -204,8 +204,8 @@ mod tests {
         assert!(report.migrated_edges > 0, "the dead partition owned edges at the checkpoint");
 
         // Quality: RF within 10% of the uninterrupted k-way run (the
-        // acceptance bar recovery_smoke asserts end-to-end), live balance
-        // sane.
+        // acceptance bar `dne-tcp-worker recover` asserts end-to-end),
+        // live balance sane.
         assert!(
             report.replication_factor <= q_full.replication_factor * 1.10
                 || report.replication_factor <= q_full.replication_factor + 0.2,

@@ -18,7 +18,7 @@
 //! all ranks, so equal rounds mean equal global state), and the loop
 //! resumes from that round. Because the round loop is deterministic, a
 //! resumed run reproduces the uninterrupted run's assignment
-//! bit-identically — asserted by the `recovery_smoke` bench bin and the
+//! bit-identically — asserted by `dne-tcp-worker recover` and the
 //! kill-and-restart integration test.
 //!
 //! ## File format

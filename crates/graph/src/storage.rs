@@ -68,6 +68,9 @@ impl StorageKind {
     /// backends — a misconfigured run (`DNE_GRAPH_STORAGE=mmaped`) must
     /// fail loudly before it silently measures the wrong backend.
     pub fn from_env() -> Self {
+        // Hand-rolled on purpose: the workspace's one strict reader is
+        // `dne_runtime::env_knob`, and `dne-graph` sits below the runtime
+        // with no dependencies — it must not gain one for ten lines.
         match std::env::var(Self::ENV_VAR) {
             Ok(v) if !v.trim().is_empty() => {
                 v.parse().unwrap_or_else(|e| panic!("invalid {}: {e}", Self::ENV_VAR))

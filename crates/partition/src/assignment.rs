@@ -1,5 +1,6 @@
 //! The output type of every edge partitioner: a dense edge → partition map.
 
+use dne_graph::hash::mix2;
 use dne_graph::{EdgeId, Graph, HeapSize};
 
 /// Partition identifier. The paper's experiments go up to `|P| = 1024`;
@@ -97,10 +98,35 @@ impl EdgeAssignment {
     pub fn fingerprint(&self) -> u64 {
         let mut h = dne_graph::hash::mix64(self.num_partitions as u64 ^ self.parts.len() as u64);
         for &p in &self.parts {
-            h = dne_graph::hash::mix2(h, p as u64);
+            h = mix2(h, p as u64);
         }
         h
     }
+
+    /// Order-*insensitive* fingerprint: [`edge_set_fingerprint`] of every
+    /// partition's edge set, folded by [`combine_fingerprints`]. A
+    /// multi-process run computes the same value without ever holding the
+    /// full assignment — each rank hashes its own edge set and one
+    /// all-gather combines them — which is how `dne-tcp-worker` and the
+    /// equivalence suites compare runs across backends.
+    pub fn partition_fingerprint(&self) -> u64 {
+        let per_part: Vec<u64> =
+            self.edges_by_partition().iter_mut().map(|edges| edge_set_fingerprint(edges)).collect();
+        combine_fingerprints(&per_part)
+    }
+}
+
+/// Hash of one partition's edge-id set, independent of the order the ids
+/// arrive in (`edges` is sorted in place).
+pub fn edge_set_fingerprint(edges: &mut [EdgeId]) -> u64 {
+    edges.sort_unstable();
+    edges.iter().fold(0x444E_4531u64, |h, &e| mix2(h, e))
+}
+
+/// Fold per-partition [`edge_set_fingerprint`]s, indexed by partition id,
+/// into one assignment fingerprint.
+pub fn combine_fingerprints(per_partition: &[u64]) -> u64 {
+    per_partition.iter().fold(0x4D45_5348u64, |h, &f| mix2(h, f))
 }
 
 impl HeapSize for EdgeAssignment {
@@ -143,6 +169,22 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
         assert_ne!(a.fingerprint(), d.fingerprint());
+    }
+
+    #[test]
+    fn partition_fingerprint_is_pinned_and_order_insensitive() {
+        // The value the four private copies of this construction produced
+        // before they were folded into this module; `tcp_compare.tsv`'s
+        // FPRINT column and the equivalence suites depend on it.
+        let a = EdgeAssignment::new(vec![0, 1, 0, 1, 2, 2], 3);
+        assert_eq!(a.partition_fingerprint(), 0xdf81_2bfb_c752_a246);
+        // A rank hashes its edge set in whatever order it allocated it.
+        let per_part = [
+            edge_set_fingerprint(&mut [2, 0]),
+            edge_set_fingerprint(&mut [3, 1]),
+            edge_set_fingerprint(&mut [5, 4]),
+        ];
+        assert_eq!(combine_fingerprints(&per_part), a.partition_fingerprint());
     }
 
     #[test]

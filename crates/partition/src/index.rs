@@ -10,9 +10,9 @@
 //! chunk-streamed one.
 //!
 //! Sharding uses the workspace's existing edge hash
-//! ([`dne_graph::hash::mix2`]) masked to a power-of-two shard count (the
-//! `DNE_SERVER_SHARDS` knob), so a future sharded *server* can route a
-//! lookup to the right shard from the key alone. The index fingerprints
+//! ([`dne_graph::hash::mix2`]) masked to a power-of-two shard count (what
+//! `dne-server` reads from `DNE_SERVER_SHARDS`), so a future sharded
+//! *server* can route a lookup to the right shard from the key alone. The index fingerprints
 //! to exactly [`EdgeAssignment::fingerprint`], which is how `dne-client`
 //! proves a remote server answers for the same partition it computed
 //! offline.
@@ -20,9 +20,6 @@
 use crate::assignment::{EdgeAssignment, PartitionId};
 use dne_graph::hash::{mix2, FastMap};
 use dne_graph::{EdgeId, Graph, VertexId};
-
-/// Environment variable consulted by [`shards_from_env`].
-pub const SERVER_SHARDS_ENV: &str = "DNE_SERVER_SHARDS";
 
 /// What a valid shard count looks like — quoted by every parse error.
 const SHARD_FORMS: &str = "a power-of-two shard count like 1, 8, or 64";
@@ -35,26 +32,6 @@ pub fn parse_shards(s: &str) -> Result<usize, String> {
         return Err(format!("{n} is not a power of two (expected {SHARD_FORMS})"));
     }
     Ok(n)
-}
-
-/// Read the shard count from `DNE_SERVER_SHARDS`. Unset or empty means 8.
-///
-/// # Panics
-/// Panics on a value that is not a positive power of two (or not
-/// Unicode), naming the valid form — a typo like `DNE_SERVER_SHARDS=12`
-/// must fail loudly, not silently serve from a default.
-pub fn shards_from_env() -> usize {
-    match std::env::var(SERVER_SHARDS_ENV) {
-        Ok(v) if !v.trim().is_empty() => {
-            parse_shards(&v).unwrap_or_else(|e| panic!("invalid {SERVER_SHARDS_ENV} {v:?}: {e}"))
-        }
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            panic!(
-                "invalid {SERVER_SHARDS_ENV}: non-Unicode value {raw:?} (expected {SHARD_FORMS})"
-            )
-        }
-        _ => 8,
-    }
 }
 
 /// The shard an edge key belongs to, out of `shards` (a power of two).

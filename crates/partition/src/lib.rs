@@ -67,9 +67,11 @@ pub mod streaming;
 pub mod traits;
 pub mod vertex;
 
-pub use assignment::{EdgeAssignment, PartitionId, UNASSIGNED};
+pub use assignment::{
+    combine_fingerprints, edge_set_fingerprint, EdgeAssignment, PartitionId, UNASSIGNED,
+};
 pub use comm_model::{estimate_comm, CommEstimate};
 pub use dynamic::IncrementalVertexCut;
-pub use index::{parse_shards, shards_from_env, ShardedAssignmentIndex, SERVER_SHARDS_ENV};
+pub use index::{parse_shards, ShardedAssignmentIndex};
 pub use quality::PartitionQuality;
 pub use traits::{EdgePartitioner, VertexPartitioner, VertexToEdge};

@@ -284,9 +284,6 @@ fn expect_words(msg: CollMsg, want: usize, src: usize) -> Result<Vec<u64>, Trans
 #[must_use = "an in-flight all-gather must be finished or the next collective will misalign"]
 pub struct PendingGather {
     value: u64,
-    /// Whether the send phase already ran at `start` time (flat
-    /// topology); if not, `finish` runs the whole schedule.
-    sent: bool,
 }
 
 /// Per-rank collective-communication endpoint for one cluster run.
@@ -365,17 +362,13 @@ impl Collectives {
     /// [`Collectives::all_gather_u64`] (which is itself start + finish).
     pub fn start_all_gather_u64(&mut self, value: u64) -> Result<PendingGather, TransportError> {
         self.stats.record_collective(self.rank());
-        let sent = match self.topology {
-            CollectiveTopology::Flat => {
-                for dst in 0..self.nprocs() {
-                    self.comm.send(dst, CollMsg(vec![value]))?;
-                }
-                self.comm.flush()?;
-                true
+        if self.topology == CollectiveTopology::Flat {
+            for dst in 0..self.nprocs() {
+                self.comm.send(dst, CollMsg(vec![value]))?;
             }
-            _ => false,
-        };
-        Ok(PendingGather { value, sent })
+            self.comm.flush()?;
+        }
+        Ok(PendingGather { value })
     }
 
     /// Complete an all-gather begun by
@@ -385,15 +378,15 @@ impl Collectives {
         &mut self,
         pending: PendingGather,
     ) -> Result<Vec<u64>, TransportError> {
-        if pending.sent {
-            let mut out = Vec::with_capacity(self.nprocs());
-            for (src, msg) in self.comm.recv_one_from_each()?.into_iter().enumerate() {
-                out.push(expect_words(msg, 1, src)?[0]);
-            }
-            return Ok(out);
-        }
         match self.topology {
-            CollectiveTopology::Flat => self.flat_all_gather(pending.value),
+            // The flat send phase ran at `start`; only the receives remain.
+            CollectiveTopology::Flat => {
+                let mut out = Vec::with_capacity(self.nprocs());
+                for (src, msg) in self.comm.recv_one_from_each()?.into_iter().enumerate() {
+                    out.push(expect_words(msg, 1, src)?[0]);
+                }
+                Ok(out)
+            }
             CollectiveTopology::Binomial => self.binomial_all_gather(pending.value),
             CollectiveTopology::RecursiveDoubling => self.rd_all_gather(pending.value),
         }
@@ -404,18 +397,6 @@ impl Collectives {
     /// overlapped round; returns how many blocks arrived.
     pub fn drain_ready(&mut self) -> Result<usize, TransportError> {
         self.comm.drain_ready()
-    }
-
-    /// Flat reference schedule: one word to every peer, one from each.
-    fn flat_all_gather(&mut self, value: u64) -> Result<Vec<u64>, TransportError> {
-        for dst in 0..self.nprocs() {
-            self.comm.send(dst, CollMsg(vec![value]))?;
-        }
-        let mut out = Vec::with_capacity(self.nprocs());
-        for (src, msg) in self.comm.recv_one_from_each()?.into_iter().enumerate() {
-            out.push(expect_words(msg, 1, src)?[0]);
-        }
-        Ok(out)
     }
 
     /// Binomial-tree schedule: gather subtree blocks to rank 0 (child

@@ -118,14 +118,15 @@ pub use transport::{
 };
 pub use wire::{WireDecode, WireEncode, WireError, WireReader, WireSize};
 
-/// Read one strict environment knob of this crate: unset or blank means
-/// `default()`, anything else must `parse`.
+/// Read one strict environment knob — the single reader behind every
+/// `DNE_*` variable of this crate and of the crates that depend on it:
+/// unset or blank means `default()`, anything else must `parse`.
 ///
 /// # Panics
 /// Panics on an unparsable or non-Unicode value, naming the variable and
 /// the accepted forms (`expected`) — a misconfigured run must fail loudly
 /// before it silently measures the wrong configuration.
-fn env_knob<T>(
+pub fn env_knob<T>(
     var: &str,
     expected: &str,
     default: impl FnOnce() -> T,

@@ -461,7 +461,7 @@ where
 }
 
 /// Dial `addr` until it accepts or the bootstrap deadline passes.
-fn connect_with_retry(addr: SocketAddr) -> Result<TcpStream, TransportError> {
+fn dial_with_retry(addr: SocketAddr) -> Result<TcpStream, TransportError> {
     let deadline = Instant::now() + BOOTSTRAP_TIMEOUT;
     loop {
         match TcpStream::connect(addr) {
@@ -508,7 +508,7 @@ where
         .map_err(|e| io_err(format!("binding mesh listener at {bind}"), e))?;
     let local = listener.local_addr().map_err(|e| io_err("reading mesh listener address", e))?;
     let advertised_ip = if local.ip().is_unspecified() { None } else { Some(local.ip()) };
-    let mut rendezvous = connect_with_retry(addr)?;
+    let mut rendezvous = dial_with_retry(addr)?;
     write_hello(&mut rendezvous, fabric, rank as u32, epoch, advertised_ip, local.port())
         .map_err(|e| io_err("sending hello", e))?;
     rendezvous

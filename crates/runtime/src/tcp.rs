@@ -798,6 +798,11 @@ pub struct TcpProcessCluster {
     rendezvous: Option<TcpRendezvous>,
     addr: SocketAddr,
     bind: String,
+    /// `None` resolves `DNE_COLLECTIVES` at connect time, exactly like
+    /// [`crate::Cluster`]'s field of the same name.
+    collectives: Option<CollectiveTopology>,
+    /// `None` resolves `DNE_COMM_BATCH` at connect time.
+    comm_batch: Option<BatchConfig>,
 }
 
 impl TcpProcessCluster {
@@ -809,13 +814,17 @@ impl TcpProcessCluster {
         let rendezvous = TcpRendezvous::bind(bind_addr)
             .map_err(|e| io_err(format!("binding rendezvous at {bind_addr}"), e))?;
         let addr = rendezvous.local_addr();
-        Ok(Self {
-            rank: 0,
-            nprocs,
-            rendezvous: Some(rendezvous),
-            addr,
-            bind: "127.0.0.1:0".to_string(),
-        })
+        Ok(Self::new(0, nprocs, Some(rendezvous), addr))
+    }
+
+    fn new(
+        rank: usize,
+        nprocs: usize,
+        rendezvous: Option<TcpRendezvous>,
+        addr: SocketAddr,
+    ) -> Self {
+        let bind = "127.0.0.1:0".to_string();
+        Self { rank, nprocs, rendezvous, addr, bind, collectives: None, comm_batch: None }
     }
 
     /// Become rank `rank` (`1..nprocs`), dialing the rendezvous `addr`
@@ -825,7 +834,7 @@ impl TcpProcessCluster {
         let addr = addr
             .parse()
             .map_err(|e| bootstrap_err(format!("invalid rendezvous address {addr:?}: {e}")))?;
-        Ok(Self { rank, nprocs, rendezvous: None, addr, bind: "127.0.0.1:0".to_string() })
+        Ok(Self::new(rank, nprocs, None, addr))
     }
 
     /// Bind this rank's mesh listeners at `bind` instead of the ephemeral
@@ -835,6 +844,28 @@ impl TcpProcessCluster {
     /// rendezvous observes on the hello connection.
     pub fn with_bind(mut self, bind: &str) -> Self {
         self.bind = bind.to_string();
+        self
+    }
+
+    /// Select the collective topology explicitly (overrides
+    /// `DNE_COLLECTIVES`, which is then never consulted). Every process of
+    /// the cluster must pass the same value: the topology is baked into
+    /// the collectives mesh's fabric id, so a disagreement fails the
+    /// bootstrap with a typed [`TransportError::Bootstrap`] naming both
+    /// topologies instead of deadlocking at the first barrier.
+    pub fn with_collectives(mut self, collectives: CollectiveTopology) -> Self {
+        self.collectives = Some(collectives);
+        self
+    }
+
+    /// Select the coalescing policy of the point-to-point mesh explicitly
+    /// (overrides `DNE_COMM_BATCH`; the collectives mesh always runs
+    /// unbatched, so the published per-rank collective traffic stays
+    /// exact). Results and logical message/byte accounting are identical
+    /// with batching on or off — only the physical frame count changes, so
+    /// processes need not agree on the policy.
+    pub fn with_comm_batch(mut self, batch: BatchConfig) -> Self {
+        self.comm_batch = Some(batch);
         self
     }
 
@@ -854,10 +885,11 @@ impl TcpProcessCluster {
         self.addr
     }
 
-    /// Bootstrap both meshes and build this rank's cluster context, with
-    /// the collective topology resolved from the `DNE_COLLECTIVES`
-    /// environment variable (flat when unset — every process of a cluster
-    /// must agree, which environment inheritance gives for free).
+    /// Bootstrap both meshes and build this rank's cluster context. Unless
+    /// set explicitly, the collective topology resolves from
+    /// `DNE_COLLECTIVES` (flat when unset — every process of a cluster
+    /// must agree, which environment inheritance gives for free) and the
+    /// coalescing policy from `DNE_COMM_BATCH`.
     ///
     /// Blocks until every process of the cluster has connected (bounded
     /// by the bootstrap deadline). The session's [`CommStats`] and
@@ -868,7 +900,7 @@ impl TcpProcessCluster {
     where
         M: Send + WireEncode + WireDecode + 'static,
     {
-        self.connect_full(CollectiveTopology::from_env(), BatchConfig::from_env(), 0)
+        self.connect_epoch(0)
     }
 
     /// Bootstrap (or re-bootstrap) the cluster's meshes under an explicit
@@ -888,54 +920,8 @@ impl TcpProcessCluster {
     where
         M: Send + WireEncode + WireDecode + 'static,
     {
-        self.connect_full(CollectiveTopology::from_env(), BatchConfig::from_env(), epoch)
-    }
-
-    /// [`TcpProcessCluster::connect`] with an explicit coalescing policy
-    /// for the point-to-point mesh (overrides `DNE_COMM_BATCH`; the
-    /// collectives mesh always runs unbatched). Results and logical
-    /// message/byte accounting are identical with batching on or off —
-    /// only the physical frame count changes, so processes need not agree
-    /// on the policy.
-    pub fn connect_with_comm_batch<M>(
-        mut self,
-        batch: BatchConfig,
-    ) -> Result<TcpSession<M>, TransportError>
-    where
-        M: Send + WireEncode + WireDecode + 'static,
-    {
-        self.connect_full(CollectiveTopology::from_env(), batch, 0)
-    }
-
-    /// [`TcpProcessCluster::connect`] with an explicit collective
-    /// topology. Every process of the cluster must pass the same value:
-    /// the topology is baked into the collectives mesh's fabric id, so a
-    /// disagreement fails the bootstrap with a typed
-    /// [`TransportError::Bootstrap`] naming both topologies instead of
-    /// deadlocking at the first barrier.
-    pub fn connect_with_collectives<M>(
-        mut self,
-        topology: CollectiveTopology,
-    ) -> Result<TcpSession<M>, TransportError>
-    where
-        M: Send + WireEncode + WireDecode + 'static,
-    {
-        // The point-to-point mesh honors `DNE_COMM_BATCH` (inherited by
-        // every worker's environment); the collectives mesh always runs
-        // unbatched, exactly like in-process clusters, so the published
-        // per-rank collective traffic stays exact.
-        self.connect_full(topology, BatchConfig::from_env(), 0)
-    }
-
-    fn connect_full<M>(
-        &mut self,
-        topology: CollectiveTopology,
-        batch: BatchConfig,
-        epoch: u32,
-    ) -> Result<TcpSession<M>, TransportError>
-    where
-        M: Send + WireEncode + WireDecode + 'static,
-    {
+        let topology = self.collectives.unwrap_or_else(CollectiveTopology::from_env);
+        let batch = self.comm_batch.unwrap_or_else(BatchConfig::from_env);
         let stats = CommStats::new(self.nprocs);
         let memory = MemoryTracker::new(self.nprocs);
         let coll_id = coll_fabric(topology);
@@ -1201,11 +1187,13 @@ mod tests {
         let host = TcpProcessCluster::host(n, "127.0.0.1:0").unwrap();
         let addr = host.addr().to_string();
         std::thread::scope(|s| {
-            let h = s.spawn(move || host.connect_with_collectives::<u64>(CollectiveTopology::Flat));
+            let h =
+                s.spawn(move || host.with_collectives(CollectiveTopology::Flat).connect::<u64>());
             let j = s.spawn(move || {
                 TcpProcessCluster::join(1, n, &addr)
                     .unwrap()
-                    .connect_with_collectives::<u64>(CollectiveTopology::Binomial)
+                    .with_collectives(CollectiveTopology::Binomial)
+                    .connect::<u64>()
             });
             let host_err = match h.join().unwrap() {
                 Err(e) => e,
@@ -1229,14 +1217,16 @@ mod tests {
             let host = TcpProcessCluster::host(n, "127.0.0.1:0").unwrap();
             let addr = host.addr().to_string();
             std::thread::scope(|s| {
-                let mut handles =
-                    vec![s.spawn(move || host.connect_with_collectives::<Vec<u64>>(topo).unwrap())];
+                let mut handles = vec![
+                    s.spawn(move || host.with_collectives(topo).connect::<Vec<u64>>().unwrap())
+                ];
                 for rank in 1..n {
                     let addr = addr.clone();
                     handles.push(s.spawn(move || {
                         TcpProcessCluster::join(rank, n, &addr)
                             .unwrap()
-                            .connect_with_collectives::<Vec<u64>>(topo)
+                            .with_collectives(topo)
+                            .connect::<Vec<u64>>()
                             .unwrap()
                     }));
                 }

@@ -24,11 +24,10 @@
 
 mod common;
 
-use common::{transport_topology_pairs, TOPOLOGIES};
+use common::{assignment_fingerprint, transport_topology_pairs, TOPOLOGIES};
 use distributed_ne::apps::Engine;
 use distributed_ne::core::{DistributedNe, NeConfig};
 use distributed_ne::graph::gen;
-use distributed_ne::graph::hash::mix2;
 use distributed_ne::partition::{EdgePartitioner, PartitionQuality};
 use distributed_ne::runtime::{
     CollMsg, CollectiveTopology, Collectives, CommStats, TcpTransport, TransportError,
@@ -87,21 +86,6 @@ fn measured_collective_traffic_matches_the_closed_forms() {
 }
 
 // --------------------------------------------------- equivalence harness --
-
-/// Order-insensitive fingerprint of an edge assignment: hash each
-/// partition's sorted edge set, then fold the per-partition hashes — the
-/// same construction `dne-tcp-worker` uses for its multi-process gate.
-fn assignment_fingerprint(a: &distributed_ne::partition::EdgeAssignment) -> u64 {
-    let per_part: Vec<u64> = a
-        .edges_by_partition()
-        .into_iter()
-        .map(|mut edges| {
-            edges.sort_unstable();
-            edges.iter().fold(0x444E_4531u64, |h, &e| mix2(h, e))
-        })
-        .collect();
-    per_part.iter().fold(0x4D45_5348u64, |h, &f| mix2(h, f))
-}
 
 #[test]
 fn distributed_ne_is_equivalent_across_every_transport_topology_pair() {

@@ -51,6 +51,13 @@ pub fn matrix_cells() -> Vec<(TransportKind, CollectiveTopology, StorageKind)> {
         .collect()
 }
 
+/// Order-insensitive fingerprint of an edge assignment — the construction
+/// `dne-tcp-worker` gathers across real processes for its multi-process
+/// gate.
+pub fn assignment_fingerprint(a: &distributed_ne::partition::EdgeAssignment) -> u64 {
+    a.partition_fingerprint()
+}
+
 /// Write `g` as a DNECHNK1 chunked file under a per-`label` scratch
 /// directory and return the path. `label` must be unique per call site —
 /// suites run concurrently inside one test binary, and the mmap backend

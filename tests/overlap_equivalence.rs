@@ -17,11 +17,10 @@
 
 mod common;
 
-use common::TRANSPORTS;
+use common::{assignment_fingerprint, TRANSPORTS};
 use distributed_ne::apps::Engine;
 use distributed_ne::core::{DistributedNe, NeConfig, NeMsg};
 use distributed_ne::graph::gen;
-use distributed_ne::graph::hash::mix2;
 use distributed_ne::partition::{EdgePartitioner, PartitionQuality};
 use distributed_ne::runtime::{
     BatchConfig, Cluster, TcpProcessCluster, TransportError, TransportKind,
@@ -36,21 +35,6 @@ const BATCHES: [(&str, BatchConfig); 3] = [
     ("msgs8", BatchConfig::msgs(8)),
     ("msgs512", BatchConfig::msgs(512)),
 ];
-
-/// Order-insensitive fingerprint of an edge assignment (the same
-/// construction the collective-equivalence harness and `dne-tcp-worker`
-/// use).
-fn assignment_fingerprint(a: &distributed_ne::partition::EdgeAssignment) -> u64 {
-    let per_part: Vec<u64> = a
-        .edges_by_partition()
-        .into_iter()
-        .map(|mut edges| {
-            edges.sort_unstable();
-            edges.iter().fold(0x444E_4531u64, |h, &e| mix2(h, e))
-        })
-        .collect();
-    per_part.iter().fold(0x4D45_5348u64, |h, &f| mix2(h, f))
-}
 
 #[test]
 fn distributed_ne_is_bit_identical_with_coalescing_on_and_off() {
@@ -198,7 +182,8 @@ fn aborted_rank_mid_pipelined_round_is_a_typed_error_at_survivors() {
                     None => TcpProcessCluster::join(rank, p, &addr).unwrap(),
                 };
                 let mut session = cluster
-                    .connect_with_comm_batch::<u64>(BatchConfig::msgs(8))
+                    .with_comm_batch(BatchConfig::msgs(8))
+                    .connect::<u64>()
                     .expect("bootstrap");
                 let ctx = &mut session.ctx;
                 let mut round = 0u64;
