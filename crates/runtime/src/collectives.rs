@@ -10,13 +10,20 @@
 //!
 //! # Topologies
 //!
-//! Three interchangeable [`CollectiveTopology`] implementations move the
-//! same rank-indexed word vector; they differ only in schedule:
+//! Three interchangeable [`CollectiveTopology`] values move the same
+//! rank-indexed word vector; they differ only in schedule, and a schedule
+//! is *data*: each rank's list of `Send(peer, ranks)` / `Recv(peer,
+//! ranks)` steps over one rank-indexed buffer, every block a contiguous
+//! rank range, computed once per endpoint. One executor runs it —
+//! `start` posts every send that precedes the first receive, `finish`
+//! the rest, each receive checked against the word count the schedule
+//! demands — and the published cost model is a fold over the same steps.
+//! The topologies:
 //!
 //! * [`CollectiveTopology::Flat`] — the reference: every rank sends its
-//!   one-word contribution to every peer and collects one word from each
-//!   (the self-send is free and keeps indexing uniform). Depth 1, but
-//!   `P − 1` messages and `8·(P−1)` bytes per rank per collective.
+//!   one-word contribution to every peer and collects one word from
+//!   each. Depth 1, but `P − 1` messages and `8·(P−1)` bytes per rank per
+//!   collective.
 //! * [`CollectiveTopology::Binomial`] — a binomial-tree gather to rank 0
 //!   followed by a binomial-tree broadcast of the assembled vector:
 //!   depth `2·⌈log₂P⌉`, and only `2·(P−1)` messages *in total* per
@@ -43,9 +50,12 @@
 //! the same accounting as before topologies existed. Exact per-rank costs
 //! for every topology are published by
 //! [`CollectiveTopology::rank_traffic`] /
-//! [`CollectiveTopology::total_traffic`], the single source of truth the
+//! [`CollectiveTopology::total_traffic`] — sums over the sends of the
+//! schedule the executor runs, so the two cannot disagree — which the
 //! unit, property, and equivalence tests check measured [`CommStats`]
-//! against (closed forms are documented in `ARCHITECTURE.md`).
+//! against; the closed forms and a literal table of totals in
+//! `ARCHITECTURE.md` and `tests/collective_equivalence.rs` pin them
+//! independently.
 //!
 //! Round alignment comes from the same argument as
 //! [`crate::Ctx::exchange`]: per-link FIFO order plus a deterministic
@@ -64,6 +74,7 @@
 //! only be a sibling thread already unwinding the whole run, and is
 //! reported once the fabric is torn down.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::comm::CommEndpoint;
@@ -103,6 +114,16 @@ impl WireDecode for CollMsg {
         }
         Ok(CollMsg(u64::decode_slice(r, rem / 8)?))
     }
+}
+
+/// One step of a rank's all-gather schedule: move the words of a
+/// contiguous rank range of the rank-indexed buffer to or from a peer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Step {
+    /// Send the buffer's words for these ranks to the peer.
+    Send(usize, Range<usize>),
+    /// Receive the words for these ranks from the peer into the buffer.
+    Recv(usize, Range<usize>),
 }
 
 /// The names `CollectiveTopology::from_str` accepts, for error messages.
@@ -154,68 +175,93 @@ impl CollectiveTopology {
         crate::env_knob(Self::ENV_VAR, TOPOLOGY_NAMES, || CollectiveTopology::Flat, str::parse)
     }
 
-    /// Exact `(bytes, messages)` one collective charges to `rank` in a
-    /// `p`-rank fabric. This is the published cost model: the execution
-    /// schedules below move exactly these quantities, and the test suites
-    /// assert measured [`CommStats`] against sums of this function.
-    /// Self-sends (flat topology only) are free and not counted, matching
-    /// [`CommEndpoint`]'s accounting policy.
-    pub fn rank_traffic(self, rank: usize, p: usize) -> (u64, u64) {
+    /// This rank's all-gather under this topology, as data: the sends and
+    /// receives it performs, in order, each naming a peer and the
+    /// contiguous rank range of the shared rank-indexed word buffer that
+    /// travels. The executor ([`Collectives::start_all_gather_u64`] /
+    /// [`Collectives::finish_all_gather_u64`]) runs exactly these steps and
+    /// [`CollectiveTopology::rank_traffic`] sums exactly these sends, so the
+    /// published cost model and the execution cannot disagree.
+    fn schedule(self, rank: usize, p: usize) -> Vec<Step> {
         assert!(rank < p, "rank {rank} out of range for {p} ranks");
-        if p == 1 {
-            return (0, 0);
-        }
+        let mut steps = Vec::new();
         match self {
-            CollectiveTopology::Flat => (8 * (p as u64 - 1), p as u64 - 1),
-            CollectiveTopology::Binomial => {
-                let relay_rounds =
-                    if rank == 0 { ceil_log2(p) } else { rank.trailing_zeros() as usize };
-                let mut bytes = 0u64;
-                let mut msgs = 0u64;
-                if rank != 0 {
-                    // One gather send: this rank's whole subtree block.
-                    let subtree = (1usize << relay_rounds).min(p - rank);
-                    bytes += 8 * subtree as u64;
-                    msgs += 1;
-                }
-                // One full-vector broadcast send per child in range.
-                for i in 0..relay_rounds {
-                    if rank + (1usize << i) < p {
-                        bytes += 8 * p as u64;
-                        msgs += 1;
-                    }
-                }
-                (bytes, msgs)
+            CollectiveTopology::Flat => {
+                let peers = || (0..p).filter(|&peer| peer != rank);
+                steps.extend(peers().map(|dst| Step::Send(dst, rank..rank + 1)));
+                steps.extend(peers().map(|src| Step::Recv(src, src..src + 1)));
             }
+            // Rank `r` roots the subtree of ranks `[r, r + span)` (clipped
+            // to `p`), `span` being `r`'s lowest set bit — everything, for
+            // rank 0 — and its children are `r + 2^i` for every
+            // `2^i < span`, each rooting `[child, child + 2^i)`. Gather
+            // the children's blocks in ascending order (so the gathered
+            // words stay contiguous), pass the subtree up, then broadcast
+            // the full vector back down, farthest subtree first.
+            CollectiveTopology::Binomial => {
+                let span =
+                    if rank == 0 { p.next_power_of_two() } else { 1 << rank.trailing_zeros() };
+                let children: Vec<usize> = (0..span.trailing_zeros())
+                    .map(|i| rank + (1usize << i))
+                    .take_while(|&child| child < p)
+                    .collect();
+                steps.extend(children.iter().map(|&c| Step::Recv(c, c..(2 * c - rank).min(p))));
+                if rank != 0 {
+                    steps.push(Step::Send(rank - span, rank..(rank + span).min(p)));
+                    steps.push(Step::Recv(rank - span, 0..p));
+                }
+                steps.extend(children.iter().rev().map(|&c| Step::Send(c, 0..p)));
+            }
+            // Non-power-of-two `P` first folds the lowest `2·rem` ranks
+            // pairwise (even hands its word to odd), runs the power-of-two
+            // exchange over the surviving *effective* ranks, then unfolds
+            // (odd hands the finished vector back to even).
             CollectiveTopology::RecursiveDoubling => {
-                let p2 = prev_pow2(p);
-                let rem = p - p2;
-                let rounds = p2.trailing_zeros() as usize;
-                if rank < 2 * rem && rank.is_multiple_of(2) {
-                    // Folded rank: one pre-step word, then it only receives.
-                    return (8, 1);
+                let rem = p - prev_pow2(p);
+                let folded = rank < 2 * rem;
+                if folded && rank.is_multiple_of(2) {
+                    // Folded rank: contribute the word, wait for the result.
+                    return vec![Step::Send(rank + 1, rank..rank + 1), Step::Recv(rank + 1, 0..p)];
                 }
-                let eff = if rank < 2 * rem { rank / 2 } else { rank - rem };
-                let mut bytes = 0u64;
-                let mut msgs = 0u64;
-                for i in 0..rounds {
-                    let size = 1usize << i;
-                    let start = eff & !(size - 1);
-                    // Block words: one per effective rank, two for each
-                    // effective rank that absorbed a folded neighbor.
-                    let words = size + rem.saturating_sub(start).min(size);
-                    bytes += 8 * words as u64;
-                    msgs += 1;
+                if folded {
+                    // Absorb the folded even neighbor's word before the rounds.
+                    steps.push(Step::Recv(rank - 1, rank - 1..rank));
                 }
-                if rank < 2 * rem {
-                    // Post-step: hand the finished vector back to the
-                    // folded even neighbor.
-                    bytes += 8 * p as u64;
-                    msgs += 1;
+                let eff = if folded { rank / 2 } else { rank - rem };
+                // First original rank an effective rank stands for: a
+                // folded pair `2f, 2f + 1`, or the unfolded rank shifted
+                // past the folded region — so the effective ranks
+                // `[s, s + size)` hold the words of `lo(s)..lo(s + size)`.
+                let lo = |f: usize| if f < rem { 2 * f } else { f + rem };
+                let mut size = 1;
+                while size < p - rem {
+                    let block = |f: usize| lo(f & !(size - 1))..lo((f & !(size - 1)) + size);
+                    let partner = eff ^ size;
+                    // A folded pair is spoken for by its odd member.
+                    let partner_rank = lo(partner) + usize::from(partner < rem);
+                    steps.push(Step::Send(partner_rank, block(eff)));
+                    steps.push(Step::Recv(partner_rank, block(partner)));
+                    size *= 2;
                 }
-                (bytes, msgs)
+                if folded {
+                    // Unfold: return the finished vector to the even neighbor.
+                    steps.push(Step::Send(rank - 1, 0..p));
+                }
             }
         }
+        steps
+    }
+
+    /// Exact `(bytes, messages)` one collective charges to `rank` in a
+    /// `p`-rank fabric. This is the published cost model, derived from the
+    /// very schedule the executor runs (8 bytes per word of every send);
+    /// the test suites assert measured [`CommStats`] against sums of this
+    /// function and pin its totals to a literal table.
+    pub fn rank_traffic(self, rank: usize, p: usize) -> (u64, u64) {
+        self.schedule(rank, p).iter().fold((0, 0), |(bytes, msgs), step| match step {
+            Step::Send(_, words) => (bytes + 8 * words.len() as u64, msgs + 1),
+            Step::Recv(..) => (bytes, msgs),
+        })
     }
 
     /// `(bytes, messages)` one collective moves across *all* ranks —
@@ -231,8 +277,8 @@ impl std::str::FromStr for CollectiveTopology {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "flat" => Ok(CollectiveTopology::Flat),
-            "tree" | "binomial" => Ok(CollectiveTopology::Binomial),
-            "recursive-doubling" | "rd" => Ok(CollectiveTopology::RecursiveDoubling),
+            "tree" => Ok(CollectiveTopology::Binomial),
+            "recursive-doubling" => Ok(CollectiveTopology::RecursiveDoubling),
             other => {
                 Err(format!("unknown collective topology {other:?} (expected {TOPOLOGY_NAMES})"))
             }
@@ -253,11 +299,6 @@ impl std::fmt::Display for CollectiveTopology {
 /// Largest power of two `<= p` (`p >= 1`).
 fn prev_pow2(p: usize) -> usize {
     1 << (usize::BITS - 1 - p.leading_zeros())
-}
-
-/// Smallest `d` with `2^d >= p` (`p >= 1`).
-fn ceil_log2(p: usize) -> usize {
-    (usize::BITS - (p - 1).leading_zeros()) as usize
 }
 
 /// Check an incoming collective block has the word count the schedule
@@ -283,13 +324,18 @@ fn expect_words(msg: CollMsg, want: usize, src: usize) -> Result<Vec<u64>, Trans
 #[derive(Debug)]
 #[must_use = "an in-flight all-gather must be finished or the next collective will misalign"]
 pub struct PendingGather {
-    value: u64,
+    /// The rank-indexed buffer: so far, this rank's own word.
+    words: Vec<u64>,
 }
 
 /// Per-rank collective-communication endpoint for one cluster run.
 pub struct Collectives {
     comm: CommEndpoint<CollMsg>,
     topology: CollectiveTopology,
+    /// This rank's [`CollectiveTopology::schedule`], computed once.
+    schedule: Vec<Step>,
+    /// How many sends lead the schedule, ahead of its first receive.
+    leading_sends: usize,
     stats: Arc<CommStats>,
 }
 
@@ -305,9 +351,9 @@ impl Collectives {
         // Collectives always run unbatched: their cost model publishes
         // exact per-rank frame-per-message traffic, and a one-word block
         // gains nothing from coalescing anyway.
-        CommEndpoint::fabric(kind, n, BatchConfig::disabled(), Arc::clone(&stats))
+        kind.fabric(n, BatchConfig::disabled(), Arc::clone(&stats))
             .into_iter()
-            .map(|comm| Collectives { comm, topology, stats: Arc::clone(&stats) })
+            .map(|link| Collectives::from_transport(link, topology, Arc::clone(&stats)))
             .collect()
     }
 
@@ -319,11 +365,10 @@ impl Collectives {
         topology: CollectiveTopology,
         stats: Arc<CommStats>,
     ) -> Collectives {
-        Collectives {
-            comm: CommEndpoint::from_transport(link, Arc::clone(&stats)),
-            topology,
-            stats,
-        }
+        let schedule = topology.schedule(link.rank(), link.nprocs());
+        let leading_sends = schedule.iter().take_while(|s| matches!(s, Step::Send(..))).count();
+        let comm = CommEndpoint::from_transport(link, Arc::clone(&stats));
+        Collectives { comm, topology, schedule, leading_sends, stats }
     }
 
     /// This endpoint's rank.
@@ -352,23 +397,21 @@ impl Collectives {
     }
 
     /// Begin an all-gather without collecting it: the collective round is
-    /// recorded and every send the schedule can post *before any receive*
-    /// goes out now — the whole send phase on the flat topology; nothing
-    /// on the tree schedules, whose first sends depend on received
-    /// blocks. The caller overlaps computation with the in-flight round,
-    /// then calls [`Collectives::finish_all_gather_u64`]. One `start`
-    /// must be finished before the next collective begins; results and
-    /// accounting are bit-identical to the one-shot
+    /// recorded and every send the schedule posts *before its first
+    /// receive* goes out now — the whole send phase on the flat topology,
+    /// a leaf's gather word on the tree, the first partner block under
+    /// recursive doubling. The caller overlaps computation with the
+    /// in-flight round, then calls [`Collectives::finish_all_gather_u64`].
+    /// One `start` must be finished before the next collective begins;
+    /// results and accounting are bit-identical to the one-shot
     /// [`Collectives::all_gather_u64`] (which is itself start + finish).
     pub fn start_all_gather_u64(&mut self, value: u64) -> Result<PendingGather, TransportError> {
         self.stats.record_collective(self.rank());
-        if self.topology == CollectiveTopology::Flat {
-            for dst in 0..self.nprocs() {
-                self.comm.send(dst, CollMsg(vec![value]))?;
-            }
-            self.comm.flush()?;
-        }
-        Ok(PendingGather { value })
+        let mut words = vec![0; self.nprocs()];
+        words[self.rank()] = value;
+        self.run_schedule(&mut words, 0..self.leading_sends)?;
+        self.comm.flush()?;
+        Ok(PendingGather { words })
     }
 
     /// Complete an all-gather begun by
@@ -376,20 +419,31 @@ impl Collectives {
     /// contribution vector.
     pub fn finish_all_gather_u64(
         &mut self,
-        pending: PendingGather,
+        mut pending: PendingGather,
     ) -> Result<Vec<u64>, TransportError> {
-        match self.topology {
-            // The flat send phase ran at `start`; only the receives remain.
-            CollectiveTopology::Flat => {
-                let mut out = Vec::with_capacity(self.nprocs());
-                for (src, msg) in self.comm.recv_one_from_each()?.into_iter().enumerate() {
-                    out.push(expect_words(msg, 1, src)?[0]);
+        self.run_schedule(&mut pending.words, self.leading_sends..self.schedule.len())?;
+        Ok(pending.words)
+    }
+
+    /// The one executor: run the given steps of this rank's schedule over
+    /// the rank-indexed buffer `words`.
+    fn run_schedule(
+        &mut self,
+        words: &mut [u64],
+        steps: Range<usize>,
+    ) -> Result<(), TransportError> {
+        for step in &self.schedule[steps] {
+            match step {
+                Step::Send(peer, ranks) => {
+                    self.comm.send(*peer, CollMsg(words[ranks.clone()].to_vec()))?;
                 }
-                Ok(out)
+                Step::Recv(peer, ranks) => {
+                    let block = expect_words(self.comm.recv_from(*peer)?, ranks.len(), *peer)?;
+                    words[ranks.clone()].copy_from_slice(&block);
+                }
             }
-            CollectiveTopology::Binomial => self.binomial_all_gather(pending.value),
-            CollectiveTopology::RecursiveDoubling => self.rd_all_gather(pending.value),
         }
+        Ok(())
     }
 
     /// Drain whatever collective traffic is already deliverable into this
@@ -397,109 +451,6 @@ impl Collectives {
     /// overlapped round; returns how many blocks arrived.
     pub fn drain_ready(&mut self) -> Result<usize, TransportError> {
         self.comm.drain_ready()
-    }
-
-    /// Binomial-tree schedule: gather subtree blocks to rank 0 (child
-    /// `r + 2^i` folds into `r` at round `i`), then broadcast the full
-    /// vector back down the same tree, farthest subtree first.
-    fn binomial_all_gather(&mut self, value: u64) -> Result<Vec<u64>, TransportError> {
-        let p = self.nprocs();
-        let rank = self.rank();
-        if p == 1 {
-            return Ok(vec![value]);
-        }
-        // `words` always covers the contiguous rank range
-        // [rank, rank + words.len()); receiving children in ascending
-        // round order keeps it contiguous.
-        let relay_rounds = if rank == 0 { ceil_log2(p) } else { rank.trailing_zeros() as usize };
-        let mut words = vec![value];
-        for i in 0..relay_rounds {
-            let child = rank + (1usize << i);
-            if child < p {
-                let block = (1usize << i).min(p - child);
-                words.extend(expect_words(self.comm.recv_from(child)?, block, child)?);
-            }
-        }
-        let full = if rank == 0 {
-            debug_assert_eq!(words.len(), p, "root must assemble every word");
-            words
-        } else {
-            let parent = rank - (1usize << relay_rounds);
-            self.comm.send(parent, CollMsg(words))?;
-            expect_words(self.comm.recv_from(parent)?, p, parent)?
-        };
-        for i in (0..relay_rounds).rev() {
-            let child = rank + (1usize << i);
-            if child < p {
-                self.comm.send(child, CollMsg(full.clone()))?;
-            }
-        }
-        Ok(full)
-    }
-
-    /// Recursive-doubling schedule. Non-power-of-two `P` first folds the
-    /// lowest `2·rem` ranks pairwise (even hands its word to odd), runs
-    /// the power-of-two exchange over the `p2` surviving participants,
-    /// then unfolds (odd hands the finished vector back to even).
-    fn rd_all_gather(&mut self, value: u64) -> Result<Vec<u64>, TransportError> {
-        let p = self.nprocs();
-        let rank = self.rank();
-        if p == 1 {
-            return Ok(vec![value]);
-        }
-        let p2 = prev_pow2(p);
-        let rem = p - p2;
-        let rounds = p2.trailing_zeros() as usize;
-        // Original rank of effective rank `f`: the odd member of a folded
-        // pair, or the unfolded rank shifted past the folded region.
-        let orig_of = |f: usize| if f < rem { 2 * f + 1 } else { f + rem };
-        // Original ranks whose words an effective-rank block covers, in
-        // ascending order (folded effs cover their pair, others just
-        // themselves).
-        let origs_of_block = |start: usize, size: usize| {
-            (start..start + size).flat_map(move |f| {
-                if f < rem {
-                    vec![2 * f, 2 * f + 1]
-                } else {
-                    vec![f + rem]
-                }
-            })
-        };
-        if rank < 2 * rem && rank.is_multiple_of(2) {
-            // Folded rank: contribute the word, wait for the result.
-            self.comm.send(rank + 1, CollMsg(vec![value]))?;
-            return expect_words(self.comm.recv_from(rank + 1)?, p, rank + 1);
-        }
-        let eff = if rank < 2 * rem { rank / 2 } else { rank - rem };
-        let mut slots: Vec<Option<u64>> = vec![None; p];
-        slots[rank] = Some(value);
-        if rank < 2 * rem {
-            // Absorb the folded even neighbor's word before the rounds.
-            let w = expect_words(self.comm.recv_from(rank - 1)?, 1, rank - 1)?;
-            slots[rank - 1] = Some(w[0]);
-        }
-        for i in 0..rounds {
-            let size = 1usize << i;
-            let partner_eff = eff ^ size;
-            let partner = orig_of(partner_eff);
-            let mine: Vec<u64> = origs_of_block(eff & !(size - 1), size)
-                .map(|r| slots[r].expect("own block gathered"))
-                .collect();
-            self.comm.send(partner, CollMsg(mine))?;
-            let partner_start = partner_eff & !(size - 1);
-            let want: Vec<usize> = origs_of_block(partner_start, size).collect();
-            let theirs = expect_words(self.comm.recv_from(partner)?, want.len(), partner)?;
-            for (r, w) in want.into_iter().zip(theirs) {
-                slots[r] = Some(w);
-            }
-        }
-        let full: Vec<u64> =
-            slots.into_iter().map(|s| s.expect("doubling rounds cover every rank")).collect();
-        if rank < 2 * rem {
-            // Unfold: return the finished vector to the even neighbor.
-            self.comm.send(rank - 1, CollMsg(full.clone()))?;
-        }
-        Ok(full)
     }
 
     /// Barrier: returns once every participant has arrived.
@@ -611,6 +562,65 @@ mod tests {
             assert_eq!(coll.all_reduce_sum_u64(9).unwrap(), 9);
             coll.barrier().unwrap();
         });
+    }
+
+    /// The steps of `steps` that are sends to / receives from `peer`, as
+    /// the rank ranges they move, in schedule order.
+    fn link_order(steps: &[Step], peer: usize, sends: bool) -> Vec<Range<usize>> {
+        let on_link = |step: &Step| match step {
+            Step::Send(to, ranks) if sends && *to == peer => Some(ranks.clone()),
+            Step::Recv(from, ranks) if !sends && *from == peer => Some(ranks.clone()),
+            _ => None,
+        };
+        steps.iter().filter_map(on_link).collect()
+    }
+
+    #[test]
+    fn schedules_pair_up_cover_every_rank_and_sum_to_the_documented_totals() {
+        // Pure data, no fabric: every topology, every P up to 17 (the
+        // ragged tree and the fold/unfold of recursive doubling included).
+        for topo in TOPOLOGIES {
+            for p in 1..=17usize {
+                let schedules: Vec<Vec<Step>> = (0..p).map(|r| topo.schedule(r, p)).collect();
+                for (a, steps) in schedules.iter().enumerate() {
+                    // Each send meets a receive of the same rank range at
+                    // the same position of that link's FIFO order; nothing
+                    // is addressed to the sender itself.
+                    for (b, peer_steps) in schedules.iter().enumerate() {
+                        let sent = link_order(steps, b, true);
+                        assert_eq!(sent, link_order(peer_steps, a, false), "{topo} P={p} {a}->{b}");
+                        assert!(a != b || sent.is_empty(), "{topo} P={p}: self step at rank {a}");
+                    }
+                    // A send only reads slots already filled (the rank's own
+                    // word or an earlier receive), and the receives complete
+                    // the vector.
+                    let mut filled = vec![false; p];
+                    filled[a] = true;
+                    for step in steps {
+                        match step {
+                            Step::Send(_, ranks) => assert!(
+                                filled[ranks.clone()].iter().all(|&f| f),
+                                "{topo} P={p} rank {a} sends {ranks:?} before gathering it"
+                            ),
+                            Step::Recv(_, ranks) => filled[ranks.clone()].fill(true),
+                        }
+                    }
+                    assert!(filled.iter().all(|&f| f), "{topo} P={p} rank {a} misses a word");
+                }
+            }
+        }
+        // The ARCHITECTURE.md table (also `tests/collective_equivalence.rs`
+        // `EXPECTED_TOTALS`): [flat, tree, recursive doubling] per P.
+        for (p, per_topo) in [
+            (4, [(96, 12), (128, 6), (96, 8)]),
+            (7, [(336, 42), (408, 12), (360, 14)]),
+            (16, [(1920, 240), (2176, 30), (1920, 64)]),
+            (64, [(32256, 4032), (33792, 126), (32256, 384)]),
+        ] {
+            for (topo, want) in TOPOLOGIES.into_iter().zip(per_topo) {
+                assert_eq!(topo.total_traffic(p), want, "{topo} at P={p}");
+            }
+        }
     }
 
     #[test]
@@ -744,12 +754,10 @@ mod tests {
         use CollectiveTopology::*;
         assert_eq!("flat".parse::<CollectiveTopology>().unwrap(), Flat);
         assert_eq!("TREE".parse::<CollectiveTopology>().unwrap(), Binomial);
-        assert_eq!("binomial".parse::<CollectiveTopology>().unwrap(), Binomial);
         assert_eq!(
             " Recursive-Doubling ".parse::<CollectiveTopology>().unwrap(),
             RecursiveDoubling
         );
-        assert_eq!("rd".parse::<CollectiveTopology>().unwrap(), RecursiveDoubling);
         assert_eq!(Flat.to_string(), "flat");
         assert_eq!(Binomial.to_string(), "tree");
         assert_eq!(RecursiveDoubling.to_string(), "recursive-doubling");
@@ -764,7 +772,7 @@ mod tests {
         // Mirrors the DNE_TRANSPORT rule: `DNE_COLLECTIVES=trees` must be
         // a hard error that tells the operator what would have been
         // accepted.
-        for typo in ["trees", "ring", "recursive_doubling", "binominal"] {
+        for typo in ["trees", "ring", "recursive_doubling", "binominal", "rd", "binomial"] {
             let err = typo.parse::<CollectiveTopology>().unwrap_err();
             for name in ["flat", "tree", "recursive-doubling"] {
                 assert!(err.contains(name), "error {err:?} must list {name}");

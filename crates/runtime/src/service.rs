@@ -5,13 +5,18 @@
 //! shape — an open set of clients that come and go. This module reuses
 //! the session machinery underneath the mesh (the length-prefixed frame
 //! codec, the push-based `FrameAssembler`, the `WriteQueue`
-//! backpressure buffer, and the `poll(2)` shim) for that shape:
+//! backpressure buffer, and the connection engine of `poll.rs` that the
+//! mesh io threads run on) for that shape:
 //!
 //! * [`Service`] — the application seam: decode a request, produce a
 //!   response, optionally ask the server to shut down afterwards;
-//! * [`WireServer`] — a poll-based multi-client server: one thread
-//!   multiplexes the accept loop and every client connection, with a
-//!   per-connection assembler and write queue;
+//! * [`WireServer`] — a multi-client server, one thread: a thin policy
+//!   on the connection engine, which owns the poll set, the bounded
+//!   reads, the write-first flushing and the classification of stream
+//!   endings. The server supplies the listener as the engine's control fd
+//!   (accepting into engine slots), the frame callback `decode →
+//!   Service::handle → push_frame` into the connection's write queue,
+//!   and the shutdown drain;
 //! * [`WireClient`] — a blocking client with request pipelining
 //!   ([`WireClient::send`] buffers, [`WireClient::recv`] flushes only
 //!   when it is about to block).
@@ -42,23 +47,18 @@
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 
 use crate::frame::{push_frame, FramedReader};
+use crate::rendezvous::io_err;
 use crate::transport::TransportError;
 use crate::wire::{WireDecode, WireEncode};
 
 #[cfg(unix)]
-use crate::frame::{classic_parts, Assembled, FrameAssembler, WriteQueue, READ_BUF_BYTES};
+use crate::frame::{classic_parts, WriteQueue};
 #[cfg(unix)]
-use crate::poll;
-#[cfg(unix)]
-use std::io::Read;
+use crate::poll::{Ending, Engine};
 #[cfg(unix)]
 use std::os::unix::io::AsRawFd;
 #[cfg(unix)]
 use std::time::{Duration, Instant};
-
-fn io_err(context: impl Into<String>, error: std::io::Error) -> TransportError {
-    TransportError::Io { context: context.into(), error }
-}
 
 /// Environment variable naming the address a service binds or dials
 /// (`host:port`; port `0` asks the OS for an ephemeral port).
@@ -146,31 +146,6 @@ pub struct ServiceStats {
 #[cfg(unix)]
 const SHUTDOWN_DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Per-connection state of the serve loop: the same assembler/queue pair
-/// every mesh link runs on, reused for an anonymous client.
-#[cfg(unix)]
-struct Conn {
-    sock: TcpStream,
-    assembler: FrameAssembler,
-    queue: WriteQueue,
-}
-
-/// The poll entry of one connection slot: readable while serving,
-/// writable while bytes wait. An empty slot, or a connection with nothing
-/// to wait for, gets a negative fd, which `poll(2)` skips.
-#[cfg(unix)]
-fn poll_entry(conn: &Option<Conn>, shutting_down: bool) -> poll::PollFd {
-    let mut entry = poll::PollFd { fd: -1, events: 0, revents: 0 };
-    if let Some(c) = conn {
-        let read = if shutting_down { 0 } else { poll::POLLIN };
-        entry.events = read | if c.queue.is_empty() { 0 } else { poll::POLLOUT };
-        if entry.events != 0 {
-            entry.fd = c.sock.as_raw_fd();
-        }
-    }
-    entry
-}
-
 /// Whether an `accept` error means the backlog is empty; after anything
 /// else (`EMFILE`, `ENFILE`, …) the pending connection is still there.
 #[cfg(unix)]
@@ -181,7 +156,7 @@ fn backlog_drained(e: &std::io::Error) -> bool {
 /// A poll-based multi-client request/response server over wire frames.
 ///
 /// One thread multiplexes the listener and every live connection through
-/// the shared `poll(2)` shim. See the [module docs](self) for the wire
+/// the shared connection engine. See the [module docs](self) for the wire
 /// format and the malformed-input contract.
 pub struct WireServer {
     listener: TcpListener,
@@ -215,13 +190,10 @@ impl WireServer {
     #[cfg(unix)]
     pub fn serve<S: Service>(self, service: &mut S) -> Result<ServiceStats, TransportError> {
         let mut stats = ServiceStats::default();
-        let mut conns: Vec<Option<Conn>> = Vec::new();
-        let mut scratch = vec![0u8; READ_BUF_BYTES];
+        // Each client gets an engine slot: an assembler and a write queue
+        // of its own, the same pair every mesh link runs on.
+        let mut engine: Engine<TcpStream, WriteQueue> = Engine::new();
         let mut shutdown: Option<Instant> = None;
-        // The poll set lives across iterations and is only ever patched in
-        // place: `fds[0]` is the listener (armed, or skipped with a negative
-        // fd, before every poll), `fds[1 + i]` mirrors `conns[i]`.
-        let mut fds = vec![poll::PollFd { fd: -1, events: poll::POLLIN, revents: 0 }];
         // Set for one poll round after `accept` failed with connections
         // pending (`EMFILE`…): polling the still-readable listener would spin.
         let mut listener_paused = false;
@@ -231,43 +203,71 @@ impl WireServer {
             if let Some(deadline) = shutdown {
                 // Drain queued response bytes, then stop. A client that
                 // stopped reading cannot wedge the shutdown forever.
-                let drained = conns.iter().flatten().all(|c| c.queue.is_empty());
-                if drained || Instant::now() > deadline {
+                if engine.drained() || Instant::now() > deadline {
+                    (stats.read_calls, stats.bytes_in) = (engine.reads, engine.bytes_in);
+                    stats.write_calls = engine.writes;
                     return Ok(stats);
                 }
-                for (i, c) in conns.iter().enumerate() {
-                    fds[1 + i] = poll_entry(c, true);
-                }
+                (0..engine.slots()).for_each(|i| engine.stop_reading(i));
             }
             let accepting = shutdown.is_none() && !listener_paused;
-            fds[0].fd = if accepting { self.listener.as_raw_fd() } else { -1 };
             // A paused listener and a draining shutdown are both re-checked
             // after a round of at most 50ms, even if poll reports nothing.
-            poll::poll_fds(&mut fds, if accepting { -1 } else { 50 })
+            let listener = accepting.then(|| self.listener.as_raw_fd());
+            let connecting = engine
+                .wait(listener, if accepting { -1 } else { 50 })
                 .map_err(|e| io_err("polling the service", e))?;
 
-            listener_paused = false;
-            if fds[0].revents != 0 {
-                listener_paused = !self.accept_ready(&mut conns, &mut fds, &mut stats);
-            }
-            for i in 0..conns.len() {
-                let revents = fds[1 + i].revents;
-                if revents == 0 {
-                    continue;
+            listener_paused = connecting && !self.accept_ready(&mut engine, &mut stats);
+            for i in 0..engine.slots() {
+                let (readable, writable) = engine.ready(i);
+                let ending = if readable && shutdown.is_none() {
+                    engine.read(i, |frame, queue| {
+                        // Multi-message frames belong to the mesh, not the
+                        // request/response protocol; undecodable requests
+                        // to nobody. `Err(None)` is such a client violation.
+                        let parts =
+                            classic_parts(frame).map(|(seq, p)| (seq, S::Req::from_wire(p)));
+                        let Some((seq, Ok(req))) = parts else { return Err(None) };
+                        stats.requests += 1;
+                        let (resp, stop) = match service.handle(req) {
+                            ServiceReply::Reply(r) => (r, false),
+                            ServiceReply::ReplyThenShutdown(r) => (r, true),
+                        };
+                        // An oversized response is a server bug, not client
+                        // misbehavior: abort the serve loop with the same
+                        // typed error every sending backend raises.
+                        let queued = push_frame(queue.tail(), seq, &resp).map_err(Some)?;
+                        stats.bytes_out += queued as u64;
+                        if stop {
+                            shutdown = Some(Instant::now() + SHUTDOWN_DRAIN_TIMEOUT);
+                        }
+                        // Once asked to stop, finish this read's requests
+                        // and take no more.
+                        Ok(shutdown.is_none())
+                    })
+                } else {
+                    None
+                };
+                let close = match ending {
+                    None => writable && engine.flush(i).is_err(),
+                    Some(Ending::Refused(Some(server_failure))) => return Err(server_failure),
+                    // A clean hangup (EOF at a frame boundary, a goodbye
+                    // frame) or a dead socket just closes; a truncated
+                    // request, an oversized length prefix or a refused
+                    // frame closes this client as a protocol violation
+                    // while every other client keeps being served.
+                    Some(ending) => {
+                        stats.protocol_errors += u64::from(matches!(
+                            ending,
+                            Ending::Lost(TransportError::Frame { .. }) | Ending::Refused(_)
+                        ));
+                        true
+                    }
+                };
+                if close {
+                    engine.close(i);
                 }
-                let c = conns[i].as_mut().expect("polled conns exist");
-                let closing = revents & (poll::POLLERR | poll::POLLHUP) != 0;
-                let mut ok = true;
-                if shutdown.is_none() && (revents & poll::POLLIN != 0 || closing) {
-                    ok = read_ready(c, &mut scratch, service, &mut stats, &mut shutdown)?;
-                }
-                if ok && (revents & poll::POLLOUT != 0 || closing) {
-                    ok = write_ready(c, &mut stats);
-                }
-                if !ok {
-                    conns[i] = None;
-                }
-                fds[1 + i] = poll_entry(&conns[i], shutdown.is_some());
             }
         }
     }
@@ -282,14 +282,13 @@ impl WireServer {
         })
     }
 
-    /// Accept every pending connection, reusing free slots. `false`
-    /// means `accept` failed with the backlog still pending (counted in
+    /// Accept every pending connection into the engine. `false` means
+    /// `accept` failed with the backlog still pending (counted in
     /// [`ServiceStats::accept_errors`]): the caller pauses the listener.
     #[cfg(unix)]
     fn accept_ready(
         &self,
-        conns: &mut Vec<Option<Conn>>,
-        fds: &mut Vec<poll::PollFd>,
+        engine: &mut Engine<TcpStream, WriteQueue>,
         stats: &mut ServiceStats,
     ) -> bool {
         loop {
@@ -300,14 +299,7 @@ impl WireServer {
                         continue;
                     }
                     stats.accepted += 1;
-                    let i = conns.iter().position(Option::is_none).unwrap_or_else(|| {
-                        conns.push(None);
-                        fds.push(poll_entry(&None, false));
-                        conns.len() - 1
-                    });
-                    let (assembler, queue) = (FrameAssembler::default(), WriteQueue::default());
-                    conns[i] = Some(Conn { sock, assembler, queue });
-                    fds[1 + i] = poll_entry(&conns[i], false);
+                    engine.attach(sock, WriteQueue::default(), None);
                 }
                 Err(e) => {
                     stats.accept_errors += u64::from(!backlog_drained(&e));
@@ -316,92 +308,6 @@ impl WireServer {
             }
         }
     }
-}
-
-/// Flush one connection's queued responses; `false` means the connection
-/// failed and must be closed.
-#[cfg(unix)]
-fn write_ready(c: &mut Conn, stats: &mut ServiceStats) -> bool {
-    c.queue.drain_into(&mut &c.sock).map(|calls| stats.write_calls += calls).is_ok()
-}
-
-/// Read one connection's ready bytes, decode and handle every completed
-/// request, and answer each read batch with one write. Returns
-/// `Ok(false)` when the connection must be closed (EOF, goodbye, or a
-/// protocol violation — violations are counted, never propagated); `Err`
-/// only for server-side failures (a response exceeding the frame bound).
-#[cfg(unix)]
-fn read_ready<S: Service>(
-    c: &mut Conn,
-    scratch: &mut [u8],
-    service: &mut S,
-    stats: &mut ServiceStats,
-    shutdown: &mut Option<Instant>,
-) -> Result<bool, TransportError> {
-    // Bound the reads per readable event so one firehose client cannot
-    // starve the rest (the same fairness bound as the mesh io loop).
-    for _ in 0..16 {
-        stats.read_calls += 1;
-        let n = match (&c.sock).read(scratch) {
-            Ok(0) => {
-                // EOF at a frame boundary is a clean hangup; inside a
-                // frame it is a truncated request.
-                let truncated = matches!(c.assembler.eof_error(None), TransportError::Frame { .. });
-                stats.protocol_errors += u64::from(truncated);
-                return Ok(false);
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Ok(false),
-        };
-        stats.bytes_in += n as u64;
-        c.assembler.push(&scratch[..n]);
-        loop {
-            let frame = match c.assembler.next(None) {
-                Ok(Some(Assembled::Frame(frame))) => frame,
-                Ok(None) => break,
-                // A goodbye frame is a polite hangup.
-                Ok(Some(Assembled::Bye)) => return Ok(false),
-                Err(_) => {
-                    // Oversized length prefix: close this client, keep
-                    // serving the rest.
-                    stats.protocol_errors += 1;
-                    return Ok(false);
-                }
-            };
-            // Multi-message frames belong to the mesh, not the
-            // request/response protocol; undecodable requests to nobody.
-            let parts = classic_parts(frame).map(|(seq, p)| (seq, S::Req::from_wire(p)));
-            let Some((seq, Ok(req))) = parts else {
-                stats.protocol_errors += 1;
-                return Ok(false);
-            };
-            stats.requests += 1;
-            let (resp, stop) = match service.handle(req) {
-                ServiceReply::Reply(r) => (r, false),
-                ServiceReply::ReplyThenShutdown(r) => (r, true),
-            };
-            // An oversized response is a server bug, not client
-            // misbehavior: abort the serve loop with the same typed
-            // error every sending backend raises.
-            stats.bytes_out += push_frame(c.queue.tail(), seq, &resp)? as u64;
-            if stop {
-                *shutdown = Some(Instant::now() + SHUTDOWN_DRAIN_TIMEOUT);
-            }
-        }
-        // Answer the whole read batch with one write, within the same
-        // poll iteration instead of waiting for a POLLOUT wakeup.
-        if !write_ready(c, stats) {
-            return Ok(false);
-        }
-        // A short read emptied the socket: skip the read that would only
-        // find WouldBlock (level-triggered poll reports later arrivals).
-        if shutdown.is_some() || n < scratch.len() {
-            return Ok(true);
-        }
-    }
-    Ok(true)
 }
 
 /// Blocking client of a [`WireServer`], generic over the request and
@@ -841,6 +747,25 @@ mod tests {
             assert!(stats.requests >= 4 * stats.read_calls, "{stats:?}");
             assert!(stats.requests >= 4 * stats.write_calls, "{stats:?}");
         });
+    }
+
+    #[test]
+    fn ping_pong_costs_one_read_and_one_write_per_request() {
+        // The syscall shape `lookup_rtt` rests on: a request that arrives
+        // alone is read by one short `read` (no trailing read that could
+        // only find WouldBlock) and answered by one `write` in the same
+        // poll round (no wait for POLLOUT).
+        let (addr, handle) = spawn_echo();
+        let mut c = WireClient::<u64, u64>::connect(addr).unwrap();
+        for i in 0..1000u64 {
+            assert_eq!(c.call(&i).unwrap(), i * 2);
+        }
+        shutdown_server(addr);
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.requests, 1001);
+        assert_eq!(stats.write_calls, stats.requests, "{stats:?}");
+        // One read per request, plus at most the EOF read of each hangup.
+        assert!(stats.read_calls <= stats.requests + stats.accepted, "{stats:?}");
     }
 
     #[test]

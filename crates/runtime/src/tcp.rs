@@ -28,14 +28,21 @@
 //!
 //! Each endpoint runs **one** io thread, not one thread per peer: after
 //! the blocking rendezvous bootstrap every mesh socket is switched to
-//! nonblocking mode and handed to a `poll(2)` loop (a small FFI shim,
-//! like the mmap shim in the graph crate) that multiplexes reads across
-//! all peers and drains per-peer write-backpressure queues. `send` and
-//! `flush` only have the `Outbox` encode frames straight onto the tail
-//! of the destination's `WriteQueue` and wake the loop through a
-//! self-pipe, so the caller overlaps its own compute with the kernel's
-//! socket work; `try_recv` surfaces already-decoded envelopes without
-//! blocking, which is what `CommEndpoint::drain_ready` builds on.
+//! nonblocking mode and handed to the connection engine of `poll.rs` —
+//! the same engine [`crate::service::WireServer`] serves clients with —
+//! which owns the persistent poll set, the bounded reads, the write-first
+//! flushing and the classification of stream endings. The io thread is a
+//! thin policy on it: the engine's control fd is a self-pipe that `send`
+//! and `flush` nudge after the `Outbox` has encoded frames straight onto
+//! the tail of the destination's `WriteQueue` (shared with the engine
+//! behind a mutex the loop takes only when a wake, a read or `POLLOUT`
+//! says there may be bytes to move); a wake drains the pipe and writes
+//! every queue at once; a frame passes the source-word check, goes
+//! through `decode_frames` and lands in the event queue; and the slam /
+//! crash / goodbye teardown ladder decides when the loop ends. The
+//! caller thus overlaps its own compute with the kernel's socket work;
+//! `try_recv` surfaces already-decoded envelopes without blocking, which
+//! is what `CommEndpoint::drain_ready` builds on.
 //!
 //! # Accounting
 //!
@@ -67,11 +74,11 @@ use crate::cluster::Ctx;
 use crate::collectives::{CollMsg, CollectiveTopology, Collectives};
 use crate::comm::CommEndpoint;
 #[cfg(unix)]
-use crate::frame::{bye_frame, source_word, Assembled, FrameAssembler, READ_BUF_BYTES};
+use crate::frame::{bye_frame, source_word};
 use crate::frame::{decode_frames, FrameSink, Outbox, WriteQueue};
 use crate::memory::MemoryTracker;
 #[cfg(unix)]
-use crate::poll as sys;
+use crate::poll::{Ending, Engine};
 use crate::rendezvous::{
     bootstrap_err, coll_fabric, connect_endpoint, host_endpoint, io_err, FABRIC_P2P,
 };
@@ -118,14 +125,9 @@ struct Shared {
     crash: AtomicBool,
     /// Abnormal teardown requested: slam every link, exit immediately.
     slam: AtomicBool,
-    /// Per-peer write-backpressure queues (`None` at the self index).
-    queues: Vec<Option<Mutex<WriteQueue>>>,
-}
-
-impl Shared {
-    fn queue_empty(&self, peer: usize) -> bool {
-        self.queues[peer].as_ref().is_none_or(|q| q.lock().is_empty())
-    }
+    /// Per-peer write-backpressure queues (`None` at the self index),
+    /// filled by `send`/`flush` and drained by the io thread.
+    queues: Vec<Option<Arc<Mutex<WriteQueue>>>>,
 }
 
 /// The write half of the self-pipe that wakes an endpoint's io thread.
@@ -137,8 +139,8 @@ type WakePipe = std::convert::Infallible;
 
 /// One endpoint of the TCP socket fabric.
 ///
-/// One io thread per endpoint multiplexes every mesh link through a
-/// `poll(2)` loop: it reassembles incoming frames (via
+/// One io thread per endpoint multiplexes every mesh link through the
+/// shared connection engine: it reassembles incoming frames (via
 /// `FrameAssembler`), decodes them into `(src, msg)` envelopes, and
 /// drains per-peer write queues that `send`/`flush` fill through the
 /// shared `Outbox` (this endpoint is its `FrameSink`). `recv`
@@ -259,10 +261,7 @@ where
             shutdown: AtomicBool::new(false),
             crash: AtomicBool::new(false),
             slam: AtomicBool::new(false),
-            queues: socks
-                .iter()
-                .map(|s| s.as_ref().map(|_| Mutex::new(WriteQueue::default())))
-                .collect(),
+            queues: socks.iter().map(|s| s.as_ref().map(|_| Arc::default())).collect(),
         });
         let (wake, io) = Self::start_io(rank, &socks, &shared, &events_tx);
         Self {
@@ -298,10 +297,17 @@ where
         let (wake_rx, wake_tx) = UnixStream::pair().expect("creating io wake pipe");
         wake_rx.set_nonblocking(true).expect("marking wake pipe nonblocking");
         wake_tx.set_nonblocking(true).expect("marking wake pipe nonblocking");
+        let mut engine = Engine::new();
+        for (peer, link) in socks.iter().zip(&shared.queues).enumerate() {
+            if let (Some(sock), Some(queue)) = link {
+                engine.attach(Arc::clone(sock), Arc::clone(queue), Some(peer));
+            }
+        }
         let (socks, shared, tx) = (socks.to_vec(), Arc::clone(shared), events_tx.clone());
+        let mesh = MeshIo { rank, socks, shared, tx, engine, goodbye: None, crash: None };
         let io = std::thread::Builder::new()
             .name(format!("dne-tcp-io-{rank}"))
-            .spawn(move || io_loop::<M>(rank, socks, shared, wake_rx, tx))
+            .spawn(move || mesh.run(wake_rx))
             .expect("spawning tcp io thread");
         (Some(wake_tx), Some(io))
     }
@@ -337,6 +343,18 @@ impl<M> TcpTransport<M> {
         self.wake_io();
     }
 
+    /// Account one event off the queue: an envelope or a fault is a
+    /// receive's outcome, a retired link only lowers the live count.
+    fn settle(&self, event: Event<M>) -> Option<Result<(usize, M), TransportError>> {
+        let outcome = match event {
+            Event::Frame(src, msg) => return Some(Ok((src, msg))),
+            Event::Bye => None,
+            Event::Fault(e) => Some(Err(e)),
+        };
+        *self.live.lock() -= 1;
+        outcome
+    }
+
     /// Nudge the io thread out of its poll so it notices fresh queue
     /// contents or a freshly-set flag.
     fn wake_io(&self) {
@@ -370,319 +388,199 @@ impl<M: WireDecode> FrameSink for TcpTransport<M> {
     }
 }
 
-/// Per-link io state of the poll loop.
+/// The io thread's state: the mesh policy on the shared connection
+/// [`Engine`], whose slot `i` is the link to rank `i`.
 #[cfg(unix)]
-struct PeerLink {
-    sock: Arc<TcpStream>,
-    assembler: FrameAssembler,
-    /// Still expecting bytes (no Bye/Fault observed yet).
-    reading: bool,
-    /// Still allowed to write (no write fault yet).
-    writing: bool,
-    /// Terminal event already emitted — never emit a second, so the
-    /// endpoint's live-link count stays exact.
-    done: bool,
-}
-
-#[cfg(unix)]
-impl PeerLink {
-    fn new(sock: Arc<TcpStream>) -> Self {
-        Self {
-            sock,
-            assembler: FrameAssembler::default(),
-            reading: true,
-            writing: true,
-            done: false,
-        }
-    }
-
-    /// The link failed: retire both directions and emit the one fault.
-    fn fault<M>(&mut self, tx: &Sender<Event<M>>, err: TransportError) {
-        self.reading = false;
-        self.writing = false;
-        if !self.done {
-            self.done = true;
-            let _ = tx.send(Event::Fault(err));
-        }
-    }
-
-    /// The peer said goodbye: stop reading (its write half is closed),
-    /// keep writing (its read half drains until its process exits).
-    fn bye<M>(&mut self, tx: &Sender<Event<M>>) {
-        self.reading = false;
-        if !self.done {
-            self.done = true;
-            let _ = tx.send(Event::Bye);
-        }
-    }
-}
-
-/// The io thread: one `poll(2)` loop multiplexing every mesh link.
-///
-/// Reads ready bytes into each peer's [`FrameAssembler`] and queues the
-/// decoded envelopes; drains each peer's [`WriteQueue`] whenever its
-/// socket is writable, resuming partial writes at the recorded offset.
-/// On graceful shutdown it drains all queues, appends goodbye frames,
-/// *logs* (rather than discards) goodbye write failures, half-closes the
-/// links, and exits; on slam it shuts every socket down hard and exits
-/// at once.
-#[cfg(unix)]
-fn io_loop<M: Send + WireDecode>(
+struct MeshIo<M> {
     rank: usize,
+    /// The mesh sockets (`None` at the self index), for the teardown slams.
     socks: Vec<Option<Arc<TcpStream>>>,
     shared: Arc<Shared>,
-    wake: UnixStream,
     tx: Sender<Event<M>>,
-) {
-    let mut peers: Vec<Option<PeerLink>> =
-        socks.into_iter().map(|s| s.map(PeerLink::new)).collect();
-    let mut scratch = vec![0u8; READ_BUF_BYTES];
-    // Once a graceful shutdown begins, the deadline after which queued
-    // frames and goodbyes are abandoned.
-    let mut goodbye: Option<Instant> = None;
-    // Once a crash teardown begins, the deadline after which queued data
-    // frames are abandoned and the links are slammed (no goodbyes).
-    let mut crash: Option<Instant> = None;
+    engine: Engine<Arc<TcpStream>, Arc<Mutex<WriteQueue>>>,
+    /// Once a graceful shutdown begins, the deadline after which queued
+    /// frames and goodbyes are abandoned.
+    goodbye: Option<Instant>,
+    /// Once a crash teardown begins, the deadline after which queued data
+    /// frames are abandoned and the links are slammed (no goodbyes).
+    crash: Option<Instant>,
+}
 
-    loop {
-        if shared.slam.load(Ordering::SeqCst) {
-            for p in peers.iter().flatten() {
-                let _ = p.sock.shutdown(Shutdown::Both);
-            }
-            return;
-        }
-        if crash.is_none() && shared.crash.load(Ordering::SeqCst) {
-            crash = Some(Instant::now() + CRASH_DRAIN_TIMEOUT);
-        }
-        if let Some(deadline) = crash {
-            let drained = peers
-                .iter()
-                .enumerate()
-                .all(|(i, p)| p.as_ref().is_none_or(|p| !p.writing || shared.queue_empty(i)));
-            if drained || Instant::now() > deadline {
-                // Dirty close by design: no goodbye frames, so peers see
-                // EOF-without-goodbye and surface `Disconnected`.
-                for p in peers.iter().flatten() {
-                    let _ = p.sock.shutdown(Shutdown::Both);
-                }
-                return;
-            }
-        }
-        if goodbye.is_none() && crash.is_none() && shared.shutdown.load(Ordering::SeqCst) {
-            goodbye = Some(Instant::now() + GOODBYE_TIMEOUT);
-            for (i, p) in peers.iter().enumerate() {
-                if let Some(p) = p {
-                    if p.writing {
-                        if let Some(q) = &shared.queues[i] {
-                            q.lock().tail().extend_from_slice(&bye_frame(rank));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(deadline) = goodbye {
-            let drained = peers
-                .iter()
-                .enumerate()
-                .all(|(i, p)| p.as_ref().is_none_or(|p| !p.writing || shared.queue_empty(i)));
-            if drained {
-                for p in peers.iter().flatten() {
-                    if p.writing {
-                        let _ = p.sock.shutdown(Shutdown::Write);
-                    }
-                }
-                return;
-            }
-            if Instant::now() > deadline {
-                eprintln!(
-                    "dne-tcp[{rank}]: goodbye writes timed out after {GOODBYE_TIMEOUT:?}; \
-                     closing links hard"
-                );
-                for p in peers.iter().flatten() {
-                    let _ = p.sock.shutdown(Shutdown::Both);
-                }
-                return;
-            }
-        }
-
-        // Build the poll set: the wake pipe first, then every link that
-        // still wants to read or has queued bytes to write.
-        let mut fds = vec![sys::PollFd { fd: wake.as_raw_fd(), events: sys::POLLIN, revents: 0 }];
-        let mut idx = Vec::with_capacity(peers.len());
-        for (i, p) in peers.iter().enumerate() {
-            let Some(p) = p else { continue };
-            let mut events = 0i16;
-            if p.reading {
-                events |= sys::POLLIN;
-            }
-            if p.writing && !shared.queue_empty(i) {
-                events |= sys::POLLOUT;
-            }
-            if events != 0 {
-                fds.push(sys::PollFd { fd: p.sock.as_raw_fd(), events, revents: 0 });
-                idx.push(i);
-            }
-        }
-        let timeout = match (goodbye, crash) {
+#[cfg(unix)]
+impl<M: WireDecode> MeshIo<M> {
+    /// The io thread: the one `poll(2)` loop multiplexing every mesh link.
+    ///
+    /// A wake (a sender queued bytes or set a flag) drains the wake pipe
+    /// and writes every peer's [`WriteQueue`] at once; only what a socket
+    /// would not take waits for `POLLOUT`. Ready bytes go through each
+    /// link's assembler and come out as decoded envelopes in the event
+    /// queue. On graceful shutdown the loop drains all queues, appends
+    /// goodbye frames, *logs* (rather than discards) goodbye write
+    /// failures, half-closes the links, and exits; on slam it shuts every
+    /// socket down hard and exits at once.
+    fn run(mut self, wake: UnixStream) {
+        while !self.torn_down() {
             // Re-check the drain condition at least every 50ms while
             // saying goodbye or crash-draining, even if poll reports
             // nothing.
-            (Some(_), _) | (_, Some(_)) => 50,
-            (None, None) => -1,
-        };
-        if let Err(e) = sys::poll_fds(&mut fds, timeout) {
-            // poll itself failing is unrecoverable for the whole
-            // endpoint: fault every remaining link so recv cannot hang.
-            for p in peers.iter_mut().flatten() {
-                let error = io::Error::new(e.kind(), e.to_string());
-                p.fault(
-                    &tx,
-                    TransportError::Io { context: "polling the socket fabric".into(), error },
-                );
-                let _ = p.sock.shutdown(Shutdown::Both);
+            let timeout = if self.goodbye.or(self.crash).is_some() { 50 } else { -1 };
+            match self.engine.wait(Some(wake.as_raw_fd()), timeout) {
+                Ok(false) => {}
+                Ok(true) => {
+                    // Drain the wake pipe (its only payload is the nudge
+                    // itself; a short read emptied it) *before* looking at
+                    // the queues, so bytes queued after this sweep find
+                    // their own nudge still pending.
+                    let mut nudges = [0u8; 256];
+                    while matches!((&wake).read(&mut nudges), Ok(n) if n == nudges.len()) {}
+                    self.flush_all();
+                }
+                Err(e) => {
+                    // poll itself failing is unrecoverable for the whole
+                    // endpoint: fault every remaining link so recv cannot
+                    // hang.
+                    for peer in 0..self.engine.slots() {
+                        let error = io::Error::new(e.kind(), e.to_string());
+                        let context = "polling the socket fabric".into();
+                        self.fault(peer, TransportError::Io { context, error });
+                    }
+                    return self.slam();
+                }
             }
-            return;
-        }
-
-        if fds[0].revents != 0 {
-            // Drain the wake pipe; its only payload is the nudge itself.
-            loop {
-                match (&wake).read(&mut scratch) {
-                    Ok(0) => break,
-                    Ok(_) => continue,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
+            for peer in 0..self.engine.slots() {
+                let (_, writable) = self.engine.ready(peer);
+                if writable {
+                    self.flush(peer);
+                }
+                // Asked again: a failed write has just retired the link.
+                let (readable, _) = self.engine.ready(peer);
+                if readable {
+                    self.read(peer);
                 }
             }
         }
-
-        for (k, &i) in idx.iter().enumerate() {
-            let revents = fds[k + 1].revents;
-            if revents == 0 {
-                continue;
-            }
-            let p = peers[i].as_mut().expect("polled peers exist");
-            let closing = revents & (sys::POLLERR | sys::POLLHUP) != 0;
-            if p.writing && (revents & sys::POLLOUT != 0 || closing) {
-                write_ready(rank, i, p, &shared, &tx, goodbye.is_some());
-            }
-            if p.reading && (revents & sys::POLLIN != 0 || closing) {
-                read_ready(i, p, &mut scratch, &tx);
-            }
-        }
     }
-}
 
-/// Drain one peer's write queue until it empties or the socket pushes
-/// back. A write error faults the link (or, during the goodbye drain, is
-/// logged — never silently discarded).
-#[cfg(unix)]
-fn write_ready<M>(
-    rank: usize,
-    peer: usize,
-    p: &mut PeerLink,
-    shared: &Shared,
-    tx: &Sender<Event<M>>,
-    in_goodbye: bool,
-) {
-    let Some(queue) = &shared.queues[peer] else { return };
-    let drained = {
-        let mut q = queue.lock();
-        match q.drain_into(&mut (&*p.sock)) {
-            Ok(_) => Ok(()),
-            Err(e) => {
-                q.clear();
-                Err(e)
-            }
+    /// Run the slam / crash / goodbye teardown ladder; `true` once the
+    /// loop must exit (the links are then shut down as the rung demands).
+    fn torn_down(&mut self) -> bool {
+        if self.shared.slam.load(Ordering::SeqCst) {
+            self.slam();
+            return true;
         }
-    };
-    if let Err(e) = drained {
-        if in_goodbye {
-            // The goodbye path has no receiver left to surface a
-            // fault to — log instead of discarding the error.
-            p.writing = false;
-            eprintln!("dne-tcp[{rank}]: goodbye to rank {peer} failed: {e}");
-        } else {
-            p.fault(
-                tx,
-                TransportError::Io { context: format!("sending to rank {peer}"), error: e },
+        if self.crash.is_none() && self.shared.crash.load(Ordering::SeqCst) {
+            self.crash = Some(Instant::now() + CRASH_DRAIN_TIMEOUT);
+        }
+        if self.goodbye.or(self.crash).is_none() && self.shared.shutdown.load(Ordering::SeqCst) {
+            self.goodbye = Some(Instant::now() + GOODBYE_TIMEOUT);
+            for (peer, queue) in self.shared.queues.iter().enumerate() {
+                if let Some(queue) = queue.as_ref().filter(|_| self.engine.writing(peer)) {
+                    queue.lock().tail().extend_from_slice(&bye_frame(self.rank));
+                }
+            }
+            self.flush_all();
+        }
+        // Either drain ends once every queue is empty or its deadline
+        // passes; a crash outranks a goodbye.
+        let Some(deadline) = self.crash.or(self.goodbye) else { return false };
+        let drained = self.engine.drained();
+        if !drained && Instant::now() <= deadline {
+            return false;
+        }
+        if drained && self.crash.is_none() {
+            for (peer, sock) in self.socks.iter().enumerate() {
+                if let Some(sock) = sock.as_ref().filter(|_| self.engine.writing(peer)) {
+                    let _ = sock.shutdown(Shutdown::Write);
+                }
+            }
+            return true;
+        }
+        if self.crash.is_none() {
+            eprintln!(
+                "dne-tcp[{}]: goodbye writes timed out after {GOODBYE_TIMEOUT:?}; \
+                 closing links hard",
+                self.rank
             );
         }
-        let _ = p.sock.shutdown(Shutdown::Both);
+        // A crash closes dirty by design: no goodbye frames, so peers see
+        // EOF-without-goodbye and surface `Disconnected`.
+        self.slam();
+        true
     }
-}
 
-/// Read one peer's ready bytes into its assembler and deliver every
-/// completed envelope; EOF and malformed streams fault the link with the
-/// same typed errors the blocking reader produced.
-#[cfg(unix)]
-fn read_ready<M: WireDecode>(
-    peer: usize,
-    p: &mut PeerLink,
-    scratch: &mut [u8],
-    tx: &Sender<Event<M>>,
-) {
-    // Bound the reads per readable event so one firehose peer cannot
-    // starve the rest of the mesh of service.
-    for _ in 0..16 {
-        match (&*p.sock).read(scratch) {
-            Ok(0) => {
-                let err = p.assembler.eof_error(Some(peer));
-                p.fault(tx, err);
-                return;
+    /// Shut every link down hard, both directions.
+    fn slam(&self) {
+        for sock in self.socks.iter().flatten() {
+            let _ = sock.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// The link to `peer` failed: retire both directions and emit the one
+    /// fault — never a second terminal event, so the endpoint's live-link
+    /// count stays exact.
+    fn fault(&mut self, peer: usize, err: TransportError) {
+        if self.engine.close(peer) {
+            let _ = self.tx.send(Event::Fault(err));
+        }
+    }
+
+    /// Write what is queued for `peer`.
+    fn flush(&mut self, peer: usize) {
+        if let Err(error) = self.engine.flush(peer) {
+            self.write_failed(peer, error);
+        }
+    }
+
+    /// A write error (the engine has shut the socket down) faults the link
+    /// or, during the goodbye drain, is logged — never silently discarded.
+    fn write_failed(&mut self, peer: usize, error: io::Error) {
+        if self.goodbye.is_some() {
+            // The goodbye path has no receiver left to surface a fault
+            // to — log instead of discarding the error.
+            eprintln!("dne-tcp[{}]: goodbye to rank {peer} failed: {error}", self.rank);
+        } else {
+            self.fault(
+                peer,
+                TransportError::Io { context: format!("sending to rank {peer}"), error },
+            );
+        }
+    }
+
+    fn flush_all(&mut self) {
+        (0..self.engine.slots()).for_each(|peer| self.flush(peer));
+    }
+
+    /// Deliver every envelope `peer`'s ready bytes complete; EOF and
+    /// malformed streams fault the link with the same typed errors the
+    /// blocking reader produces.
+    fn read(&mut self, peer: usize) {
+        let tx = &self.tx;
+        let ending = self.engine.read(peer, |frame, _| {
+            let claimed = source_word(frame) as usize;
+            if claimed != peer {
+                return Err(TransportError::Frame {
+                    src: Some(peer),
+                    detail: format!(
+                        "frame claims source rank {claimed} on the link from rank {peer}"
+                    ),
+                });
             }
-            Ok(n) => {
-                p.assembler.push(&scratch[..n]);
-                loop {
-                    match p.assembler.next(Some(peer)) {
-                        Ok(None) => break,
-                        Err(e) => {
-                            p.fault(tx, e);
-                            return;
-                        }
-                        Ok(Some(Assembled::Bye)) => {
-                            p.bye(tx);
-                            return;
-                        }
-                        Ok(Some(Assembled::Frame(frame))) => {
-                            let claimed = source_word(frame) as usize;
-                            if claimed != peer {
-                                p.fault(
-                                    tx,
-                                    TransportError::Frame {
-                                        src: Some(peer),
-                                        detail: format!(
-                                            "frame claims source rank {claimed} on the link \
-                                             from rank {peer}"
-                                        ),
-                                    },
-                                );
-                                return;
-                            }
-                            match decode_frames::<M>(frame) {
-                                Ok((_, msgs)) => {
-                                    for msg in msgs {
-                                        let _ = tx.send(Event::Frame(peer, msg));
-                                    }
-                                }
-                                Err(e) => {
-                                    p.fault(tx, e);
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                }
+            for msg in decode_frames::<M>(frame)?.1 {
+                let _ = tx.send(Event::Frame(peer, msg));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                p.fault(
-                    tx,
-                    TransportError::Io { context: format!("receiving from rank {peer}"), error: e },
-                );
-                return;
+            Ok(true)
+        });
+        match ending {
+            None => {}
+            // The peer said goodbye: stop reading (its write half is
+            // closed), keep writing (its read half drains until its
+            // process exits).
+            Some(Ending::Bye) => {
+                self.engine.stop_reading(peer);
+                let _ = self.tx.send(Event::Bye);
             }
+            Some(Ending::Lost(err) | Ending::Refused(err)) => self.fault(peer, err),
+            Some(Ending::WriteFailed(error)) => self.write_failed(peer, error),
         }
     }
 }
@@ -710,17 +608,12 @@ where
     }
 
     fn try_recv(&self) -> Result<Option<(usize, M)>, TransportError> {
-        loop {
-            match self.events_rx.try_recv() {
-                Ok(Event::Frame(src, msg)) => return Ok(Some((src, msg))),
-                Ok(Event::Bye) => *self.live.lock() -= 1,
-                Ok(Event::Fault(e)) => {
-                    *self.live.lock() -= 1;
-                    return Err(e);
-                }
-                Err(_) => return Ok(None),
+        while let Ok(event) = self.events_rx.try_recv() {
+            if let Some(outcome) = self.settle(event) {
+                return outcome.map(Some);
             }
         }
+        Ok(None)
     }
 
     fn recv(&self) -> Result<(usize, M), TransportError> {
@@ -736,13 +629,8 @@ where
             } else {
                 self.events_rx.recv().expect("events channel held open by this endpoint")
             };
-            match event {
-                Event::Frame(src, msg) => return Ok((src, msg)),
-                Event::Bye => *self.live.lock() -= 1,
-                Event::Fault(e) => {
-                    *self.live.lock() -= 1;
-                    return Err(e);
-                }
+            if let Some(outcome) = self.settle(event) {
+                return outcome;
             }
         }
     }
@@ -763,17 +651,11 @@ impl<M> Drop for TcpTransport<M> {
         // without being sent, exactly as on the bytes backend: a
         // flush point must precede any drop that expects delivery, and
         // `CommEndpoint` flushes before every receive.)
-        if std::thread::panicking() {
-            self.shared.crash.store(true, Ordering::SeqCst);
-            self.wake_io();
-            // The crash drain is bounded, so this join cannot wedge the
-            // unwind for more than about a second.
-            if let Some(io) = self.io.take() {
-                let _ = io.join();
-            }
-            return;
-        }
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Either drain is bounded (`CRASH_DRAIN_TIMEOUT`, `GOODBYE_TIMEOUT`),
+        // so the join cannot wedge an unwind or a shutdown.
+        let teardown =
+            if std::thread::panicking() { &self.shared.crash } else { &self.shared.shutdown };
+        teardown.store(true, Ordering::SeqCst);
         self.wake_io();
         if let Some(io) = self.io.take() {
             let _ = io.join();
