@@ -144,8 +144,8 @@ pub fn two_hop(
             part.neighbors(lu).filter(|&(_, le)| part.edge_part[le as usize] == FREE).collect();
         for (lw, le) in slots {
             // P_new = Parti(u) ∩ Parti(w), minus budget-exhausted parts.
-            let pu = &part.vparts[lu as usize];
-            let pw = &part.vparts[lw as usize];
+            let pu = part.memberships(lu);
+            let pw = part.memberships(lw);
             let mut pnew: Option<Part> = None;
             let mut best = u64::MAX;
             let (mut i, mut j) = (0, 0);

@@ -116,8 +116,15 @@ pub struct AllocatorPart {
     pub edge_part: Vec<Part>,
     /// Remaining (unallocated) local degree per local vertex.
     pub rest: Vec<u64>,
-    /// Partition memberships per local vertex (sorted, tiny).
-    pub vparts: Vec<Vec<Part>>,
+    /// Partition memberships per local vertex (sorted, tiny). Private so
+    /// that `vparts_heap_bytes` cannot drift: sets grow only through
+    /// [`AllocatorPart::add_membership`] and are replaced only through
+    /// [`AllocatorPart::set_vparts`].
+    vparts: Vec<Vec<Part>>,
+    /// Heap bytes of the membership sets, `Σ capacity · 4` — what a walk
+    /// over `vparts` would sum, kept current so the per-round memory
+    /// report is O(1).
+    vparts_heap_bytes: usize,
     /// Locally allocated edge count per partition (`SubG.NumEdges`).
     pub part_edges: Vec<u64>,
     /// Number of still-unallocated local edges.
@@ -206,6 +213,7 @@ impl AllocatorPart {
             edge_global: local_edges,
             rest: deg,
             vparts: vec![Vec::new(); n],
+            vparts_heap_bytes: 0,
             part_edges: Vec::new(), // sized on first use via ensure_parts
             free_edges,
             scan_order,
@@ -251,10 +259,43 @@ impl AllocatorPart {
         match set.binary_search(&p) {
             Ok(_) => false,
             Err(pos) => {
+                let before = set.heap_bytes();
                 set.insert(pos, p);
+                self.vparts_heap_bytes += set.heap_bytes() - before;
                 true
             }
         }
+    }
+
+    /// Partition memberships of local vertex `lv`, sorted ascending.
+    #[inline]
+    pub fn memberships(&self, lv: u32) -> &[Part] {
+        &self.vparts[lv as usize]
+    }
+
+    /// Every local vertex's membership set (checkpointing).
+    pub fn vparts(&self) -> &[Vec<Part>] {
+        &self.vparts
+    }
+
+    /// Replace all membership sets from a checkpoint (one per local
+    /// vertex) and rebuild the cached byte count from their capacities.
+    pub fn set_vparts(&mut self, vparts: Vec<Vec<Part>>) {
+        assert_eq!(vparts.len(), self.num_local_vertices(), "one membership set per local vertex");
+        self.vparts = vparts;
+        self.vparts_heap_bytes = self.recount_vparts_heap_bytes();
+    }
+
+    /// Cached heap bytes of the membership sets (the term
+    /// [`HeapSize::heap_bytes`] charges for them).
+    pub(crate) fn vparts_heap_bytes(&self) -> usize {
+        self.vparts_heap_bytes
+    }
+
+    /// The walk `vparts_heap_bytes` caches: O(|V_local|), for the debug
+    /// cross-check at the end of a run and for tests — never per round.
+    pub(crate) fn recount_vparts_heap_bytes(&self) -> usize {
+        self.vparts.iter().map(HeapSize::heap_bytes).sum()
     }
 
     /// Whether local vertex `lv` is a member of partition `p`.
@@ -328,7 +369,10 @@ impl AllocatorPart {
 impl HeapSize for AllocatorPart {
     fn heap_bytes(&self) -> usize {
         // The CSR arrays plus the mutable allocation state; the global→local
-        // map is charged too (it is live through the whole run).
+        // map is charged too (it is live through the whole run). Called
+        // once per round, so every term is O(1): the membership sets are
+        // charged through their cached count (their outer `Vec` headers
+        // are not charged).
         self.global_ids.heap_bytes()
             + self.offsets.heap_bytes()
             + self.adj_nbr.heap_bytes()
@@ -336,7 +380,7 @@ impl HeapSize for AllocatorPart {
             + self.edge_global.heap_bytes()
             + self.edge_part.heap_bytes()
             + self.rest.heap_bytes()
-            + self.vparts.iter().map(|v| v.capacity() * 4).sum::<usize>()
+            + self.vparts_heap_bytes
             + self.part_edges.heap_bytes()
             + self.scan_order.heap_bytes()
             + self.local_of.capacity() * 16
@@ -434,6 +478,53 @@ mod tests {
         assert!(!part.add_membership(0, 2));
         assert!(part.is_member(0, 2));
         assert!(!part.is_member(0, 1));
+    }
+
+    /// `heap_bytes` with the membership term recounted by the walk the
+    /// cached counter replaced — the reference the counter must equal.
+    fn recounted_heap_bytes(part: &AllocatorPart) -> usize {
+        part.global_ids.heap_bytes()
+            + part.offsets.heap_bytes()
+            + part.adj_nbr.heap_bytes()
+            + part.adj_edge.heap_bytes()
+            + part.edge_global.heap_bytes()
+            + part.edge_part.heap_bytes()
+            + part.rest.heap_bytes()
+            + part.vparts.iter().map(|v| v.capacity() * 4).sum::<usize>()
+            + part.part_edges.heap_bytes()
+            + part.scan_order.heap_bytes()
+            + part.local_of.capacity() * 16
+    }
+
+    mod properties {
+        use super::*;
+        use crate::snapshot::AllocState;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The O(1) byte count is exact after every step of any
+            /// `add_membership` sequence (new and duplicate memberships,
+            /// sets growing through several capacity doublings), and
+            /// across a checkpoint capture → restore, which swaps in sets
+            /// of different capacity.
+            #[test]
+            fn heap_bytes_equals_a_full_recount(
+                ops in prop::collection::vec((0u32..12, 0u32..40, 0u8..16), 0..300),
+            ) {
+                let g = gen::path(12);
+                let mut part = AllocatorPart::build(&g, &Grid2D::new(1, 1), 0, 1);
+                prop_assert_eq!(part.heap_bytes(), recounted_heap_bytes(&part));
+                for (lv, p, roundtrip) in ops {
+                    part.add_membership(lv, p);
+                    if roundtrip == 0 {
+                        AllocState::capture(&part).restore(&mut part).expect("same shape");
+                    }
+                    prop_assert_eq!(part.heap_bytes(), recounted_heap_bytes(&part));
+                }
+            }
+        }
     }
 
     #[test]

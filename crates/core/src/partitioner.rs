@@ -423,14 +423,15 @@ impl DistributedNe {
                 // Leftover trickle (DESIGN.md §6.5): every partition is full
                 // or starved while isolated edges remain — assign them to
                 // the globally least-loaded partitions and finish.
-                let sizes = ctx.try_all_gather_u64(exp.size())?;
                 // Deficit-directed leftover distribution: each allocator
                 // greedily fills the globally smallest partition, but
                 // advances its local size model by `nprocs` per assignment
                 // — approximating that every allocator makes the same
                 // choice concurrently. Leftovers flow to the starved
-                // partitions without all allocators piling onto one.
-                let mut model = sizes;
+                // partitions without all allocators piling onto one. The
+                // model starts from this round's gathered sizes: nothing
+                // has touched `exp.edges` since that gather.
+                let mut model = global_sizes;
                 let mut extra: Vec<Vec<EdgeId>> = vec![Vec::new(); kk];
                 for le in 0..alloc.num_local_edges() as u32 {
                     if alloc.edge_part[le as usize] == FREE {
@@ -491,6 +492,13 @@ impl DistributedNe {
                 panic!("rank {rank}: injected fault at end of round {iterations}");
             }
         }
+        // Both loop exits land here: once per run, check that the O(1)
+        // membership byte count the rounds reported is what a walk yields.
+        debug_assert_eq!(
+            alloc.vparts_heap_bytes(),
+            alloc.recount_vparts_heap_bytes(),
+            "rank {rank}: cached membership bytes drifted from a recount"
+        );
         Ok(RankRun { edges: exp.edges, iterations, selection_time, allocation_time })
     }
 }
@@ -621,6 +629,28 @@ mod tests {
     }
 
     #[test]
+    fn memory_report_is_pinned_and_a_pure_observer() {
+        // The value the per-vertex walk produced for this (graph, seed, P)
+        // before `AllocatorPart` cached its membership bytes (commit
+        // cd9676c): the O(1) count must report exactly the same peak. The
+        // case is one whose peak does not depend on how the ranks' reports
+        // interleave: ranks are never more than one report apart, and in
+        // no round does the sum of each rank's larger of its current and
+        // previous report exceed the lock-step total of round 61 of 64.
+        use dne_runtime::TransportKind;
+        let g = gen::rmat(&gen::RmatConfig::graph500(9, 8, 3));
+        let config = NeConfig::default().with_seed(3).with_transport(TransportKind::Loopback);
+        let (a, stats) = DistributedNe::new(config.clone()).partition_with_stats(&g, 4);
+        assert_eq!(stats.peak_memory_bytes, 436_144);
+        // Switching the observer off changes nothing but the report.
+        let (a_off, stats_off) =
+            DistributedNe::new(config.without_memory_tracking()).partition_with_stats(&g, 4);
+        assert_eq!(a_off.fingerprint(), a.fingerprint());
+        assert_eq!(stats_off.iterations, stats.iterations);
+        assert_eq!(stats_off.peak_memory_bytes, 0);
+    }
+
+    #[test]
     fn tight_alpha_still_covers() {
         // α = 1.0 leaves zero slack: the exhaustion/trickle paths must
         // still complete the cover.
@@ -630,6 +660,20 @@ mod tests {
         assert!(a.is_valid_for(&g));
         let q = PartitionQuality::measure(&g, &a);
         assert!(q.edge_balance < 1.25, "alpha=1.0 balance {}", q.edge_balance);
+    }
+
+    #[test]
+    fn leftover_trickle_reuses_the_rounds_size_gather() {
+        // A run that ends in the trickle: one initial gather, one per
+        // round, and the closing all-reduce — the trickle seeds its size
+        // model from the round's own gather instead of gathering the same
+        // sizes again. The assignment is the one the extra gather gave
+        // (fingerprint recorded at commit cd9676c).
+        let g = gen::rmat(&gen::RmatConfig::graph500(9, 8, 3));
+        let ne = DistributedNe::new(NeConfig::default().with_seed(3).with_alpha(1.0));
+        let (a, stats) = ne.partition_with_stats(&g, 8);
+        assert_eq!(stats.collective_rounds, stats.iterations + 2);
+        assert_eq!(a.fingerprint(), 0xfd6d_7ba0_860a_79d1);
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl AllocState {
         Self {
             edge_part: alloc.edge_part.clone(),
             rest: alloc.rest.clone(),
-            vparts: alloc.vparts.clone(),
+            vparts: alloc.vparts().to_vec(),
             part_edges: alloc.part_edges.clone(),
             free_edges: alloc.free_edges,
             scan_cursor: alloc.scan_cursor() as u64,
@@ -171,7 +171,7 @@ impl AllocState {
         }
         alloc.edge_part = self.edge_part;
         alloc.rest = self.rest;
-        alloc.vparts = self.vparts;
+        alloc.set_vparts(self.vparts);
         alloc.part_edges = self.part_edges;
         alloc.free_edges = self.free_edges;
         alloc.set_scan_cursor(self.scan_cursor as usize);

@@ -79,8 +79,16 @@ pub use types::{EdgeId, VertexId, INVALID_VERTEX};
 /// Used by the simulated-cluster memory accounting (`dne-runtime`) to
 /// reproduce the paper's "mem score" metric (Figure 9): total bytes of live
 /// partitioning state at the peak snapshot, normalized by `|E|`.
+///
+/// The Distributed NE round loop calls `heap_bytes` on its live state once
+/// per rank per round, so an implementation must be O(1): a sum of
+/// capacities and cached counters, never an iteration over a container.
+/// A type whose bytes live in nested containers keeps a running count
+/// where they grow (`dne_core`'s `AllocatorPart` does, for its per-vertex
+/// membership sets).
 pub trait HeapSize {
-    /// Estimated number of heap bytes owned by `self` (excluding `size_of::<Self>()`).
+    /// Estimated number of heap bytes owned by `self` (excluding
+    /// `size_of::<Self>()`). Constant time — see the trait docs.
     fn heap_bytes(&self) -> usize;
 }
 
