@@ -9,6 +9,17 @@
 //! bit patterns (`f64::to_bits`) so responses are byte-exact and the
 //! codec stays integer-only.
 //!
+//! | tag | request | response |
+//! |---|---|---|
+//! | 0 | `LookupEdge { u: u64, v: u64 }` | `Owner { owner: Option<(u64, u32)> }` |
+//! | 1 | `ReplicaSet { v: u64 }` | `Replicas { parts: Vec<u32> }` |
+//! | 2 | `PartStats { part: u32 }` | `PartStats { counts: Option<(u64, u64)>, rf_bits: u64, eb_bits: u64 }` |
+//! | 3 | `Fingerprint` | `Fingerprint { fingerprint: u64, num_partitions: u32, num_edges: u64 }` |
+//! | 4 | `Shutdown` | `ShuttingDown` |
+//!
+//! Each enum's `wire_enum!` table is the one statement of its row order
+//! (a response carries its request's tag); the golden test pins the bytes.
+//!
 //! [`AssignmentService`] adapts a [`ShardedAssignmentIndex`] to the
 //! [`Service`] trait: every request is answered from the sharded maps;
 //! `Shutdown` answers and then stops the server (the CI smoke and the
@@ -18,9 +29,7 @@ use std::io::Write;
 
 use dne_graph::EdgeId;
 use dne_partition::{parse_shards, PartitionId, ShardedAssignmentIndex};
-use dne_runtime::{
-    env_knob, Service, ServiceReply, WireDecode, WireEncode, WireError, WireReader, WireSize,
-};
+use dne_runtime::{env_knob, wire_enum, Service, ServiceReply};
 
 /// Environment variable consulted by [`conns_from_env`]: how many
 /// concurrent connections `dne-client` drives.
@@ -104,6 +113,14 @@ pub enum LookupRequest {
     Shutdown,
 }
 
+wire_enum!(LookupRequest {
+    0 => LookupEdge { u, v },
+    1 => ReplicaSet { v },
+    2 => PartStats { part },
+    3 => Fingerprint,
+    4 => Shutdown,
+});
+
 /// The server's answer to one [`LookupRequest`] (variants correspond
 /// one-to-one, which the client checks).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,124 +162,13 @@ pub enum LookupResponse {
     ShuttingDown,
 }
 
-const TAG_LOOKUP_EDGE: u8 = 0;
-const TAG_REPLICA_SET: u8 = 1;
-const TAG_PART_STATS: u8 = 2;
-const TAG_FINGERPRINT: u8 = 3;
-const TAG_SHUTDOWN: u8 = 4;
-
-impl WireSize for LookupRequest {
-    fn wire_bytes(&self) -> usize {
-        1 + match self {
-            LookupRequest::LookupEdge { u, v } => u.wire_bytes() + v.wire_bytes(),
-            LookupRequest::ReplicaSet { v } => v.wire_bytes(),
-            LookupRequest::PartStats { part } => part.wire_bytes(),
-            LookupRequest::Fingerprint | LookupRequest::Shutdown => 0,
-        }
-    }
-}
-
-impl WireEncode for LookupRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            LookupRequest::LookupEdge { u, v } => {
-                buf.push(TAG_LOOKUP_EDGE);
-                u.encode(buf);
-                v.encode(buf);
-            }
-            LookupRequest::ReplicaSet { v } => {
-                buf.push(TAG_REPLICA_SET);
-                v.encode(buf);
-            }
-            LookupRequest::PartStats { part } => {
-                buf.push(TAG_PART_STATS);
-                part.encode(buf);
-            }
-            LookupRequest::Fingerprint => buf.push(TAG_FINGERPRINT),
-            LookupRequest::Shutdown => buf.push(TAG_SHUTDOWN),
-        }
-    }
-}
-
-impl WireDecode for LookupRequest {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.read_array::<1>()?[0] {
-            TAG_LOOKUP_EDGE => {
-                Ok(LookupRequest::LookupEdge { u: u64::decode(r)?, v: u64::decode(r)? })
-            }
-            TAG_REPLICA_SET => Ok(LookupRequest::ReplicaSet { v: u64::decode(r)? }),
-            TAG_PART_STATS => Ok(LookupRequest::PartStats { part: PartitionId::decode(r)? }),
-            TAG_FINGERPRINT => Ok(LookupRequest::Fingerprint),
-            TAG_SHUTDOWN => Ok(LookupRequest::Shutdown),
-            tag => Err(WireError::BadTag { tag }),
-        }
-    }
-}
-
-impl WireSize for LookupResponse {
-    fn wire_bytes(&self) -> usize {
-        1 + match self {
-            LookupResponse::Owner { owner } => owner.wire_bytes(),
-            LookupResponse::Replicas { parts } => parts.wire_bytes(),
-            LookupResponse::PartStats { counts, rf_bits, eb_bits } => {
-                counts.wire_bytes() + rf_bits.wire_bytes() + eb_bits.wire_bytes()
-            }
-            LookupResponse::Fingerprint { fingerprint, num_partitions, num_edges } => {
-                fingerprint.wire_bytes() + num_partitions.wire_bytes() + num_edges.wire_bytes()
-            }
-            LookupResponse::ShuttingDown => 0,
-        }
-    }
-}
-
-impl WireEncode for LookupResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            LookupResponse::Owner { owner } => {
-                buf.push(TAG_LOOKUP_EDGE);
-                owner.encode(buf);
-            }
-            LookupResponse::Replicas { parts } => {
-                buf.push(TAG_REPLICA_SET);
-                parts.encode(buf);
-            }
-            LookupResponse::PartStats { counts, rf_bits, eb_bits } => {
-                buf.push(TAG_PART_STATS);
-                counts.encode(buf);
-                rf_bits.encode(buf);
-                eb_bits.encode(buf);
-            }
-            LookupResponse::Fingerprint { fingerprint, num_partitions, num_edges } => {
-                buf.push(TAG_FINGERPRINT);
-                fingerprint.encode(buf);
-                num_partitions.encode(buf);
-                num_edges.encode(buf);
-            }
-            LookupResponse::ShuttingDown => buf.push(TAG_SHUTDOWN),
-        }
-    }
-}
-
-impl WireDecode for LookupResponse {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.read_array::<1>()?[0] {
-            TAG_LOOKUP_EDGE => Ok(LookupResponse::Owner { owner: Option::decode(r)? }),
-            TAG_REPLICA_SET => Ok(LookupResponse::Replicas { parts: Vec::decode(r)? }),
-            TAG_PART_STATS => Ok(LookupResponse::PartStats {
-                counts: Option::decode(r)?,
-                rf_bits: u64::decode(r)?,
-                eb_bits: u64::decode(r)?,
-            }),
-            TAG_FINGERPRINT => Ok(LookupResponse::Fingerprint {
-                fingerprint: u64::decode(r)?,
-                num_partitions: PartitionId::decode(r)?,
-                num_edges: u64::decode(r)?,
-            }),
-            TAG_SHUTDOWN => Ok(LookupResponse::ShuttingDown),
-            tag => Err(WireError::BadTag { tag }),
-        }
-    }
-}
+wire_enum!(LookupResponse {
+    0 => Owner { owner },
+    1 => Replicas { parts },
+    2 => PartStats { counts, rf_bits, eb_bits },
+    3 => Fingerprint { fingerprint, num_partitions, num_edges },
+    4 => ShuttingDown,
+});
 
 /// A [`ShardedAssignmentIndex`] behind the [`Service`] trait — what
 /// `dne-server` plugs into the runtime's [`dne_runtime::WireServer`].
@@ -323,6 +229,7 @@ impl Service for AssignmentService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dne_runtime::{WireDecode, WireEncode, WireError, WireSize};
 
     fn request_shapes() -> Vec<LookupRequest> {
         vec![
@@ -362,6 +269,39 @@ mod tests {
             let bytes = resp.to_wire();
             assert_eq!(bytes.len(), resp.wire_bytes(), "estimate != actual for {resp:?}");
             assert_eq!(LookupResponse::from_wire(&bytes).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn message_bytes_are_pinned() {
+        // One message per shape, produced by the hand-written encoders these
+        // tables replaced (commit 1c6976f): a round trip cannot see a change
+        // the encoder and decoder share.
+        let requests: [&[u8]; 5] = [
+            b"\0\0\0\0\0\0\0\0\0\xff\xff\xff\xff\xff\xff\xff\xff",
+            b"\x01\x07\0\0\0\0\0\0\0",
+            b"\x02\x03\0\0\0",
+            b"\x03",
+            b"\x04",
+        ];
+        for (req, bytes) in request_shapes().into_iter().zip(requests) {
+            assert_eq!(req.to_wire(), bytes, "layout of {req:?} moved");
+            assert_eq!(LookupRequest::from_wire(bytes).unwrap(), req);
+        }
+        let responses: [&[u8]; 8] = [
+            b"\0\0",
+            b"\0\x01\x2a\0\0\0\0\0\0\0\x03\0\0\0",
+            b"\x01\0\0\0\0\0\0\0\0",
+            b"\x01\x03\0\0\0\0\0\0\0\0\0\0\0\x02\0\0\0\x05\0\0\0",
+            b"\x02\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0",
+            b"\x02\x01\x0a\0\0\0\0\0\0\0\x14\0\0\0\0\0\0\0\0\0\0\0\0\0\xf8\x3f\x29\x5c\x8f\xc2\
+              \xf5\x28\xf0\x3f",
+            b"\x03\xad\xde\0\0\0\0\0\0\x08\0\0\0\x63\0\0\0\0\0\0\0",
+            b"\x04",
+        ];
+        for (resp, bytes) in response_shapes().into_iter().zip(responses) {
+            assert_eq!(resp.to_wire(), bytes, "layout of {resp:?} moved");
+            assert_eq!(LookupResponse::from_wire(bytes).unwrap(), resp);
         }
     }
 

@@ -12,6 +12,7 @@
 
 use dne_graph::hash::FastSet;
 use dne_graph::VertexId;
+use dne_runtime::wire_struct;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -158,6 +159,8 @@ pub struct BoundaryExport {
     /// Vertices that ever entered the queue.
     pub enqueued: Vec<VertexId>,
 }
+
+wire_struct!(BoundaryExport { heap, expanded, enqueued });
 
 #[cfg(test)]
 mod tests {

@@ -17,6 +17,7 @@
 
 use dne_graph::hash::FastMap;
 use dne_graph::{EdgeId, VertexId};
+use dne_runtime::{wire_enum, WireDecode, WireEncode, WireError, WireReader, WireSize};
 
 use crate::boundary::Boundary;
 use crate::messages::Part;
@@ -25,7 +26,10 @@ use crate::messages::Part;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SelectAction {
     /// Expand these boundary vertices.
-    Vertices(Vec<VertexId>),
+    Vertices {
+        /// The selected boundary vertices, in pop order.
+        vertices: Vec<VertexId>,
+    },
     /// Boundary empty: ask allocator `target` for one random free vertex
     /// fitting the remaining capacity `budget`.
     Random {
@@ -37,6 +41,42 @@ pub enum SelectAction {
     /// Partition full (or graph exhausted): participate in the rounds but
     /// select nothing.
     Nothing,
+}
+
+// Tag 0 is taken: see [`NextSelect`].
+wire_enum!(SelectAction { 1 => Vertices { vertices }, 2 => Random { target, budget }, 3 => Nothing });
+
+/// The round loop's speculated next selection as a checkpoint stores it:
+/// `None` is tag 0 *in `SelectAction`'s own tag space*, so the no-speculation
+/// case costs one byte and every other case is the action's plain encoding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NextSelect(pub Option<SelectAction>);
+
+// By hand because the layout is not a field list: `DNESNAP1` shares one tag
+// byte between the `Option` and the enum inside it.
+impl WireSize for NextSelect {
+    fn wire_bytes(&self) -> usize {
+        self.0.as_ref().map_or(1, WireSize::wire_bytes)
+    }
+}
+
+impl WireEncode for NextSelect {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match &self.0 {
+            None => buf.push(0),
+            Some(action) => action.encode(buf),
+        }
+    }
+}
+
+impl WireDecode for NextSelect {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        if r.peek()? == 0 {
+            r.read_bytes(1)?;
+            return Ok(Self(None));
+        }
+        SelectAction::decode(r).map(|action| Self(Some(action)))
+    }
 }
 
 /// Per-partition expansion state.
@@ -103,7 +143,7 @@ impl ExpansionState {
         if !self.boundary.is_empty() {
             let vs = self.boundary.pop_lambda_capped(self.lambda, budget, self.frontier_budget);
             if !vs.is_empty() {
-                return SelectAction::Vertices(vs);
+                return SelectAction::Vertices { vertices: vs };
             }
             // Even the min-D_rest boundary vertex would overshoot the
             // capacity (its join-time score exceeds the budget — possibly
@@ -169,7 +209,7 @@ mod tests {
         let mut e = ExpansionState::new(0, 100, 0.5);
         e.absorb(&[(5, 2), (6, 1)], &[]);
         match e.select(0, 10, &[10]) {
-            SelectAction::Vertices(vs) => assert_eq!(vs, vec![6]), // ⌈0.5·2⌉ = 1, min score
+            SelectAction::Vertices { vertices } => assert_eq!(vertices, vec![6]), // ⌈0.5·2⌉ = 1, min score
             other => panic!("expected vertices, got {other:?}"),
         }
     }
@@ -207,9 +247,9 @@ mod tests {
         e.absorb(&[(9, 1), (9, 2), (9, 4)], &[]);
         e.absorb(&[(8, 3)], &[]);
         match e.select(0, 1, &[1]) {
-            SelectAction::Vertices(vs) => {
+            SelectAction::Vertices { vertices } => {
                 // λ=1 pops both; 8 (score 3) before 9 (score 7).
-                assert_eq!(vs, vec![8, 9]);
+                assert_eq!(vertices, vec![8, 9]);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -222,5 +262,25 @@ mod tests {
         e.absorb(&[], &[3]);
         assert_eq!(e.size(), 3);
         assert_eq!(e.edges, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn next_select_shares_the_actions_tag_space() {
+        assert_eq!(NextSelect(None).to_wire(), [0]);
+        assert_eq!(NextSelect(Some(SelectAction::Nothing)).to_wire(), [3]);
+        for action in [
+            SelectAction::Vertices { vertices: vec![5, 9] },
+            SelectAction::Random { target: 3, budget: 17 },
+            SelectAction::Nothing,
+        ] {
+            let next = NextSelect(Some(action.clone()));
+            assert_eq!(next.to_wire(), action.to_wire(), "Some(a) is a's plain encoding");
+            assert_eq!(next.to_wire().len(), next.wire_bytes());
+            assert_eq!(NextSelect::from_wire(&next.to_wire()).unwrap(), next);
+        }
+        assert_eq!(NextSelect::from_wire(&[0]).unwrap(), NextSelect(None));
+        assert_eq!(NextSelect::from_wire(&[4]), Err(WireError::BadTag { tag: 4 }));
+        assert_eq!(SelectAction::from_wire(&[0]), Err(WireError::BadTag { tag: 0 }));
+        assert!(matches!(NextSelect::from_wire(&[]), Err(WireError::Truncated { .. })));
     }
 }

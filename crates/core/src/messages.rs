@@ -16,15 +16,25 @@
 //!    `SendNewAllocatedEdges`), piggybacking the free-edge gossip used for
 //!    random-restart routing.
 //!
-//! `NeMsg` implements the full wire codec ([`WireSize`] + [`WireEncode`] +
-//! [`WireDecode`]): a 1-byte variant tag followed by the packed fields.
-//! Sizes are derived from the field types' own codecs (no hand-rolled
-//! constants), so the loopback estimate and the bytes-backend actual
-//! encoding agree byte-for-byte — asserted by the round-trip tests here and
-//! the cross-transport property tests in the umbrella crate.
+//! # Wire format
+//!
+//! A 1-byte variant tag, then the packed fields (each through its own
+//! type's codec — see [`dne_runtime::wire`]):
+//!
+//! | tag | variant | fields |
+//! |---|---|---|
+//! | 0 | `Select` | `vertices: Vec<u64>`, `random_budget: u64` |
+//! | 1 | `Sync` | `pairs: Vec<(u64, u32)>` |
+//! | 2 | `Result` | `boundary: Vec<(u64, u64)>`, `edges: Vec<u64>`, `free_edges: u64` |
+//!
+//! The `wire_enum!` table below is the one statement of that layout: size
+//! estimate, encoder and decoder are expanded from it, so the loopback
+//! estimate and the bytes-backend actual encoding agree byte-for-byte. The
+//! golden test here pins the bytes; the cross-transport property tests in
+//! the umbrella crate fuzz the round trip.
 
 use dne_graph::{EdgeId, VertexId};
-use dne_runtime::{WireDecode, WireEncode, WireError, WireReader, WireSize};
+use dne_runtime::wire_enum;
 
 /// Partition id on the wire (matches `dne_partition::PartitionId`).
 pub type Part = u32;
@@ -62,66 +72,11 @@ pub enum NeMsg {
     },
 }
 
-/// Variant tags on the wire.
-const TAG_SELECT: u8 = 0;
-const TAG_SYNC: u8 = 1;
-const TAG_RESULT: u8 = 2;
-
-impl WireSize for NeMsg {
-    fn wire_bytes(&self) -> usize {
-        // 1-byte tag + fields, sized by the fields' own codecs (the
-        // `Vec<VertexId>` and `Vec<(VertexId, _)>` payloads take the O(1)
-        // fixed-element fast path).
-        1 + match self {
-            NeMsg::Select { vertices, random_budget } => {
-                vertices.wire_bytes() + random_budget.wire_bytes()
-            }
-            NeMsg::Sync { pairs } => pairs.wire_bytes(),
-            NeMsg::Result { boundary, edges, free_edges } => {
-                boundary.wire_bytes() + edges.wire_bytes() + free_edges.wire_bytes()
-            }
-        }
-    }
-}
-
-impl WireEncode for NeMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            NeMsg::Select { vertices, random_budget } => {
-                buf.push(TAG_SELECT);
-                vertices.encode(buf);
-                random_budget.encode(buf);
-            }
-            NeMsg::Sync { pairs } => {
-                buf.push(TAG_SYNC);
-                pairs.encode(buf);
-            }
-            NeMsg::Result { boundary, edges, free_edges } => {
-                buf.push(TAG_RESULT);
-                boundary.encode(buf);
-                edges.encode(buf);
-                free_edges.encode(buf);
-            }
-        }
-    }
-}
-
-impl WireDecode for NeMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.read_array::<1>()?[0] {
-            TAG_SELECT => {
-                Ok(NeMsg::Select { vertices: Vec::decode(r)?, random_budget: u64::decode(r)? })
-            }
-            TAG_SYNC => Ok(NeMsg::Sync { pairs: Vec::decode(r)? }),
-            TAG_RESULT => Ok(NeMsg::Result {
-                boundary: Vec::decode(r)?,
-                edges: Vec::decode(r)?,
-                free_edges: u64::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag { tag }),
-        }
-    }
-}
+wire_enum!(NeMsg {
+    0 => Select { vertices, random_budget },
+    1 => Sync { pairs },
+    2 => Result { boundary, edges, free_edges },
+});
 
 impl NeMsg {
     /// An empty Select (no vertices, no random request).
@@ -138,6 +93,7 @@ impl NeMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dne_runtime::{WireDecode, WireEncode, WireError, WireSize};
 
     fn shapes() -> Vec<NeMsg> {
         vec![
@@ -168,6 +124,29 @@ mod tests {
             let bytes = msg.to_wire();
             assert_eq!(bytes.len(), msg.wire_bytes(), "estimate != actual for {msg:?}");
             assert_eq!(NeMsg::from_wire(&bytes).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn frame_payload_bytes_are_pinned() {
+        // One payload per shape, produced by the hand-written encoder this
+        // table replaced (commit 1c6976f): a round trip cannot see a change
+        // the encoder and decoder share.
+        let golden: [&[u8]; 6] = [
+            b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0",
+            b"\0\x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\
+              \xff\xff\xff\xff\xff\xff\xff\xff\x07\0\0\0\0\0\0\0",
+            b"\x01\0\0\0\0\0\0\0\0",
+            b"\x01\x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\
+              \x01\0\0\0\x03\0\0\0\0\0\0\0\x02\0\0\0",
+            b"\x02\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0",
+            b"\x02\x01\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\
+              \x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\
+              \x09\0\0\0\0\0\0\0",
+        ];
+        for (msg, bytes) in shapes().into_iter().zip(golden) {
+            assert_eq!(msg.to_wire(), bytes, "layout of {msg:?} moved");
+            assert_eq!(NeMsg::from_wire(bytes).unwrap(), msg);
         }
     }
 

@@ -12,9 +12,9 @@ use dne_runtime::{Cluster, Ctx, TransportError};
 use crate::allocation::{self, SelectRequest};
 use crate::config::NeConfig;
 use crate::dist::{AllocatorPart, Grid2D, FREE};
-use crate::expansion::{ExpansionState, SelectAction};
+use crate::expansion::{ExpansionState, NextSelect, SelectAction};
 use crate::messages::{NeMsg, Part};
-use crate::snapshot::{self, RankSnapshot};
+use crate::snapshot::{self, LoopState, RankSnapshot, SnapshotHeader};
 use crate::stats::NeStats;
 
 /// Distributed Neighbor Expansion. Implements [`EdgePartitioner`]; use
@@ -238,7 +238,8 @@ impl DistributedNe {
         exp.frontier_budget = self.config.frontier_budget.unwrap_or(u64::MAX);
         let checkpoint = self.config.resolved_checkpoint();
         let fault_round = self.config.resolved_fault_round();
-        let run_fp = snapshot::run_fingerprint(m, k, self.config.seed);
+        let header =
+            SnapshotHeader::new(rank as u32, k, snapshot::run_fingerprint(m, k, self.config.seed));
         let mut selection_time = Duration::ZERO;
         let mut allocation_time = Duration::ZERO;
         // Loop state: free-edge gossip (seeded by one initial all-gather,
@@ -246,46 +247,36 @@ impl DistributedNe {
         // partition (capacity gate for the two-hop phase; one iteration
         // stale by construction), stall accounting, and the speculated
         // next-round selection (see the split gather at the loop bottom).
-        // A resuming machine restores all of it from the checkpoint
-        // instead — including skipping the initial all-gather, which every
-        // rank skips in lock-step because all of them resume together.
-        let (mut free_hints, mut global_sizes, mut iterations, mut prev_total, mut stall);
-        let mut next_select: Option<SelectAction>;
-        match resume {
-            Some(snap) => {
-                snap.validate(rank as u32, k, run_fp)
-                    .unwrap_or_else(|e| panic!("rank {rank}: cannot resume: {e}"));
-                free_hints = snap.free_hints.clone();
-                global_sizes = snap.global_sizes.clone();
-                iterations = snap.round;
-                prev_total = snap.prev_total;
-                stall = snap.stall;
-                next_select = snap.next_select.clone();
-                snap.restore_into(&mut exp, &mut alloc)
-                    .unwrap_or_else(|e| panic!("rank {rank}: cannot resume: {e}"));
-            }
-            None => {
-                free_hints = ctx.try_all_gather_u64(alloc.free_edges)?;
-                global_sizes = vec![0; kk];
-                iterations = 0;
-                prev_total = 0;
-                stall = 0;
-                next_select = None;
-            }
-        }
+        // A resuming machine takes all of it from the checkpoint instead —
+        // including skipping the initial all-gather, which every rank
+        // skips in lock-step because all of them resume together.
+        let mut state = match resume {
+            Some(snap) => snap
+                .validate(header.rank, k, header.fingerprint)
+                .and_then(|()| snap.restore_into(&mut exp, &mut alloc))
+                .unwrap_or_else(|e| panic!("rank {rank}: cannot resume: {e}")),
+            None => LoopState {
+                round: 0,
+                prev_total: 0,
+                stall: 0,
+                free_hints: ctx.try_all_gather_u64(alloc.free_edges)?,
+                global_sizes: vec![0; kk],
+                next_select: NextSelect(None),
+            },
+        };
         loop {
-            iterations += 1;
+            state.round += 1;
             // ---- Phase 1: vertex selection (Algorithm 1 l.3–8 / Alg. 4).
             let t0 = Instant::now();
-            let action = match next_select.take() {
+            let action = match state.next_select.0.take() {
                 Some(a) => a,
-                None => exp.select(rank, alloc.free_edges, &free_hints),
+                None => exp.select(rank, alloc.free_edges, &state.free_hints),
             };
             let mut sel_buckets: Vec<Vec<VertexId>> = vec![Vec::new(); kk];
             let mut random_req: Option<(usize, u64)> = None;
             match action {
-                SelectAction::Vertices(vs) => {
-                    for v in vs {
+                SelectAction::Vertices { vertices } => {
+                    for v in vertices {
                         for dst in grid.replicas(v) {
                             sel_buckets[dst as usize].push(v);
                         }
@@ -352,7 +343,7 @@ impl DistributedNe {
             let two = allocation::two_hop(
                 &mut alloc,
                 &bp_new,
-                &global_sizes,
+                &state.global_sizes,
                 limit,
                 k as u64,
                 rank as u64,
@@ -381,7 +372,7 @@ impl DistributedNe {
                 let NeMsg::Result { boundary, edges, free_edges } = msg else {
                     unreachable!("phase 5 delivers Result messages only")
                 };
-                free_hints[src] = free_edges;
+                state.free_hints[src] = free_edges;
                 boundary_updates.extend(boundary);
                 new_edges.extend(edges);
             }
@@ -402,24 +393,25 @@ impl DistributedNe {
             // whenever this round could enter the leftover trickle — the
             // run is ending, so there is no next round to pre-compute.
             let pending = ctx.try_start_all_gather_u64(exp.size())?;
-            if stall + 1 < self.config.stall_limit {
+            if state.stall + 1 < self.config.stall_limit {
                 let t4 = Instant::now();
-                next_select = Some(exp.select(rank, alloc.free_edges, &free_hints));
+                state.next_select =
+                    NextSelect(Some(exp.select(rank, alloc.free_edges, &state.free_hints)));
                 selection_time += t4.elapsed();
             }
             let _ = ctx.try_drain_ready()?;
-            global_sizes = ctx.try_finish_all_gather_u64(pending)?;
-            let total: u64 = global_sizes.iter().sum();
+            state.global_sizes = ctx.try_finish_all_gather_u64(pending)?;
+            let total: u64 = state.global_sizes.iter().sum();
             if total == m {
                 break;
             }
-            if total == prev_total {
-                stall += 1;
+            if total == state.prev_total {
+                state.stall += 1;
             } else {
-                stall = 0;
+                state.stall = 0;
             }
-            prev_total = total;
-            if stall >= self.config.stall_limit {
+            state.prev_total = total;
+            if state.stall >= self.config.stall_limit {
                 // Leftover trickle (DESIGN.md §6.5): every partition is full
                 // or starved while isolated edges remain — assign them to
                 // the globally least-loaded partitions and finish.
@@ -431,7 +423,7 @@ impl DistributedNe {
                 // partitions without all allocators piling onto one. The
                 // model starts from this round's gathered sizes: nothing
                 // has touched `exp.edges` since that gather.
-                let mut model = global_sizes;
+                let mut model = std::mem::take(&mut state.global_sizes);
                 let mut extra: Vec<Vec<EdgeId>> = vec![Vec::new(); kk];
                 for le in 0..alloc.num_local_edges() as u32 {
                     if alloc.edge_part[le as usize] == FREE {
@@ -457,39 +449,28 @@ impl DistributedNe {
             }
             // ---- End of round: the run continues, so this is the state a
             // recovery must be able to rebuild. Every rank reaches this
-            // point for the same `iterations` (the finish_all_gather above
+            // point for the same `state.round` (the finish_all_gather above
             // is a barrier), so equal snapshot rounds across ranks mean a
             // consistent global cut. The write is a pure observer: nothing
             // the loop reads is mutated.
             if let Some(cp) = &checkpoint {
-                if iterations % cp.every == 0 {
-                    let snap = RankSnapshot::capture(
-                        rank as u32,
-                        k,
-                        run_fp,
-                        iterations,
-                        prev_total,
-                        stall,
-                        &free_hints,
-                        &global_sizes,
-                        &next_select,
-                        &exp,
-                        &alloc,
-                    );
+                if state.round % cp.every == 0 {
+                    let snap = RankSnapshot::capture(header, &state, &exp, &alloc);
                     snap.write_atomic(&cp.dir).map_err(|error| TransportError::Io {
                         context: format!(
-                            "rank {rank}: writing round-{iterations} checkpoint to {}",
+                            "rank {rank}: writing round-{} checkpoint to {}",
+                            state.round,
                             cp.dir.display()
                         ),
                         error,
                     })?;
                 }
             }
-            if fault_round == Some(iterations) {
+            if fault_round == Some(state.round) {
                 // Injected crash for recovery testing: die *after* this
                 // round's checkpoint, mid-job, like a SIGKILLed rank whose
                 // peers find out through the broken socket.
-                panic!("rank {rank}: injected fault at end of round {iterations}");
+                panic!("rank {rank}: injected fault at end of round {}", state.round);
             }
         }
         // Both loop exits land here: once per run, check that the O(1)
@@ -499,7 +480,7 @@ impl DistributedNe {
             alloc.recount_vparts_heap_bytes(),
             "rank {rank}: cached membership bytes drifted from a recount"
         );
-        Ok(RankRun { edges: exp.edges, iterations, selection_time, allocation_time })
+        Ok(RankRun { edges: exp.edges, iterations: state.round, selection_time, allocation_time })
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Elastic fault tolerance for the bulk-synchronous round loop: every
 //! `DNE_CHECKPOINT_EVERY` completed rounds each rank serializes the
-//! *mutable* half of its machine state into a compact tagged wire format
-//! (the same [`WireEncode`]/[`WireDecode`] machinery every `NeMsg`
-//! envelope travels through) and atomically replaces a per-rank file.
+//! *mutable* half of its machine state into a compact wire format (the
+//! same [`dne_runtime::wire`] codec every `NeMsg` envelope travels
+//! through) and atomically replaces a per-rank file.
 //! The structural half — the allocator's CSR subgraph, global↔local id
 //! maps, shuffled scan order — is *not* stored: it is rebuilt bit-
 //! identically from `(graph, rank, seed)` by
@@ -34,6 +34,14 @@
 //! | allocator | var | `edge_part`, `rest`, `vparts`, `part_edges`, `free_edges`, `scan_cursor` |
 //! | checksum | 8 | `mix2`-fold over everything above |
 //!
+//! The rows are four structs — [`SnapshotHeader`] (the first three rows),
+//! [`LoopState`] (the next two), [`BoundaryExport`] (after the `E_p` edge
+//! ids) and [`AllocState`] — and each states its field order once, in the
+//! `wire_struct!` table under its definition; [`RankSnapshot`] is their
+//! concatenation. `next_select` is one tag byte: 0 = none, 1–3 = the
+//! [`SelectAction`](crate::expansion::SelectAction) variants (see
+//! [`NextSelect`]). The golden test pins whole files.
+//!
 //! Files are named `rank<r>-round<n>.dnesnap`; writes go through a unique
 //! temporary then `rename(2)`, so readers never observe a torn file, and
 //! the trailing checksum rejects any that slipped through. The two newest
@@ -47,11 +55,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dne_graph::hash::mix2;
 use dne_graph::EdgeId;
-use dne_runtime::{WireDecode, WireEncode, WireError, WireReader, WireSize};
+use dne_runtime::{wire_struct, WireDecode, WireEncode, WireError};
 
 use crate::boundary::{Boundary, BoundaryExport};
 use crate::dist::AllocatorPart;
-use crate::expansion::{ExpansionState, SelectAction};
+use crate::expansion::{ExpansionState, NextSelect};
 use crate::messages::Part;
 
 /// File magic: the first eight bytes of every snapshot.
@@ -135,6 +143,8 @@ pub struct AllocState {
     pub scan_cursor: u64,
 }
 
+wire_struct!(AllocState { edge_part, rest, vparts, part_edges, free_edges, scan_cursor });
+
 impl AllocState {
     /// Capture the mutable state of `alloc`.
     pub fn capture(alloc: &AllocatorPart) -> Self {
@@ -179,16 +189,35 @@ impl AllocState {
     }
 }
 
-/// One rank's complete per-round checkpoint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankSnapshot {
+/// Which position of which run a snapshot belongs to: the first 24 bytes
+/// of every file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotHeader {
+    /// [`SNAPSHOT_MAGIC`] in every file this crate wrote.
+    pub magic: [u8; 8],
     /// The rank (== partition) this snapshot belongs to.
     pub rank: u32,
     /// Cluster size the run was started with.
     pub nprocs: u32,
     /// [`run_fingerprint`] of the writing run.
     pub fingerprint: u64,
-    /// Completed rounds at capture time.
+}
+
+wire_struct!(SnapshotHeader { magic, rank, nprocs, fingerprint });
+
+impl SnapshotHeader {
+    /// The header rank `rank` of `nprocs` writes in the run `fingerprint`.
+    pub fn new(rank: u32, nprocs: u32, fingerprint: u64) -> Self {
+        Self { magic: SNAPSHOT_MAGIC, rank, nprocs, fingerprint }
+    }
+}
+
+/// Everything the round loop of one machine carries from one round to the
+/// next — the loop runs on this struct, a checkpoint stores it, and a
+/// resumed machine continues from the stored one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoopState {
+    /// Completed rounds.
     pub round: u64,
     /// Previous round's global allocated-edge total (stall detection).
     pub prev_total: u64,
@@ -199,9 +228,20 @@ pub struct RankSnapshot {
     /// Previous round's `|E_p|` per partition (capacity gate).
     pub global_sizes: Vec<u64>,
     /// The next round's speculated vertex selection, if the overlap path
-    /// had already computed it when the checkpoint was taken. Restoring it
-    /// keeps the resumed loop bit-identical to the uninterrupted one.
-    pub next_select: Option<SelectAction>,
+    /// had already computed it when the round ended. Restoring it keeps a
+    /// resumed loop bit-identical to the uninterrupted one.
+    pub next_select: NextSelect,
+}
+
+wire_struct!(LoopState { round, prev_total, stall, free_hints, global_sizes, next_select });
+
+/// One rank's complete per-round checkpoint.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RankSnapshot {
+    /// Magic and run position.
+    pub header: SnapshotHeader,
+    /// The round loop's state at the end of round `state.round`.
+    pub state: LoopState,
     /// `E_p`: edge ids allocated to this rank's partition so far.
     pub edges: Vec<EdgeId>,
     /// Boundary queue state (heap + expanded + enqueued, sorted).
@@ -210,168 +250,7 @@ pub struct RankSnapshot {
     pub alloc: AllocState,
 }
 
-const TAG_NONE: u8 = 0;
-const TAG_VERTICES: u8 = 1;
-const TAG_RANDOM: u8 = 2;
-const TAG_NOTHING: u8 = 3;
-
-impl WireSize for SelectAction {
-    fn wire_bytes(&self) -> usize {
-        1 + match self {
-            SelectAction::Vertices(vs) => vs.wire_bytes(),
-            SelectAction::Random { target, budget } => target.wire_bytes() + budget.wire_bytes(),
-            SelectAction::Nothing => 0,
-        }
-    }
-}
-
-impl WireEncode for SelectAction {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            SelectAction::Vertices(vs) => {
-                buf.push(TAG_VERTICES);
-                vs.encode(buf);
-            }
-            SelectAction::Random { target, budget } => {
-                buf.push(TAG_RANDOM);
-                target.encode(buf);
-                budget.encode(buf);
-            }
-            SelectAction::Nothing => buf.push(TAG_NOTHING),
-        }
-    }
-}
-
-impl WireDecode for SelectAction {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.read_array::<1>()?[0] {
-            TAG_VERTICES => Ok(SelectAction::Vertices(Vec::decode(r)?)),
-            TAG_RANDOM => {
-                Ok(SelectAction::Random { target: usize::decode(r)?, budget: u64::decode(r)? })
-            }
-            TAG_NOTHING => Ok(SelectAction::Nothing),
-            tag => Err(WireError::BadTag { tag }),
-        }
-    }
-}
-
-/// `Option<SelectAction>` travels as its own tag byte so the `None` case
-/// is one byte, mirroring the generic `Option` codec but keeping every
-/// snapshot field behind an explicit tag.
-fn encode_next_select(v: &Option<SelectAction>, buf: &mut Vec<u8>) {
-    match v {
-        None => buf.push(TAG_NONE),
-        Some(a) => a.encode(buf),
-    }
-}
-
-fn next_select_bytes(v: &Option<SelectAction>) -> usize {
-    match v {
-        None => 1,
-        Some(a) => a.wire_bytes(),
-    }
-}
-
-fn decode_next_select(r: &mut WireReader<'_>) -> Result<Option<SelectAction>, WireError> {
-    // Peek the tag: TAG_NONE consumes one byte, anything else re-parses as
-    // a SelectAction (whose tags are disjoint from TAG_NONE).
-    let tag = r.read_array::<1>()?[0];
-    if tag == TAG_NONE {
-        return Ok(None);
-    }
-    match tag {
-        TAG_VERTICES => Ok(Some(SelectAction::Vertices(Vec::decode(r)?))),
-        TAG_RANDOM => {
-            Ok(Some(SelectAction::Random { target: usize::decode(r)?, budget: u64::decode(r)? }))
-        }
-        TAG_NOTHING => Ok(Some(SelectAction::Nothing)),
-        tag => Err(WireError::BadTag { tag }),
-    }
-}
-
-impl WireSize for RankSnapshot {
-    fn wire_bytes(&self) -> usize {
-        SNAPSHOT_MAGIC.len()
-            + self.rank.wire_bytes()
-            + self.nprocs.wire_bytes()
-            + self.fingerprint.wire_bytes()
-            + self.round.wire_bytes()
-            + self.prev_total.wire_bytes()
-            + self.stall.wire_bytes()
-            + self.free_hints.wire_bytes()
-            + self.global_sizes.wire_bytes()
-            + next_select_bytes(&self.next_select)
-            + self.edges.wire_bytes()
-            + self.boundary.heap.wire_bytes()
-            + self.boundary.expanded.wire_bytes()
-            + self.boundary.enqueued.wire_bytes()
-            + self.alloc.edge_part.wire_bytes()
-            + self.alloc.rest.wire_bytes()
-            + self.alloc.vparts.wire_bytes()
-            + self.alloc.part_edges.wire_bytes()
-            + self.alloc.free_edges.wire_bytes()
-            + self.alloc.scan_cursor.wire_bytes()
-    }
-}
-
-impl WireEncode for RankSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        self.rank.encode(buf);
-        self.nprocs.encode(buf);
-        self.fingerprint.encode(buf);
-        self.round.encode(buf);
-        self.prev_total.encode(buf);
-        self.stall.encode(buf);
-        self.free_hints.encode(buf);
-        self.global_sizes.encode(buf);
-        encode_next_select(&self.next_select, buf);
-        self.edges.encode(buf);
-        self.boundary.heap.encode(buf);
-        self.boundary.expanded.encode(buf);
-        self.boundary.enqueued.encode(buf);
-        self.alloc.edge_part.encode(buf);
-        self.alloc.rest.encode(buf);
-        self.alloc.vparts.encode(buf);
-        self.alloc.part_edges.encode(buf);
-        self.alloc.free_edges.encode(buf);
-        self.alloc.scan_cursor.encode(buf);
-    }
-}
-
-impl WireDecode for RankSnapshot {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let magic = r.read_array::<8>()?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(WireError::BadTag { tag: magic[0] });
-        }
-        Ok(Self {
-            rank: u32::decode(r)?,
-            nprocs: u32::decode(r)?,
-            fingerprint: u64::decode(r)?,
-            round: u64::decode(r)?,
-            prev_total: u64::decode(r)?,
-            stall: u32::decode(r)?,
-            free_hints: Vec::decode(r)?,
-            global_sizes: Vec::decode(r)?,
-            next_select: decode_next_select(r)?,
-            edges: Vec::decode(r)?,
-            boundary: BoundaryExport {
-                heap: Vec::decode(r)?,
-                expanded: Vec::decode(r)?,
-                enqueued: Vec::decode(r)?,
-            },
-            alloc: AllocState {
-                edge_part: Vec::decode(r)?,
-                rest: Vec::decode(r)?,
-                vparts: Vec::decode(r)?,
-                part_edges: Vec::decode(r)?,
-                free_edges: u64::decode(r)?,
-                scan_cursor: u64::decode(r)?,
-            },
-        })
-    }
-}
+wire_struct!(RankSnapshot { header, state, edges, boundary, alloc });
 
 /// `mix2`-fold checksum over a byte stream (8-byte chunks, zero-padded
 /// tail, length folded last so trailing zeros are not free).
@@ -396,66 +275,53 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl RankSnapshot {
     /// Capture a checkpoint of one machine at the end of a round.
-    #[allow(clippy::too_many_arguments)] // mirrors the loop state one-to-one
     pub fn capture(
-        rank: u32,
-        nprocs: u32,
-        fingerprint: u64,
-        round: u64,
-        prev_total: u64,
-        stall: u32,
-        free_hints: &[u64],
-        global_sizes: &[u64],
-        next_select: &Option<SelectAction>,
+        header: SnapshotHeader,
+        state: &LoopState,
         exp: &ExpansionState,
         alloc: &AllocatorPart,
     ) -> Self {
         Self {
-            rank,
-            nprocs,
-            fingerprint,
-            round,
-            prev_total,
-            stall,
-            free_hints: free_hints.to_vec(),
-            global_sizes: global_sizes.to_vec(),
-            next_select: next_select.clone(),
+            header,
+            state: state.clone(),
             edges: exp.edges.clone(),
             boundary: exp.boundary.export(),
             alloc: AllocState::capture(alloc),
         }
     }
 
-    /// Restore the expansion + allocator state this snapshot captured.
-    /// `exp` and `alloc` must be freshly built for the same `(graph, rank,
-    /// seed, k)` — the structural half the snapshot deliberately omits.
+    /// Restore the expansion + allocator state this snapshot captured and
+    /// hand back the loop state to continue from. `exp` and `alloc` must be
+    /// freshly built for the same `(graph, rank, seed, k)` — the structural
+    /// half the snapshot deliberately omits.
     pub fn restore_into(
         self,
         exp: &mut ExpansionState,
         alloc: &mut AllocatorPart,
-    ) -> Result<(), SnapshotError> {
+    ) -> Result<LoopState, SnapshotError> {
         self.alloc.restore(alloc)?;
         exp.edges = self.edges;
         exp.boundary = Boundary::from_export(self.boundary);
-        Ok(())
+        Ok(self.state)
     }
 
     /// Reject a snapshot that does not belong to this exact run position.
     pub fn validate(&self, rank: u32, nprocs: u32, fingerprint: u64) -> Result<(), SnapshotError> {
-        if self.rank != rank || self.nprocs != nprocs {
+        let header = &self.header;
+        if header.rank != rank || header.nprocs != nprocs {
             return Err(SnapshotError::Mismatch {
                 detail: format!(
                     "snapshot is for rank {}/{} but this machine is rank {rank}/{nprocs}",
-                    self.rank, self.nprocs
+                    header.rank, header.nprocs
                 ),
             });
         }
-        if self.fingerprint != fingerprint {
+        if header.fingerprint != fingerprint {
             return Err(SnapshotError::Mismatch {
                 detail: format!(
                     "run fingerprint {:016x} != expected {fingerprint:016x} (different graph, \
                      partition count, or seed)",
-                    self.fingerprint
+                    header.fingerprint
                 ),
             });
         }
@@ -483,22 +349,23 @@ impl RankSnapshot {
         std::fs::create_dir_all(dir)?;
         let mut bytes = self.to_wire();
         let sum = checksum(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
+        sum.encode(&mut bytes);
         let tmp = dir.join(format!(
             ".rank{}-{}-{}.tmp",
-            self.rank,
+            self.header.rank,
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&tmp, &bytes)?;
-        let path = dir.join(Self::file_name(self.rank, self.round));
+        let (rank, round) = (self.header.rank, self.state.round);
+        let path = dir.join(Self::file_name(rank, round));
         std::fs::rename(&tmp, &path)?;
         // Prune old generations; best-effort (a leftover file is harmless,
         // the min-round agreement only ever looks backwards one step).
-        let mut rounds = list_rounds(dir, self.rank).unwrap_or_default();
+        let mut rounds = list_rounds(dir, rank).unwrap_or_default();
         while rounds.len() > RETAINED_GENERATIONS {
-            let (round, stale) = rounds.remove(0);
-            if round < self.round {
+            let (old, stale) = rounds.remove(0);
+            if old < round {
                 let _ = std::fs::remove_file(stale);
             }
         }
@@ -514,13 +381,18 @@ impl RankSnapshot {
             });
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let expect = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if checksum(body) != expect {
+        if checksum(body) != u64::from_wire(tail)? {
             return Err(SnapshotError::Corrupt {
                 detail: format!("{}: checksum mismatch", path.display()),
             });
         }
-        Self::from_wire(body).map_err(SnapshotError::Wire)
+        let snap = Self::from_wire(body)?;
+        if snap.header.magic != SNAPSHOT_MAGIC {
+            return Err(SnapshotError::Corrupt {
+                detail: format!("{}: bad magic {:02x?}", path.display(), snap.header.magic),
+            });
+        }
+        Ok(snap)
     }
 
     /// The newest snapshot of `rank` in `dir`, with its round. `None` when
@@ -562,19 +434,21 @@ pub fn list_rounds(dir: &Path, rank: u32) -> Result<Vec<(u64, PathBuf)>, io::Err
 mod tests {
     use super::*;
     use crate::dist::Grid2D;
+    use crate::expansion::SelectAction;
     use dne_graph::gen;
+    use dne_runtime::WireSize;
 
     fn sample_snapshot() -> RankSnapshot {
         RankSnapshot {
-            rank: 1,
-            nprocs: 4,
-            fingerprint: run_fingerprint(1000, 4, 42),
-            round: 7,
-            prev_total: 900,
-            stall: 1,
-            free_hints: vec![3, 0, 25, 7],
-            global_sizes: vec![250, 230, 210, 210],
-            next_select: Some(SelectAction::Vertices(vec![5, 9, 12])),
+            header: SnapshotHeader::new(1, 4, run_fingerprint(1000, 4, 42)),
+            state: LoopState {
+                round: 7,
+                prev_total: 900,
+                stall: 1,
+                free_hints: vec![3, 0, 25, 7],
+                global_sizes: vec![250, 230, 210, 210],
+                next_select: NextSelect(Some(SelectAction::Vertices { vertices: vec![5, 9, 12] })),
+            },
             edges: vec![10, 11, 900],
             boundary: BoundaryExport {
                 heap: vec![(1, 44), (3, 2)],
@@ -592,21 +466,70 @@ mod tests {
         }
     }
 
+    /// [`sample_snapshot`] with each of the four `next_select` cases.
+    fn sample_snapshots() -> [RankSnapshot; 4] {
+        let with = |next| {
+            let mut snap = sample_snapshot();
+            snap.state.next_select = NextSelect(next);
+            snap
+        };
+        [
+            sample_snapshot(),
+            with(None),
+            with(Some(SelectAction::Random { target: 3, budget: 17 })),
+            with(Some(SelectAction::Nothing)),
+        ]
+    }
+
     #[test]
     fn codec_roundtrips_at_exact_size() {
-        for snap in [
-            sample_snapshot(),
-            RankSnapshot { next_select: None, ..sample_snapshot() },
-            RankSnapshot {
-                next_select: Some(SelectAction::Random { target: 3, budget: 17 }),
-                ..sample_snapshot()
-            },
-            RankSnapshot { next_select: Some(SelectAction::Nothing), ..sample_snapshot() },
-        ] {
+        for snap in sample_snapshots() {
             let bytes = snap.to_wire();
             assert_eq!(bytes.len(), snap.wire_bytes(), "estimate != actual");
             assert_eq!(RankSnapshot::from_wire(&bytes).unwrap(), snap);
         }
+    }
+
+    #[test]
+    fn checksummed_file_bytes_are_pinned() {
+        // Whole files for the four `next_select` cases, as the hand-written
+        // codec this module had at commit 1c6976f wrote them (`write_atomic`
+        // of the same four values there): header and loop state up to the
+        // select tag, the per-case select bytes, expansion + allocator, then
+        // the per-case checksum. A round trip cannot see a symmetric change.
+        let head: &[u8] =
+            b"\x01\0\0\0\x04\0\0\0\x4a\xb7\x4b\x06\x74\xfd\x7a\xf4\x07\0\0\0\0\0\0\0\x84\x03\0\
+              \0\0\0\0\0\x01\0\0\0\x04\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\x19\0\0\
+              \0\0\0\0\0\x07\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0\xfa\0\0\0\0\0\0\0\xe6\0\0\0\0\0\0\
+              \0\xd2\0\0\0\0\0\0\0\xd2\0\0\0\0\0\0\0";
+        let tail: &[u8] =
+            b"\x03\0\0\0\0\0\0\0\x0a\0\0\0\0\0\0\0\x0b\0\0\0\0\0\0\0\x84\x03\0\0\0\0\0\0\x02\0\
+              \0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x2c\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\x02\0\0\0\0\0\
+              \0\0\x02\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x09\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0\x02\
+              \0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x09\0\0\0\0\0\0\0\x2c\0\0\0\0\0\0\0\x03\0\0\0\0\
+              \0\0\0\0\0\0\0\x03\0\0\0\xff\xff\xff\xff\x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\0\0\
+              \0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\0\0\0\0\0\0\0\
+              \0\0\0\0\0\x02\0\0\0\0\0\0\0\x01\0\0\0\x03\0\0\0\x04\0\0\0\0\0\0\0\x01\0\0\0\0\0\
+              \0\0\x01\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x02\0\
+              \0\0\0\0\0\0";
+        let cases: [(&[u8], &[u8]); 4] = [
+            (
+                b"\x01\x03\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x09\0\0\0\0\0\0\0\x0c\0\0\0\0\0\0\0",
+                b"\xb0\x4b\x9c\x7d\x18\x79\xf1\x04",
+            ),
+            (b"\0", b"\x7d\x5f\xad\x6a\x28\xaf\x6e\x08"),
+            (b"\x02\x03\0\0\0\0\0\0\0\x11\0\0\0\0\0\0\0", b"\x98\x2f\xbe\xa8\x62\x01\x15\xdb"),
+            (b"\x03", b"\x06\x62\x27\x8d\x2d\x5f\x1d\xee"),
+        ];
+        let dir = std::env::temp_dir().join(format!("dnesnap-golden-{}", std::process::id()));
+        for (snap, (select, sum)) in sample_snapshots().into_iter().zip(cases) {
+            let golden = [b"DNESNAP1", head, select, tail, sum].concat();
+            let path = snap.write_atomic(&dir).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), golden, "DNESNAP1 layout moved");
+            std::fs::write(&path, &golden).unwrap();
+            assert_eq!(RankSnapshot::read(&path).unwrap(), snap);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     mod properties {
@@ -643,21 +566,21 @@ mod tests {
                 let (tag, vertices, target, budget) = select;
                 let next_select = match tag {
                     0 => None,
-                    1 => Some(SelectAction::Vertices(vertices)),
+                    1 => Some(SelectAction::Vertices { vertices }),
                     2 => Some(SelectAction::Random { target, budget }),
                     _ => Some(SelectAction::Nothing),
                 };
                 let (free_edges, scan_cursor) = alloc_tail;
                 let snap = RankSnapshot {
-                    rank,
-                    nprocs,
-                    fingerprint,
-                    round,
-                    prev_total,
-                    stall,
-                    free_hints,
-                    global_sizes,
-                    next_select,
+                    header: SnapshotHeader::new(rank, nprocs, fingerprint),
+                    state: LoopState {
+                        round,
+                        prev_total,
+                        stall,
+                        free_hints,
+                        global_sizes,
+                        next_select: NextSelect(next_select),
+                    },
                     edges,
                     boundary: BoundaryExport { heap, expanded, enqueued },
                     alloc: AllocState {
@@ -692,9 +615,15 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = sample_snapshot().to_wire();
-        bytes[0] ^= 0xFF;
-        assert!(RankSnapshot::from_wire(&bytes).is_err());
+        // The magic is a plain header field, so the check lives where file
+        // bytes enter: a foreign magic under a *valid* checksum is corrupt.
+        let dir = std::env::temp_dir().join(format!("dnesnap-magic-{}", std::process::id()));
+        let mut snap = sample_snapshot();
+        snap.header.magic[0] ^= 0xFF;
+        let path = snap.write_atomic(&dir).unwrap();
+        let err = RankSnapshot::read(&path).unwrap_err();
+        assert!(matches!(&err, SnapshotError::Corrupt { detail } if detail.contains("bad magic")));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -703,7 +632,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut snap = sample_snapshot();
         for round in [7u64, 8, 9, 10] {
-            snap.round = round;
+            snap.state.round = round;
             snap.write_atomic(&dir).unwrap();
         }
         let rounds = list_rounds(&dir, 1).unwrap();
@@ -730,9 +659,9 @@ mod tests {
     #[test]
     fn validate_rejects_foreign_snapshots() {
         let snap = sample_snapshot();
-        assert!(snap.validate(1, 4, snap.fingerprint).is_ok());
+        assert!(snap.validate(1, 4, snap.header.fingerprint).is_ok());
         assert!(matches!(
-            snap.validate(2, 4, snap.fingerprint),
+            snap.validate(2, 4, snap.header.fingerprint),
             Err(SnapshotError::Mismatch { .. })
         ));
         assert!(matches!(snap.validate(1, 4, 999), Err(SnapshotError::Mismatch { .. })));

@@ -91,6 +91,7 @@ use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireSize};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollMsg(pub Vec<u64>);
 
+// By hand: a word block without `Vec`'s length prefix is a format decision, not a field list.
 impl WireSize for CollMsg {
     #[inline]
     fn wire_bytes(&self) -> usize {

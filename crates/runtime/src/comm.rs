@@ -311,7 +311,11 @@ mod tests {
                 let b = eps.pop().unwrap();
                 let mut a = eps.pop().unwrap();
                 std::thread::scope(|s| {
-                    s.spawn(move || {
+                    // The thread hands its endpoint back: rank 1 is done
+                    // receiving after rank 0's *first* envelope, and on the
+                    // in-process backends a dropped endpoint fails the
+                    // sender's remaining nineteen.
+                    let peer = s.spawn(move || {
                         let mut b = b;
                         for _ in 0..20 {
                             b.send(0, 5).unwrap();
@@ -319,6 +323,7 @@ mod tests {
                         b.send(1, 6).unwrap(); // self, so the collect below completes
                         let got = b.recv_one_from_each().unwrap();
                         assert_eq!(got.len(), 2);
+                        b
                     });
                     for i in 0..20u64 {
                         a.send(1, i).unwrap();
@@ -330,6 +335,7 @@ mod tests {
                     for _ in 0..19 {
                         a.recv_from(1).unwrap();
                     }
+                    drop(peer.join().unwrap());
                 });
             }
             assert_eq!(plain.total_msgs(), batched.total_msgs(), "{kind}: msgs invariant");

@@ -14,16 +14,14 @@
 //!    [`TcpRendezvous`]). Every rank `r > 0` first binds its own mesh
 //!    listener (ephemeral localhost by default; `--bind`/`with_bind` for
 //!    cross-machine runs), then dials rank 0 and sends a hello
-//!    (`[u32 magic][u8 fabric][u32 rank][u32 epoch][u8 ip kind][16B ip][u16 port]`
 //!    advertising where its mesh listener can be dialed; an unspecified
 //!    ip kind asks rank 0 to substitute the address it observed on the
-//!    rendezvous connection).
+//!    rendezvous connection.
 //! 2. **Roster** — once all `P − 1` hellos arrived, rank 0 answers each
-//!    peer with the roster
-//!    (`[u32 magic][u32 nprocs][u32 epoch][(u8 ip kind)(16B ip)(u16 port) × (P − 1)]`)
-//!    mapping every nonzero rank to its mesh listener's full socket
-//!    address — real peer IPs, not an assumed localhost. The rendezvous
-//!    connection itself becomes the `0 ↔ r` mesh link.
+//!    peer with the roster mapping every nonzero rank to its mesh
+//!    listener's full socket address — real peer IPs, not an assumed
+//!    localhost. The rendezvous connection itself becomes the `0 ↔ r`
+//!    mesh link.
 //! 3. **Mesh** — each rank `i > 0` dials the roster addresses of ranks
 //!    `1..i` (sending a hello so the acceptor learns who called) and
 //!    accepts one connection from each rank `i+1..P`.
@@ -38,6 +36,18 @@
 //! deadlocking at the first barrier. Every bootstrap step carries a
 //! deadline — a peer that never shows up is a
 //! [`TransportError::Bootstrap`], not a hang.
+//!
+//! # Records
+//!
+//! Three fixed-size records, little-endian, each declared once below as a
+//! struct with a [`wire_struct!`](crate::wire_struct) table and read off
+//! the stream by `read_record`, which takes the length from the table:
+//!
+//! | record | bytes | layout |
+//! |---|---|---|
+//! | endpoint | 19 | `[u8 ip kind][16 B ip][u16 port]` — kind 0 unspecified, 4 IPv4 (first 4 ip bytes), 6 IPv6 |
+//! | hello | 32 | `[u32 magic][u8 fabric][u32 rank][u32 epoch][endpoint]` |
+//! | roster | 12 + 19 (P − 1) | `[u32 magic][u32 nprocs][u32 epoch][endpoint × (P − 1)]`, ranks `1..P` in order |
 //!
 //! # Epochs and recovery
 //!
@@ -66,7 +76,7 @@ use crate::collectives::CollectiveTopology;
 use crate::stats::CommStats;
 use crate::tcp::TcpTransport;
 use crate::transport::{BatchConfig, TransportError};
-use crate::wire::{WireDecode, WireEncode};
+use crate::wire::{WireDecode, WireEncode, WireSize};
 
 /// Handshake magic ("DNE1") opening every bootstrap message.
 const MAGIC: u32 = 0x444E_4531;
@@ -139,38 +149,44 @@ const IPKIND_V4: u8 = 4;
 /// IP kind tag: IPv6 (all 16 address bytes are meaningful).
 const IPKIND_V6: u8 = 6;
 
-/// Encode an optional advertised IP as `[u8 kind][16 bytes]`.
-fn encode_ip(buf: &mut [u8], ip: Option<IpAddr>) {
-    debug_assert_eq!(buf.len(), 17);
-    match ip {
-        None => buf[0] = IPKIND_UNSPECIFIED,
-        Some(IpAddr::V4(v4)) => {
-            buf[0] = IPKIND_V4;
-            buf[1..5].copy_from_slice(&v4.octets());
-        }
-        Some(IpAddr::V6(v6)) => {
-            buf[0] = IPKIND_V6;
-            buf[1..17].copy_from_slice(&v6.octets());
-        }
-    }
+/// Where a mesh listener can be dialed: `[u8 ip kind][16 B ip][u16 port]`,
+/// the tail of a hello and the entry of a roster.
+struct Endpoint {
+    kind: u8,
+    ip: [u8; 16],
+    port: u16,
 }
 
-/// Decode a `[u8 kind][16 bytes]` advertised IP.
-fn decode_ip(buf: &[u8]) -> Result<Option<IpAddr>, TransportError> {
-    debug_assert_eq!(buf.len(), 17);
-    match buf[0] {
-        IPKIND_UNSPECIFIED => Ok(None),
-        IPKIND_V4 => {
-            let mut o = [0u8; 4];
-            o.copy_from_slice(&buf[1..5]);
-            Ok(Some(IpAddr::V4(Ipv4Addr::from(o))))
+crate::wire_struct!(Endpoint { kind, ip, port });
+
+impl Endpoint {
+    /// An endpoint advertising `ip` (`None`: let the rendezvous substitute
+    /// the source address it observes) and `port`.
+    fn new(ip: Option<IpAddr>, port: u16) -> Self {
+        let mut bytes = [0u8; 16];
+        let kind = match ip {
+            None => IPKIND_UNSPECIFIED,
+            Some(IpAddr::V4(v4)) => {
+                bytes[..4].copy_from_slice(&v4.octets());
+                IPKIND_V4
+            }
+            Some(IpAddr::V6(v6)) => {
+                bytes = v6.octets();
+                IPKIND_V6
+            }
+        };
+        Self { kind, ip: bytes, port }
+    }
+
+    /// The advertised IP, if any.
+    fn ip(&self) -> Result<Option<IpAddr>, TransportError> {
+        let [a, b, c, d, ..] = self.ip;
+        match self.kind {
+            IPKIND_UNSPECIFIED => Ok(None),
+            IPKIND_V4 => Ok(Some(IpAddr::V4(Ipv4Addr::new(a, b, c, d)))),
+            IPKIND_V6 => Ok(Some(IpAddr::V6(Ipv6Addr::from(self.ip)))),
+            k => Err(bootstrap_err(format!("bad address kind {k} in bootstrap message"))),
         }
-        IPKIND_V6 => {
-            let mut o = [0u8; 16];
-            o.copy_from_slice(&buf[1..17]);
-            Ok(Some(IpAddr::V6(Ipv6Addr::from(o))))
-        }
-        k => Err(bootstrap_err(format!("bad address kind {k} in bootstrap message"))),
     }
 }
 
@@ -180,16 +196,44 @@ fn decode_ip(buf: &[u8]) -> Result<Option<IpAddr>, TransportError> {
 /// they send the wildcard and learn the agreed epoch from the roster.
 pub const EPOCH_ANY: u32 = u32::MAX;
 
-/// Hello:
-/// `[u32 magic][u8 fabric][u32 rank][u32 epoch][u8 ip kind][16B ip][u16 port]`.
+/// What a dialer says first on any bootstrap connection (32 bytes).
 ///
-/// The IP is the address this rank *advertises* for its mesh listener;
-/// kind 0 means "unspecified" and tells the rendezvous to substitute the
-/// source IP it observed on the hello connection itself (the right answer
-/// for localhost fleets and for workers behind symmetric routing). The
-/// epoch is the bootstrap generation the sender believes it is joining
-/// ([`EPOCH_ANY`] defers to the rendezvous).
-const HELLO_BYTES: usize = 32;
+/// `mesh` is the address this rank *advertises* for its mesh listener; an
+/// unspecified IP tells the rendezvous to substitute the source IP it
+/// observed on the hello connection itself (the right answer for localhost
+/// fleets and for workers behind symmetric routing). The epoch is the
+/// bootstrap generation the sender believes it is joining ([`EPOCH_ANY`]
+/// defers to the rendezvous).
+struct Hello {
+    magic: u32,
+    fabric: u8,
+    rank: u32,
+    epoch: u32,
+    mesh: Endpoint,
+}
+
+crate::wire_struct!(Hello { magic, fabric, rank, epoch, mesh });
+
+/// What opens a roster; `nprocs − 1` [`Endpoint`]s follow, ranks `1..` in
+/// order.
+struct RosterHead {
+    magic: u32,
+    nprocs: u32,
+    epoch: u32,
+}
+
+crate::wire_struct!(RosterHead { magic, nprocs, epoch });
+
+/// Read one fixed-size bootstrap record off `s`: the record's table says
+/// how many bytes to wait for.
+fn read_record<T: WireDecode + WireSize>(
+    s: &mut impl Read,
+    what: &str,
+) -> Result<T, TransportError> {
+    let mut buf = vec![0u8; T::FIXED_WIRE_BYTES.expect("bootstrap records are fixed-size")];
+    s.read_exact(&mut buf).map_err(|e| io_err(format!("reading bootstrap {what}"), e))?;
+    T::from_wire(&buf).map_err(|e| bootstrap_err(format!("malformed bootstrap {what}: {e}")))
+}
 
 fn write_hello(
     s: &mut impl Write,
@@ -199,36 +243,23 @@ fn write_hello(
     ip: Option<IpAddr>,
     port: u16,
 ) -> io::Result<()> {
-    let mut buf = [0u8; HELLO_BYTES];
-    buf[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    buf[4] = fabric;
-    buf[5..9].copy_from_slice(&rank.to_le_bytes());
-    buf[9..13].copy_from_slice(&epoch.to_le_bytes());
-    encode_ip(&mut buf[13..30], ip);
-    buf[30..32].copy_from_slice(&port.to_le_bytes());
-    s.write_all(&buf)
+    s.write_all(
+        &Hello { magic: MAGIC, fabric, rank, epoch, mesh: Endpoint::new(ip, port) }.to_wire(),
+    )
 }
 
-fn read_hello(s: &mut impl Read) -> Result<(u8, u32, u32, Option<IpAddr>, u16), TransportError> {
-    let mut buf = [0u8; HELLO_BYTES];
-    s.read_exact(&mut buf).map_err(|e| io_err("reading bootstrap hello", e))?;
-    let magic = u32::from_le_bytes(buf[0..4].try_into().expect("4-byte slice"));
-    if magic != MAGIC {
+fn read_hello(s: &mut impl Read) -> Result<Hello, TransportError> {
+    let hello: Hello = read_record(s, "hello")?;
+    if hello.magic != MAGIC {
         return Err(bootstrap_err(format!(
-            "bad hello magic {magic:#010x} (expected {MAGIC:#010x}) — \
-             is something else talking to the rendezvous port?"
+            "bad hello magic {:#010x} (expected {MAGIC:#010x}) — \
+             is something else talking to the rendezvous port?",
+            hello.magic
         )));
     }
-    let fabric = buf[4];
-    let rank = u32::from_le_bytes(buf[5..9].try_into().expect("4-byte slice"));
-    let epoch = u32::from_le_bytes(buf[9..13].try_into().expect("4-byte slice"));
-    let ip = decode_ip(&buf[13..30])?;
-    let port = u16::from_le_bytes(buf[30..32].try_into().expect("2-byte slice"));
-    Ok((fabric, rank, epoch, ip, port))
+    hello.mesh.ip()?; // a bad address kind is rejected where it enters
+    Ok(hello)
 }
-
-/// Roster entry: `[u8 ip kind][16B ip][u16 port]` — a full socket address.
-const ROSTER_ENTRY_BYTES: usize = 19;
 
 fn write_roster(
     s: &mut impl Write,
@@ -236,46 +267,67 @@ fn write_roster(
     epoch: u32,
     addrs: &[SocketAddr],
 ) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(12 + addrs.len() * ROSTER_ENTRY_BYTES);
-    buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.extend_from_slice(&(nprocs as u32).to_le_bytes());
-    buf.extend_from_slice(&epoch.to_le_bytes());
+    let mut buf = RosterHead { magic: MAGIC, nprocs: nprocs as u32, epoch }.to_wire();
     for a in addrs {
-        let mut entry = [0u8; ROSTER_ENTRY_BYTES];
-        encode_ip(&mut entry[0..17], Some(a.ip()));
-        entry[17..19].copy_from_slice(&a.port().to_le_bytes());
-        buf.extend_from_slice(&entry);
+        Endpoint::new(Some(a.ip()), a.port()).encode(&mut buf);
     }
     s.write_all(&buf)
 }
 
 fn read_roster(s: &mut impl Read, nprocs: usize) -> Result<(u32, Vec<SocketAddr>), TransportError> {
-    let mut head = [0u8; 12];
-    s.read_exact(&mut head).map_err(|e| io_err("reading bootstrap roster", e))?;
-    let magic = u32::from_le_bytes(head[0..4].try_into().expect("4-byte slice"));
-    if magic != MAGIC {
-        return Err(bootstrap_err(format!("bad roster magic {magic:#010x}")));
+    let head: RosterHead = read_record(s, "roster")?;
+    if head.magic != MAGIC {
+        return Err(bootstrap_err(format!("bad roster magic {:#010x}", head.magic)));
     }
-    let n = u32::from_le_bytes(head[4..8].try_into().expect("4-byte slice")) as usize;
-    if n != nprocs {
+    if head.nprocs as usize != nprocs {
         return Err(bootstrap_err(format!(
-            "cluster size disagreement: rendezvous says {n} processes, this rank expects {nprocs}"
+            "cluster size disagreement: rendezvous says {} processes, this rank expects {nprocs}",
+            head.nprocs
         )));
     }
-    let epoch = u32::from_le_bytes(head[8..12].try_into().expect("4-byte slice"));
-    let mut entries = vec![0u8; (nprocs - 1) * ROSTER_ENTRY_BYTES];
-    s.read_exact(&mut entries).map_err(|e| io_err("reading bootstrap roster entries", e))?;
-    let addrs = entries
-        .chunks_exact(ROSTER_ENTRY_BYTES)
-        .map(|c| {
-            let ip = decode_ip(&c[0..17])?.ok_or_else(|| {
-                bootstrap_err("roster entry with unspecified address".to_string())
-            })?;
-            let port = u16::from_le_bytes([c[17], c[18]]);
-            Ok(SocketAddr::new(ip, port))
+    let addrs = (1..nprocs)
+        .map(|_| {
+            let entry: Endpoint = read_record(s, "roster entries")?;
+            let ip = entry
+                .ip()?
+                .ok_or_else(|| bootstrap_err("roster entry with unspecified address"))?;
+            Ok(SocketAddr::new(ip, entry.port))
         })
         .collect::<Result<Vec<_>, TransportError>>()?;
-    Ok((epoch, addrs))
+    Ok((head.epoch, addrs))
+}
+
+/// Accept one connection on the non-blocking `listener` before `deadline`
+/// and read its hello (itself under the bootstrap timeout); the stream
+/// comes back blocking with no read timeout. `what` names the listener in
+/// io errors; `late` words the error for a peer that never dialed.
+fn accept_hello(
+    listener: &TcpListener,
+    deadline: Instant,
+    what: &str,
+    late: impl FnOnce() -> String,
+) -> Result<(Hello, TcpStream), TransportError> {
+    let configuring = |e| io_err(format!("configuring {what} connection"), e);
+    loop {
+        match listener.accept() {
+            Ok((mut stream, _)) => {
+                stream
+                    .set_nonblocking(false)
+                    .and_then(|()| stream.set_read_timeout(Some(BOOTSTRAP_TIMEOUT)))
+                    .map_err(configuring)?;
+                let hello = read_hello(&mut stream)?;
+                stream.set_read_timeout(None).map_err(configuring)?;
+                return Ok((hello, stream));
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if Instant::now() > deadline {
+                    return Err(bootstrap_err(late()));
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => return Err(io_err(format!("accepting {what} connection"), e)),
+        }
+    }
 }
 
 /// The rendezvous point of a TCP fabric: rank 0's listener, which peers
@@ -300,6 +352,8 @@ impl TcpRendezvous {
     /// ephemeral port, or a fixed `host:port` peers were told to dial).
     pub fn bind(addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        // Every accept on this listener is an `accept_hello` under a deadline.
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(Self { listener, addr, epoch: 0, stash: Vec::new() })
     }
@@ -370,62 +424,39 @@ impl TcpRendezvous {
             }
         }
         let deadline = Instant::now() + BOOTSTRAP_TIMEOUT;
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| io_err("configuring rendezvous listener", e))?;
         while remaining > 0 {
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    stream
-                        .set_nonblocking(false)
-                        .and_then(|()| stream.set_read_timeout(Some(BOOTSTRAP_TIMEOUT)))
-                        .map_err(|e| io_err("configuring rendezvous connection", e))?;
-                    let (f, rank, epoch, ip, port) = read_hello(&mut stream)?;
-                    stream
-                        .set_read_timeout(None)
-                        .map_err(|e| io_err("configuring rendezvous connection", e))?;
-                    if epoch != EPOCH_ANY && epoch != self.epoch {
-                        return Err(bootstrap_err(format!(
-                            "rank {rank} dialed the rendezvous with epoch {epoch} but the \
-                             cluster is bootstrapping epoch {} — a process from a previous \
-                             incarnation (or a stale relaunch) is talking to this rendezvous",
-                            self.epoch
-                        )));
-                    }
-                    let ip = match ip {
-                        Some(ip) => ip,
-                        None => stream
-                            .peer_addr()
-                            .map_err(|e| io_err("reading hello source address", e))?
-                            .ip(),
-                    };
-                    let addr = SocketAddr::new(ip, port);
-                    if f == fabric {
-                        place(rank, addr, stream)?;
-                        remaining -= 1;
-                    } else if is_coll_fabric(f) && is_coll_fabric(fabric) {
-                        return Err(topology_disagreement(f, fabric));
-                    } else {
-                        self.stash.push((f, rank, addr, stream));
-                    }
+            let (hello, stream) = accept_hello(&self.listener, deadline, "rendezvous", || {
+                format!(
+                    "timed out waiting for {remaining} of {} peers to dial the rendezvous at {}",
+                    nprocs - 1,
+                    self.addr
+                )
+            })?;
+            let Hello { fabric: f, rank, epoch, mesh, .. } = hello;
+            if epoch != EPOCH_ANY && epoch != self.epoch {
+                return Err(bootstrap_err(format!(
+                    "rank {rank} dialed the rendezvous with epoch {epoch} but the \
+                     cluster is bootstrapping epoch {} — a process from a previous \
+                     incarnation (or a stale relaunch) is talking to this rendezvous",
+                    self.epoch
+                )));
+            }
+            let ip = match mesh.ip()? {
+                Some(ip) => ip,
+                None => {
+                    stream.peer_addr().map_err(|e| io_err("reading hello source address", e))?.ip()
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        return Err(bootstrap_err(format!(
-                            "timed out waiting for {remaining} of {} peers to dial the \
-                             rendezvous at {}",
-                            nprocs - 1,
-                            self.addr
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(io_err("accepting rendezvous connection", e)),
+            };
+            let addr = SocketAddr::new(ip, mesh.port);
+            if f == fabric {
+                place(rank, addr, stream)?;
+                remaining -= 1;
+            } else if is_coll_fabric(f) && is_coll_fabric(fabric) {
+                return Err(topology_disagreement(f, fabric));
+            } else {
+                self.stash.push((f, rank, addr, stream));
             }
         }
-        self.listener
-            .set_nonblocking(false)
-            .map_err(|e| io_err("configuring rendezvous listener", e))?;
         Ok(slots
             .into_iter()
             .enumerate()
@@ -537,26 +568,10 @@ where
     let deadline = Instant::now() + BOOTSTRAP_TIMEOUT;
     let mut pending = nprocs - rank - 1;
     while pending > 0 {
-        let mut s = loop {
-            match listener.accept() {
-                Ok((s, _)) => break s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        return Err(bootstrap_err(format!(
-                            "timed out waiting for higher ranks to dial rank {rank}'s mesh \
-                             listener"
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(io_err("accepting mesh connection", e)),
-            }
-        };
-        s.set_nonblocking(false)
-            .and_then(|()| s.set_read_timeout(Some(BOOTSTRAP_TIMEOUT)))
-            .map_err(|e| io_err("configuring mesh connection", e))?;
-        let (f, peer, peer_epoch, _, _) = read_hello(&mut s)?;
-        s.set_read_timeout(None).map_err(|e| io_err("configuring mesh connection", e))?;
+        let (hello, s) = accept_hello(&listener, deadline, "mesh", || {
+            format!("timed out waiting for higher ranks to dial rank {rank}'s mesh listener")
+        })?;
+        let Hello { fabric: f, rank: peer, epoch: peer_epoch, .. } = hello;
         if peer_epoch != epoch {
             // A zombie from a previous incarnation dialed a reused port:
             // not this bootstrap's problem — drop it and keep accepting.
@@ -654,5 +669,95 @@ mod tests {
         let peers = rv.collect(FABRIC_P2P, 2).expect("a wildcard hello joins any epoch");
         assert_eq!(peers.len(), 1);
         assert_eq!(peers[0].0, 1);
+    }
+
+    #[test]
+    fn hello_and_roster_bytes_are_pinned() {
+        // Written by the byte-offset encoders these records replaced
+        // (`write_hello` / `write_roster` at commit 1c6976f, same
+        // arguments): a round trip cannot see a symmetric change.
+        let check = |golden: &[u8], fabric, rank, epoch, ip: Option<&str>, port| {
+            let ip: Option<IpAddr> = ip.map(|ip| ip.parse().unwrap());
+            assert_eq!(golden.len(), 32);
+            let mut written = Vec::new();
+            write_hello(&mut written, fabric, rank, epoch, ip, port).unwrap();
+            assert_eq!(written, golden, "hello layout moved");
+            let hello = read_hello(&mut &golden[..]).unwrap();
+            assert_eq!((hello.fabric, hello.rank, hello.epoch), (fabric, rank, epoch));
+            assert_eq!((hello.mesh.ip().unwrap(), hello.mesh.port), (ip, port));
+        };
+        // magic, fabric, rank, epoch | kind, 16 ip bytes | port
+        check(
+            b"\x31\x45\x4e\x44\x02\x03\0\0\0\x07\0\0\0\
+              \x04\xc0\xa8\x01\x14\0\0\0\0\0\0\0\0\0\0\0\0\x92\x10",
+            2,
+            3,
+            7,
+            Some("192.168.1.20"),
+            4242,
+        );
+        check(
+            b"\x31\x45\x4e\x44\0\x01\0\0\0\xff\xff\xff\xff\
+              \x06\xfe\x80\0\0\0\0\0\0\0\0\0\0\0\x01\0\x02\xff\xff",
+            0,
+            1,
+            EPOCH_ANY,
+            Some("fe80::1:2"),
+            65535,
+        );
+        check(
+            b"\x31\x45\x4e\x44\x01\x05\0\0\0\0\0\0\0\
+              \0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\x09\0",
+            1,
+            5,
+            0,
+            None,
+            9,
+        );
+        // magic, nprocs, epoch | rank 1's endpoint | rank 2's endpoint
+        let roster: &[u8] = b"\x31\x45\x4e\x44\x03\0\0\0\x04\0\0\0\
+              \x04\x7f\0\0\x01\0\0\0\0\0\0\0\0\0\0\0\0\x88\x13\
+              \x06\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\x01\x70\x17";
+        let addrs: Vec<SocketAddr> =
+            vec!["127.0.0.1:5000".parse().unwrap(), "[::1]:6000".parse().unwrap()];
+        let mut written = Vec::new();
+        write_roster(&mut written, 3, 4, &addrs).unwrap();
+        assert_eq!(written, roster, "roster layout moved");
+        assert_eq!(read_roster(&mut &roster[..], 3).unwrap(), (4, addrs));
+    }
+
+    #[test]
+    fn malformed_records_are_typed_bootstrap_errors() {
+        let mut hello = Vec::new();
+        write_hello(&mut hello, FABRIC_P2P, 1, 0, None, 9).unwrap();
+        // A short read is an io error naming the record, never a hang or panic.
+        let err = read_hello(&mut &hello[..31]).err().expect("31 of 32 bytes");
+        assert!(matches!(err, TransportError::Io { .. }), "{err:?}");
+        let mut bad_magic = hello.clone();
+        bad_magic[0] ^= 0xFF;
+        let err = read_hello(&mut &bad_magic[..]).err().expect("foreign magic");
+        assert!(err.to_string().contains("bad hello magic 0x444e45ce"), "{err}");
+        let mut bad_kind = hello;
+        bad_kind[13] = 5;
+        let err = read_hello(&mut &bad_kind[..]).err().expect("kind 5 is neither v4 nor v6");
+        assert!(err.to_string().contains("bad address kind 5"), "{err}");
+        // Roster: wrong size, and an entry that advertises no address.
+        let mut roster = Vec::new();
+        write_roster(&mut roster, 2, 0, &["127.0.0.1:1".parse().unwrap()]).unwrap();
+        let err = read_roster(&mut &roster[..], 3).unwrap_err();
+        assert!(err.to_string().contains("cluster size disagreement"), "{err}");
+        roster[12] = IPKIND_UNSPECIFIED;
+        let err = read_roster(&mut &roster[..], 2).unwrap_err();
+        assert!(err.to_string().contains("unspecified address"), "{err}");
+    }
+
+    #[test]
+    fn accept_hello_times_out_with_the_callers_words() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let err = accept_hello(&listener, Instant::now(), "test", || "nobody dialed".into())
+            .err()
+            .expect("no peer ever dials");
+        assert!(matches!(&err, TransportError::Bootstrap { detail } if detail == "nobody dialed"));
     }
 }

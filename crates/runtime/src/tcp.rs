@@ -785,6 +785,28 @@ impl TcpProcessCluster {
         self.connect_epoch(0)
     }
 
+    /// This rank's side of one fabric's bootstrap — hosting when it holds
+    /// the rendezvous, dialing it otherwise — and the epoch the mesh was
+    /// built under.
+    fn bootstrap<T>(
+        &mut self,
+        fabric: u8,
+        epoch: u32,
+        batch: BatchConfig,
+        stats: &Arc<CommStats>,
+    ) -> Result<(TcpTransport<T>, u32), TransportError>
+    where
+        T: Send + WireEncode + WireDecode + 'static,
+    {
+        let (nprocs, stats) = (self.nprocs, Arc::clone(stats));
+        match self.rendezvous.as_mut() {
+            Some(rv) => Ok((host_endpoint(rv, fabric, nprocs, batch, stats)?, rv.epoch())),
+            None => connect_endpoint(
+                self.addr, fabric, self.rank, nprocs, epoch, &self.bind, batch, stats,
+            ),
+        }
+    }
+
     /// Bootstrap (or re-bootstrap) the cluster's meshes under an explicit
     /// bootstrap generation, without consuming the cluster object — the
     /// recovery workflow: when a session dies with
@@ -806,54 +828,23 @@ impl TcpProcessCluster {
         let batch = self.comm_batch.unwrap_or_else(BatchConfig::from_env);
         let stats = CommStats::new(self.nprocs);
         let memory = MemoryTracker::new(self.nprocs);
-        let coll_id = coll_fabric(topology);
-        let (p2p, coll, epoch): (TcpTransport<M>, TcpTransport<CollMsg>, u32) =
-            match self.rendezvous.as_mut() {
-                Some(rv) => {
-                    assert!(
-                        epoch != EPOCH_ANY,
-                        "rank 0 owns the epoch counter and must pass a concrete epoch"
-                    );
-                    rv.set_epoch(epoch);
-                    (
-                        host_endpoint(rv, FABRIC_P2P, self.nprocs, batch, Arc::clone(&stats))?,
-                        host_endpoint(
-                            rv,
-                            coll_id,
-                            self.nprocs,
-                            BatchConfig::disabled(),
-                            Arc::clone(&stats),
-                        )?,
-                        epoch,
-                    )
-                }
-                None => {
-                    let (p2p, learned) = connect_endpoint(
-                        self.addr,
-                        FABRIC_P2P,
-                        self.rank,
-                        self.nprocs,
-                        epoch,
-                        &self.bind,
-                        batch,
-                        Arc::clone(&stats),
-                    )?;
-                    // The collectives mesh joins the epoch the
-                    // point-to-point roster agreed on — never the
-                    // wildcard, so both meshes are of one generation.
-                    let (coll, _) = connect_endpoint(
-                        self.addr,
-                        coll_id,
-                        self.rank,
-                        self.nprocs,
-                        learned,
-                        &self.bind,
-                        BatchConfig::disabled(),
-                        Arc::clone(&stats),
-                    )?;
-                    (p2p, coll, learned)
-                }
-            };
+        if let Some(rv) = self.rendezvous.as_mut() {
+            assert!(
+                epoch != EPOCH_ANY,
+                "rank 0 owns the epoch counter and must pass a concrete epoch"
+            );
+            rv.set_epoch(epoch);
+        }
+        let (p2p, epoch) = self.bootstrap::<M>(FABRIC_P2P, epoch, batch, &stats)?;
+        // The collectives mesh joins the epoch the point-to-point roster
+        // agreed on — never the wildcard, so both meshes are of one
+        // generation — and always runs unbatched.
+        let (coll, _) = self.bootstrap::<CollMsg>(
+            coll_fabric(topology),
+            epoch,
+            BatchConfig::disabled(),
+            &stats,
+        )?;
         let comm = CommEndpoint::from_transport(Box::new(p2p), Arc::clone(&stats));
         let collectives = Collectives::from_transport(Box::new(coll), topology, Arc::clone(&stats));
         let ctx = Ctx::from_parts(comm, collectives, Arc::clone(&memory));

@@ -4,21 +4,37 @@
 //! the loopback backend moves Rust values by pointer and needs an explicit
 //! *estimate* of how many bytes each message would occupy on a real
 //! interconnect; the bytes backend actually serializes every envelope and
-//! charges the *actual* encoded length. Three traits cover both worlds:
-//!
-//! * [`WireSize`] — byte estimate, used by the loopback backend;
-//! * [`WireEncode`] — serialization into a little-endian byte stream;
-//! * [`WireDecode`] — checked deserialization (truncated or trailing input
-//!   is an error, never a panic).
+//! charges the *actual* encoded length. Three traits cover both worlds —
+//! [`WireSize`] (the byte estimate), [`WireEncode`] (serialization into a
+//! little-endian byte stream) and [`WireDecode`] (checked deserialization:
+//! truncated or trailing input is an error, never a panic) — and every type
+//! that crosses a process boundary gets all three from **one table**:
+//! [`wire_struct!`](crate::wire_struct) lists a struct's fields once, in
+//! wire order; [`wire_enum!`](crate::wire_enum) lists an enum's tags,
+//! variants and fields once. The `struct`/`enum` definition with its docs
+//! stays ordinary Rust; the table is the layout, and because size, encoder
+//! and decoder are expanded from the same list, `encode` emits exactly
+//! [`WireSize::wire_bytes`] bytes by construction — which is what lets the
+//! loopback estimate and the bytes-backend actual agree
+//! ([`WireEncode::to_wire`] still asserts it in debug builds).
 //!
 //! The encoding is the natural packed little-endian form (payload bytes, no
-//! framing): a `u64` is 8 bytes, a `Vec<T>` is an 8-byte length prefix plus
-//! elements, a tuple is the concatenation of its fields. This mirrors how
-//! the paper's implementation serializes flat arrays over MPI. By
-//! construction `encode` emits exactly [`WireSize::wire_bytes`] bytes for
-//! every implementor in this workspace — [`WireEncode::to_wire`] asserts it
-//! in debug builds and the property tests assert it for every message
-//! shape — so the loopback estimate and the bytes-backend actual agree.
+//! framing): a `u64` is 8 bytes, a `[u8; N]` is its `N` bytes, a `Vec<T>` is
+//! an 8-byte length prefix plus elements, an `Option<T>` a 0/1 byte plus the
+//! value, a tuple or struct the concatenation of its fields, an enum a
+//! 1-byte tag plus the variant's fields. This mirrors how the paper's
+//! implementation serializes flat arrays over MPI.
+//!
+//! # Adding a message
+//!
+//! 1. Define the `enum` (or `struct`) as usual, with its docs.
+//! 2. Below it write the table: `wire_enum!(Msg { 0 => Ping, 1 => Put { key, value } });`
+//!    (or `wire_struct!(Rec { a, b });`) — field order is wire order.
+//! 3. A new variant or field is one more table entry; never reuse a tag.
+//! 4. Field types need only implement the three traits themselves
+//!    (primitives, `[u8; N]`, tuples, `Vec`, `Option`, other table types).
+//! 5. Pin the bytes of one value per variant in a golden test — a round
+//!    trip cannot see a change that encoder and decoder share.
 //!
 //! Hot-path notes: types whose encoded form has a fixed length advertise it
 //! through [`WireSize::FIXED_WIRE_BYTES`], which turns `Vec<T>::wire_bytes`
@@ -160,6 +176,13 @@ impl<'a> WireReader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The next byte, not consumed — for codecs whose first byte decides
+    /// which decoder reads it.
+    #[inline]
+    pub fn peek(&self) -> Result<u8, WireError> {
+        self.buf.get(self.pos).copied().ok_or(WireError::Truncated { needed: 1, available: 0 })
+    }
+
     /// Consume exactly `n` bytes, or fail without advancing.
     #[inline]
     pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -179,31 +202,136 @@ impl<'a> WireReader<'a> {
     }
 }
 
-macro_rules! fixed_int_wire {
-    ($($t:ty),*) => {
+/// `Some(sum)` when every part is `Some` — the [`WireSize::FIXED_WIRE_BYTES`]
+/// of a product of fields.
+#[doc(hidden)]
+pub const fn fixed_sum(parts: &[Option<usize>]) -> Option<usize> {
+    let mut sum = 0;
+    let mut i = 0;
+    while i < parts.len() {
+        match parts[i] {
+            Some(k) => sum += k,
+            None => return None,
+        }
+        i += 1;
+    }
+    Some(sum)
+}
+
+/// `T::FIXED_WIRE_BYTES` of the field a projection returns: how
+/// [`wire_struct!`](crate::wire_struct) reads a field's type off its name.
+#[doc(hidden)]
+pub const fn fixed_of<S, T: WireSize>(_field: fn(&S) -> &T) -> Option<usize> {
+    T::FIXED_WIRE_BYTES
+}
+
+/// The codec of a struct, from one list of its fields in wire order:
+/// `wire_struct!(Type { a, b, c })`. Each field travels through its own
+/// type's codec (`decode` infers the types), so the struct is the
+/// concatenation of its fields and has a `FIXED_WIRE_BYTES` exactly when
+/// every field has one. The second form, `wire_struct!(<A, B> (0, 1))`, is
+/// the same for a tuple of generic fields.
+#[macro_export]
+macro_rules! wire_struct {
+    (@impls [$($g:ident),*] $t:ty, $r:ident, [$($f:tt),+], [$($fixed:expr),+], $build:expr) => {
+        impl<$($g: $crate::WireSize),*> $crate::WireSize for $t {
+            const FIXED_WIRE_BYTES: Option<usize> = $crate::wire::fixed_sum(&[$($fixed),+]);
+            #[inline]
+            fn wire_bytes(&self) -> usize {
+                0 $(+ $crate::WireSize::wire_bytes(&self.$f))+
+            }
+        }
+        impl<$($g: $crate::WireEncode),*> $crate::WireEncode for $t {
+            #[inline]
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $($crate::WireEncode::encode(&self.$f, buf);)+
+            }
+        }
+        impl<$($g: $crate::WireDecode),*> $crate::WireDecode for $t {
+            #[inline]
+            fn decode($r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::WireError> {
+                Ok($build)
+            }
+        }
+    };
+    (<$($g:ident),+> ($($i:tt),+)) => {
+        $crate::wire_struct!(@impls [$($g),+] ($($g,)+), r, [$($i),+],
+            [$($g::FIXED_WIRE_BYTES),+],
+            ($(<$g as $crate::WireDecode>::decode(r)?,)+));
+    };
+    ($t:ty { $($f:ident),+ $(,)? }) => {
+        $crate::wire_struct!(@impls [] $t, r, [$($f),+],
+            [$($crate::wire::fixed_of(|s: &$t| &s.$f)),+],
+            Self { $($f: $crate::WireDecode::decode(r)?),+ });
+    };
+}
+
+/// The codec of an enum, from one table of its variants:
+/// `wire_enum!(Type { 0 => Unit, 1 => Variant { a, b } })` — a 1-byte tag,
+/// then the variant's fields in the listed order, each through its own
+/// type's codec. A tag the table does not name decodes to
+/// [`WireError::BadTag`].
+#[macro_export]
+macro_rules! wire_enum {
+    ($t:ty { $($tag:literal => $v:ident $({ $($f:ident),+ $(,)? })?),+ $(,)? }) => {
+        impl $crate::WireSize for $t {
+            fn wire_bytes(&self) -> usize {
+                match self {
+                    $(Self::$v $({ $($f),+ })? => 1 $($(+ $crate::WireSize::wire_bytes($f))+)?,)+
+                }
+            }
+        }
+        impl $crate::WireEncode for $t {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(Self::$v $({ $($f),+ })? => {
+                        buf.push($tag);
+                        $($($crate::WireEncode::encode($f, buf);)+)?
+                    })+
+                }
+            }
+        }
+        impl $crate::WireDecode for $t {
+            fn decode(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::WireError> {
+                match r.read_array::<1>()?[0] {
+                    $($tag => Ok(Self::$v $({ $($f: $crate::WireDecode::decode(r)?),+ })?),)+
+                    tag => Err($crate::WireError::BadTag { tag }),
+                }
+            }
+        }
+    };
+}
+
+/// Integers and floats travel as the little-endian bytes of a carrier type:
+/// themselves, except `usize`/`isize`, which are 8-byte words regardless of
+/// platform so frames stay portable between 32- and 64-bit builds.
+macro_rules! le_wire {
+    ($($t:ty as $c:ty),*) => {
         $(
             impl WireSize for $t {
-                const FIXED_WIRE_BYTES: Option<usize> = Some(std::mem::size_of::<$t>());
+                const FIXED_WIRE_BYTES: Option<usize> = Some(std::mem::size_of::<$c>());
                 #[inline]
-                fn wire_bytes(&self) -> usize { std::mem::size_of::<$t>() }
+                fn wire_bytes(&self) -> usize { std::mem::size_of::<$c>() }
             }
             impl WireEncode for $t {
                 #[inline]
                 fn encode(&self, buf: &mut Vec<u8>) {
-                    buf.extend_from_slice(&self.to_le_bytes());
+                    buf.extend_from_slice(&(*self as $c).to_le_bytes());
                 }
             }
             impl WireDecode for $t {
                 #[inline]
                 fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                    r.read_array().map(<$t>::from_le_bytes)
+                    <$t>::try_from(<$c>::from_le_bytes(r.read_array()?))
+                        .map_err(|_| WireError::Overflow)
                 }
             }
         )*
     };
 }
 
-fixed_int_wire!(u8, u16, u32, i8, i16, i32, i64, f32, f64);
+le_wire!(u8 as u8, u16 as u16, u32 as u32, i8 as i8, i16 as i16, i32 as i32, i64 as i64);
+le_wire!(f32 as f32, f64 as f64, usize as u64, isize as i64);
 
 // u64 gets hand-written impls so the slice hooks can use one memcpy for the
 // hot `Vec<u64>` payloads (vertex and edge ids) instead of an element loop.
@@ -266,54 +394,6 @@ impl WireDecode for u64 {
     }
 }
 
-// usize/isize travel as 8-byte little-endian words regardless of platform
-// so frames stay portable between 32- and 64-bit builds.
-impl WireSize for usize {
-    const FIXED_WIRE_BYTES: Option<usize> = Some(8);
-    #[inline]
-    fn wire_bytes(&self) -> usize {
-        8
-    }
-}
-
-impl WireEncode for usize {
-    #[inline]
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (*self as u64).encode(buf);
-    }
-}
-
-impl WireDecode for usize {
-    #[inline]
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let v = u64::decode(r)?;
-        usize::try_from(v).map_err(|_| WireError::Overflow)
-    }
-}
-
-impl WireSize for isize {
-    const FIXED_WIRE_BYTES: Option<usize> = Some(8);
-    #[inline]
-    fn wire_bytes(&self) -> usize {
-        8
-    }
-}
-
-impl WireEncode for isize {
-    #[inline]
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (*self as i64).encode(buf);
-    }
-}
-
-impl WireDecode for isize {
-    #[inline]
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let v = i64::decode(r)?;
-        isize::try_from(v).map_err(|_| WireError::Overflow)
-    }
-}
-
 impl WireSize for bool {
     const FIXED_WIRE_BYTES: Option<usize> = Some(1);
     #[inline]
@@ -360,61 +440,30 @@ impl WireDecode for () {
     }
 }
 
-impl<A: WireSize, B: WireSize> WireSize for (A, B) {
-    const FIXED_WIRE_BYTES: Option<usize> = match (A::FIXED_WIRE_BYTES, B::FIXED_WIRE_BYTES) {
-        (Some(a), Some(b)) => Some(a + b),
-        _ => None,
-    };
-
+impl<const N: usize> WireSize for [u8; N] {
+    const FIXED_WIRE_BYTES: Option<usize> = Some(N);
     #[inline]
     fn wire_bytes(&self) -> usize {
-        self.0.wire_bytes() + self.1.wire_bytes()
+        N
     }
 }
 
-impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
+impl<const N: usize> WireEncode for [u8; N] {
     #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
+        buf.extend_from_slice(self);
     }
 }
 
-impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
+impl<const N: usize> WireDecode for [u8; N] {
     #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok((A::decode(r)?, B::decode(r)?))
+        r.read_array()
     }
 }
 
-impl<A: WireSize, B: WireSize, C: WireSize> WireSize for (A, B, C) {
-    const FIXED_WIRE_BYTES: Option<usize> =
-        match (A::FIXED_WIRE_BYTES, B::FIXED_WIRE_BYTES, C::FIXED_WIRE_BYTES) {
-            (Some(a), Some(b), Some(c)) => Some(a + b + c),
-            _ => None,
-        };
-
-    #[inline]
-    fn wire_bytes(&self) -> usize {
-        self.0.wire_bytes() + self.1.wire_bytes() + self.2.wire_bytes()
-    }
-}
-
-impl<A: WireEncode, B: WireEncode, C: WireEncode> WireEncode for (A, B, C) {
-    #[inline]
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-        self.2.encode(buf);
-    }
-}
-
-impl<A: WireDecode, B: WireDecode, C: WireDecode> WireDecode for (A, B, C) {
-    #[inline]
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
-    }
-}
+wire_struct!(<A, B> (0, 1));
+wire_struct!(<A, B, C> (0, 1, 2));
 
 impl<T: WireSize> WireSize for Vec<T> {
     fn wire_bytes(&self) -> usize {
@@ -601,5 +650,125 @@ mod tests {
     fn bad_tags_are_errors() {
         assert_eq!(bool::from_wire(&[2]), Err(WireError::BadTag { tag: 2 }));
         assert_eq!(Option::<u64>::from_wire(&[7]), Err(WireError::BadTag { tag: 7 }));
+    }
+
+    // ---------------------------------------------------- the two tables --
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Probe {
+        Unit,
+        Pair { id: u64, weight: f64 },
+        Nested { maybe: Option<Vec<u32>>, rows: Vec<Option<(u64, u8)>>, header: Header },
+    }
+    crate::wire_enum!(Probe { 0 => Unit, 3 => Pair { id, weight }, 7 => Nested { maybe, rows, header } });
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Header {
+        magic: [u8; 8],
+        rank: u32,
+        flags: (u8, u16),
+    }
+    crate::wire_struct!(Header { magic, rank, flags });
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Open {
+        header: Header,
+        tail: Vec<u64>,
+    }
+    crate::wire_struct!(Open { header, tail });
+
+    fn header() -> Header {
+        Header { magic: *b"PROBE\0\x01\xff", rank: 9, flags: (1, 0x0203) }
+    }
+
+    fn probes() -> Vec<Probe> {
+        vec![
+            Probe::Unit,
+            Probe::Pair { id: u64::MAX, weight: -0.5 },
+            Probe::Nested { maybe: None, rows: Vec::new(), header: header() },
+            Probe::Nested {
+                maybe: Some(vec![1, 2, 3]),
+                rows: vec![Some((7, 1)), None, Some((8, 2))],
+                header: header(),
+            },
+        ]
+    }
+
+    #[test]
+    fn tables_emit_exactly_wire_bytes_and_roundtrip() {
+        for p in probes() {
+            roundtrip(p);
+        }
+        roundtrip(header());
+        roundtrip(Open { header: header(), tail: vec![4, 5] });
+        roundtrip(vec![header(), header()]);
+    }
+
+    #[test]
+    fn table_layout_is_tag_then_fields_in_listed_order() {
+        assert_eq!(Probe::Unit.to_wire(), [0]);
+        let pair = Probe::Pair { id: 2, weight: 0.0 }.to_wire();
+        assert_eq!(pair, [3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(header().to_wire(), *b"PROBE\0\x01\xff\x09\0\0\0\x01\x03\x02");
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_table_value_fails() {
+        for p in probes() {
+            let bytes = p.to_wire();
+            for cut in 0..bytes.len() {
+                assert!(Probe::from_wire(&bytes[..cut]).is_err(), "{cut}-byte prefix of {p:?}");
+            }
+        }
+        let bytes = header().to_wire();
+        for cut in 0..bytes.len() {
+            assert!(Header::from_wire(&bytes[..cut]).is_err(), "{cut}-byte prefix of header");
+        }
+    }
+
+    #[test]
+    fn table_rejects_unknown_tags_and_trailing_bytes() {
+        for tag in [1u8, 2, 4, 8, 255] {
+            assert_eq!(Probe::from_wire(&[tag]), Err(WireError::BadTag { tag }));
+        }
+        for p in probes() {
+            let mut bytes = p.to_wire();
+            bytes.push(0);
+            assert_eq!(Probe::from_wire(&bytes), Err(WireError::Trailing { remaining: 1 }));
+        }
+        let mut bytes = header().to_wire();
+        bytes.push(0);
+        assert_eq!(Header::from_wire(&bytes), Err(WireError::Trailing { remaining: 1 }));
+    }
+
+    #[test]
+    fn struct_tables_are_fixed_size_exactly_when_every_field_is() {
+        assert_eq!(<[u8; 8] as WireSize>::FIXED_WIRE_BYTES, Some(8));
+        assert_eq!(<Header as WireSize>::FIXED_WIRE_BYTES, Some(8 + 4 + 3));
+        assert_eq!(<Open as WireSize>::FIXED_WIRE_BYTES, None);
+        assert_eq!(<Probe as WireSize>::FIXED_WIRE_BYTES, None);
+        // The fixed size is what lets a vector of records size itself in
+        // O(1) and pre-validate its length prefix.
+        assert_eq!(vec![header(); 3].wire_bytes(), 8 + 3 * 15);
+        let err = Vec::<Header>::from_wire(&u64::MAX.to_wire()).unwrap_err();
+        assert!(matches!(err, WireError::Truncated { .. } | WireError::Overflow), "{err}");
+    }
+
+    #[test]
+    fn peek_does_not_consume() {
+        let mut r = WireReader::new(&[5, 6]);
+        assert_eq!(r.peek(), Ok(5));
+        assert_eq!(r.read_array::<1>(), Ok([5]));
+        assert_eq!(r.peek(), Ok(6));
+        r.read_bytes(1).unwrap();
+        assert_eq!(r.peek(), Err(WireError::Truncated { needed: 1, available: 0 }));
+    }
+
+    #[test]
+    fn word_sized_integers_travel_as_eight_bytes() {
+        assert_eq!(usize::MAX.wire_bytes(), 8);
+        roundtrip(usize::MAX);
+        roundtrip(isize::MIN);
+        roundtrip(-1isize);
     }
 }
