@@ -56,13 +56,17 @@ fn run_partition(path: &Path, k: u32, frontier_budget: u64) -> std::io::Result<(
     }
     let ne = DistributedNe::new(config);
     let (assignment, stats) = ne.partition_with_stats(&g, k);
-    let rss = dne_runtime::peak_rss_bytes()
-        .map(|b| format!("{:.1}", b as f64 / (1024.0 * 1024.0)))
-        .unwrap_or_else(|| "-".into());
+    // Resident peak, and the address-space peak a `ulimit -v` cap bites on.
+    let mib = |bytes: Option<u64>| {
+        bytes.map_or("-".into(), |b| format!("{:.1}", b as f64 / (1024.0 * 1024.0)))
+    };
     println!(
-        "backend={kind} k={k} iterations={} mem_score={:.2} peak_rss_mib={rss} fingerprint={:016x}",
+        "backend={kind} k={k} iterations={} mem_score={:.2} peak_rss_mib={} vm_peak_mib={} \
+         fingerprint={:016x}",
         stats.iterations,
         stats.mem_score,
+        mib(dne_runtime::peak_rss_bytes()),
+        mib(dne_runtime::peak_vm_bytes()),
         assignment.fingerprint()
     );
     Ok(())

@@ -117,9 +117,10 @@ impl Boundary {
         out
     }
 
-    /// Estimated heap bytes (for the mem-score accounting).
+    /// Estimated heap bytes (for the mem-score accounting): what the heap
+    /// and the two sets' tables have allocated, not what they hold.
     pub fn heap_bytes(&self) -> usize {
-        self.heap.len() * 16 + (self.expanded.len() + self.enqueued.len()) * 8
+        self.heap.capacity() * 16 + (self.expanded.capacity() + self.enqueued.capacity()) * 8
     }
 
     /// Export the queue's full state in a canonical (sorted) order for

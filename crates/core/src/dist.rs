@@ -20,6 +20,34 @@
 //! as the hash map" (§7.3); the only hash map is the global→local id
 //! mapping built at load time (charged to loading, like the paper's
 //! excluded deployment phase).
+//!
+//! ## Layout
+//!
+//! What one [`AllocatorPart`] holds, all of it charged by
+//! [`HeapSize::heap_bytes`] and none of it with slack after
+//! [`AllocatorPart::from_owned_edges`] (capacity equals length):
+//!
+//! | per local edge | bytes | |
+//! |---|---|---|
+//! | adjacency | 16 | neighbor + edge slot, `u32` each, once per endpoint |
+//! | global edge id | 8 | `edge_global` |
+//! | allocation word | 4 | `edge_part`, [`FREE`] until claimed |
+//!
+//! | per local (replicated) vertex | bytes | |
+//! |---|---|---|
+//! | global id | 8 | `global_ids`, sorted: local ids are monotone in global ids |
+//! | CSR offset | 8 | |
+//! | rest degree | 4 | `u32` — it counts `u32`-indexed adjacency slots |
+//! | scan slot | 4 | the shuffled random-restart order |
+//! | map entry | 16 × table capacity / n | `local_of`, the one hash map |
+//! | memberships | 8 | two inline `Part` words: sets of up to two partitions |
+//!
+//! A vertex in three or more partitions spills its set into one shared
+//! arena (power-of-two blocks of at least four words, abandoned blocks
+//! reused through per-size free lists); the arena is the only part of the
+//! allocator that grows during a run, `part_edges` (8 bytes per
+//! *partition*) the only other term. A vertex never owns a heap
+//! allocation of its own.
 
 use dne_graph::hash::{mix2, FastMap, SplitMix64};
 use dne_graph::{EdgeId, Graph, HeapSize, VertexId};
@@ -97,6 +125,168 @@ impl Grid2D {
     }
 }
 
+/// Word of an unused inline membership slot.
+const EMPTY: Part = Part::MAX;
+/// Flag in a vertex's second membership word: the set has spilled — the low
+/// bits are its length and the first word is its arena offset.
+const SPILLED: Part = 1 << 31;
+/// End of a free-block list.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// Arena block capacity that holds a spilled set of `len` memberships.
+#[inline]
+fn block_cap(len: usize) -> usize {
+    len.next_power_of_two().max(4)
+}
+
+/// The membership sets `Parti(v)` of every local vertex, flat: two inline
+/// words per vertex and one shared arena for the sets of three or more.
+/// Every set reads as one sorted slice; no vertex owns a heap allocation.
+struct Memberships {
+    /// `[a, b]` per local vertex: `[EMPTY, EMPTY]`, `[p, EMPTY]`, `[p, q]`
+    /// with `p < q`, or `[arena offset, SPILLED | len]`.
+    inline: Vec<[Part; 2]>,
+    /// Spilled sets in power-of-two blocks of at least four words; a set
+    /// moves to the next block size when it outgrows its block.
+    arena: Vec<Part>,
+    /// Head of the abandoned-block list per size class (`4 << class`
+    /// words), reused before the arena grows; a free block's first word
+    /// links the next one.
+    free: Vec<u32>,
+}
+
+impl Memberships {
+    fn new(n: usize) -> Self {
+        Self { inline: vec![[EMPTY; 2]; n], arena: Vec::new(), free: Vec::new() }
+    }
+
+    /// One store holding exactly `sets` (each sorted ascending), every
+    /// spilled set in a block of its own size and the arena without slack.
+    fn from_sets(sets: &[Vec<Part>]) -> Self {
+        let mut store = Self::new(sets.len());
+        let spill = sets.iter().filter(|s| s.len() > 2).map(|s| block_cap(s.len())).sum();
+        assert!(spill <= SPILLED as usize, "membership arena outgrew its 31-bit offsets");
+        store.arena = Vec::with_capacity(spill);
+        for (slot, set) in store.inline.iter_mut().zip(sets) {
+            match set[..] {
+                [] => {}
+                [p] => slot[0] = p,
+                [p, q] => *slot = [p, q],
+                _ => {
+                    *slot = [store.arena.len() as Part, SPILLED | set.len() as Part];
+                    store.arena.extend_from_slice(set);
+                    store.arena.resize(store.arena.len() + block_cap(set.len()) - set.len(), EMPTY);
+                }
+            }
+        }
+        store
+    }
+
+    #[inline]
+    fn get(&self, lv: u32) -> &[Part] {
+        let words = &self.inline[lv as usize];
+        match words[1] {
+            EMPTY => &words[..usize::from(words[0] != EMPTY)],
+            w if w & SPILLED != 0 => {
+                let at = words[0] as usize;
+                &self.arena[at..at + (w & !SPILLED) as usize]
+            }
+            _ => words,
+        }
+    }
+
+    /// Add `p` to the set of `lv`; false if it was already there.
+    fn insert(&mut self, lv: u32, p: Part) -> bool {
+        debug_assert!(p < SPILLED, "partition id {p} collides with the spill flag");
+        let set = self.get(lv);
+        let Err(pos) = set.binary_search(&p) else { return false };
+        let len = set.len();
+        let [a, b] = self.inline[lv as usize];
+        if len < 2 {
+            self.inline[lv as usize] = match (len, pos) {
+                (0, _) => [p, EMPTY],
+                (_, 0) => [p, a],
+                _ => [a, p],
+            };
+            return true;
+        }
+        let cap = block_cap(len + 1);
+        let at = if len > 2 && cap == block_cap(len) {
+            a as usize
+        } else {
+            let at = self.take_block(cap);
+            if len == 2 {
+                self.arena[at..at + 2].copy_from_slice(&[a, b]);
+            } else {
+                self.arena.copy_within(a as usize..a as usize + len, at);
+                self.give_block(a, block_cap(len));
+            }
+            at
+        };
+        self.arena.copy_within(at + pos..at + len, at + pos + 1);
+        self.arena[at + pos] = p;
+        self.inline[lv as usize] = [at as Part, SPILLED | (len + 1) as Part];
+        true
+    }
+
+    /// Offset of a block of `cap` words: an abandoned one of that size if
+    /// there is one, else fresh arena.
+    fn take_block(&mut self, cap: usize) -> usize {
+        let class = cap.trailing_zeros() as usize - 2;
+        if self.free.len() <= class {
+            self.free.resize(class + 1, NO_BLOCK);
+        }
+        let head = self.free[class];
+        if head != NO_BLOCK {
+            self.free[class] = self.arena[head as usize];
+            return head as usize;
+        }
+        let at = self.arena.len();
+        assert!(at + cap <= SPILLED as usize, "membership arena outgrew its 31-bit offsets");
+        self.arena.resize(at + cap, EMPTY);
+        at
+    }
+
+    fn give_block(&mut self, at: Part, cap: usize) {
+        let class = cap.trailing_zeros() as usize - 2;
+        self.arena[at as usize] = self.free[class];
+        self.free[class] = at;
+    }
+
+    /// Every set as an owned vector (the shape `DNESNAP1` stores).
+    fn to_sets(&self) -> Vec<Vec<Part>> {
+        (0..self.inline.len() as u32).map(|lv| self.get(lv).to_vec()).collect()
+    }
+
+    /// What [`HeapSize::heap_bytes`] must equal, from a walk: the inline
+    /// words by count, the arena as the blocks the sets occupy plus the
+    /// blocks on the free lists plus its unused tail. O(|V_local|) — for
+    /// the end-of-run debug cross-check and for tests, never per round.
+    fn recount_heap_bytes(&self) -> usize {
+        let live: usize = (0..self.inline.len() as u32)
+            .map(|lv| self.get(lv).len())
+            .filter(|&len| len > 2)
+            .map(block_cap)
+            .sum();
+        let mut abandoned = 0;
+        for (class, &head) in self.free.iter().enumerate() {
+            let mut at = head;
+            while at != NO_BLOCK {
+                abandoned += 4 << class;
+                at = self.arena[at as usize];
+            }
+        }
+        let tail = self.arena.capacity() - self.arena.len();
+        self.inline.len() * 8 + (live + abandoned + tail) * 4 + self.free.heap_bytes()
+    }
+}
+
+impl HeapSize for Memberships {
+    fn heap_bytes(&self) -> usize {
+        self.inline.heap_bytes() + self.arena.heap_bytes() + self.free.heap_bytes()
+    }
+}
+
 /// Allocator-local subgraph: the edges owned by one allocation process in
 /// CSR form, plus the mutable allocation state.
 pub struct AllocatorPart {
@@ -106,25 +296,24 @@ pub struct AllocatorPart {
     local_of: FastMap<VertexId, u32>,
     /// CSR offsets over local vertices.
     offsets: Vec<u64>,
-    /// Adjacency: local index of the neighbor.
+    /// Adjacency: local index of the neighbor. Within a vertex's range the
+    /// slots are a permutation of the load-time order in which the still
+    /// free ones keep their relative order (see
+    /// [`AllocatorPart::free_slots`]).
     adj_nbr: Vec<u32>,
-    /// Adjacency: local edge slot.
+    /// Adjacency: local edge slot (moves together with `adj_nbr`).
     adj_edge: Vec<u32>,
     /// Global edge id per local edge slot.
     pub edge_global: Vec<EdgeId>,
     /// Allocation word per local edge ([`FREE`] until claimed).
     pub edge_part: Vec<Part>,
-    /// Remaining (unallocated) local degree per local vertex.
-    pub rest: Vec<u64>,
-    /// Partition memberships per local vertex (sorted, tiny). Private so
-    /// that `vparts_heap_bytes` cannot drift: sets grow only through
-    /// [`AllocatorPart::add_membership`] and are replaced only through
-    /// [`AllocatorPart::set_vparts`].
-    vparts: Vec<Vec<Part>>,
-    /// Heap bytes of the membership sets, `Σ capacity · 4` — what a walk
-    /// over `vparts` would sum, kept current so the per-round memory
-    /// report is O(1).
-    vparts_heap_bytes: usize,
+    /// Remaining (unallocated) local degree per local vertex: the number
+    /// of [`FREE`] slots in the vertex's adjacency range.
+    pub rest: Vec<u32>,
+    /// Partition memberships per local vertex. Private: sets grow only
+    /// through [`AllocatorPart::add_membership`] and are replaced only
+    /// through [`AllocatorPart::set_vparts`].
+    members: Memberships,
     /// Locally allocated edge count per partition (`SubG.NumEdges`).
     pub part_edges: Vec<u64>,
     /// Number of still-unallocated local edges.
@@ -154,6 +343,9 @@ impl AllocatorPart {
     /// build never reads back through the input graph: one sequential
     /// edge-stream pass over *any* storage backend (including the
     /// chunk-streamed one) is enough to deploy all allocators.
+    ///
+    /// Every array it returns is exactly as large as its contents,
+    /// whatever slack the bucket came with.
     pub fn from_owned_edges(
         local_edges: Vec<(EdgeId, VertexId, VertexId)>,
         rank: u32,
@@ -167,20 +359,22 @@ impl AllocatorPart {
         }
         verts.sort_unstable();
         verts.dedup();
+        verts.shrink_to_fit();
         let local_of: FastMap<VertexId, u32> =
             verts.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect();
         let n = verts.len();
         // Degrees → offsets.
-        let mut deg = vec![0u64; n];
+        let mut deg = vec![0u32; n];
         for &(_, u, v) in &local_edges {
             deg[local_of[&u] as usize] += 1;
             deg[local_of[&v] as usize] += 1;
         }
         let mut offsets = vec![0u64; n + 1];
         for i in 0..n {
-            offsets[i + 1] = offsets[i] + deg[i];
+            offsets[i + 1] = offsets[i] + deg[i] as u64;
         }
         let slots = offsets[n] as usize;
+        assert!(slots <= u32::MAX as usize, "{slots} adjacency slots overflow the u32 degrees");
         let mut adj_nbr = vec![0u32; slots];
         let mut adj_edge = vec![0u32; slots];
         let mut cursor = offsets.clone();
@@ -195,8 +389,11 @@ impl AllocatorPart {
             adj_edge[cv] = le as u32;
             cursor[lv as usize] += 1;
         }
-        let free_edges = local_edges.len() as u64;
-        let local_edges: Vec<EdgeId> = local_edges.into_iter().map(|(e, _, _)| e).collect();
+        // A fresh vector of exactly |E_local| ids: collecting out of the
+        // consumed bucket would reuse its (slack, 24-byte-element)
+        // allocation in place.
+        let edge_global: Vec<EdgeId> = local_edges.iter().map(|&(e, _, _)| e).collect();
+        drop(local_edges);
         let mut scan_order: Vec<u32> = (0..n as u32).collect();
         let mut rng = SplitMix64::new(mix2(seed, rank as u64) ^ 0x41_4C4C_4F43); // "ALLOC"
         for i in (1..scan_order.len()).rev() {
@@ -209,13 +406,12 @@ impl AllocatorPart {
             offsets,
             adj_nbr,
             adj_edge,
-            edge_part: vec![FREE; local_edges.len()],
-            edge_global: local_edges,
+            edge_part: vec![FREE; edge_global.len()],
+            free_edges: edge_global.len() as u64,
+            edge_global,
             rest: deg,
-            vparts: vec![Vec::new(); n],
-            vparts_heap_bytes: 0,
+            members: Memberships::new(n),
             part_edges: Vec::new(), // sized on first use via ensure_parts
-            free_edges,
             scan_order,
             scan_cursor: 0,
         }
@@ -223,7 +419,9 @@ impl AllocatorPart {
 
     /// Size the per-partition edge counters for `p` partitions.
     pub fn ensure_parts(&mut self, p: usize) {
+        assert!(p < SPILLED as usize, "{p} partitions collide with the membership spill flag");
         if self.part_edges.len() < p {
+            self.part_edges.reserve_exact(p - self.part_edges.len());
             self.part_edges.resize(p, 0);
         }
     }
@@ -244,64 +442,103 @@ impl AllocatorPart {
         self.edge_global.len()
     }
 
+    /// Adjacency range of local vertex `lv` (positions for
+    /// [`AllocatorPart::slot`]).
+    #[inline]
+    fn range(&self, lv: u32) -> std::ops::Range<usize> {
+        self.offsets[lv as usize] as usize..self.offsets[lv as usize + 1] as usize
+    }
+
+    /// The adjacency slot at `pos`: `(neighbor local idx, edge slot)`.
+    #[inline]
+    pub fn slot(&self, pos: usize) -> (u32, u32) {
+        (self.adj_nbr[pos], self.adj_edge[pos])
+    }
+
     /// Adjacency slots of local vertex `lv`: `(neighbor local idx, edge slot)`.
     #[inline]
     pub fn neighbors(&self, lv: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let lo = self.offsets[lv as usize] as usize;
-        let hi = self.offsets[lv as usize + 1] as usize;
-        self.adj_nbr[lo..hi].iter().copied().zip(self.adj_edge[lo..hi].iter().copied())
+        self.range(lv).map(|pos| self.slot(pos))
+    }
+
+    /// The still-[`FREE`] adjacency slots of `lv`, as a range of positions
+    /// for [`AllocatorPart::slot`]: what `neighbors(lv)` filtered by
+    /// `edge_part == FREE` yields, in the same order, at the cost of the
+    /// slots it has to pass rather than of the vertex's whole degree.
+    ///
+    /// The walk stops once it has seen `rest[lv]` free slots (it reads
+    /// nothing when `rest[lv] == 0`) and swaps each one forward to the
+    /// front of the range, behind the free slots already found. Each swap
+    /// exchanges it with a claimed slot, so free slots keep their relative
+    /// order — every later scan still yields the load-time order — and the
+    /// range stays a permutation of itself. Claiming a slot of the
+    /// returned range does not move anything.
+    pub fn free_slots(&mut self, lv: u32) -> std::ops::Range<usize> {
+        let range = self.range(lv);
+        let stop = range.start + self.rest[lv as usize] as usize;
+        let mut end = range.start;
+        for pos in range.clone() {
+            if end == stop {
+                break;
+            }
+            if self.edge_part[self.adj_edge[pos] as usize] == FREE {
+                self.adj_nbr.swap(end, pos);
+                self.adj_edge.swap(end, pos);
+                end += 1;
+            }
+        }
+        // The bound above is the range end whatever `rest` says; that the
+        // two agree is the invariant every claim keeps by pairing
+        // `claim_edge` with `consume_rest`.
+        debug_assert_eq!(end, stop, "rest[{lv}] != number of FREE slots");
+        range.start..end
     }
 
     /// Record membership `(lv, p)`; returns true if it is new.
     #[inline]
     pub fn add_membership(&mut self, lv: u32, p: Part) -> bool {
-        let set = &mut self.vparts[lv as usize];
-        match set.binary_search(&p) {
-            Ok(_) => false,
-            Err(pos) => {
-                let before = set.heap_bytes();
-                set.insert(pos, p);
-                self.vparts_heap_bytes += set.heap_bytes() - before;
-                true
-            }
-        }
+        self.members.insert(lv, p)
     }
 
     /// Partition memberships of local vertex `lv`, sorted ascending.
     #[inline]
     pub fn memberships(&self, lv: u32) -> &[Part] {
-        &self.vparts[lv as usize]
+        self.members.get(lv)
     }
 
     /// Every local vertex's membership set (checkpointing).
-    pub fn vparts(&self) -> &[Vec<Part>] {
-        &self.vparts
+    pub fn vparts(&self) -> Vec<Vec<Part>> {
+        self.members.to_sets()
     }
 
     /// Replace all membership sets from a checkpoint (one per local
-    /// vertex) and rebuild the cached byte count from their capacities.
-    pub fn set_vparts(&mut self, vparts: Vec<Vec<Part>>) {
+    /// vertex, each sorted ascending).
+    pub fn set_vparts(&mut self, vparts: &[Vec<Part>]) {
         assert_eq!(vparts.len(), self.num_local_vertices(), "one membership set per local vertex");
-        self.vparts = vparts;
-        self.vparts_heap_bytes = self.recount_vparts_heap_bytes();
+        self.members = Memberships::from_sets(vparts);
     }
 
-    /// Cached heap bytes of the membership sets (the term
-    /// [`HeapSize::heap_bytes`] charges for them).
-    pub(crate) fn vparts_heap_bytes(&self) -> usize {
-        self.vparts_heap_bytes
-    }
-
-    /// The walk `vparts_heap_bytes` caches: O(|V_local|), for the debug
-    /// cross-check at the end of a run and for tests — never per round.
-    pub(crate) fn recount_vparts_heap_bytes(&self) -> usize {
-        self.vparts.iter().map(HeapSize::heap_bytes).sum()
+    /// What [`HeapSize::heap_bytes`] must equal, recounted from lengths
+    /// and a walk over the membership store instead of read off
+    /// capacities: it differs if any load-time array carries slack or the
+    /// membership arena lost track of a block. O(|V_local|) — for the
+    /// end-of-run debug cross-check and for tests, never per round.
+    pub(crate) fn recount_heap_bytes(&self) -> usize {
+        let (n, m) = (self.num_local_vertices(), self.num_local_edges());
+        // Per local vertex: id, offset, rest, scan slot; per local edge:
+        // two adjacency slots of two words, id, allocation word.
+        n * (8 + 8 + 4 + 4)
+            + 8
+            + m * (2 * 2 * 4 + 8 + 4)
+            + self.members.recount_heap_bytes()
+            + self.part_edges.len() * 8
+            + self.local_of.capacity() * 16
     }
 
     /// Whether local vertex `lv` is a member of partition `p`.
     #[inline]
     pub fn is_member(&self, lv: u32, p: Part) -> bool {
-        self.vparts[lv as usize].binary_search(&p).is_ok()
+        self.memberships(lv).binary_search(&p).is_ok()
     }
 
     /// Claim edge slot `le` for partition `p`. Returns false if already
@@ -357,7 +594,7 @@ impl AllocatorPart {
         }
         for i in self.scan_cursor..self.scan_order.len() {
             let lv = self.scan_order[i];
-            let rest = self.rest[lv as usize];
+            let rest = self.rest[lv as usize] as u64;
             if rest > 0 && rest <= budget {
                 return Some(lv);
             }
@@ -368,11 +605,9 @@ impl AllocatorPart {
 
 impl HeapSize for AllocatorPart {
     fn heap_bytes(&self) -> usize {
-        // The CSR arrays plus the mutable allocation state; the global→local
-        // map is charged too (it is live through the whole run). Called
-        // once per round, so every term is O(1): the membership sets are
-        // charged through their cached count (their outer `Vec` headers
-        // are not charged).
+        // Everything the allocator owns, by capacity — the global→local
+        // map too (it is live through the whole run). Called once per
+        // round, so every term is O(1).
         self.global_ids.heap_bytes()
             + self.offsets.heap_bytes()
             + self.adj_nbr.heap_bytes()
@@ -380,7 +615,7 @@ impl HeapSize for AllocatorPart {
             + self.edge_global.heap_bytes()
             + self.edge_part.heap_bytes()
             + self.rest.heap_bytes()
-            + self.vparts_heap_bytes
+            + self.members.heap_bytes()
             + self.part_edges.heap_bytes()
             + self.scan_order.heap_bytes()
             + self.local_of.capacity() * 16
@@ -480,49 +715,138 @@ mod tests {
         assert!(!part.is_member(0, 1));
     }
 
-    /// `heap_bytes` with the membership term recounted by the walk the
-    /// cached counter replaced — the reference the counter must equal.
-    fn recounted_heap_bytes(part: &AllocatorPart) -> usize {
-        part.global_ids.heap_bytes()
-            + part.offsets.heap_bytes()
-            + part.adj_nbr.heap_bytes()
-            + part.adj_edge.heap_bytes()
-            + part.edge_global.heap_bytes()
-            + part.edge_part.heap_bytes()
-            + part.rest.heap_bytes()
-            + part.vparts.iter().map(|v| v.capacity() * 4).sum::<usize>()
-            + part.part_edges.heap_bytes()
-            + part.scan_order.heap_bytes()
-            + part.local_of.capacity() * 16
+    #[test]
+    fn deploy_keeps_no_slack_whatever_the_bucket_came_with() {
+        // The two ways a bucket reaches `from_owned_edges` oversized: grown
+        // by `push` (what `partition_with_stats` hands over) and allocated
+        // ahead. Collecting the ids out of the consumed bucket would keep
+        // its allocation, 24-byte elements and slack included.
+        let g = gen::rmat(&gen::RmatConfig::graph500(8, 4, 1));
+        let mut pushed = Vec::new();
+        g.for_each_edge(|e, u, v| pushed.push((e, u, v)));
+        assert!(pushed.capacity() > pushed.len(), "the trap needs a bucket with slack");
+        let mut ahead = Vec::with_capacity(4 * pushed.len());
+        ahead.extend_from_slice(&pushed);
+        for bucket in [pushed, ahead] {
+            let m = bucket.len();
+            let part = AllocatorPart::from_owned_edges(bucket, 0, 1);
+            let n = part.num_local_vertices();
+            assert_eq!(part.global_ids.capacity(), n);
+            assert_eq!((part.offsets.len(), part.offsets.capacity()), (n + 1, n + 1));
+            assert_eq!((part.adj_nbr.len(), part.adj_nbr.capacity()), (2 * m, 2 * m));
+            assert_eq!((part.adj_edge.len(), part.adj_edge.capacity()), (2 * m, 2 * m));
+            assert_eq!((part.edge_global.len(), part.edge_global.capacity()), (m, m));
+            assert_eq!((part.edge_part.len(), part.edge_part.capacity()), (m, m));
+            assert_eq!((part.rest.len(), part.rest.capacity()), (n, n));
+            assert_eq!((part.scan_order.len(), part.scan_order.capacity()), (n, n));
+            assert_eq!((part.members.inline.len(), part.members.inline.capacity()), (n, n));
+            assert_eq!(part.members.arena.capacity(), 0);
+            // ids + offsets + two adjacency words in both directions + edge
+            // id + allocation word + rest + two inline memberships + scan
+            // slot + the id map; nothing per partition before ensure_parts.
+            let closed_form = 8 * n
+                + 8 * (n + 1)
+                + 2 * 4 * 2 * m
+                + 8 * m
+                + 4 * m
+                + 4 * n
+                + 2 * 4 * n
+                + 4 * n
+                + 16 * part.local_of.capacity();
+            assert_eq!(part.heap_bytes(), closed_form);
+            assert_eq!(part.heap_bytes(), part.recount_heap_bytes());
+        }
     }
 
     mod properties {
         use super::*;
         use crate::snapshot::AllocState;
         use proptest::prelude::*;
+        use std::collections::BTreeSet;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The O(1) byte count is exact after every step of any
-            /// `add_membership` sequence (new and duplicate memberships,
-            /// sets growing through several capacity doublings), and
-            /// across a checkpoint capture → restore, which swaps in sets
-            /// of different capacity.
+            /// The flat membership store against a `BTreeSet` per vertex,
+            /// through any `add_membership` sequence (new and duplicate
+            /// memberships, sets spilling and outgrowing several blocks,
+            /// abandoned blocks reused): every set reads sorted and equal
+            /// to the model, the O(1) byte count is what a walk finds, and
+            /// a checkpoint capture → restore → capture is the identity.
             #[test]
-            fn heap_bytes_equals_a_full_recount(
+            fn memberships_match_a_set_model(
                 ops in prop::collection::vec((0u32..12, 0u32..40, 0u8..16), 0..300),
             ) {
                 let g = gen::path(12);
                 let mut part = AllocatorPart::build(&g, &Grid2D::new(1, 1), 0, 1);
-                prop_assert_eq!(part.heap_bytes(), recounted_heap_bytes(&part));
+                part.ensure_parts(40);
+                let mut model = vec![BTreeSet::new(); 12];
+                prop_assert_eq!(part.heap_bytes(), part.recount_heap_bytes());
                 for (lv, p, roundtrip) in ops {
-                    part.add_membership(lv, p);
+                    prop_assert_eq!(part.add_membership(lv, p), model[lv as usize].insert(p));
                     if roundtrip == 0 {
-                        AllocState::capture(&part).restore(&mut part).expect("same shape");
+                        let before = AllocState::capture(&part);
+                        before.clone().restore(&mut part).expect("same shape");
+                        prop_assert_eq!(AllocState::capture(&part), before);
                     }
-                    prop_assert_eq!(part.heap_bytes(), recounted_heap_bytes(&part));
+                    for (lv, set) in model.iter().enumerate() {
+                        let want: Vec<Part> = set.iter().copied().collect();
+                        prop_assert_eq!(part.memberships(lv as u32), &want[..]);
+                        prop_assert_eq!(part.is_member(lv as u32, p), set.contains(&p));
+                    }
+                    prop_assert_eq!(part.heap_bytes(), part.recount_heap_bytes());
                 }
+            }
+
+            /// Under any interleaving of claims and scans, `free_slots`
+            /// yields what filtering the load-time adjacency yields, in
+            /// that order, and only ever permutes a vertex's range.
+            #[test]
+            fn free_slots_is_the_filtered_adjacency_in_load_order(
+                seed in 0u64..1_000,
+                ops in prop::collection::vec((0u32..64, 0u8..4), 0..200),
+            ) {
+                let g = gen::rmat(&gen::RmatConfig::graph500(5, 4, seed));
+                let grid = Grid2D::new(1, 1);
+                let mut part = AllocatorPart::build(&g, &grid, 0, 1);
+                let mut pristine = AllocatorPart::build(&g, &grid, 0, 1);
+                part.ensure_parts(1);
+                pristine.ensure_parts(1);
+                let n = part.num_local_vertices() as u32;
+                for (x, op) in ops {
+                    let lv = x % n;
+                    if op == 0 {
+                        // Claim the x-th of lv's free edges on both sides.
+                        let free: Vec<(u32, u32)> = pristine
+                            .neighbors(lv)
+                            .filter(|&(_, le)| pristine.edge_part[le as usize] == FREE)
+                            .collect();
+                        let Some(&(nbr, le)) = free.get(x as usize % free.len().max(1)) else {
+                            continue;
+                        };
+                        for side in [&mut part, &mut pristine] {
+                            prop_assert!(side.claim_edge(le, 0));
+                            side.consume_rest(lv, nbr);
+                        }
+                    }
+                    let scanned: Vec<(u32, u32)> =
+                        part.free_slots(lv).map(|pos| part.slot(pos)).collect();
+                    let filtered: Vec<(u32, u32)> = pristine
+                        .neighbors(lv)
+                        .filter(|&(_, le)| pristine.edge_part[le as usize] == FREE)
+                        .collect();
+                    prop_assert_eq!(scanned, filtered);
+                }
+                let mut slot_seen = vec![0u32; part.num_local_edges()];
+                for lv in 0..n {
+                    let mut mine: Vec<(u32, u32)> = part.neighbors(lv).collect();
+                    let mut loaded: Vec<(u32, u32)> = pristine.neighbors(lv).collect();
+                    mine.sort_unstable();
+                    loaded.sort_unstable();
+                    prop_assert_eq!(mine, loaded, "range of {} is not a permutation", lv);
+                    part.neighbors(lv).for_each(|(_, le)| slot_seen[le as usize] += 1);
+                }
+                prop_assert!(slot_seen.iter().all(|&c| c == 2));
             }
         }
     }

@@ -111,6 +111,15 @@ impl ExpansionState {
         }
     }
 
+    /// Size `edges` once for the whole run of a `num_edges`-edge graph:
+    /// room for `min(limit, |E|)` ids, which a partition outgrows only by
+    /// the bounded overshoot of its last round ([`ExpansionState::absorb`]
+    /// then grows it by exactly what arrives).
+    pub fn reserve_edges(&mut self, num_edges: u64) {
+        let room = self.limit.min(num_edges) as usize;
+        self.edges.reserve_exact(room.saturating_sub(self.edges.len()));
+    }
+
     /// Whether this partition reached its capacity (stops selecting; the
     /// machine keeps serving allocation duties for the others).
     #[inline]
@@ -185,6 +194,7 @@ impl ExpansionState {
         for (v, d) in items {
             self.boundary.insert(v, d);
         }
+        self.edges.reserve_exact(new_edges.len()); // no-op unless past the pre-sized room
         self.edges.extend_from_slice(new_edges);
     }
 

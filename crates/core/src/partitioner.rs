@@ -264,6 +264,7 @@ impl DistributedNe {
                 next_select: NextSelect(None),
             },
         };
+        exp.reserve_edges(m);
         loop {
             state.round += 1;
             // ---- Phase 1: vertex selection (Algorithm 1 l.3–8 / Alg. 4).
@@ -308,7 +309,8 @@ impl DistributedNe {
             let one = allocation::one_hop(&mut alloc, &requests);
             // ---- Phase 3: membership sync (Algorithm 2 l.3).
             let mut sync_buckets: Vec<Vec<(VertexId, Part)>> = vec![Vec::new(); kk];
-            for &(v, p) in &one.new_memberships {
+            for &(lv, p) in &one.new_memberships {
+                let v = alloc.global_ids[lv as usize];
                 for dst in grid.replicas(v) {
                     if dst as usize != rank {
                         sync_buckets[dst as usize].push((v, p));
@@ -320,7 +322,7 @@ impl DistributedNe {
                 pairs: std::mem::take(&mut sync_buckets[dst]),
             })?;
             let t2 = Instant::now();
-            let mut bp_new: Vec<(VertexId, Part)> = one.new_memberships;
+            let mut bp_new: Vec<(u32, Part)> = one.new_memberships;
             for msg in syncs {
                 let NeMsg::Sync { pairs } = msg else {
                     unreachable!("phase 3 delivers Sync messages only")
@@ -328,7 +330,7 @@ impl DistributedNe {
                 for (v, p) in pairs {
                     if let Some(lv) = alloc.local_of(v) {
                         if alloc.add_membership(lv, p) {
-                            bp_new.push((v, p));
+                            bp_new.push((lv, p));
                         }
                     }
                 }
@@ -336,10 +338,6 @@ impl DistributedNe {
             bp_new.sort_unstable();
             bp_new.dedup();
             // ---- Phase 4: two-hop allocation + local D_rest (Alg. 3/2).
-            let mut one_hop_local = vec![0u64; kk];
-            for &(_, p) in &one.allocated {
-                one_hop_local[p as usize] += 1;
-            }
             let two = allocation::two_hop(
                 &mut alloc,
                 &bp_new,
@@ -347,7 +345,7 @@ impl DistributedNe {
                 limit,
                 k as u64,
                 rank as u64,
-                &one_hop_local,
+                &one.allocated,
             );
             let drest = allocation::local_drest(&alloc, &bp_new);
             let mut res_boundary: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); kk];
@@ -440,7 +438,7 @@ impl DistributedNe {
                 })?;
                 for msg in finals {
                     if let NeMsg::Result { edges, .. } = msg {
-                        exp.edges.extend(edges);
+                        exp.absorb(&[], &edges);
                     }
                 }
                 let total = ctx.try_all_reduce_sum_u64(exp.size())?;
@@ -474,11 +472,11 @@ impl DistributedNe {
             }
         }
         // Both loop exits land here: once per run, check that the O(1)
-        // membership byte count the rounds reported is what a walk yields.
+        // byte count the rounds reported is what a walk yields.
         debug_assert_eq!(
-            alloc.vparts_heap_bytes(),
-            alloc.recount_vparts_heap_bytes(),
-            "rank {rank}: cached membership bytes drifted from a recount"
+            alloc.heap_bytes(),
+            alloc.recount_heap_bytes(),
+            "rank {rank}: the allocator's reported bytes are not what a recount finds"
         );
         Ok(RankRun { edges: exp.edges, iterations: state.round, selection_time, allocation_time })
     }
@@ -611,24 +609,59 @@ mod tests {
 
     #[test]
     fn memory_report_is_pinned_and_a_pure_observer() {
-        // The value the per-vertex walk produced for this (graph, seed, P)
-        // before `AllocatorPart` cached its membership bytes (commit
-        // cd9676c): the O(1) count must report exactly the same peak. The
-        // case is one whose peak does not depend on how the ranks' reports
-        // interleave: ranks are never more than one report apart, and in
-        // no round does the sum of each rank's larger of its current and
-        // previous report exceed the lock-step total of round 61 of 64.
+        // Every term of every rank's report is a capacity that never
+        // shrinks, so the peak is the sum of the ranks' last reports
+        // however their reports interleave. Against the 436 144 bytes this
+        // (graph, seed, P) reported before the allocator was sized exactly
+        // (commit f298c88, lock-step total of round 61 of 64), summed over
+        // the four ranks (n = 918 local vertices, m = 2810 edges):
+        //   global_ids   44 960 → 7 344   dedup buffer of 2·m ids → n ids
+        //   edge_global  98 304 → 22 480  the push-doubled 24-byte triplet
+        //                                 buckets, kept → m ids
+        //   rest          7 344 → 3 672   u64 → u32
+        //   memberships  14 352 → 11 504  Σ capacity·4 of a `Vec` per vertex
+        //                                 (its 22 032 bytes of headers were
+        //                                 not charged) → 8·n inline + a
+        //                                 4 160-byte arena
+        //   exp.edges    31 008 → 24 736  doubling → Σ min(limit, |E|)·8
+        //   boundary     12 312 → 18 368  lengths → heap and table
+        //                                 capacities (the one term that
+        //                                 was under-reported)
+        // and offsets 7 376, adjacency 44 960, edge_part 11 240, part_edges
+        // 128, scan_order 3 672, local_of 21 504, graph share 138 984 as
+        // before: −126 232 + 6 056 = −120 176.
         use dne_runtime::TransportKind;
         let g = gen::rmat(&gen::RmatConfig::graph500(9, 8, 3));
         let config = NeConfig::default().with_seed(3).with_transport(TransportKind::Loopback);
         let (a, stats) = DistributedNe::new(config.clone()).partition_with_stats(&g, 4);
-        assert_eq!(stats.peak_memory_bytes, 436_144);
+        assert_eq!(stats.peak_memory_bytes, 315_968);
         // Switching the observer off changes nothing but the report.
         let (a_off, stats_off) =
             DistributedNe::new(config.without_memory_tracking()).partition_with_stats(&g, 4);
         assert_eq!(a_off.fingerprint(), a.fingerprint());
         assert_eq!(stats_off.iterations, stats.iterations);
         assert_eq!(stats_off.peak_memory_bytes, 0);
+    }
+
+    #[test]
+    fn partition_edge_sets_are_sized_once() {
+        // α = 1.0 at P = 4 ends in the leftover trickle, which pushes
+        // partitions past their limit: those grow by exactly what arrives,
+        // the others never outgrow the room reserved before round 1.
+        use dne_runtime::TransportKind;
+        let g = gen::rmat(&gen::RmatConfig::graph500(8, 6, 4));
+        let (m, k) = (g.num_edges(), 4u32);
+        let ne = DistributedNe::new(NeConfig::default().with_seed(4).with_alpha(1.0));
+        let runs = Cluster::with_transport(k as usize, TransportKind::Loopback)
+            .run::<NeMsg, RankRun, _>(|ctx| ne.run_rank(ctx, &g, k).unwrap())
+            .results;
+        let room = m.div_ceil(k as u64) as usize;
+        assert_eq!(runs.iter().map(|r| r.edges.len() as u64).sum::<u64>(), m);
+        assert!(runs.iter().any(|r| r.edges.len() > room), "no partition overshot its limit");
+        for (rank, run) in runs.iter().enumerate() {
+            let (len, capacity) = (run.edges.len(), run.edges.capacity());
+            assert!(capacity <= room.max(len), "rank {rank}: {len} edges in room for {capacity}");
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ use dne_graph::EdgeId;
 use dne_runtime::{wire_struct, WireDecode, WireEncode, WireError};
 
 use crate::boundary::{Boundary, BoundaryExport};
-use crate::dist::AllocatorPart;
+use crate::dist::{AllocatorPart, FREE};
 use crate::expansion::{ExpansionState, NextSelect};
 use crate::messages::Part;
 
@@ -150,8 +150,8 @@ impl AllocState {
     pub fn capture(alloc: &AllocatorPart) -> Self {
         Self {
             edge_part: alloc.edge_part.clone(),
-            rest: alloc.rest.clone(),
-            vparts: alloc.vparts().to_vec(),
+            rest: alloc.rest.iter().map(|&r| r as u64).collect(),
+            vparts: alloc.vparts(),
             part_edges: alloc.part_edges.clone(),
             free_edges: alloc.free_edges,
             scan_cursor: alloc.scan_cursor() as u64,
@@ -160,7 +160,11 @@ impl AllocState {
 
     /// Overwrite the mutable state of a freshly rebuilt `alloc`. The
     /// structural dimensions must agree — a snapshot from a different
-    /// graph or bucketing is a [`SnapshotError::Mismatch`].
+    /// graph or bucketing is a [`SnapshotError::Mismatch`] — and so must
+    /// the two things the allocation phases take on trust: `rest[v]` is the
+    /// number of unallocated slots `edge_part` leaves `v`, and every
+    /// membership set is strictly ascending over the run's partitions. A
+    /// checksum only says the file is the one that was written.
     pub fn restore(self, alloc: &mut AllocatorPart) -> Result<(), SnapshotError> {
         let ne = alloc.num_local_edges();
         let nv = alloc.num_local_vertices();
@@ -179,9 +183,31 @@ impl AllocState {
                 detail: format!("scan cursor {} beyond {nv} local vertices", self.scan_cursor),
             });
         }
+        let k = self.part_edges.len() as u64;
+        if let Some(lv) = self.vparts.iter().position(|set| {
+            !set.windows(2).all(|w| w[0] < w[1]) || set.last().is_some_and(|&p| p as u64 >= k)
+        }) {
+            return Err(SnapshotError::Mismatch {
+                detail: format!(
+                    "memberships {:?} of local vertex {lv} are not ascending partitions below {k}",
+                    self.vparts[lv]
+                ),
+            });
+        }
+        for (lv, &rest) in self.rest.iter().enumerate() {
+            let slots = alloc.neighbors(lv as u32);
+            let free = slots.filter(|&(_, le)| self.edge_part[le as usize] == FREE).count() as u64;
+            if rest != free {
+                return Err(SnapshotError::Mismatch {
+                    detail: format!(
+                        "rest degree {rest} of local vertex {lv}, which has {free} unallocated slots"
+                    ),
+                });
+            }
+        }
         alloc.edge_part = self.edge_part;
-        alloc.rest = self.rest;
-        alloc.set_vparts(self.vparts);
+        alloc.rest = self.rest.iter().map(|&r| r as u32).collect();
+        alloc.set_vparts(&self.vparts);
         alloc.part_edges = self.part_edges;
         alloc.free_edges = self.free_edges;
         alloc.set_scan_cursor(self.scan_cursor as usize);
@@ -433,6 +459,7 @@ pub fn list_rounds(dir: &Path, rank: u32) -> Result<Vec<(u64, PathBuf)>, io::Err
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::{one_hop, SelectRequest};
     use crate::dist::Grid2D;
     use crate::expansion::SelectAction;
     use dne_graph::gen;
@@ -705,11 +732,14 @@ mod tests {
         let grid = Grid2D::new(4, 3);
         let mut a = AllocatorPart::build(&g, &grid, 1, 3);
         a.ensure_parts(4);
-        // Mutate: claim a few edges and advance the cursor.
-        for le in 0..a.num_local_edges().min(5) as u32 {
-            let _ = a.claim_edge(le, (le % 4) as Part);
-        }
-        let _ = a.random_free_vertex();
+        // Mutate: two partitions expand a few vertices (claims, rest
+        // degrees, memberships) and a random restart advances the cursor.
+        let requests = [(2, 0), (3, u64::MAX)].map(|(part, random_budget)| SelectRequest {
+            part,
+            vertices: a.global_ids[..3].to_vec(),
+            random_budget,
+        });
+        assert!(!one_hop(&mut a, &requests).allocated.is_empty());
         let state = AllocState::capture(&a);
         let mut b = AllocatorPart::build(&g, &grid, 1, 3);
         b.ensure_parts(4);
@@ -719,6 +749,30 @@ mod tests {
         // (rank 0 and 1 own different edge sets for this graph).
         let mut wrong = AllocatorPart::build(&g, &grid, 0, 3);
         wrong.ensure_parts(4);
-        assert!(matches!(state.restore(&mut wrong), Err(SnapshotError::Mismatch { .. })));
+        assert!(matches!(state.clone().restore(&mut wrong), Err(SnapshotError::Mismatch { .. })));
+        // A file can carry a valid checksum over state no run produces: a
+        // rest degree that disagrees with the allocation words by one, a
+        // membership list out of order, a partition the run does not have.
+        // Each is a typed error, and the allocator is left as it was.
+        let hub = state.rest.iter().position(|&r| r > 0).expect("a vertex with free edges");
+        let member = state.vparts.iter().position(|set| set.len() == 1).expect("a singleton");
+        assert!(state.vparts[member][0] <= 3);
+        let mut off_by_one = state.clone();
+        off_by_one.rest[hub] -= 1;
+        let mut unsorted = state.clone();
+        unsorted.vparts[member].insert(0, 3);
+        let mut foreign = state.clone();
+        foreign.vparts[member].push(4);
+        for (bad, what) in
+            [(off_by_one, "rest degree"), (unsorted, "ascending"), (foreign, "below 4")]
+        {
+            match bad.restore(&mut b) {
+                Err(SnapshotError::Mismatch { detail }) => {
+                    assert!(detail.contains(what), "{detail}")
+                }
+                other => panic!("{what}: expected a mismatch, got {other:?}"),
+            }
+            assert_eq!(AllocState::capture(&b), state);
+        }
     }
 }

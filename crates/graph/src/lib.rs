@@ -82,10 +82,11 @@ pub use types::{EdgeId, VertexId, INVALID_VERTEX};
 ///
 /// The Distributed NE round loop calls `heap_bytes` on its live state once
 /// per rank per round, so an implementation must be O(1): a sum of
-/// capacities and cached counters, never an iteration over a container.
-/// A type whose bytes live in nested containers keeps a running count
-/// where they grow (`dne_core`'s `AllocatorPart` does, for its per-vertex
-/// membership sets).
+/// capacities and cached counters, never an iteration over a container —
+/// and each term is what is *allocated*, not what is in use. State that
+/// would live in nested containers is better kept flat (`dne_core`'s
+/// `AllocatorPart` holds its per-vertex membership sets in two arrays, so
+/// their bytes are two capacities).
 pub trait HeapSize {
     /// Estimated number of heap bytes owned by `self` (excluding
     /// `size_of::<Self>()`). Constant time — see the trait docs.

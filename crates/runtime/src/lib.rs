@@ -105,7 +105,7 @@ pub mod wire;
 pub use cluster::{Cluster, ClusterOutcome, Ctx};
 pub use collectives::{CollMsg, CollectiveTopology, Collectives, PendingGather};
 pub use frame::FramedReader;
-pub use memory::{peak_rss_bytes, reset_peak_rss, MemoryReport, MemoryTracker};
+pub use memory::{peak_rss_bytes, peak_vm_bytes, reset_peak_rss, MemoryReport, MemoryTracker};
 pub use service::{
     parse_server_addr, server_addr_from_env, Service, ServiceReply, ServiceStats, WireClient,
     WireServer, SERVER_ADDR_ENV,

@@ -79,8 +79,21 @@ impl MemoryTracker {
 /// and whatever else the process touched. Returns `None` where procfs is
 /// unavailable (non-Linux).
 pub fn peak_rss_bytes() -> Option<u64> {
+    proc_status_bytes("VmHWM:")
+}
+
+/// Peak virtual address space of the *current OS process* (`VmPeak` from
+/// `/proc/self/status`) — the figure a `ulimit -v` cap is compared with,
+/// which counts reserved and mapped-but-untouched pages that
+/// [`peak_rss_bytes`] does not. `None` where procfs is unavailable.
+pub fn peak_vm_bytes() -> Option<u64> {
+    proc_status_bytes("VmPeak:")
+}
+
+/// One `<field> <n> kB` line of `/proc/self/status`, in bytes.
+fn proc_status_bytes(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
 }
