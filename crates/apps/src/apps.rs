@@ -206,31 +206,7 @@ pub fn bfs_reference(g: &Graph, source: VertexId) -> Vec<f64> {
 /// Sequential reference for WCC (min vertex id per component; isolated
 /// vertices are their own component).
 pub fn wcc_reference(g: &Graph) -> Vec<f64> {
-    let n = g.num_vertices() as usize;
-    let mut label = vec![f64::NAN; n];
-    for start in g.vertices() {
-        if !label[start as usize].is_nan() {
-            continue;
-        }
-        // BFS the component, then assign the minimum id found.
-        let mut comp = vec![start];
-        let mut q = VecDeque::from([start]);
-        label[start as usize] = -1.0; // visited marker
-        while let Some(v) = q.pop_front() {
-            for &u in g.neighbor_vertices(v) {
-                if label[u as usize].is_nan() {
-                    label[u as usize] = -1.0;
-                    comp.push(u);
-                    q.push_back(u);
-                }
-            }
-        }
-        let min = *comp.iter().min().unwrap() as f64;
-        for v in comp {
-            label[v as usize] = min;
-        }
-    }
-    label
+    dne_graph::transform::component_labels(g).into_iter().map(|l| l as f64).collect()
 }
 
 /// Sequential reference for the engine's PageRank formulation (isolated

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use dne_graph::hash::mix2;
 use dne_graph::{EdgeId, Graph, VertexId};
-use dne_partition::{EdgeAssignment, PartitionId};
+use dne_partition::{EdgeAssignment, PartitionId, ReplicaTable};
 use dne_runtime::{BatchConfig, Cluster, CollectiveTopology, Ctx, TransportError, TransportKind};
 
 /// How partial accumulators combine (the `⊕` of the GAS gather phase).
@@ -109,13 +109,13 @@ pub struct TriangleRankRun {
 pub struct Engine<'g> {
     g: &'g Graph,
     assignment: &'g EdgeAssignment,
-    /// Replica partition lists per vertex (sorted; built once).
-    replicas: Vec<Vec<PartitionId>>,
+    /// Replica partitions per vertex (ascending).
+    replicas: ReplicaTable,
     /// Master partition per vertex (`u32::MAX` for isolated vertices).
     masters: Vec<PartitionId>,
     /// Owned edges per partition with cached endpoints `(e, u, v)` —
-    /// collected by the same sequential scan that builds the replica
-    /// tables, so kernels never random-access the storage backend (the
+    /// collected by a sequential scan like the replica table's, so
+    /// kernels never random-access the storage backend (the
     /// chunk-streamed backend keeps no adjacency and serves random reads
     /// through a one-chunk cache).
     edges_by_part: Vec<Vec<(EdgeId, VertexId, VertexId)>>,
@@ -138,37 +138,26 @@ impl<'g> Engine<'g> {
     /// system's loading phase, excluded from "ET" like the paper excludes
     /// initialization).
     ///
-    /// The tables come from **one sequential edge scan**
+    /// The tables come from **sequential edge scans**
     /// ([`Graph::for_each_edge`]), so the engine runs on every storage
     /// backend — including chunk-streamed graphs that keep no adjacency
     /// arrays.
     pub fn new(g: &'g Graph, assignment: &'g EdgeAssignment) -> Self {
-        assert!(assignment.is_valid_for(g), "assignment does not match graph");
+        let replicas = ReplicaTable::build(g, assignment);
         let k = assignment.num_partitions() as usize;
-        let mut replicas: Vec<Vec<PartitionId>> = vec![Vec::new(); g.num_vertices() as usize];
         let mut edges_by_part: Vec<Vec<(EdgeId, VertexId, VertexId)>> = vec![Vec::new(); k];
         g.for_each_edge(|e, u, v| {
-            let p = assignment.part_of(e);
-            edges_by_part[p as usize].push((e, u, v));
-            for w in [u, v] {
-                let reps = &mut replicas[w as usize];
-                // Replica lists are at most k long; a linear probe beats a
-                // set at every realistic partition count.
-                if !reps.contains(&p) {
-                    reps.push(p);
-                }
-            }
+            edges_by_part[assignment.part_of(e) as usize].push((e, u, v));
         });
-        replicas.iter_mut().for_each(|r| r.sort_unstable());
-        let masters: Vec<PartitionId> = replicas
-            .iter()
-            .enumerate()
-            .map(|(v, reps)| {
+        let masters: Vec<PartitionId> = g
+            .vertices()
+            .map(|v| {
+                let reps = replicas.of(v);
                 if reps.is_empty() {
                     PartitionId::MAX
                 } else {
                     // Random (hashed) replica as master, as in PowerGraph.
-                    reps[(mix2(0x4D41_5354_4552, v as u64) % reps.len() as u64) as usize]
+                    reps[(mix2(0x4D41_5354_4552, v) % reps.len() as u64) as usize]
                 }
             })
             .collect();
@@ -206,12 +195,6 @@ impl<'g> Engine<'g> {
     pub fn with_comm_batch(mut self, batch: BatchConfig) -> Self {
         self.comm_batch = Some(batch);
         self
-    }
-
-    /// Replication factor as the engine sees it (sanity hook for tests).
-    pub fn replication_factor(&self) -> f64 {
-        let total: usize = self.replicas.iter().map(|r| r.len()).sum();
-        total as f64 / self.g.num_vertices() as f64
     }
 
     /// The cluster every kernel runs on: one machine per partition, with
@@ -332,7 +315,7 @@ impl<'g> Engine<'g> {
                 }
                 value[lv] = fresh;
                 if moved {
-                    for &rp in &self.replicas[v as usize] {
+                    for &rp in self.replicas.of(v) {
                         if rp as usize != rank {
                             updates[rp as usize].push((v, fresh));
                         }
@@ -472,7 +455,7 @@ impl<'g> Engine<'g> {
             }
             adj[lv].sort_unstable();
             debug_assert_eq!(adj[lv].len() as u64, self.g.degree(v), "fragments must be disjoint");
-            for &rp in &self.replicas[v as usize] {
+            for &rp in self.replicas.of(v) {
                 if rp as usize != rank {
                     updates[rp as usize].push((v, adj[lv].clone()));
                 }
@@ -633,18 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_factor_matches_quality_metric() {
-        let (g, a) = engine_fixture(4);
-        let engine = Engine::new(&g, &a);
-        let q = dne_partition::PartitionQuality::measure(&g, &a);
-        // The engine counts replicas only for vertices with edges; the
-        // quality metric does the same (isolated vertices appear in no
-        // partition). The two must agree exactly.
-        let engine_total = engine.replication_factor() * g.num_vertices() as f64;
-        assert!((engine_total - q.total_replicas as f64).abs() < 1e-6);
-    }
-
-    #[test]
     fn masters_are_valid_replicas() {
         let (g, a) = engine_fixture(4);
         let engine = Engine::new(&g, &a);
@@ -654,7 +625,7 @@ mod tests {
                 assert_eq!(m, PartitionId::MAX, "isolated vertex {v} must have no master");
             } else {
                 assert!(
-                    engine.replicas[v as usize].contains(&m),
+                    engine.replicas.of(v).contains(&m),
                     "master of {v} must be one of its replicas"
                 );
             }

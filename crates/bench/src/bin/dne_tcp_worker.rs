@@ -74,10 +74,11 @@ use std::time::Instant;
 use dne_bench::fleet::{Fleet, TaggedLines};
 use dne_bench::harness::{self, arg, Failure, Mode, Spec};
 use dne_bench::table::Table;
-use dne_core::{migrate_dead_rank, CheckpointPolicy, DistributedNe, NeConfig, NeMsg, RankSnapshot};
+use dne_core::{migrate_dead_rank, CheckpointPolicy, DistributedNe, NeConfig};
 use dne_graph::{EdgeId, Graph};
+use dne_partition::quality::balance;
 use dne_partition::{combine_fingerprints, edge_set_fingerprint};
-use dne_runtime::{Ctx, TcpProcessCluster, TransportError, TransportKind, EPOCH_ANY};
+use dne_runtime::{TcpProcessCluster, TransportKind};
 
 /// Stdout marker carrying rank 0's bound rendezvous address.
 pub const ADDR_TAG: &str = "DNE_TCP_ADDR";
@@ -169,8 +170,7 @@ impl Metrics {
     /// result row. All arithmetic here is shared by the reference and
     /// worker paths, so the two compute byte-identical strings.
     fn cells(&self, transport: &str, spec: Spec, g: &Graph) -> Vec<String> {
-        let max_size = self.sizes.iter().copied().max().unwrap_or(0);
-        let eb = max_size as f64 * spec.parts as f64 / g.num_edges() as f64;
+        let eb = balance(&self.sizes);
         vec![
             transport.to_string(),
             spec.parts.to_string(),
@@ -211,40 +211,14 @@ fn reference(kind: TransportKind, spec: Spec, g: &Graph) -> Metrics {
     }
 }
 
-/// Agree on the round every rank resumes from — the *minimum* of the
-/// per-rank newest checkpoints (every rank is guaranteed to hold it:
-/// snapshots retain two generations and rounds advance in lock-step) —
-/// and load this rank's snapshot of that round.
-fn agree_and_load(
-    ctx: &mut Ctx<NeMsg>,
-    cp: &CheckpointPolicy,
-    rank: usize,
-) -> Result<RankSnapshot, String> {
-    let mine = RankSnapshot::latest(&cp.dir, rank as u32)
-        .map_err(|e| format!("rank {rank}: listing snapshots in {}: {e}", cp.dir.display()))?
-        .map(|(round, _)| round)
-        .ok_or_else(|| format!("rank {rank}: no snapshot to resume in {}", cp.dir.display()))?;
-    let rounds = ctx
-        .try_all_gather_u64(mine)
-        .map_err(|e| format!("rank {rank}: checkpoint-round agreement failed: {e}"))?;
-    let round = rounds.iter().copied().min().expect("at least one rank");
-    eprintln!("[rank {rank}: resuming from checkpoint round {round}]");
-    RankSnapshot::load_round(&cp.dir, rank as u32, round)
-        .map_err(|e| format!("rank {rank}: loading round-{round} snapshot: {e}"))
-}
-
 /// One rank of the real multi-process run. Rank 0 prints the rendezvous
 /// address, then (once every rank finished) the result row. `bind`, when
 /// given, is the local address for this rank's mesh listener.
 ///
 /// With checkpointing enabled (`DNE_CHECKPOINT_EVERY`), a peer death
-/// surfacing as [`TransportError::Disconnected`] triggers recovery instead
-/// of failure: the survivors re-rendezvous under the next bootstrap epoch
-/// (rank 0 bumps the counter; everyone else rejoins with [`EPOCH_ANY`]),
-/// agree on the newest commonly checkpointed round, and resume from their
-/// snapshots. A `--rejoin` worker is the restarted incarnation of a dead
-/// rank: it skips the fresh start and enters directly through that same
-/// resume path.
+/// triggers recovery instead of failure, and a `--rejoin` worker is the
+/// restarted incarnation of a dead rank — both through
+/// [`DistributedNe::run_rank_recovering`].
 fn worker(
     rank: usize,
     addr: &str,
@@ -255,14 +229,13 @@ fn worker(
     let nprocs = spec.parts as usize;
     let g = spec.graph();
     let part = spec.partitioner();
-    let checkpoint = part.config().resolved_checkpoint();
     if rejoin {
         if rank == 0 {
             return Err("rank 0 owns the rendezvous and cannot --rejoin; \
                         restart the whole job instead"
                 .into());
         }
-        if checkpoint.is_none() {
+        if part.config().resolved_checkpoint().is_none() {
             return Err(format!(
                 "--rejoin needs checkpointing (set {})",
                 CheckpointPolicy::EVERY_ENV_VAR
@@ -280,35 +253,11 @@ fn worker(
     if let Some(b) = bind {
         cluster = cluster.with_bind(b);
     }
-    let first_epoch = if rejoin { EPOCH_ANY } else { 0 };
-    let mut session = cluster.connect_epoch::<NeMsg>(first_epoch).map_err(|e| e.to_string())?;
-    let mut resume = match (&checkpoint, rejoin) {
-        (Some(cp), true) => Some(agree_and_load(&mut session.ctx, cp, rank)?),
-        _ => None,
-    };
+    // The clock covers the bootstrap (and any recovery) as well as the run.
     let started = Instant::now();
-    let mut run = loop {
-        match part.run_rank_from(&mut session.ctx, &g, spec.parts, resume.take()) {
-            Ok(run) => break run,
-            Err(TransportError::Disconnected { peer }) if checkpoint.is_some() => {
-                let cp = checkpoint.as_ref().expect("guarded by the match arm");
-                let dead = peer.map_or("a peer".to_string(), |p| format!("rank {p}"));
-                let next = if rank == 0 { session.epoch + 1 } else { EPOCH_ANY };
-                eprintln!(
-                    "[rank {rank}: {dead} died (epoch {}); re-rendezvousing for recovery]",
-                    session.epoch
-                );
-                drop(session);
-                session = cluster
-                    .connect_epoch::<NeMsg>(next)
-                    .map_err(|e| format!("rank {rank}: recovery bootstrap failed: {e}"))?;
-                resume = Some(agree_and_load(&mut session.ctx, cp, rank)?);
-            }
-            Err(e) => {
-                return Err(format!("rank {rank}: transport failure during Distributed NE: {e}"))
-            }
-        }
-    };
+    let (mut run, mut session) = part
+        .run_rank_recovering(&mut cluster, &g, spec.parts, rejoin)
+        .map_err(|e| format!("rank {rank}: transport failure during Distributed NE: {e}"))?;
     let elapsed = started.elapsed();
     // Snapshot the algorithm's accounting *before* the metric collectives
     // below add their own traffic.

@@ -7,9 +7,12 @@
 //! updated afterwards — the epoch-staleness is inherent to the distributed
 //! setting and accepted by the paper (the sequential NE keeps exact scores;
 //! that difference is exactly the quality gap of Table 4). Consequently the
-//! queue needs no decrease-key: it is a plain binary min-heap plus an
-//! "already expanded" set that filters re-pops.
+//! queue needs no decrease-key: it is a plain binary min-heap plus the set
+//! of vertices that ever entered it, which filters re-joins. A vertex only
+//! leaves the heap by being popped for expansion, so the expanded set is
+//! that set minus the heap's vertices and is not stored.
 
+use crate::snapshot::SnapshotError;
 use dne_graph::hash::FastSet;
 use dne_graph::VertexId;
 use dne_runtime::wire_struct;
@@ -20,7 +23,6 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Default)]
 pub struct Boundary {
     heap: BinaryHeap<Reverse<(u64, VertexId)>>,
-    expanded: FastSet<VertexId>,
     enqueued: FastSet<VertexId>,
 }
 
@@ -33,7 +35,7 @@ impl Boundary {
     /// Insert vertex `v` with its (join-time) global `D_rest` score.
     /// Ignored if `v` was already enqueued or expanded for this partition.
     pub fn insert(&mut self, v: VertexId, drest: u64) {
-        if self.expanded.contains(&v) || !self.enqueued.insert(v) {
+        if !self.enqueued.insert(v) {
             return;
         }
         self.heap.push(Reverse((drest, v)));
@@ -49,22 +51,13 @@ impl Boundary {
         self.heap.is_empty()
     }
 
-    /// Mark a vertex as expanded without it ever entering the queue (used
-    /// for random-restart vertices so they cannot re-join the boundary).
-    pub fn mark_expanded(&mut self, v: VertexId) {
-        self.expanded.insert(v);
-    }
-
     /// Pop the `k` minimum-score vertices (Algorithm 4,
     /// `popK-MinDrestVertices`). Returns fewer if the boundary runs dry.
     pub fn pop_k_min(&mut self, k: usize) -> Vec<VertexId> {
         let mut out = Vec::with_capacity(k.min(self.heap.len()));
         while out.len() < k {
             match self.heap.pop() {
-                Some(Reverse((_, v))) => {
-                    self.expanded.insert(v);
-                    out.push(v);
-                }
+                Some(Reverse((_, v))) => out.push(v),
                 None => break,
             }
         }
@@ -110,7 +103,6 @@ impl Boundary {
                 break; // even a zero-score vertex costs one slot
             }
             let Reverse((score, v)) = self.heap.pop().expect("peeked");
-            self.expanded.insert(v);
             estimated += score.max(1);
             out.push(v);
         }
@@ -118,34 +110,48 @@ impl Boundary {
     }
 
     /// Estimated heap bytes (for the mem-score accounting): what the heap
-    /// and the two sets' tables have allocated, not what they hold.
+    /// and the set's table have allocated, not what they hold.
     pub fn heap_bytes(&self) -> usize {
-        self.heap.capacity() * 16 + (self.expanded.capacity() + self.enqueued.capacity()) * 8
+        self.heap.capacity() * 16 + self.enqueued.capacity() * 8
     }
 
     /// Export the queue's full state in a canonical (sorted) order for
     /// checkpointing: the pending `(score, vertex)` heap entries plus the
-    /// expanded and enqueued sets. Rebuilding via [`Boundary::from_export`]
-    /// is behaviorally identical: heap entries are distinct (a vertex is
+    /// expanded and enqueued sets (the expanded one derived: enqueued and
+    /// no longer pending). Rebuilding via [`Boundary::from_export`] is
+    /// behaviorally identical: heap entries are distinct (a vertex is
     /// enqueued at most once), so the pop order is fully determined by the
     /// element multiset, not by the heap's internal layout.
     pub fn export(&self) -> BoundaryExport {
         let mut heap: Vec<(u64, VertexId)> = self.heap.iter().map(|&Reverse(p)| p).collect();
         heap.sort_unstable();
-        let mut expanded: Vec<VertexId> = self.expanded.iter().copied().collect();
-        expanded.sort_unstable();
         let mut enqueued: Vec<VertexId> = self.enqueued.iter().copied().collect();
         enqueued.sort_unstable();
+        let pending: FastSet<VertexId> = heap.iter().map(|&(_, v)| v).collect();
+        let expanded = enqueued.iter().copied().filter(|v| !pending.contains(v)).collect();
         BoundaryExport { heap, expanded, enqueued }
     }
 
-    /// Rebuild a boundary from an [`export`](Boundary::export).
-    pub fn from_export(export: BoundaryExport) -> Self {
-        Self {
-            heap: export.heap.into_iter().map(Reverse).collect(),
-            expanded: export.expanded.into_iter().collect(),
-            enqueued: export.enqueued.into_iter().collect(),
+    /// Rebuild a boundary from an [`export`](Boundary::export). A file can
+    /// carry a valid checksum over lists no queue exports — a vertex both
+    /// pending and expanded, one enqueued but neither, an unsorted list —
+    /// and each is a [`SnapshotError::Mismatch`].
+    pub fn from_export(export: BoundaryExport) -> Result<Self, SnapshotError> {
+        let rebuilt = Self {
+            heap: export.heap.iter().copied().map(Reverse).collect(),
+            enqueued: export.enqueued.iter().copied().collect(),
+        };
+        // With the lengths adding up, equality with what `rebuilt` exports
+        // says the pending vertices are distinct, all enqueued, and
+        // `expanded` is exactly the rest.
+        if export.heap.len() + export.expanded.len() != export.enqueued.len()
+            || rebuilt.export() != export
+        {
+            return Err(SnapshotError::Mismatch {
+                detail: "boundary: pending and expanded are not a sorted split of enqueued".into(),
+            });
         }
+        Ok(rebuilt)
     }
 }
 
@@ -193,14 +199,6 @@ mod tests {
         b.insert(7, 1);
         assert_eq!(b.len(), 1);
         assert_eq!(b.pop_k_min(2), vec![7]);
-    }
-
-    #[test]
-    fn mark_expanded_blocks_insert() {
-        let mut b = Boundary::new();
-        b.mark_expanded(9);
-        b.insert(9, 0);
-        assert!(b.is_empty());
     }
 
     #[test]

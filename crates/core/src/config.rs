@@ -81,9 +81,6 @@ pub struct NeConfig {
     /// restarts. Equal seeds ⇒ identical partitions (the runtime's
     /// lock-step exchanges make the whole algorithm deterministic).
     pub seed: u64,
-    /// Report per-machine live heap bytes to the runtime each iteration
-    /// (the Figure 9 "mem score" accounting). Small overhead; on by default.
-    pub track_memory: bool,
     /// Consecutive no-progress iterations tolerated before the leftover
     /// trickle kicks in (isolated edges assigned to the least-loaded
     /// partition). The paper leaves this corner unspecified; see DESIGN.md
@@ -141,7 +138,6 @@ impl Default for NeConfig {
             alpha: 1.1,
             lambda: 0.1,
             seed: 0,
-            track_memory: true,
             stall_limit: 3,
             transport: None,
             collectives: None,
@@ -171,12 +167,6 @@ impl NeConfig {
     pub fn with_lambda(mut self, lambda: f64) -> Self {
         assert!(lambda > 0.0 && lambda <= 1.0, "lambda must be in (0, 1]");
         self.lambda = lambda;
-        self
-    }
-
-    /// Disable per-iteration memory reporting.
-    pub fn without_memory_tracking(mut self) -> Self {
-        self.track_memory = false;
         self
     }
 

@@ -1,20 +1,21 @@
 //! The Distributed NE driver: one simulated machine per partition, each
 //! hosting a colocated expansion process and allocation process (Figure 4).
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use dne_graph::{EdgeId, Graph, HeapSize, VertexId};
 use dne_partition::{EdgeAssignment, EdgePartitioner, PartitionId, UNASSIGNED};
-use dne_runtime::{Cluster, Ctx, TransportError};
+use dne_runtime::{Cluster, Ctx, TcpProcessCluster, TcpSession, TransportError, EPOCH_ANY};
 
 use crate::allocation::{self, SelectRequest};
 use crate::config::NeConfig;
 use crate::dist::{AllocatorPart, Grid2D, FREE};
 use crate::expansion::{ExpansionState, NextSelect, SelectAction};
 use crate::messages::{NeMsg, Part};
-use crate::snapshot::{self, LoopState, RankSnapshot, SnapshotHeader};
+use crate::snapshot::{self, LoopState, RankSnapshot, SnapshotError, SnapshotHeader};
 use crate::stats::NeStats;
 
 /// Distributed Neighbor Expansion. Implements [`EdgePartitioner`]; use
@@ -44,6 +45,26 @@ pub struct RankRun {
     pub selection_time: Duration,
     /// Time spent in the allocation phases on this rank.
     pub allocation_time: Duration,
+}
+
+/// Agree on the round every rank resumes from — the *minimum* of the
+/// per-rank newest checkpoints in `dir` (every rank is guaranteed to hold
+/// it: snapshots retain two generations and rounds advance in lock-step)
+/// — and load this rank's snapshot of that round. A missing or unreadable
+/// snapshot is a [`TransportError::Io`] carrying the [`SnapshotError`],
+/// like a checkpoint that cannot be written.
+fn agree_and_load(ctx: &mut Ctx<NeMsg>, dir: &Path) -> Result<RankSnapshot, TransportError> {
+    let rank = ctx.rank() as u32;
+    let unusable = |e: SnapshotError| TransportError::Io {
+        context: format!("rank {rank}: resuming from the checkpoints in {}", dir.display()),
+        error: std::io::Error::other(e),
+    };
+    let (mine, _) = RankSnapshot::latest(dir, rank).map_err(unusable)?.ok_or_else(|| {
+        unusable(SnapshotError::Mismatch { detail: format!("rank {rank} has no snapshot") })
+    })?;
+    let round = ctx.try_all_gather_u64(mine)?.into_iter().min().expect("at least one rank");
+    eprintln!("[rank {rank}: resuming from checkpoint round {round}]");
+    RankSnapshot::load_round(dir, rank, round).map_err(unusable)
 }
 
 impl DistributedNe {
@@ -155,7 +176,7 @@ impl DistributedNe {
     /// externally-built cluster context — the per-rank entry point for
     /// *real multi-process* deployments (each OS process builds the same
     /// graph deterministically, connects a
-    /// [`TcpProcessCluster`](dne_runtime::TcpProcessCluster) session, and
+    /// [`TcpProcessCluster`] session, and
     /// calls this with its own `ctx`; see the `dne-tcp-worker` binary).
     ///
     /// The rank's 2D-hash edge bucket is computed locally, identically to
@@ -214,6 +235,60 @@ impl DistributedNe {
         // A real process holds its own copy of (or window into) the graph,
         // so the whole resident footprint is charged to this rank.
         self.run_machine(ctx, g.num_edges(), g.resident_bytes(), &grid, my_edges, k, resume)
+    }
+
+    /// This process's rank of a `k`-way partition of `g` across real
+    /// processes, *with elastic recovery*: connect `cluster`, run the rank,
+    /// and — when checkpointing is configured — turn a peer's death
+    /// ([`TransportError::Disconnected`]) into a resume instead of a
+    /// failure. The survivors re-rendezvous under the next bootstrap epoch
+    /// (rank 0 bumps the counter; everyone else rejoins with
+    /// [`EPOCH_ANY`]), agree on the newest commonly checkpointed round, and
+    /// continue from their snapshots via [`DistributedNe::run_rank_from`].
+    /// `rejoin` marks the restarted incarnation of a dead rank: it skips
+    /// the fresh start and enters directly through that same resume path.
+    ///
+    /// Returns the finished run and the session it finished on, whose
+    /// collectives and accounting the caller may keep using. The result is
+    /// bit-identical to an uninterrupted run's.
+    ///
+    /// # Panics
+    /// If `rejoin` is set without a checkpoint policy (there is nothing to
+    /// rejoin from), or — like [`DistributedNe::run_rank_from`] — if a
+    /// loaded snapshot belongs to another run.
+    pub fn run_rank_recovering(
+        &self,
+        cluster: &mut TcpProcessCluster,
+        g: &Graph,
+        k: PartitionId,
+        rejoin: bool,
+    ) -> Result<(RankRun, TcpSession<NeMsg>), TransportError> {
+        let checkpoint = self.config.resolved_checkpoint();
+        let dir = checkpoint.as_ref().map(|cp| cp.dir.as_path());
+        assert!(!rejoin || dir.is_some(), "a rejoining rank needs a checkpoint policy");
+        let rank = cluster.rank();
+        // `Some(epoch)`: join the mesh of that bootstrap epoch and resume
+        // from the checkpoints; `None`: the fresh start under epoch 0.
+        let mut resume_epoch = rejoin.then_some(EPOCH_ANY);
+        loop {
+            let mut session = cluster.connect_epoch::<NeMsg>(resume_epoch.unwrap_or(0))?;
+            let resume = match (resume_epoch, dir) {
+                (Some(_), Some(dir)) => Some(agree_and_load(&mut session.ctx, dir)?),
+                _ => None,
+            };
+            match self.run_rank_from(&mut session.ctx, g, k, resume) {
+                Ok(run) => return Ok((run, session)),
+                Err(TransportError::Disconnected { peer }) if dir.is_some() => {
+                    let dead = peer.map_or("a peer".to_string(), |p| format!("rank {p}"));
+                    eprintln!(
+                        "[rank {rank}: {dead} died (epoch {}); re-rendezvousing for recovery]",
+                        session.epoch
+                    );
+                    resume_epoch = Some(if rank == 0 { session.epoch + 1 } else { EPOCH_ANY });
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// One simulated machine: expansion process for partition `rank` plus
@@ -376,9 +451,7 @@ impl DistributedNe {
             }
             exp.absorb(&boundary_updates, &new_edges);
             selection_time += t3.elapsed();
-            if self.config.track_memory {
-                ctx.report_memory(alloc.heap_bytes() + exp.heap_bytes() + graph_bytes);
-            }
+            ctx.report_memory(alloc.heap_bytes() + exp.heap_bytes() + graph_bytes);
             // ---- Termination (Algorithm 1 l.14–15). The all-gather both
             // sums |E| for the stop test and refreshes the capacity gate.
             // It is split so the next round's vertex selection overlaps the
@@ -608,7 +681,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_report_is_pinned_and_a_pure_observer() {
+    fn memory_report_is_pinned() {
         // Every term of every rank's report is a capacity that never
         // shrinks, so the peak is the sum of the ranks' last reports
         // however their reports interleave. Against the 436 144 bytes this
@@ -629,18 +702,14 @@ mod tests {
         //                                 was under-reported)
         // and offsets 7 376, adjacency 44 960, edge_part 11 240, part_edges
         // 128, scan_order 3 672, local_of 21 504, graph share 138 984 as
-        // before: −126 232 + 6 056 = −120 176.
+        // before: −126 232 + 6 056 = −120 176. Since then:
+        //   boundary     18 368 → 14 336  the expanded set's table is gone
+        //                                 (it is enqueued minus the heap)
         use dne_runtime::TransportKind;
         let g = gen::rmat(&gen::RmatConfig::graph500(9, 8, 3));
         let config = NeConfig::default().with_seed(3).with_transport(TransportKind::Loopback);
-        let (a, stats) = DistributedNe::new(config.clone()).partition_with_stats(&g, 4);
-        assert_eq!(stats.peak_memory_bytes, 315_968);
-        // Switching the observer off changes nothing but the report.
-        let (a_off, stats_off) =
-            DistributedNe::new(config.without_memory_tracking()).partition_with_stats(&g, 4);
-        assert_eq!(a_off.fingerprint(), a.fingerprint());
-        assert_eq!(stats_off.iterations, stats.iterations);
-        assert_eq!(stats_off.peak_memory_bytes, 0);
+        let (_, stats) = DistributedNe::new(config).partition_with_stats(&g, 4);
+        assert_eq!(stats.peak_memory_bytes, 311_936);
     }
 
     #[test]
@@ -786,7 +855,6 @@ mod tests {
         // EPOCH_ANY, everyone agrees on the minimum checkpointed round,
         // and the resumed run must be bit-identical to an uninterrupted
         // one — same assignment, same iteration count on every rank.
-        use dne_runtime::{TcpProcessCluster, EPOCH_ANY};
         let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 13));
         let k = 4u32;
         let dir = std::env::temp_dir().join(format!("dne-killrestart-{}", std::process::id()));
@@ -800,35 +868,14 @@ mod tests {
         let host = TcpProcessCluster::host(k as usize, "127.0.0.1:0").unwrap();
         let addr = host.addr().to_string();
         let mut host = Some(host);
-        // A rank's life with recovery: run, and on a dropped peer
-        // re-rendezvous (rank 0 bumps the epoch, everyone else wildcards),
-        // all-gather the per-rank newest checkpoint rounds, resume from
-        // the minimum — the round every rank is guaranteed to still hold.
-        let live = |mut cluster: TcpProcessCluster, mut resume: Option<RankSnapshot>| {
+        // A rank's life with recovery is the library's own loop — the
+        // one `dne-tcp-worker` ships.
+        let live = |mut cluster: TcpProcessCluster, rejoin: bool| {
             let rank = cluster.rank();
-            let first_epoch = if resume.is_some() { EPOCH_ANY } else { 0 };
-            let mut session = cluster.connect_epoch::<NeMsg>(first_epoch).unwrap();
-            if resume.is_some() {
-                let (mine, _) = RankSnapshot::latest(&dir, rank as u32).unwrap().unwrap();
-                let rounds = session.ctx.try_all_gather_u64(mine).unwrap();
-                let round = rounds.into_iter().min().unwrap();
-                resume = Some(RankSnapshot::load_round(&dir, rank as u32, round).unwrap());
-            }
-            loop {
-                match part.run_rank_from(&mut session.ctx, &g, k, resume.take()) {
-                    Ok(run) => break (rank, run.edges, run.iterations),
-                    Err(TransportError::Disconnected { .. }) => {
-                        let next = if rank == 0 { session.epoch + 1 } else { EPOCH_ANY };
-                        drop(session);
-                        session = cluster.connect_epoch::<NeMsg>(next).unwrap();
-                        let (mine, _) = RankSnapshot::latest(&dir, rank as u32).unwrap().unwrap();
-                        let rounds = session.ctx.try_all_gather_u64(mine).unwrap();
-                        let round = rounds.into_iter().min().unwrap();
-                        resume = Some(RankSnapshot::load_round(&dir, rank as u32, round).unwrap());
-                    }
-                    Err(e) => panic!("rank {rank}: {e}"),
-                }
-            }
+            let (run, _session) = part
+                .run_rank_recovering(&mut cluster, &g, k, rejoin)
+                .unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+            (rank, run.edges, run.iterations)
         };
         let outputs: Vec<(usize, Vec<EdgeId>, u64)> = std::thread::scope(|s| {
             let mut handles = Vec::new();
@@ -840,7 +887,7 @@ mod tests {
                         Some(h) => h,
                         None => TcpProcessCluster::join(rank, k as usize, &addr).unwrap(),
                     };
-                    live(cluster, None)
+                    live(cluster, false)
                 }));
             }
             let doomed = {
@@ -852,16 +899,14 @@ mod tests {
                 })
             };
             handles.push(s.spawn({
-                let (live, dir) = (&live, &dir);
+                let live = &live;
                 move || {
                     // Rank 1's second incarnation: wait for the first to
                     // die of its injected fault, then rejoin under
                     // whatever epoch the survivors have moved to.
                     assert!(doomed.join().is_err(), "the injected fault must kill rank 1");
                     let cluster = TcpProcessCluster::join(1, k as usize, &addr).unwrap();
-                    let latest =
-                        RankSnapshot::latest(dir, 1).unwrap().expect("rank 1 checkpointed");
-                    live(cluster, Some(RankSnapshot::read(&latest.1).unwrap()))
+                    live(cluster, true)
                 }
             }));
             handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -24,6 +24,7 @@
 use std::path::Path;
 
 use dne_graph::Graph;
+use dne_partition::quality::balance;
 use dne_partition::{EdgeAssignment, IncrementalVertexCut, PartitionId, PartitionQuality};
 
 use crate::dist::{Grid2D, FREE};
@@ -155,18 +156,15 @@ pub fn migrate_dead_rank(
 
     let assignment = EdgeAssignment::new(parts, nprocs);
     let quality = PartitionQuality::measure(g, &assignment);
-    let counts = assignment.edge_counts();
-    let live: Vec<u64> =
-        counts.iter().enumerate().filter(|&(p, _)| p as u32 != dead).map(|(_, &c)| c).collect();
-    let mean = live.iter().sum::<u64>() as f64 / live.len() as f64;
-    let edge_balance = *live.iter().max().expect("at least one survivor") as f64 / mean;
+    let mut live = quality.edge_counts;
+    live.remove(dead as usize);
     Ok(MigrationReport {
         dead_rank: dead,
         round,
         migrated_edges: migrated,
         completed_edges: completed,
         replication_factor: quality.replication_factor,
-        edge_balance,
+        edge_balance: balance(&live),
         assignment,
     })
 }

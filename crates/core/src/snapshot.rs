@@ -325,9 +325,10 @@ impl RankSnapshot {
         exp: &mut ExpansionState,
         alloc: &mut AllocatorPart,
     ) -> Result<LoopState, SnapshotError> {
+        let boundary = Boundary::from_export(self.boundary)?;
         self.alloc.restore(alloc)?;
         exp.edges = self.edges;
-        exp.boundary = Boundary::from_export(self.boundary);
+        exp.boundary = boundary;
         Ok(self.state)
     }
 
@@ -708,9 +709,8 @@ mod tests {
         for v in 0..50u64 {
             b.insert(v * 3 % 47, v % 7);
         }
-        b.mark_expanded(1000);
         let _ = b.pop_k_min(5);
-        let rebuilt = Boundary::from_export(b.export());
+        let rebuilt = Boundary::from_export(b.export()).unwrap();
         let mut a = b;
         let mut c = rebuilt;
         // Interleave the capped and plain pops: sequences must agree step
@@ -724,6 +724,47 @@ mod tests {
             }
         }
         assert_eq!(a.len(), c.len());
+    }
+
+    #[test]
+    fn boundary_lists_that_disagree_are_a_typed_error() {
+        // `expanded` is derived from the other two lists on export, so a
+        // file that lists a vertex as both pending and expanded — or drops
+        // one from `enqueued`, or is out of order — was not written by a
+        // run. Each is refused through `restore_into` with the expansion
+        // and allocator state left as they were; the golden sample loads.
+        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 3));
+        let mut alloc = AllocatorPart::build(&g, &Grid2D::new(4, 3), 1, 3);
+        alloc.ensure_parts(4);
+        let mut exp = ExpansionState::new(1, 100, 0.1);
+        for v in 0..6u64 {
+            exp.boundary.insert(v, 6 - v);
+        }
+        assert_eq!(exp.boundary.pop_k_min(2), vec![5, 4]);
+        let header = SnapshotHeader::new(1, 4, run_fingerprint(g.num_edges(), 4, 3));
+        let snap = RankSnapshot::capture(header, &sample_snapshot().state, &exp, &alloc);
+        assert_eq!(snap.boundary.expanded, vec![4, 5]);
+        assert!(Boundary::from_export(sample_snapshot().boundary).is_ok());
+
+        let mut both = snap.clone();
+        both.boundary.expanded.insert(0, 3); // vertex 3 is still pending
+        let mut dropped = snap.clone();
+        dropped.boundary.enqueued.retain(|&v| v != 4);
+        let mut unsorted = snap.clone();
+        unsorted.boundary.heap.swap(0, 1);
+        let mut twice = snap.clone();
+        twice.boundary.heap[0].1 = twice.boundary.heap[1].1;
+        twice.boundary.heap.sort_unstable();
+        for bad in [both, dropped, unsorted, twice] {
+            let err = bad.restore_into(&mut exp, &mut alloc).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Mismatch { detail } if detail.contains("boundary")),
+                "{err}"
+            );
+            assert_eq!(RankSnapshot::capture(header, &snap.state, &exp, &alloc), snap);
+        }
+        let state = snap.clone().restore_into(&mut exp, &mut alloc).unwrap();
+        assert_eq!(RankSnapshot::capture(header, &state, &exp, &alloc), snap);
     }
 
     #[test]

@@ -52,18 +52,6 @@ pub fn degree_stats(g: &Graph) -> DegreeStats {
     }
 }
 
-/// Degree histogram as `(degree, count)` pairs sorted by degree — handy for
-/// eyeballing power-law behaviour in examples.
-pub fn degree_histogram(g: &Graph) -> Vec<(u64, u64)> {
-    let mut counts = crate::hash::FastMap::default();
-    for v in g.vertices() {
-        *counts.entry(g.degree(v)).or_insert(0u64) += 1;
-    }
-    let mut out: Vec<(u64, u64)> = counts.into_iter().collect();
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,14 +76,6 @@ mod tests {
         assert_eq!(s.max, 2);
         assert_eq!(s.p99, 2);
         assert!((s.skew - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_sums_to_vertex_count() {
-        let g = gen::rmat(&gen::RmatConfig::graph500(8, 4, 5));
-        let h = degree_histogram(&g);
-        let total: u64 = h.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, g.num_vertices());
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl EdgeListBuilder {
         }
     }
 
-    /// Number of raw (pre-dedup) pairs collected so far.
-    pub fn raw_len(&self) -> usize {
-        self.raw.len()
-    }
-
     /// Finalize: drop self loops, sort canonically, deduplicate.
     pub fn finish(mut self) -> Vec<Edge> {
         self.raw.retain(|&(u, v)| u != v);
@@ -85,14 +80,6 @@ impl EdgeListBuilder {
     pub fn build_parallel(self, num_vertices: VertexId, threads: usize) -> crate::Graph {
         let edges = self.finish_parallel(threads);
         crate::Graph::from_canonical_edges_parallel(num_vertices, edges, threads)
-    }
-
-    /// Like [`Self::build_parallel`] but sized by the maximum endpoint seen
-    /// (`max + 1` vertices), mirroring [`Self::into_graph_auto`].
-    pub fn build_parallel_auto(self, threads: usize) -> crate::Graph {
-        let edges = self.finish_parallel(threads);
-        let n = edges.iter().map(|&(_, v)| v + 1).max().unwrap_or(0);
-        crate::Graph::from_canonical_edges_parallel(n, edges, threads)
     }
 
     /// Finalize directly into a [`crate::Graph`] with `num_vertices`
@@ -124,7 +111,6 @@ mod tests {
         b.push(0, 0);
         b.push(4, 4);
         b.push(0, 2);
-        assert_eq!(b.raw_len(), 13);
         let e = b.finish();
         assert_eq!(e, vec![(0, 2), (1, 3)]);
     }

@@ -31,7 +31,7 @@ use crate::HeapSize;
 /// in-memory slice and the adjacency accessors need adjacency arrays;
 /// each documents the panic it raises on a backend that cannot serve it.
 /// The portable way to touch every edge on any backend is
-/// [`Self::edge_iter`] / [`Self::for_each_edge`].
+/// [`Self::for_each_edge`].
 ///
 /// Equality compares `|V|`, `|E|`, and the canonical edge streams, so two
 /// graphs compare equal exactly when they describe the same graph — CSR
@@ -162,35 +162,17 @@ impl Graph {
     ///
     /// # Panics
     /// If the backend holds no contiguous in-memory edge array (mmap,
-    /// chunk-streamed). Use [`Self::edge_iter`] or
-    /// [`Self::for_each_edge`] for backend-agnostic edge scans.
+    /// chunk-streamed). Use [`Self::for_each_edge`] for backend-agnostic
+    /// edge scans.
     #[inline]
     pub fn edges(&self) -> &[Edge] {
         self.storage.edge_slice().unwrap_or_else(|| {
             panic!(
                 "Graph::edges() needs a contiguous in-memory edge slice, which {} storage \
-                 does not keep; use edge_iter()/for_each_edge() instead",
+                 does not keep; use for_each_edge() instead",
                 self.storage.kind()
             )
         })
-    }
-
-    /// Iterate every edge in canonical order on any backend. The iterator
-    /// pulls blocks of edges from the storage, so a chunk-streamed graph
-    /// is traversed with bounded memory.
-    ///
-    /// # Panics
-    /// On disk-backed storage, if the underlying file fails mid-iteration
-    /// (see the failure-semantics contract on [`GraphStorage`]). Use
-    /// [`Self::try_for_each_edge`] to observe I/O errors instead.
-    pub fn edge_iter(&self) -> EdgeIter<'_> {
-        EdgeIter {
-            storage: self.storage.as_ref(),
-            buf: Vec::new(),
-            pos: 0,
-            next_block: 0,
-            num_edges: self.num_edges(),
-        }
     }
 
     /// Visit every edge in canonical order as `f(edge_id, u, v)` on any
@@ -292,53 +274,19 @@ impl std::fmt::Debug for Graph {
 
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
-        self.num_vertices() == other.num_vertices()
-            && self.num_edges() == other.num_edges()
-            && self.edge_iter().eq(other.edge_iter())
+        if self.num_vertices() != other.num_vertices() || self.num_edges() != other.num_edges() {
+            return false;
+        }
+        // One sequential scan of `self`; `other` answers by edge id, which
+        // every backend serves (the chunk-streamed one from its one-frame
+        // cache, which this ascending order keeps hitting).
+        let mut same = true;
+        self.for_each_edge(|e, u, v| same &= other.edge(e) == (u, v));
+        same
     }
 }
 
 impl Eq for Graph {}
-
-/// Block-buffered iterator over a graph's canonical edge stream — the
-/// backend-agnostic counterpart of slicing [`Graph::edges`]. Created by
-/// [`Graph::edge_iter`].
-#[derive(Debug)]
-pub struct EdgeIter<'a> {
-    storage: &'a dyn GraphStorage,
-    buf: Vec<Edge>,
-    pos: usize,
-    next_block: EdgeId,
-    num_edges: u64,
-}
-
-impl Iterator for EdgeIter<'_> {
-    type Item = Edge;
-
-    fn next(&mut self) -> Option<Edge> {
-        loop {
-            if self.pos < self.buf.len() {
-                let e = self.buf[self.pos];
-                self.pos += 1;
-                return Some(e);
-            }
-            if self.next_block >= self.num_edges {
-                return None;
-            }
-            self.storage.read_edge_block(self.next_block, &mut self.buf);
-            debug_assert!(!self.buf.is_empty());
-            self.next_block += self.buf.len() as u64;
-            self.pos = 0;
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.buf.len() - self.pos) as u64 + (self.num_edges - self.next_block);
-        (left as usize, Some(left as usize))
-    }
-}
-
-impl ExactSizeIterator for EdgeIter<'_> {}
 
 impl HeapSize for Graph {
     fn heap_bytes(&self) -> usize {
@@ -396,7 +344,7 @@ mod tests {
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.edge_iter().count(), 0);
+        g.for_each_edge(|_, _, _| panic!("no edge to visit"));
     }
 
     #[test]
@@ -435,17 +383,43 @@ mod tests {
     }
 
     #[test]
-    fn edge_iter_matches_edge_slice_and_scan() {
+    fn edge_scan_matches_edge_slice() {
         let g = triangle_plus_tail();
-        let from_iter: Vec<Edge> = g.edge_iter().collect();
-        assert_eq!(from_iter.as_slice(), g.edges());
-        assert_eq!(g.edge_iter().len(), g.num_edges() as usize);
         let mut from_scan = Vec::new();
         g.for_each_edge(|e, u, v| {
             assert_eq!(e as usize, from_scan.len());
             from_scan.push((u, v));
         });
-        assert_eq!(from_scan, from_iter);
+        assert_eq!(from_scan.as_slice(), g.edges());
+    }
+
+    #[test]
+    fn equality_is_by_content_across_every_backend_pair() {
+        use crate::io;
+        // A 200-edge path, and the same path with its last endpoint moved:
+        // equal counts, so only the scan can tell them apart.
+        let mut edges: Vec<Edge> = (0..200).map(|i| (i, i + 1)).collect();
+        let g = Graph::from_canonical_edges(202, edges.clone());
+        edges[199] = (199, 201);
+        let other = Graph::from_canonical_edges(202, edges);
+        let dir = std::env::temp_dir().join(format!("dne-graph-eq-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let open_all = |name: &str, g: &Graph| {
+            let path = dir.join(name);
+            io::write_chunked(g, &path, 37).unwrap(); // several frames
+            StorageKind::ALL.map(|kind| io::open_chunked_with(&path, kind).unwrap())
+        };
+        let (same, differing) = (open_all("a.chunks", &g), open_all("b.chunks", &other));
+        for a in &same {
+            assert_eq!(a, &g, "{} vs in-memory original", a.storage_kind());
+            for b in &same {
+                assert_eq!(a, b, "{} vs {}", a.storage_kind(), b.storage_kind());
+            }
+            for b in &differing {
+                assert_ne!(a, b, "{} vs {}", a.storage_kind(), b.storage_kind());
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

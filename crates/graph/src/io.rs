@@ -1,6 +1,6 @@
-//! Edge-list IO: whitespace-separated text (SNAP/KONECT style), a compact
-//! little-endian binary format, and a chunk-framed streaming binary format
-//! for graphs too large to buffer twice.
+//! Edge-list IO: whitespace-separated text (SNAP/KONECT style), a
+//! chunk-framed streaming binary format for graphs too large to buffer
+//! twice, and an on-disk CSR container built from it.
 //!
 //! The paper's datasets ship as SNAP/KONECT edge lists; this module lets a
 //! user of the library feed their own graphs to the partitioners. Lines
@@ -8,13 +8,11 @@
 //! conventions respectively); an optional third weight column is accepted
 //! and explicitly ignored (the graph model is unweighted).
 //!
-//! Four on-disk formats:
+//! Three on-disk formats:
 //! * **text** ([`read_text_edge_list`] / [`write_text_edge_list`]) — for
 //!   interchange with published datasets;
-//! * **monolithic binary** ([`read_binary`] / [`write_binary`]) — magic +
-//!   counts + one flat pair array, when the whole graph comfortably fits;
-//! * **chunk-framed binary** ([`ChunkedGraphWriter`] / [`read_chunked`] /
-//!   [`read_chunked_parallel`]) — the streaming format: edges travel in
+//! * **chunk-framed binary** (`DNECHNK1`, [`ChunkedGraphWriter`] /
+//!   [`read_chunked`]) — the streaming format: edges travel in
 //!   length-prefixed frames so writer and reader each hold at most one
 //!   chunk beyond the final edge array itself;
 //! * **on-disk CSR** (`DNECSRF1`, [`write_csr`] / [`csr_from_chunked`] /
@@ -106,50 +104,14 @@ pub fn read_text_edge_list_from(reader: impl BufRead) -> io::Result<Graph> {
 pub fn write_text_edge_list(g: &Graph, path: impl AsRef<Path>) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     writeln!(w, "# vertices {} edges {}", g.num_vertices(), g.num_edges())?;
-    for (u, v) in g.edge_iter() {
-        writeln!(w, "{u} {v}")?;
-    }
+    let mut written = Ok(());
+    g.try_for_each_edge(|_, u, v| {
+        if written.is_ok() {
+            written = writeln!(w, "{u} {v}");
+        }
+    })?;
+    written?;
     w.flush()
-}
-
-const BINARY_MAGIC: &[u8; 8] = b"DNEGRAPH";
-
-/// Write the compact binary format: magic, |V|, |E|, then |E| canonical
-/// `(u, v)` pairs, all little-endian u64.
-pub fn write_binary(g: &Graph, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&g.num_vertices().to_le_bytes())?;
-    w.write_all(&g.num_edges().to_le_bytes())?;
-    for (u, v) in g.edge_iter() {
-        w.write_all(&u.to_le_bytes())?;
-        w.write_all(&v.to_le_bytes())?;
-    }
-    w.flush()
-}
-
-/// Read the binary format written by [`write_binary`].
-pub fn read_binary(path: impl AsRef<Path>) -> io::Result<Graph> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a DNEGRAPH file"));
-    }
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    let n = u64::from_le_bytes(buf);
-    r.read_exact(&mut buf)?;
-    let m = u64::from_le_bytes(buf);
-    let mut edges = Vec::with_capacity(m as usize);
-    for _ in 0..m {
-        r.read_exact(&mut buf)?;
-        let u = u64::from_le_bytes(buf);
-        r.read_exact(&mut buf)?;
-        let v = u64::from_le_bytes(buf);
-        edges.push((u, v));
-    }
-    Ok(Graph::from_canonical_edges(n, edges))
 }
 
 const CHUNKED_MAGIC: &[u8; 8] = b"DNECHNK1";
@@ -163,10 +125,10 @@ const EDGE_COUNT_UNKNOWN: u64 = u64::MAX;
 /// until [`Self::finish`] patches it), then zero or more frames of
 /// `count` (u64 LE) followed by `count` canonical `(u, v)` pairs.
 ///
-/// Unlike [`write_binary`], the writer never needs the full edge list in
-/// memory: chunks are validated and appended as they are produced, so a
-/// graph can round-trip to disk while only one chunk is buffered — the
-/// point of the format at scales where two in-memory copies don't fit.
+/// The writer never needs the full edge list in memory: chunks are
+/// validated and appended as they are produced, so a graph can round-trip
+/// to disk while only one chunk is buffered — the point of the format at
+/// scales where two in-memory copies don't fit.
 /// Chunks must arrive in canonical order (each strictly ascending and
 /// strictly after the previous chunk's last edge), which is exactly how
 /// [`crate::Graph::edges`] and the parallel merge emit them.
@@ -221,11 +183,6 @@ impl ChunkedGraphWriter {
         Ok(())
     }
 
-    /// Number of edges written so far.
-    pub fn edges_written(&self) -> u64 {
-        self.written
-    }
-
     /// Flush, patch the header's edge count, and return it.
     pub fn finish(self) -> io::Result<u64> {
         let mut f = self.w.into_inner().map_err(|e| e.into_error())?;
@@ -240,13 +197,18 @@ impl ChunkedGraphWriter {
 pub fn write_chunked(g: &Graph, path: impl AsRef<Path>, chunk_edges: usize) -> io::Result<()> {
     let mut w = ChunkedGraphWriter::create(path, g.num_vertices())?;
     let mut chunk = Vec::with_capacity(chunk_edges.clamp(1, 1 << 20));
-    for e in g.edge_iter() {
-        chunk.push(e);
+    let mut written = Ok(());
+    g.try_for_each_edge(|_, u, v| {
+        if written.is_err() {
+            return;
+        }
+        chunk.push((u, v));
         if chunk.len() >= chunk_edges.max(1) {
-            w.write_chunk(&chunk)?;
+            written = w.write_chunk(&chunk);
             chunk.clear();
         }
-    }
+    })?;
+    written?;
     w.write_chunk(&chunk)?;
     w.finish()?;
     Ok(())
@@ -318,6 +280,55 @@ fn read_chunked_header(r: &mut impl Read, file_len: u64) -> io::Result<ChunkedHe
     Ok(ChunkedHeader { num_vertices: n, declared_edges: declared })
 }
 
+/// Size of the buffer frames are decoded through: a multiple of one pair's
+/// 16 bytes, and bounded so a corrupt frame header cannot provoke an absurd
+/// allocation.
+const SCRATCH_BYTES: usize = 1 << 16;
+
+/// Decode `count` pairs from `r` onto the end of `out`, validating while
+/// decoding so a corrupt payload surfaces as `Err(InvalidData)` here
+/// instead of a panic in the CSR constructor's canonical-order assertions
+/// downstream: every pair canonical for `|V| = n`, and the stream strictly
+/// ascending from `last` (which is advanced). The one decode loop behind
+/// the sequential reader and the random-access frame read.
+fn decode_pairs(
+    r: &mut impl Read,
+    count: u64,
+    n: VertexId,
+    scratch: &mut [u8],
+    last: &mut Option<Edge>,
+    out: &mut Vec<Edge>,
+) -> io::Result<()> {
+    let mut remaining = (count as usize)
+        .checked_mul(16)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame length overflow"))?;
+    out.reserve(count as usize);
+    while remaining > 0 {
+        let take = remaining.min(scratch.len());
+        r.read_exact(&mut scratch[..take])?;
+        for pair in scratch[..take].chunks_exact(16) {
+            let u = u64::from_le_bytes(pair[..8].try_into().unwrap());
+            let v = u64::from_le_bytes(pair[8..].try_into().unwrap());
+            if u >= v || v >= n {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("corrupt frame: ({u}, {v}) is not canonical for |V| = {n}"),
+                ));
+            }
+            if last.is_some_and(|last| last >= (u, v)) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("corrupt frame: ({u}, {v}) breaks the canonical edge order"),
+                ));
+            }
+            *last = Some((u, v));
+            out.push((u, v));
+        }
+        remaining -= take;
+    }
+    Ok(())
+}
+
 /// Streaming frame-by-frame reader over a chunked file with full payload
 /// validation: every pair must be canonical for the declared `|V|`, the
 /// stream strictly ascending across frame boundaries, and the total frame
@@ -330,8 +341,7 @@ pub(crate) struct ChunkedEdgeReader {
     header: ChunkedHeader,
     read_so_far: u64,
     last: Option<Edge>,
-    /// Frames are decoded through a bounded scratch buffer so a corrupt
-    /// frame header cannot provoke an absurd allocation.
+    /// What [`decode_pairs`] reads through.
     scratch: Vec<u8>,
 }
 
@@ -342,7 +352,7 @@ impl ChunkedEdgeReader {
         let file_len = file.metadata()?.len();
         let mut r = BufReader::new(file);
         let header = read_chunked_header(&mut r, file_len)?;
-        Ok(Self { r, header, read_so_far: 0, last: None, scratch: vec![0u8; 1 << 16] })
+        Ok(Self { r, header, read_so_far: 0, last: None, scratch: vec![0u8; SCRATCH_BYTES] })
     }
 
     /// Declared vertex count.
@@ -372,38 +382,14 @@ impl ChunkedEdgeReader {
             }
             return Ok(false);
         };
-        let n = self.header.num_vertices;
-        let mut remaining = (count as usize)
-            .checked_mul(16)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame length overflow"))?;
-        out.reserve(count as usize);
-        while remaining > 0 {
-            let take = remaining.min(self.scratch.len());
-            // Whole pairs only: scratch is a multiple of 16 bytes.
-            self.r.read_exact(&mut self.scratch[..take])?;
-            for pair in self.scratch[..take].chunks_exact(16) {
-                let u = u64::from_le_bytes(pair[..8].try_into().unwrap());
-                let v = u64::from_le_bytes(pair[8..].try_into().unwrap());
-                // Validate while decoding so a corrupt payload surfaces as
-                // Err(InvalidData) here instead of a panic in the CSR
-                // constructor's canonical-order assertions downstream.
-                if u >= v || v >= n {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt frame: ({u}, {v}) is not canonical for |V| = {n}"),
-                    ));
-                }
-                if self.last.is_some_and(|last| last >= (u, v)) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt frame: ({u}, {v}) breaks the canonical edge order"),
-                    ));
-                }
-                self.last = Some((u, v));
-                out.push((u, v));
-            }
-            remaining -= take;
-        }
+        decode_pairs(
+            &mut self.r,
+            count,
+            self.header.num_vertices,
+            &mut self.scratch,
+            &mut self.last,
+            out,
+        )?;
         self.read_so_far += count;
         Ok(true)
     }
@@ -478,62 +464,23 @@ pub(crate) fn read_frame_payload(
     out: &mut Vec<Edge>,
 ) -> io::Result<()> {
     out.clear();
-    out.reserve(frame.count as usize);
     let mut f = File::open(path)?;
     f.seek(io::SeekFrom::Start(frame.payload_at))?;
-    let mut r = BufReader::new(f);
-    let mut scratch = vec![0u8; 1 << 16];
-    let mut remaining = (frame.count as usize) * 16;
-    while remaining > 0 {
-        let take = remaining.min(scratch.len());
-        r.read_exact(&mut scratch[..take])?;
-        for pair in scratch[..take].chunks_exact(16) {
-            let u = u64::from_le_bytes(pair[..8].try_into().unwrap());
-            let v = u64::from_le_bytes(pair[8..].try_into().unwrap());
-            if u >= v || v >= num_vertices {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("corrupt frame: ({u}, {v}) is not canonical for |V| = {num_vertices}"),
-                ));
-            }
-            if out.last().is_some_and(|&last| last >= (u, v)) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("corrupt frame: ({u}, {v}) breaks the canonical edge order"),
-                ));
-            }
-            out.push((u, v));
-        }
-        remaining -= take;
-    }
-    Ok(())
+    let mut scratch = vec![0u8; SCRATCH_BYTES];
+    decode_pairs(&mut BufReader::new(f), frame.count, num_vertices, &mut scratch, &mut None, out)
 }
 
-/// Read every frame of a chunked file into one canonical edge vector,
-/// returning it with the declared vertex count. The edge list is appended
-/// frame by frame into a single allocation — only one decoded chunk ever
-/// coexists with the growing edge array.
-fn read_chunked_edges(path: impl AsRef<Path>) -> io::Result<(VertexId, Vec<Edge>)> {
+/// Read a graph written in the chunk-framed format ([`ChunkedGraphWriter`]).
+/// The edge list is appended frame by frame into a single allocation —
+/// only one decoded chunk ever coexists with the growing edge array.
+pub fn read_chunked(path: impl AsRef<Path>) -> io::Result<Graph> {
     let mut r = ChunkedEdgeReader::open(path)?;
     let mut edges: Vec<Edge> = Vec::with_capacity(r.declared_edges() as usize);
     let mut chunk = Vec::new();
     while r.next_chunk(&mut chunk)? {
         edges.append(&mut chunk);
     }
-    Ok((r.num_vertices(), edges))
-}
-
-/// Read a graph written in the chunk-framed format ([`ChunkedGraphWriter`]).
-pub fn read_chunked(path: impl AsRef<Path>) -> io::Result<Graph> {
-    let (n, edges) = read_chunked_edges(path)?;
-    Ok(Graph::from_canonical_edges(n, edges))
-}
-
-/// Like [`read_chunked`] but hands the decoded edge list to the parallel
-/// CSR builder. Byte-identical to [`read_chunked`] for every thread count.
-pub fn read_chunked_parallel(path: impl AsRef<Path>, threads: usize) -> io::Result<Graph> {
-    let (n, edges) = read_chunked_edges(path)?;
-    Ok(Graph::from_canonical_edges_parallel(n, edges, threads))
+    Ok(Graph::from_canonical_edges(r.num_vertices(), edges))
 }
 
 /// Build a `DNECSRF1` on-disk CSR container (see [`crate::mmap`] for the
@@ -741,18 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip_is_exact() {
-        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 2));
-        let dir = std::env::temp_dir().join("dne_graph_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("g.bin");
-        write_binary(&g, &p).unwrap();
-        let g2 = read_binary(&p).unwrap();
-        assert_eq!(g.num_vertices(), g2.num_vertices());
-        assert_eq!(g.edges(), g2.edges());
-    }
-
-    #[test]
     fn text_reader_skips_comments_and_renumbers() {
         let text = "# snap comment\n% konect comment\n100 200\n200 300\n100 300\n";
         let g = read_text_edge_list_from(Cursor::new(text)).unwrap();
@@ -795,12 +730,11 @@ mod tests {
     }
 
     #[test]
-    fn chunked_roundtrip_is_exact_serial_and_parallel() {
+    fn chunked_roundtrip_is_exact() {
         let g = gen::rmat(&gen::RmatConfig::graph500(10, 8, 5));
         let p = tmp("g.chunked");
         write_chunked(&g, &p, 1000).unwrap();
         assert_eq!(g, read_chunked(&p).unwrap());
-        assert_eq!(g, read_chunked_parallel(&p, 4).unwrap());
     }
 
     #[test]
@@ -811,7 +745,6 @@ mod tests {
         for chunk in g.edges().chunks(100) {
             w.write_chunk(chunk).unwrap();
         }
-        assert_eq!(w.edges_written(), g.num_edges());
         assert_eq!(w.finish().unwrap(), g.num_edges());
         assert_eq!(g, read_chunked(&p).unwrap());
     }
@@ -891,14 +824,13 @@ mod tests {
         std::fs::write(&p, &bytes).unwrap();
         let e = read_chunked(&p).unwrap_err();
         assert!(e.to_string().contains("corrupt frame"), "got: {e}");
-        assert!(read_chunked_parallel(&p, 4).is_err());
     }
 
     #[test]
     fn chunked_reader_rejects_wrong_magic_and_truncation() {
         let p = tmp("not_chunked.bin");
         let g = gen::rmat(&gen::RmatConfig::graph500(6, 4, 1));
-        write_binary(&g, &p).unwrap();
+        std::fs::write(&p, [b"DNEGRAPH".as_slice(), &[0; 16]].concat()).unwrap();
         assert!(read_chunked(&p).is_err());
         let p = tmp("truncated.chunked");
         write_chunked(&g, &p, 50).unwrap();

@@ -20,10 +20,10 @@
 //!   Erdős–Rényi, Chung–Lu power-law, and small classic graphs for tests.
 //! * [`hash`] — fast non-cryptographic hashing (splitmix64-based) used for
 //!   1D/2D hash partitioning and for internal hash maps.
-//! * [`io`] — plain-text and binary edge-list readers/writers, a
-//!   chunk-framed streaming binary format (`DNECHNK1`) for graphs too
-//!   large to buffer twice, and an on-disk CSR container (`DNECSRF1`)
-//!   built from it in two sequential O(|V|)-heap passes.
+//! * [`io`] — a plain-text edge-list reader/writer, a chunk-framed
+//!   streaming binary format (`DNECHNK1`) for graphs too large to buffer
+//!   twice, and an on-disk CSR container (`DNECSRF1`) built from it in
+//!   two sequential O(|V|)-heap passes.
 //! * [`parallel`] — the parallel ingestion machinery behind
 //!   [`EdgeListBuilder::build_parallel`],
 //!   [`Graph::from_canonical_edges_parallel`] and the `gen::*_parallel`
@@ -70,7 +70,7 @@ pub mod transform;
 pub mod types;
 
 pub use edge_list::EdgeListBuilder;
-pub use graph::{EdgeIter, Graph};
+pub use graph::Graph;
 pub use storage::{GraphStorage, StorageKind};
 pub use types::{EdgeId, VertexId, INVALID_VERTEX};
 

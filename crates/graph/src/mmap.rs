@@ -43,7 +43,7 @@ use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::storage::{GraphStorage, StorageKind, EDGE_ITER_BLOCK};
+use crate::storage::{GraphStorage, StorageKind};
 use crate::types::{Edge, EdgeId, VertexId};
 
 /// Raw `mmap(2)` bindings, kept in one `cfg`-gated corner.
@@ -307,16 +307,6 @@ impl GraphStorage for MmapCsr {
         Ok(())
     }
 
-    fn read_edge_block(&self, start: EdgeId, out: &mut Vec<Edge>) {
-        out.clear();
-        let end = (start + EDGE_ITER_BLOCK).min(self.num_edges);
-        let w = self.region.u64s();
-        for e in start.min(self.num_edges)..end {
-            let at = self.edges_at + 2 * e as usize;
-            out.push((u64::from_le(w[at]), u64::from_le(w[at + 1])));
-        }
-    }
-
     fn resident_bytes(&self) -> usize {
         // File-backed pages belong to the page cache, not the process
         // heap: the OS reclaims them under pressure. The mem score charges
@@ -399,7 +389,8 @@ mod tests {
         let m = io::open_csr_mmap(&p).unwrap();
         assert_eq!(m.storage_kind(), StorageKind::Mmap);
         assert_eq!(g, m);
-        let back: Vec<Edge> = m.edge_iter().collect();
+        let mut back = Vec::new();
+        m.for_each_edge(|_, u, v| back.push((u, v)));
         assert_eq!(back.as_slice(), g.edges());
     }
 

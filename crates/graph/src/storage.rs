@@ -113,10 +113,6 @@ impl std::fmt::Display for StorageKind {
     }
 }
 
-/// Number of edges [`Graph::edge_iter`](crate::Graph::edge_iter) pulls
-/// from the backend per block.
-pub(crate) const EDGE_ITER_BLOCK: u64 = 4096;
-
 /// Storage backend of a [`crate::Graph`]: the seam between the graph's
 /// *interface* (canonical edge ids, adjacency) and its *representation*
 /// (heap arrays, a mapped file, a streamed chunk file).
@@ -132,11 +128,11 @@ pub(crate) const EDGE_ITER_BLOCK: u64 = 4096;
 ///
 /// ## Failure semantics
 ///
-/// Infallible accessors (`edge`, `degree`, `read_edge_block`) on
-/// disk-backed storage **panic** on an environmental I/O failure (file
-/// deleted mid-run, disk error) — by construction they can only be
-/// reached after the file validated at open time, so an error there is a
-/// torn environment, not an input condition. Anything that is an *input*
+/// Infallible accessors (`edge`, `degree`) on disk-backed storage
+/// **panic** on an environmental I/O failure (file deleted mid-run, disk
+/// error) — by construction they can only be reached after the file
+/// validated at open time, so an error there is a torn environment, not
+/// an input condition. Anything that is an *input*
 /// condition (corrupt frame, wrong magic, count mismatch) is a typed
 /// `io::Error` from the open/convert entry points in [`crate::io`] or
 /// from [`GraphStorage::try_for_each_edge`].
@@ -178,10 +174,6 @@ pub trait GraphStorage: std::fmt::Debug + Send + Sync {
     /// its best: slice iteration (in-memory), a linear page-in (mmap), or
     /// one buffered chunk at a time (chunk-streamed).
     fn try_for_each_edge(&self, f: &mut dyn FnMut(EdgeId, VertexId, VertexId)) -> io::Result<()>;
-
-    /// Copy the block of edges `[start, min(start + EDGE_ITER_BLOCK, m))`
-    /// into `out` (cleared first). Powers [`crate::Graph::edge_iter`].
-    fn read_edge_block(&self, start: EdgeId, out: &mut Vec<Edge>);
 
     /// Live *heap* bytes owned by this storage right now — what the
     /// mem-score tracker charges. File-backed pages (mmap) are the OS's,
@@ -290,13 +282,6 @@ impl GraphStorage for InMemoryCsr {
             f(e as EdgeId, u, v);
         }
         Ok(())
-    }
-
-    fn read_edge_block(&self, start: EdgeId, out: &mut Vec<Edge>) {
-        out.clear();
-        let lo = start.min(self.edges.len() as u64) as usize;
-        let hi = (start + EDGE_ITER_BLOCK).min(self.edges.len() as u64) as usize;
-        out.extend_from_slice(&self.edges[lo..hi]);
     }
 
     fn resident_bytes(&self) -> usize {
@@ -442,21 +427,6 @@ impl GraphStorage for ChunkStore {
         Ok(())
     }
 
-    fn read_edge_block(&self, start: EdgeId, out: &mut Vec<Edge>) {
-        out.clear();
-        let mut e = start.min(self.num_edges);
-        let end = (start + EDGE_ITER_BLOCK).min(self.num_edges);
-        while e < end {
-            let idx = self.frame_of(e);
-            let fr_first = self.frames[idx].first_edge;
-            let fr_count = self.frames[idx].count;
-            let lo = (e - fr_first) as usize;
-            let hi = ((end - fr_first).min(fr_count)) as usize;
-            self.with_frame(idx, |buf| out.extend_from_slice(&buf[lo..hi]));
-            e = fr_first + hi as u64;
-        }
-    }
-
     fn resident_bytes(&self) -> usize {
         let cached = self
             .cache
@@ -521,26 +491,6 @@ mod tests {
             s.resident_bytes() < g.heap_bytes(),
             "streamed residency must undercut the full CSR"
         );
-    }
-
-    #[test]
-    fn read_edge_block_crosses_frames() {
-        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 2));
-        let p = tmp("blocks.chunked");
-        crate::io::write_chunked(&g, &p, 17).unwrap(); // many tiny frames
-        let s = ChunkStore::open(&p).unwrap();
-        let mut buf = Vec::new();
-        let mut all = Vec::new();
-        let mut start = 0;
-        loop {
-            s.read_edge_block(start, &mut buf);
-            if buf.is_empty() {
-                break;
-            }
-            start += buf.len() as u64;
-            all.extend_from_slice(&buf);
-        }
-        assert_eq!(all.as_slice(), g.edges());
     }
 
     #[test]

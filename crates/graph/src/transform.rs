@@ -1,35 +1,10 @@
-//! Graph transformations: induced subgraphs, component extraction,
-//! degree filtering.
-//!
-//! Library utilities a downstream user of the partitioner needs for data
-//! preparation (the paper's datasets are commonly reduced to their largest
-//! connected component before partitioning experiments).
+//! Connected-component labelling — the sequential reference the WCC
+//! application kernel is verified against (`dne_apps::wcc_reference`).
 
 use std::collections::VecDeque;
 
 use crate::types::VertexId;
-use crate::{EdgeListBuilder, Graph};
-
-/// The subgraph induced by `keep[v] == true`, with vertices renumbered
-/// densely. Returns the graph and the mapping `new id → old id`.
-pub fn induced_subgraph(g: &Graph, keep: &[bool]) -> (Graph, Vec<VertexId>) {
-    assert_eq!(keep.len() as u64, g.num_vertices());
-    let mut new_of = vec![VertexId::MAX; keep.len()];
-    let mut old_of = Vec::new();
-    for v in g.vertices() {
-        if keep[v as usize] {
-            new_of[v as usize] = old_of.len() as VertexId;
-            old_of.push(v);
-        }
-    }
-    let mut b = EdgeListBuilder::new();
-    for &(u, v) in g.edges() {
-        if keep[u as usize] && keep[v as usize] {
-            b.push(new_of[u as usize], new_of[v as usize]);
-        }
-    }
-    (b.into_graph(old_of.len() as VertexId), old_of)
-}
+use crate::Graph;
 
 /// Connected-component labels (smallest member id per component).
 pub fn component_labels(g: &Graph) -> Vec<VertexId> {
@@ -53,44 +28,10 @@ pub fn component_labels(g: &Graph) -> Vec<VertexId> {
     label
 }
 
-/// Extract the largest connected component (by vertex count), renumbered
-/// densely. Ties break toward the smaller component label.
-pub fn largest_component(g: &Graph) -> (Graph, Vec<VertexId>) {
-    let labels = component_labels(g);
-    let mut counts = crate::hash::FastMap::default();
-    for &l in &labels {
-        *counts.entry(l).or_insert(0u64) += 1;
-    }
-    let best = counts
-        .iter()
-        .max_by_key(|&(&l, &c)| (c, std::cmp::Reverse(l)))
-        .map(|(&l, _)| l)
-        .unwrap_or(0);
-    let keep: Vec<bool> = labels.iter().map(|&l| l == best).collect();
-    induced_subgraph(g, &keep)
-}
-
-/// Drop vertices with degree below `min_degree` (a single pass — repeated
-/// application reaches the k-core).
-pub fn filter_min_degree(g: &Graph, min_degree: u64) -> (Graph, Vec<VertexId>) {
-    let keep: Vec<bool> = g.vertices().map(|v| g.degree(v) >= min_degree).collect();
-    induced_subgraph(g, &keep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let g = gen::complete(5);
-        let keep = vec![true, true, true, false, false];
-        let (sub, old_of) = induced_subgraph(&g, &keep);
-        assert_eq!(sub.num_vertices(), 3);
-        assert_eq!(sub.num_edges(), 3); // triangle among {0,1,2}
-        assert_eq!(old_of, vec![0, 1, 2]);
-    }
+    use crate::{gen, EdgeListBuilder};
 
     #[test]
     fn component_labels_on_two_components() {
@@ -98,34 +39,6 @@ mod tests {
         let labels = component_labels(&g);
         assert!(labels[0..4].iter().all(|&l| l == 0));
         assert!(labels[4..].iter().all(|&l| l == 4));
-    }
-
-    #[test]
-    fn largest_component_extracts_ring() {
-        // ring_complete(4): clique has 4 vertices, ring has 6 → ring wins.
-        let g = gen::ring_complete(4);
-        let (lcc, old_of) = largest_component(&g);
-        assert_eq!(lcc.num_vertices(), 6);
-        assert_eq!(lcc.num_edges(), 6);
-        assert!(old_of.iter().all(|&v| v >= 4));
-    }
-
-    #[test]
-    fn min_degree_filter_peels_spokes() {
-        let g = gen::star(10);
-        let (core, _) = filter_min_degree(&g, 2);
-        // Only the hub has degree >= 2, and alone it has no edges.
-        assert_eq!(core.num_vertices(), 1);
-        assert_eq!(core.num_edges(), 0);
-    }
-
-    #[test]
-    fn filter_keeps_everything_at_zero_threshold() {
-        let g = gen::cycle(12);
-        let (same, old_of) = filter_min_degree(&g, 0);
-        assert_eq!(same.num_vertices(), 12);
-        assert_eq!(same.num_edges(), 12);
-        assert_eq!(old_of.len(), 12);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! `dne-apps` then measures the real thing.
 
 use crate::assignment::EdgeAssignment;
-use crate::quality::PartitionQuality;
+use crate::replica::ReplicaTable;
 use dne_graph::Graph;
 
 /// Analytic per-superstep communication estimate for an assignment.
@@ -37,12 +37,13 @@ pub const SYNC_MSG_BYTES: u64 = 16;
 
 /// Estimate the per-superstep communication of `assignment` on `g`.
 pub fn estimate_comm(g: &Graph, assignment: &EdgeAssignment) -> CommEstimate {
-    let q = PartitionQuality::measure(g, assignment);
-    let covered = g.vertices().filter(|&v| g.degree(v) > 0).count() as u64;
-    let mirrors = q.total_replicas - covered;
+    let table = ReplicaTable::build(g, assignment);
+    let covered = g.vertices().filter(|&v| !table.of(v).is_empty()).count() as u64;
+    let mirrors = table.total() - covered;
     // Max per-partition mirrors: vertices in that partition that are
     // replicated elsewhere — bounded by the partition's vertex count.
-    let max_partition_mirrors = q.vertex_counts.iter().copied().max().unwrap_or(0);
+    let counts = table.counts(assignment.num_partitions());
+    let max_partition_mirrors = counts.into_iter().max().unwrap_or(0);
     CommEstimate {
         mirrors,
         bytes_per_superstep: 2 * mirrors * SYNC_MSG_BYTES,
@@ -54,6 +55,7 @@ pub fn estimate_comm(g: &Graph, assignment: &EdgeAssignment) -> CommEstimate {
 mod tests {
     use super::*;
     use crate::hash_based::RandomPartitioner;
+    use crate::quality::PartitionQuality;
     use crate::traits::EdgePartitioner;
     use dne_graph::gen;
 

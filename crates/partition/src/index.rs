@@ -3,21 +3,24 @@
 //!
 //! A finished partition is only useful when a downstream system can ask
 //! "which machine owns edge `(u, v)`?" without replaying the partitioner.
-//! [`ShardedAssignmentIndex`] answers that query — plus the replication
-//! set of a vertex and per-partition quality stats — from hash-sharded
-//! maps built in one sequential edge scan, so it works unchanged on every
-//! `DNE_GRAPH_STORAGE` backend, including the adjacency-free
-//! chunk-streamed one.
+//! [`ShardedAssignmentIndex`] answers that query from hash-sharded edge
+//! maps, and the replication set of a vertex plus per-partition quality
+//! stats from the assignment's [`ReplicaTable`] — both built by sequential
+//! edge scans, so it works unchanged on every `DNE_GRAPH_STORAGE`
+//! backend, including the adjacency-free chunk-streamed one.
 //!
-//! Sharding uses the workspace's existing edge hash
+//! The edge maps are sharded by the workspace's existing edge hash
 //! ([`dne_graph::hash::mix2`]) masked to a power-of-two shard count (what
 //! `dne-server` reads from `DNE_SERVER_SHARDS`), so a future sharded
-//! *server* can route a lookup to the right shard from the key alone. The index fingerprints
-//! to exactly [`EdgeAssignment::fingerprint`], which is how `dne-client`
-//! proves a remote server answers for the same partition it computed
-//! offline.
+//! *server* can route an owner lookup to the right shard from the key
+//! alone; replica sets are one flat table indexed by vertex id. The index
+//! fingerprints to exactly [`EdgeAssignment::fingerprint`], which is how
+//! `dne-client` proves a remote server answers for the same partition it
+//! computed offline.
 
 use crate::assignment::{EdgeAssignment, PartitionId};
+use crate::quality::balance;
+use crate::replica::ReplicaTable;
 use dne_graph::hash::{mix2, FastMap};
 use dne_graph::{EdgeId, Graph, VertexId};
 
@@ -40,29 +43,16 @@ fn edge_shard(u: VertexId, v: VertexId, shards: usize) -> usize {
     (mix2(u.min(v), u.max(v)) & (shards as u64 - 1)) as usize
 }
 
-/// The shard a vertex key belongs to.
-#[inline]
-fn vertex_shard(v: VertexId, shards: usize) -> usize {
-    (dne_graph::hash::mix64(v) & (shards as u64 - 1)) as usize
-}
-
-/// One shard's maps: owner-of-edge and replica-set-of-vertex.
-#[derive(Default)]
-struct Shard {
-    /// Unordered endpoint pair `(min, max)` → `(edge id, partition)`.
-    /// Multi-edges collapse to the lowest edge id (deterministic, and the
-    /// one a linear scan finds first).
-    edges: FastMap<(VertexId, VertexId), (EdgeId, PartitionId)>,
-    /// Vertex → sorted ascending list of partitions whose edge set
-    /// touches it (the replication set of paper Equation 1).
-    replicas: FastMap<VertexId, Vec<PartitionId>>,
-}
+/// One shard of the owner-of-edge map: unordered endpoint pair
+/// `(min, max)` → `(edge id, partition)`. Multi-edges collapse to the
+/// lowest edge id (deterministic, and the one a linear scan finds first).
+type Shard = FastMap<(VertexId, VertexId), (EdgeId, PartitionId)>;
 
 /// An [`EdgeAssignment`] indexed for serving: owner-of-edge, replication
-/// set of a vertex, and per-partition stats, behind power-of-two hash
-/// shards (see the module docs).
+/// set of a vertex, and per-partition stats (see the module docs).
 pub struct ShardedAssignmentIndex {
     shards: Vec<Shard>,
+    replicas: ReplicaTable,
     edge_counts: Vec<u64>,
     replica_counts: Vec<u64>,
     num_vertices: u64,
@@ -74,7 +64,7 @@ pub struct ShardedAssignmentIndex {
 impl ShardedAssignmentIndex {
     /// Index `assignment` over the edges of `g` into `shards` shards.
     ///
-    /// One sequential [`Graph::for_each_edge`] scan — no adjacency
+    /// Sequential [`Graph::for_each_edge`] scans only — no adjacency
     /// arrays — so any storage backend can feed it.
     ///
     /// # Panics
@@ -85,12 +75,12 @@ impl ShardedAssignmentIndex {
             shards > 0 && shards.is_power_of_two(),
             "shard count {shards} is not a positive power of two"
         );
-        assert!(assignment.is_valid_for(g), "assignment does not match graph");
-        let k = assignment.num_partitions() as usize;
+        let replicas = ReplicaTable::build(g, assignment);
         let mut out = Self {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
+            shards: vec![Shard::default(); shards],
+            replica_counts: replicas.counts(assignment.num_partitions()),
+            replicas,
             edge_counts: assignment.edge_counts(),
-            replica_counts: vec![0u64; k],
             num_vertices: g.num_vertices(),
             num_edges: g.num_edges(),
             num_partitions: assignment.num_partitions(),
@@ -99,25 +89,11 @@ impl ShardedAssignmentIndex {
         g.for_each_edge(|e, u, v| {
             let p = assignment.part_of(e);
             let key = (u.min(v), u.max(v));
-            let slot = out.shards[edge_shard(u, v, shards)].edges.entry(key).or_insert((e, p));
+            let slot = out.shards[edge_shard(u, v, shards)].entry(key).or_insert((e, p));
             if e < slot.0 {
                 *slot = (e, p);
             }
-            for end in [u, v] {
-                let set = out.shards[vertex_shard(end, shards)].replicas.entry(end).or_default();
-                if !set.contains(&p) {
-                    set.push(p);
-                }
-            }
         });
-        for shard in &mut out.shards {
-            for set in shard.replicas.values_mut() {
-                set.sort_unstable();
-                for &p in set.iter() {
-                    out.replica_counts[p as usize] += 1;
-                }
-            }
-        }
         out
     }
 
@@ -126,17 +102,13 @@ impl ShardedAssignmentIndex {
     /// no such edge. Multi-edges answer with their lowest edge id.
     pub fn owner_of(&self, u: VertexId, v: VertexId) -> Option<(EdgeId, PartitionId)> {
         let key = (u.min(v), u.max(v));
-        self.shards[edge_shard(u, v, self.shards.len())].edges.get(&key).copied()
+        self.shards[edge_shard(u, v, self.shards.len())].get(&key).copied()
     }
 
     /// The replication set of vertex `v`: every partition whose edge set
     /// touches it, ascending. Empty for vertices no edge touches.
     pub fn replica_set(&self, v: VertexId) -> &[PartitionId] {
-        self.shards[vertex_shard(v, self.shards.len())]
-            .replicas
-            .get(&v)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.replicas.of(v)
     }
 
     /// `|E_p|` for partition `p` (`None` when `p` is out of range).
@@ -151,7 +123,7 @@ impl ShardedAssignmentIndex {
 
     /// `Σ_p |V(E_p)|` — the numerator of the replication factor.
     pub fn total_replicas(&self) -> u64 {
-        self.replica_counts.iter().sum()
+        self.replicas.total()
     }
 
     /// Replication factor `RF = total replicas / |V|` (paper Equation 1).
@@ -165,13 +137,7 @@ impl ShardedAssignmentIndex {
 
     /// Edge balance `max_p |E_p| / mean_p |E_p|` (paper §7.6).
     pub fn edge_balance(&self) -> f64 {
-        let max = self.edge_counts.iter().copied().max().unwrap_or(0) as f64;
-        let mean = self.num_edges as f64 / self.edge_counts.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
+        balance(&self.edge_counts)
     }
 
     /// Number of partitions `|P|`.
@@ -277,7 +243,11 @@ mod tests {
         assert_eq!(idx.owner_of(3, 2), Some((2, 0)));
         assert_eq!(idx.owner_of(0, 3), None);
         assert_eq!(idx.replica_set(1), &[0, 1]);
-        assert_eq!(idx.replica_set(99), &[] as &[PartitionId]);
+        // Vertex keys arrive from clients: |V|, |V| + 1 and the largest id
+        // answer empty, in debug and release builds alike.
+        for v in [4, 5, 99, u64::MAX] {
+            assert_eq!(idx.replica_set(v), &[] as &[PartitionId]);
+        }
     }
 
     #[test]

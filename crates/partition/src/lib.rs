@@ -12,6 +12,9 @@
 //!   of every edge partitioner.
 //! * [`PartitionQuality`] — replication factor (Equation 1), edge balance
 //!   and vertex balance (§7.6 definitions) measured from an assignment.
+//! * [`ReplicaTable`] — the replica set of every vertex under an
+//!   assignment; quality, the served index, the application engine and
+//!   the communication model all read this one table.
 //! * [`EdgePartitioner`] / [`VertexPartitioner`] — the two partitioner
 //!   families; [`VertexToEdge`] converts a vertex partitioner into an edge
 //!   partitioner by assigning each edge to the partition of one of its
@@ -63,6 +66,7 @@ pub mod greedy;
 pub mod hash_based;
 pub mod index;
 pub mod quality;
+pub mod replica;
 pub mod streaming;
 pub mod traits;
 pub mod vertex;
@@ -74,4 +78,5 @@ pub use comm_model::{estimate_comm, CommEstimate};
 pub use dynamic::IncrementalVertexCut;
 pub use index::{parse_shards, ShardedAssignmentIndex};
 pub use quality::PartitionQuality;
+pub use replica::ReplicaTable;
 pub use traits::{EdgePartitioner, VertexPartitioner, VertexToEdge};

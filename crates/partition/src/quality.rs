@@ -6,12 +6,24 @@
 //! * **Balance** (paper §7.6): `B({x_p}) = max_p x_p / mean_p x_p`; applied
 //!   to `|E_p|` (edge balance, "EB") and `|V(E_p)|` (vertex balance, "VB").
 //!
-//! `measure` runs in `O(Σ deg(v))` using a stamp array instead of per-vertex
-//! hash sets — no allocation in the inner loop.
+//! `measure` takes `|V(E_p)|` from the [`ReplicaTable`] — one sequential
+//! edge scan on any storage backend.
 
 use crate::assignment::EdgeAssignment;
-use dne_graph::hash::FastSet;
+use crate::replica::ReplicaTable;
 use dne_graph::Graph;
+
+/// Balance `B({x_p}) = max_p x_p / mean_p x_p` (paper §7.6); 1.0 when every
+/// `x_p` is zero.
+pub fn balance(xs: &[u64]) -> f64 {
+    let max = xs.iter().copied().max().unwrap_or(0) as f64;
+    let mean = xs.iter().sum::<u64>() as f64 / xs.len() as f64;
+    if mean == 0.0 {
+        1.0
+    } else {
+        max / mean
+    }
+}
 
 /// Quality summary of one edge partitioning.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,57 +48,10 @@ impl PartitionQuality {
     /// # Panics
     /// If the assignment does not cover exactly `g`'s edges.
     pub fn measure(g: &Graph, assignment: &EdgeAssignment) -> Self {
-        assert!(assignment.is_valid_for(g), "assignment does not match graph");
-        let k = assignment.num_partitions() as usize;
-        let mut edge_counts = vec![0u64; k];
-        for &p in assignment.as_slice() {
-            edge_counts[p as usize] += 1;
-        }
-        // |V(E_p)|: for each vertex, count each distinct incident partition
-        // once.
-        let mut vertex_counts = vec![0u64; k];
-        if g.has_adjacency() {
-            // Adjacency walk: edges of a vertex are visited consecutively,
-            // so stamp[p] == v+1 marks "already counted for this vertex" —
-            // no allocation in the inner loop.
-            let mut stamp = vec![0u64; k];
-            for v in g.vertices() {
-                let marker = v + 1;
-                for &e in g.incident_edges(v) {
-                    let p = assignment.part_of(e) as usize;
-                    if stamp[p] != marker {
-                        stamp[p] = marker;
-                        vertex_counts[p] += 1;
-                    }
-                }
-            }
-        } else {
-            // Adjacency-free storage (chunk-streamed): one sequential edge
-            // scan, deduplicating (vertex, partition) pairs in a hash set.
-            // O(total replicas) memory instead of the adjacency arrays the
-            // out-of-core backend deliberately avoids.
-            let mut seen: FastSet<(u64, u32)> = FastSet::default();
-            g.for_each_edge(|e, u, v| {
-                let p = assignment.part_of(e);
-                if seen.insert((u, p)) {
-                    vertex_counts[p as usize] += 1;
-                }
-                if seen.insert((v, p)) {
-                    vertex_counts[p as usize] += 1;
-                }
-            });
-        }
+        let vertex_counts = ReplicaTable::build(g, assignment).counts(assignment.num_partitions());
+        let edge_counts = assignment.edge_counts();
         let total_replicas: u64 = vertex_counts.iter().sum();
         let nv = g.num_vertices();
-        let balance = |xs: &[u64]| -> f64 {
-            let max = xs.iter().copied().max().unwrap_or(0) as f64;
-            let mean = xs.iter().sum::<u64>() as f64 / xs.len() as f64;
-            if mean == 0.0 {
-                1.0
-            } else {
-                max / mean
-            }
-        };
         PartitionQuality {
             replication_factor: if nv == 0 { 0.0 } else { total_replicas as f64 / nv as f64 },
             edge_balance: balance(&edge_counts),
@@ -160,9 +125,8 @@ mod tests {
 
     #[test]
     fn streamed_storage_measures_identically() {
-        // The adjacency-free scan path must agree exactly with the stamp
-        // walk. Round-trip the graph through a chunked file opened with
-        // the chunk-streamed backend (no adjacency arrays) and re-measure.
+        // Round-trip the graph through a chunked file opened with the
+        // chunk-streamed backend (no adjacency arrays) and re-measure.
         let g = gen::rmat(&gen::RmatConfig::graph500(6, 6, 11));
         let a = EdgeAssignment::from_fn(&g, 5, |e| (e % 5) as u32);
         let q = PartitionQuality::measure(&g, &a);
@@ -173,6 +137,40 @@ mod tests {
         let s = dne_graph::io::open_chunk_streamed(&p).unwrap();
         assert!(!s.has_adjacency());
         assert_eq!(PartitionQuality::measure(&s, &a), q);
+    }
+
+    #[test]
+    fn measured_values_are_the_parent_commits_bit_for_bit() {
+        // RF / EB / VB bit patterns printed by the implementation this
+        // module had at commit 0cbf2c8, which chose between a stamp walk
+        // over adjacency and a hash-set scan by storage backend. Both paths
+        // printed the same three words for each case (in-memory graph, and
+        // the same graph re-opened chunk-streamed); k = 65 puts the table's
+        // bitmap past one word.
+        use crate::traits::EdgePartitioner;
+        let g1 = gen::rmat(&gen::RmatConfig::graph500(9, 8, 1));
+        let a1 = crate::hash_based::RandomPartitioner::new(1).partition(&g1, 8);
+        let g2 = gen::road_grid(40, 30, 0.7, 0.05, 2);
+        let a2 = crate::streaming::HdrfPartitioner::new(2).partition(&g2, 5);
+        let g3 = gen::rmat(&gen::RmatConfig::graph500(8, 6, 7));
+        let a3 = crate::greedy::NePartitioner::new(7).partition(&g3, 65);
+        let cases = [
+            (g1, a1, [0x400c_a400_0000_0000u64, 0x3ff1_618c_aa4e_afb2, 0x3ff0_f80a_0e3e_d909]),
+            (g2, a2, [0x3ff6_eeee_eeee_eeef, 0x3ff0_1654_0a8b_3dde, 0x3ff0_4771_1dc4_7712]),
+            (g3, a3, [0x4002_0000_0000_0000, 0x4032_3333_3333_3333, 0x4015_371c_71c7_1c71]),
+        ];
+        let dir = std::env::temp_dir().join("dne_partition_quality_bits_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, (g, a, bits)) in cases.into_iter().enumerate() {
+            let p = dir.join(format!("{i}.chunks"));
+            dne_graph::io::write_chunked(&g, &p, 7).unwrap();
+            for g in [dne_graph::io::open_chunk_streamed(&p).unwrap(), g] {
+                let q = PartitionQuality::measure(&g, &a);
+                let got =
+                    [q.replication_factor, q.edge_balance, q.vertex_balance].map(f64::to_bits);
+                assert_eq!(got, bits, "case {i}, adjacency {}", g.has_adjacency());
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests of the graph substrate: CSR invariants, builder
-//! idempotence, IO round-trips, generator guarantees.
+//! idempotence, component labels, generator guarantees.
 
 use distributed_ne::graph::gen;
 use distributed_ne::graph::transform;
@@ -52,23 +52,6 @@ proptest! {
         prop_assert_eq!(degree_sum, 2 * g.num_edges());
     }
 
-    /// Binary IO round-trips exactly.
-    #[test]
-    fn binary_io_roundtrip(raw in raw_edges(), tag in 0u64..1_000_000) {
-        use distributed_ne::graph::io;
-        let mut b = EdgeListBuilder::new();
-        b.extend_edges(raw);
-        let g = b.into_graph(64);
-        let dir = std::env::temp_dir().join("dne_proptest_io");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("g_{tag}.bin"));
-        io::write_binary(&g, &path).unwrap();
-        let g2 = io::read_binary(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        prop_assert_eq!(g.num_vertices(), g2.num_vertices());
-        prop_assert_eq!(g.edges(), g2.edges());
-    }
-
     /// Component labels partition the vertex set and are closed over edges.
     #[test]
     fn component_labels_are_consistent(raw in raw_edges()) {
@@ -85,23 +68,6 @@ proptest! {
         }
     }
 
-    /// Induced subgraphs never contain edges touching dropped vertices.
-    #[test]
-    fn induced_subgraph_is_sound(raw in raw_edges(), mask_seed in 0u64..1000) {
-        let mut b = EdgeListBuilder::new();
-        b.extend_edges(raw);
-        let g = b.into_graph(64);
-        let keep: Vec<bool> = (0..64u64)
-            .map(|v| distributed_ne::graph::hash::mix2(mask_seed, v) & 1 == 0)
-            .collect();
-        let (sub, old_of) = transform::induced_subgraph(&g, &keep);
-        prop_assert_eq!(old_of.len() as u64, sub.num_vertices());
-        for &(u, v) in sub.edges() {
-            prop_assert!(keep[old_of[u as usize] as usize]);
-            prop_assert!(keep[old_of[v as usize] as usize]);
-        }
-    }
-
     /// RMAT stays within its configured vertex budget and sample cap.
     #[test]
     fn rmat_respects_budgets(scale in 4u32..9, ef in 1u64..8, seed in 0u64..500) {
@@ -110,14 +76,6 @@ proptest! {
         prop_assert_eq!(g.num_vertices(), 1u64 << scale);
         prop_assert!(g.num_edges() <= cfg.num_samples());
     }
-}
-
-#[test]
-fn largest_component_of_connected_graph_is_identity_sized() {
-    let g = gen::complete(10);
-    let (lcc, _) = transform::largest_component(&g);
-    assert_eq!(lcc.num_vertices(), 10);
-    assert_eq!(lcc.num_edges(), 45);
 }
 
 #[test]
