@@ -30,7 +30,7 @@
 
 use std::collections::VecDeque;
 
-use dne_graph::{Graph, VertexId};
+use dne_graph::{Adjacency, Graph, VertexId};
 
 use crate::engine::{lcc_value, AppRun, Combine, Engine, VertexProgram};
 
@@ -164,10 +164,11 @@ impl Engine<'_> {
 pub fn sssp_reference(g: &Graph, source: VertexId) -> Vec<f64> {
     let mut dist = vec![f64::INFINITY; g.num_vertices() as usize];
     dist[source as usize] = 0.0;
+    let adj = Adjacency::build(g);
     let mut q = VecDeque::new();
     q.push_back(source);
     while let Some(v) = q.pop_front() {
-        for &u in g.neighbor_vertices(v) {
+        for &u in adj.of(v) {
             if dist[u as usize].is_infinite() {
                 dist[u as usize] = dist[v as usize] + 1.0;
                 q.push_back(u);
@@ -185,13 +186,14 @@ pub fn sssp_reference(g: &Graph, source: VertexId) -> Vec<f64> {
 pub fn bfs_reference(g: &Graph, source: VertexId) -> Vec<f64> {
     let mut level = vec![f64::INFINITY; g.num_vertices() as usize];
     level[source as usize] = 0.0;
+    let adj = Adjacency::build(g);
     let mut frontier = vec![source];
     let mut depth = 0.0f64;
     while !frontier.is_empty() {
         depth += 1.0;
         let mut next = Vec::new();
         for &v in &frontier {
-            for &u in g.neighbor_vertices(v) {
+            for &u in adj.of(v) {
                 if level[u as usize].is_infinite() {
                     level[u as usize] = depth;
                     next.push(u);
@@ -216,6 +218,7 @@ pub fn pagerank_reference(g: &Graph, iters: u64) -> Vec<f64> {
     let n = g.num_vertices() as usize;
     let mut pr = vec![1.0f64; n];
     let mut next = vec![0.0f64; n];
+    let adj = Adjacency::build(g);
     for _ in 0..iters {
         next.iter_mut().for_each(|x| *x = 0.0);
         for v in g.vertices() {
@@ -224,7 +227,7 @@ pub fn pagerank_reference(g: &Graph, iters: u64) -> Vec<f64> {
                 continue;
             }
             let share = pr[v as usize] / d as f64;
-            for &u in g.neighbor_vertices(v) {
+            for &u in adj.of(v) {
                 next[u as usize] += share;
             }
         }
@@ -245,18 +248,12 @@ pub fn pagerank_reference(g: &Graph, iters: u64) -> Vec<f64> {
 /// ([`triangle_total`]).
 pub fn triangles_reference(g: &Graph) -> Vec<f64> {
     let n = g.num_vertices() as usize;
-    // CSR adjacency is two sorted runs (smaller, then larger neighbors),
-    // not one; sort copies once.
-    let sorted: Vec<Vec<VertexId>> = (0..n)
-        .map(|v| {
-            let mut nb = g.neighbor_vertices(v as VertexId).to_vec();
-            nb.sort_unstable();
-            nb
-        })
-        .collect();
+    // A neighbour list is two ascending runs (smaller neighbours, then
+    // larger) in edge-id order, so it is ascending as a whole.
+    let sorted = Adjacency::build(g);
     let mut charge = vec![0u64; n];
     g.for_each_edge(|_, u, v| {
-        let t = sorted[u as usize].iter().filter(|w| sorted[v as usize].binary_search(w).is_ok());
+        let t = sorted.of(u).iter().filter(|w| sorted.of(v).binary_search(w).is_ok());
         let t = t.count() as u64;
         charge[u as usize] += t;
         charge[v as usize] += t;
@@ -321,6 +318,25 @@ mod tests {
         for &x in &pr {
             assert!((x - 1.0).abs() < 1e-9, "cycle PR should be 1.0, got {x}");
         }
+    }
+
+    #[test]
+    fn references_agree_on_a_chunk_streamed_reopen() {
+        // Every reference derives what it walks, so the backend that keeps
+        // nothing but the edge stream answers like the in-memory graph.
+        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 6));
+        let dir = std::env::temp_dir().join(format!("dne-apps-refs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.chunks");
+        dne_graph::io::write_chunked(&g, &path, 50).unwrap();
+        let s = dne_graph::io::open_chunk_streamed(&path).unwrap();
+        assert_eq!(sssp_reference(&s, 3), sssp_reference(&g, 3));
+        assert_eq!(bfs_reference(&s, 3), bfs_reference(&g, 3));
+        assert_eq!(wcc_reference(&s), wcc_reference(&g));
+        assert_eq!(pagerank_reference(&s, 5), pagerank_reference(&g, 5));
+        assert_eq!(triangles_reference(&s), triangles_reference(&g));
+        assert_eq!(lcc_reference(&s), lcc_reference(&g));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

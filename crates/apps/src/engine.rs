@@ -116,8 +116,8 @@ pub struct Engine<'g> {
     /// Owned edges per partition with cached endpoints `(e, u, v)` —
     /// collected by a sequential scan like the replica table's, so
     /// kernels never random-access the storage backend (the
-    /// chunk-streamed backend keeps no adjacency and serves random reads
-    /// through a one-chunk cache).
+    /// chunk-streamed backend serves random reads through a one-chunk
+    /// cache).
     edges_by_part: Vec<Vec<(EdgeId, VertexId, VertexId)>>,
     /// Transport backend of the simulated cluster the programs run on;
     /// `None` resolves `DNE_TRANSPORT` at run time.
@@ -140,8 +140,7 @@ impl<'g> Engine<'g> {
     ///
     /// The tables come from **sequential edge scans**
     /// ([`Graph::for_each_edge`]), so the engine runs on every storage
-    /// backend — including chunk-streamed graphs that keep no adjacency
-    /// arrays.
+    /// backend at its best access pattern.
     pub fn new(g: &'g Graph, assignment: &'g EdgeAssignment) -> Self {
         let replicas = ReplicaTable::build(g, assignment);
         let k = assignment.num_partitions() as usize;

@@ -144,9 +144,9 @@ impl Kernel {
         }
     }
 
-    /// Compute the single-threaded reference on the raw graph (which must
-    /// have adjacency — run references on the generated in-memory graph,
-    /// not a chunk-streamed reopen).
+    /// Compute the single-threaded reference on the raw graph (any
+    /// storage backend: the references derive the neighbour lists they
+    /// walk).
     pub fn reference(&self, g: &Graph) -> Vec<f64> {
         match *self {
             Kernel::Bfs { source } => bfs_reference(g, source),
@@ -230,8 +230,8 @@ pub fn check_values(
 }
 
 /// Run `kernel` on `engine` and verify it against its reference computed
-/// on `reference_graph` (the in-memory graph with adjacency; the engine
-/// may be running over any storage backend of the same graph). For
+/// on `reference_graph` (the engine may be running over another storage
+/// backend of the same graph). For
 /// `Triangles`, additionally checks the published global aggregate
 /// against the reference total.
 pub fn verify_kernel(

@@ -1,21 +1,19 @@
-//! Out-of-core smoke test (`dne-bench oocore …`): partition a graph whose
-//! in-memory CSR does not fit under a hard address-space cap
-//! (`ulimit -v`), using the storage backend selected by
-//! `DNE_GRAPH_STORAGE`.
+//! Out-of-core smoke test (`dne-bench oocore …`): partition one chunked
+//! file through the storage backend selected by `DNE_GRAPH_STORAGE` and
+//! print what the run held.
 //!
 //! Two commands, designed to be driven from a shell (see README
 //! "Out-of-core partitioning" and `.github/workflows/ci.yml`):
 //!
 //! * `prepare <chunked-path> [scale] [edge-factor]` — generate an RMAT
-//!   graph, write it as a DNECHNK1 chunked file, and print the byte
-//!   budget an in-memory CSR of it would need.
+//!   graph, write it as a DNECHNK1 chunked file, and print the bytes
+//!   the in-memory backend holds for it.
 //! * `run <chunked-path> [k] [frontier-budget]` — open the chunked file
 //!   with the backend from `DNE_GRAPH_STORAGE`, run Distributed NE with a
 //!   fixed seed, and print a one-line summary ending in the assignment
 //!   fingerprint. Equal fingerprints across backends prove bit-identical
-//!   partitions; running the `in-memory` backend under an address-space
-//!   cap sized between the streamed and in-memory peaks demonstrates the
-//!   out-of-core point (it dies, `chunk-streamed` completes).
+//!   partitions; `mem_score`, `peak_rss_mib` and `vm_peak_mib` (what a
+//!   `ulimit -v` cap bites on) show what each backend costs.
 //!
 //! Everything is deterministic: same file + same `k` + same seed =>
 //! same fingerprint, on every backend and transport.
@@ -40,10 +38,8 @@ fn prepare(path: &Path, scale: u32, ef: u64) -> std::io::Result<()> {
     let g = rmat_parallel(&RmatConfig::graph500(scale, ef, SEED), default_ingest_threads());
     let (n, m) = (g.num_vertices(), g.num_edges());
     io::write_chunked(&g, path, 1 << 16)?;
-    // In-memory CSR footprint: edges (16m) + offsets (8(n+1)) + adjacency
-    // (2 arrays of 2m ids each, 32m).
-    let csr_bytes = 48 * m + 8 * (n + 1);
-    println!("prepared {} |V|={n} |E|={m} in-memory-csr-bytes={csr_bytes}", path.display());
+    // What the in-memory backend holds: edges (16m) + degrees (8n).
+    println!("prepared {} |V|={n} |E|={m} in-memory-bytes={}", path.display(), g.resident_bytes());
     Ok(())
 }
 

@@ -135,11 +135,11 @@ impl DistributedNe {
         let mut parts = vec![UNASSIGNED; m as usize];
         for (p, res) in outcome.results.iter().enumerate() {
             for &e in &res.edges {
-                debug_assert_eq!(parts[e as usize], UNASSIGNED, "edge {e} allocated twice");
+                assert_eq!(parts[e as usize], UNASSIGNED, "edge {e} allocated twice");
                 parts[e as usize] = p as PartitionId;
             }
         }
-        debug_assert!(parts.iter().all(|&p| p != UNASSIGNED), "every edge must be allocated");
+        assert!(parts.iter().all(|&p| p != UNASSIGNED), "every edge must be allocated");
         let assignment = EdgeAssignment::new(parts, k);
         let stats = NeStats {
             num_partitions: k,
@@ -515,7 +515,7 @@ impl DistributedNe {
                     }
                 }
                 let total = ctx.try_all_reduce_sum_u64(exp.size())?;
-                debug_assert_eq!(total, m, "trickle must complete the cover");
+                assert_eq!(total, m, "trickle must complete the cover");
                 break;
             }
             // ---- End of round: the run continues, so this is the state a
@@ -705,11 +705,15 @@ mod tests {
         // before: −126 232 + 6 056 = −120 176. Since then:
         //   boundary     18 368 → 14 336  the expanded set's table is gone
         //                                 (it is enqueued minus the heap)
+        //   graph share 138 984 → 49 056  48·m + 8·(512 + 1) → 16·m + 8·512:
+        //                                 the graph is its edge list and a
+        //                                 degree array, adjacency is derived
+        //                                 by the methods that walk it
         use dne_runtime::TransportKind;
         let g = gen::rmat(&gen::RmatConfig::graph500(9, 8, 3));
         let config = NeConfig::default().with_seed(3).with_transport(TransportKind::Loopback);
         let (_, stats) = DistributedNe::new(config).partition_with_stats(&g, 4);
-        assert_eq!(stats.peak_memory_bytes, 311_936);
+        assert_eq!(stats.peak_memory_bytes, 222_008);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub fn barabasi_albert(n: VertexId, m: u64, seed: u64) -> Graph {
 /// distribution produced by all previous attachments — there is no
 /// independent sample stream to chunk), so this variant parallelizes the
 /// expensive downstream half of ingestion: canonicalization, sort,
-/// merge-dedup, and CSR construction.
+/// merge-dedup, validation and degree counting.
 pub fn barabasi_albert_parallel(n: VertexId, m: u64, seed: u64, threads: usize) -> Graph {
     grow(n, m, seed).build_parallel(n, threads)
 }
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn parallel_is_byte_identical_to_serial() {
-        // n·m > the parallel cutover so the chunked sort/merge/CSR path runs.
+        // n·m > the parallel cutover so the chunked sort/merge/count path runs.
         let serial = barabasi_albert(3000, 3, 5);
         for threads in [1usize, 2, 8] {
             assert_eq!(serial, barabasi_albert_parallel(3000, 3, 5, threads));

@@ -142,7 +142,7 @@ pub fn chung_lu(n: VertexId, target_edges: u64, alpha: f64, seed: u64) -> Graph 
 /// Every sample consumes exactly two RNG draws, so workers
 /// [`SplitMix64::advance`] straight to their chunk of the shared sample
 /// stream; per-chunk sorted runs are merge-deduped and handed to the
-/// parallel CSR builder. The weight table is built once and shared
+/// parallel validate-and-count. The weight table is built once and shared
 /// read-only.
 pub fn chung_lu_parallel(
     n: VertexId,

@@ -69,10 +69,8 @@ mod tests {
     fn components_are_disconnected() {
         let n = 4;
         let g = ring_complete(n);
-        for v in 0..n {
-            for u in g.neighbor_vertices(v) {
-                assert!(*u < n, "clique edge must stay in clique");
-            }
-        }
+        g.for_each_edge(|_, u, v| {
+            assert_eq!(u < n, v < n, "no edge joins the clique and the ring");
+        });
     }
 }

@@ -189,7 +189,7 @@ const SAMPLE_CHUNK: u64 = 1 << 14;
 /// number of RNG draws, so worker `c` seeds the same generator as the serial
 /// path and [`SplitMix64::advance`]s straight to its chunk's position in the
 /// stream. Chunks are canonicalized and sorted in parallel, merge-deduped,
-/// and assembled with the parallel CSR builder — each stage preserving the
+/// and validated and degree-counted in parallel — each stage preserving the
 /// sorted-set semantics of the sequential [`EdgeListBuilder`] pass.
 pub fn rmat_parallel(cfg: &RmatConfig, threads: usize) -> Graph {
     cfg.validate();

@@ -1,4 +1,4 @@
-//! The CSR graph type shared by every partitioner and application.
+//! The graph type shared by every partitioner and application.
 
 use std::sync::Arc;
 
@@ -6,38 +6,30 @@ use crate::storage::{GraphStorage, InMemoryCsr, StorageKind};
 use crate::types::{Edge, EdgeId, VertexId};
 use crate::HeapSize;
 
-/// An undirected, unweighted graph in compressed sparse row (CSR) form,
-/// served by a pluggable [`GraphStorage`] backend.
+/// An undirected, unweighted graph: its canonical edge list, served by a
+/// pluggable [`GraphStorage`] backend.
 ///
-/// Logical layout (paper §4: "the core components of the graph are stored
-/// in CSR") — identical across backends:
+/// Logical content — identical across backends:
 ///
-/// * `edges[e]` — the canonical endpoint pair of edge `e` (`u < v`), sorted.
-/// * `offsets[v] .. offsets[v+1]` — the adjacency slice of vertex `v`.
-/// * `adj_v[i]` / `adj_e[i]` — the neighbor and the global edge id of the
-///   `i`-th incident arc. Every edge contributes one arc at each endpoint,
-///   so `adj_v.len() == 2 * edges.len()`.
+/// * `edge(e)` — the canonical endpoint pair of edge `e` (`u < v`); edge
+///   ids number the strictly sorted, self-loop-free list.
+/// * `degree(v)` — the number of edges incident to `v`, so the degrees
+///   sum to `2|E|`.
 ///
-/// Invariants (checked in debug builds and by tests):
-/// * edges are canonical (`u < v`), strictly sorted, and self-loop free;
-/// * `offsets` is non-decreasing with `offsets[0] == 0` and
-///   `offsets[n] == 2|E|`;
-/// * `adj_e[i]` always names an edge incident to the owning vertex.
-///
-/// Where those arrays *live* is the backend's business
-/// ([`StorageKind`]): on the heap (the default), in a read-only
-/// memory-mapped file, or never materialized at all (chunk-streamed).
-/// Backends are capability-graded — [`Self::edges`] needs a contiguous
-/// in-memory slice and the adjacency accessors need adjacency arrays;
-/// each documents the panic it raises on a backend that cannot serve it.
-/// The portable way to touch every edge on any backend is
-/// [`Self::for_each_edge`].
+/// Where the list *lives* is the backend's business ([`StorageKind`]):
+/// on the heap (the default), in a read-only memory-mapped file, or in a
+/// chunk file re-streamed per scan. Every backend serves every accessor
+/// except [`Self::edges`], which needs a contiguous in-memory slice and
+/// documents the panic it raises without one. The portable way to touch
+/// every edge on any backend is [`Self::for_each_edge`]. Neighbour lists
+/// are derived, not stored: the paper's partitioner deploys from one
+/// sequential pass over the edge stream (§7.3), and callers that walk
+/// neighbours build a [`crate::Adjacency`].
 ///
 /// Equality compares `|V|`, `|E|`, and the canonical edge streams, so two
-/// graphs compare equal exactly when they describe the same graph — CSR
-/// adjacency is a pure function of the canonical edge list, and backends
-/// are compared by content, not by representation. `Clone` shares the
-/// (immutable) backend instead of deep-copying it.
+/// graphs compare equal exactly when they describe the same graph —
+/// backends are compared by content, not by representation. `Clone`
+/// shares the (immutable) backend instead of deep-copying it.
 #[derive(Clone)]
 pub struct Graph {
     storage: Arc<dyn GraphStorage>,
@@ -53,16 +45,15 @@ impl Graph {
     /// If an endpoint is out of range, a self loop is present, or the list is
     /// not strictly sorted.
     pub fn from_canonical_edges(num_vertices: VertexId, edges: Vec<Edge>) -> Self {
-        Self::from_storage(Arc::new(InMemoryCsr::from_canonical_edges(num_vertices, edges)))
+        Self::from_canonical_edges_parallel(num_vertices, edges, 1)
     }
 
     /// Build from a canonical edge list like [`Self::from_canonical_edges`],
-    /// using up to `threads` threads for validation, degree counting, and
-    /// the adjacency fill (see `crate::parallel` for the scheme).
+    /// using up to `threads` threads for validation and degree counting
+    /// (small inputs use one).
     ///
     /// The result is byte-identical to the sequential constructor for every
-    /// thread count; `threads == 1` and small inputs take the sequential
-    /// path directly.
+    /// thread count.
     ///
     /// # Panics
     /// As [`Self::from_canonical_edges`], with the same messages.
@@ -71,17 +62,11 @@ impl Graph {
         edges: Vec<Edge>,
         threads: usize,
     ) -> Self {
-        if threads <= 1 || edges.len() < crate::parallel::PAR_MIN_ITEMS {
-            return Self::from_canonical_edges(num_vertices, edges);
-        }
-        let csr = crate::parallel::build_csr_parallel(num_vertices, &edges, threads);
-        Self::from_storage(Arc::new(InMemoryCsr {
+        Self::from_storage(Arc::new(InMemoryCsr::from_canonical_edges(
             num_vertices,
-            edges: edges.into_boxed_slice(),
-            offsets: csr.offsets.into_boxed_slice(),
-            adj_v: csr.adj_v.into_boxed_slice(),
-            adj_e: csr.adj_e.into_boxed_slice(),
-        }))
+            edges,
+            threads,
+        )))
     }
 
     /// Wrap an already-built storage backend. This is how the out-of-core
@@ -103,17 +88,9 @@ impl Graph {
         &self.storage
     }
 
-    /// Whether this backend can serve the adjacency accessors
-    /// ([`Self::neighbors`], [`Self::neighbor_vertices`],
-    /// [`Self::incident_edges`]). `false` only for chunk-streamed storage.
-    #[inline]
-    pub fn has_adjacency(&self) -> bool {
-        self.storage.has_adjacency()
-    }
-
     /// Live heap bytes owned by the storage backend right now — what the
-    /// mem-score accounting charges for holding the graph. In-memory CSR
-    /// reports its full arrays; mmap reports 0 (pages belong to the OS);
+    /// mem-score accounting charges for holding the graph. In-memory
+    /// reports its two arrays; mmap reports 0 (pages belong to the OS);
     /// chunk-streamed reports its frame index plus the one cached chunk.
     #[inline]
     pub fn resident_bytes(&self) -> usize {
@@ -195,46 +172,6 @@ impl Graph {
         self.storage.try_for_each_edge(&mut f)
     }
 
-    /// Iterate `(neighbor, edge_id)` pairs incident to `v`.
-    ///
-    /// # Panics
-    /// On a backend without adjacency arrays (chunk-streamed); check
-    /// [`Self::has_adjacency`] first when the backend is caller-chosen.
-    #[inline]
-    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
-        let (adj_v, adj_e) = self.adjacency_or_panic(v);
-        adj_v.iter().copied().zip(adj_e.iter().copied())
-    }
-
-    /// Neighbor vertex ids of `v` (no edge ids).
-    ///
-    /// # Panics
-    /// As [`Self::neighbors`].
-    #[inline]
-    pub fn neighbor_vertices(&self, v: VertexId) -> &[VertexId] {
-        self.adjacency_or_panic(v).0
-    }
-
-    /// Incident edge ids of `v`.
-    ///
-    /// # Panics
-    /// As [`Self::neighbors`].
-    #[inline]
-    pub fn incident_edges(&self, v: VertexId) -> &[EdgeId] {
-        self.adjacency_or_panic(v).1
-    }
-
-    #[inline]
-    fn adjacency_or_panic(&self, v: VertexId) -> (&[VertexId], &[EdgeId]) {
-        self.storage.adjacency(v).unwrap_or_else(|| {
-            panic!(
-                "adjacency of vertex {v} is unavailable: {} storage keeps no adjacency \
-                 arrays (check Graph::has_adjacency, or materialize the graph first)",
-                self.storage.kind()
-            )
-        })
-    }
-
     /// Iterate all vertex ids.
     #[inline]
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> {
@@ -307,28 +244,22 @@ mod tests {
     }
 
     #[test]
-    fn csr_roundtrip_small() {
+    fn counts_and_degrees_small() {
         let g = triangle_plus_tail();
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_edges(), 4);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(2), 3);
         assert_eq!(g.degree(3), 1);
-        let n2: Vec<_> = g.neighbor_vertices(2).to_vec();
-        assert_eq!(n2.len(), 3);
-        assert!(n2.contains(&0) && n2.contains(&1) && n2.contains(&3));
     }
 
     #[test]
-    fn adjacency_edge_ids_are_consistent() {
+    fn opposite_names_the_other_endpoint() {
         let g = triangle_plus_tail();
-        for v in g.vertices() {
-            for (nbr, e) in g.neighbors(v) {
-                let (a, b) = g.edge(e);
-                assert!((a == v && b == nbr) || (a == nbr && b == v));
-                assert_eq!(g.opposite(e, v), nbr);
-            }
-        }
+        g.for_each_edge(|e, u, v| {
+            assert_eq!(g.opposite(e, u), v);
+            assert_eq!(g.opposite(e, v), u);
+        });
     }
 
     #[test]
@@ -353,7 +284,6 @@ mod tests {
         b.push(0, 1);
         let g = b.into_graph(5);
         assert_eq!(g.degree(3), 0);
-        assert_eq!(g.neighbor_vertices(3), &[] as &[VertexId]);
     }
 
     #[test]
@@ -375,10 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_in_memory_with_full_capabilities() {
+    fn default_backend_is_in_memory_and_charges_edges_plus_degrees() {
         let g = triangle_plus_tail();
         assert_eq!(g.storage_kind(), StorageKind::InMemory);
-        assert!(g.has_adjacency());
+        assert_eq!(g.resident_bytes(), 16 * 4 + 8 * 4);
         assert_eq!(g.resident_bytes(), g.heap_bytes());
     }
 

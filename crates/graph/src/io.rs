@@ -1,6 +1,6 @@
 //! Edge-list IO: whitespace-separated text (SNAP/KONECT style), a
 //! chunk-framed streaming binary format for graphs too large to buffer
-//! twice, and an on-disk CSR container built from it.
+//! twice, and an on-disk container for memory mapping built from it.
 //!
 //! The paper's datasets ship as SNAP/KONECT edge lists; this module lets a
 //! user of the library feed their own graphs to the partitioners. Lines
@@ -15,9 +15,10 @@
 //!   [`read_chunked`]) — the streaming format: edges travel in
 //!   length-prefixed frames so writer and reader each hold at most one
 //!   chunk beyond the final edge array itself;
-//! * **on-disk CSR** (`DNECSRF1`, [`write_csr`] / [`csr_from_chunked`] /
-//!   [`open_csr_mmap`]) — the full CSR arrays laid out for read-only
-//!   memory mapping; see [`crate::mmap`] for the layout.
+//! * **mappable container** (`DNECSRF2`, [`write_csr`] /
+//!   [`csr_from_chunked`] / [`open_csr_mmap`]) — the edge list and the
+//!   degree array laid out for read-only memory mapping; see
+//!   [`crate::mmap`] for the layout.
 //!
 //! A chunked file is also the input of the out-of-core storage backends:
 //! [`open_chunked_with`] opens it under any [`StorageKind`] without the
@@ -287,7 +288,7 @@ const SCRATCH_BYTES: usize = 1 << 16;
 
 /// Decode `count` pairs from `r` onto the end of `out`, validating while
 /// decoding so a corrupt payload surfaces as `Err(InvalidData)` here
-/// instead of a panic in the CSR constructor's canonical-order assertions
+/// instead of a panic in the graph constructor's canonical-order assertions
 /// downstream: every pair canonical for `|V| = n`, and the stream strictly
 /// ascending from `last` (which is advanced). The one decode loop behind
 /// the sequential reader and the random-access frame read.
@@ -334,7 +335,7 @@ fn decode_pairs(
 /// stream strictly ascending across frame boundaries, and the total frame
 /// count must match the header when end-of-file is reached. This is the
 /// one decode loop behind [`read_chunked`], the chunk-streamed storage
-/// backend's sequential scans, and the CSR converter's passes.
+/// backend's sequential scans, and the container converter's pass.
 #[derive(Debug)]
 pub(crate) struct ChunkedEdgeReader {
     r: BufReader<File>,
@@ -483,39 +484,14 @@ pub fn read_chunked(path: impl AsRef<Path>) -> io::Result<Graph> {
     Ok(Graph::from_canonical_edges(r.num_vertices(), edges))
 }
 
-/// Build a `DNECSRF1` on-disk CSR container (see [`crate::mmap`] for the
-/// layout) from a replayable edge stream, holding only `O(|V|)` heap.
-///
-/// `pass` must replay the same canonical edge stream each time it is
-/// called; it runs twice — once to count degrees, once to fill the
-/// memory-mapped arrays in place. The source must not change between the
-/// passes (a changed edge count is detected and rejected; a same-count
-/// mutation would silently corrupt the output, as with any two-pass
-/// converter).
-fn build_csr_file<F>(path: &Path, n: VertexId, m: u64, mut pass: F) -> io::Result<()>
+/// Build a `DNECSRF2` container (see [`crate::mmap`] for the layout) from
+/// one pass over a canonical edge stream of `m` edges, holding `O(1)` heap.
+fn build_csr_file<F>(path: &Path, n: VertexId, m: u64, pass: F) -> io::Result<()>
 where
-    F: FnMut(&mut dyn FnMut(VertexId, VertexId)) -> io::Result<()>,
+    F: FnOnce(&mut dyn FnMut(VertexId, VertexId)) -> io::Result<()>,
 {
-    let mut degrees = vec![0u64; n as usize];
-    let mut counted = 0u64;
-    pass(&mut |u, v| {
-        degrees[u as usize] += 1;
-        degrees[v as usize] += 1;
-        counted += 1;
-    })?;
-    if counted != m {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("edge stream carried {counted} edges, header promised {m}"),
-        ));
-    }
-    let mut offsets = vec![0u64; n as usize + 1];
-    for v in 0..n as usize {
-        offsets[v + 1] = offsets[v] + degrees[v];
-    }
-    drop(degrees);
     let len = crate::mmap::csr_file_len(n, m).ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, "CSR section sizes overflow u64")
+        io::Error::new(io::ErrorKind::InvalidData, "container section sizes overflow u64")
     })?;
     let file = std::fs::OpenOptions::new()
         .read(true)
@@ -524,50 +500,39 @@ where
         .truncate(true)
         .open(path)?;
     file.set_len(len)?;
-    // Fill through a shared read-write mapping: the adjacency fill is
-    // random-access (one cursor per vertex), which the page cache absorbs;
-    // the process heap stays at the O(|V|) offset/cursor arrays.
+    // Fill through a shared read-write mapping of the zero-extended file:
+    // edges land sequentially, degree increments are random-access (one
+    // word per vertex), which the page cache absorbs.
     let mut region = crate::mmap::MmapRegion::map(&file, len, true)?;
-    {
-        let words = region.u64s_mut();
-        words[0] = u64::from_ne_bytes(*crate::mmap::CSR_MAGIC);
-        words[1] = n.to_le();
-        words[2] = m.to_le();
-        words[3] = 0;
-        let edges_at = (crate::mmap::CSR_HEADER_BYTES / 8) as usize;
-        let offsets_at = edges_at + 2 * m as usize;
-        let adj_v_at = offsets_at + n as usize + 1;
-        let adj_e_at = adj_v_at + 2 * m as usize;
-        for (i, &o) in offsets.iter().enumerate() {
-            words[offsets_at + i] = o.to_le();
+    let (header, body) =
+        region.u64s_mut().split_at_mut((crate::mmap::CSR_HEADER_BYTES / 8) as usize);
+    let (edge_words, degrees) = body.split_at_mut(2 * m as usize);
+    let mut slots = edge_words.chunks_exact_mut(2);
+    let mut carried = 0u64;
+    pass(&mut |u, v| {
+        // A stream longer than promised runs out of slots, not into the degrees.
+        if let Some(pair) = slots.next() {
+            pair.copy_from_slice(&[u.to_le(), v.to_le()]);
+            for x in [u, v] {
+                let d = &mut degrees[x as usize];
+                *d = (u64::from_le(*d) + 1).to_le();
+            }
         }
-        let mut cursor = offsets;
-        let mut e = 0u64;
-        pass(&mut |u, v| {
-            words[edges_at + 2 * e as usize] = u.to_le();
-            words[edges_at + 2 * e as usize + 1] = v.to_le();
-            let cu = cursor[u as usize] as usize;
-            words[adj_v_at + cu] = v.to_le();
-            words[adj_e_at + cu] = e.to_le();
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize] as usize;
-            words[adj_v_at + cv] = u.to_le();
-            words[adj_e_at + cv] = e.to_le();
-            cursor[v as usize] += 1;
-            e += 1;
-        })?;
-        if e != m {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("edge stream changed between passes ({e} edges, first pass saw {m})"),
-            ));
-        }
+        carried += 1;
+    })?;
+    if carried != m {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("edge stream carried {carried} edges, header promised {m}"),
+        ));
     }
+    // The header goes last: a file abandoned mid-fill never carries the magic.
+    header.copy_from_slice(&[u64::from_ne_bytes(*crate::mmap::CSR_MAGIC), n.to_le(), m.to_le(), 0]);
     drop(region); // munmap flushes the shared mapping
     file.sync_all()
 }
 
-/// Write `g` as a `DNECSRF1` on-disk CSR container, openable with
+/// Write `g` as a `DNECSRF2` container, openable with
 /// [`open_csr_mmap`]. Works for any storage backend of `g` (the graph is
 /// streamed, not sliced).
 pub fn write_csr(g: &Graph, path: impl AsRef<Path>) -> io::Result<()> {
@@ -576,18 +541,14 @@ pub fn write_csr(g: &Graph, path: impl AsRef<Path>) -> io::Result<()> {
     })
 }
 
-/// Convert a finished `DNECHNK1` chunked file into a `DNECSRF1` CSR
-/// container without ever materializing the graph: two streaming passes
-/// over the chunks fill the memory-mapped output in place, so peak heap is
-/// `O(|V| + chunk)`. Returns the edge count.
+/// Convert a finished `DNECHNK1` chunked file into a `DNECSRF2`
+/// container without ever materializing the graph: one streaming pass
+/// over the chunks fills the memory-mapped output in place, so peak heap is
+/// `O(chunk)`. Returns the edge count.
 pub fn csr_from_chunked(src: impl AsRef<Path>, dst: impl AsRef<Path>) -> io::Result<u64> {
-    let src = src.as_ref();
-    let (n, m) = {
-        let r = ChunkedEdgeReader::open(src)?;
-        (r.num_vertices(), r.declared_edges())
-    };
-    build_csr_file(dst.as_ref(), n, m, |visit| {
-        let mut r = ChunkedEdgeReader::open(src)?;
+    let mut r = ChunkedEdgeReader::open(src)?;
+    let m = r.declared_edges();
+    build_csr_file(dst.as_ref(), r.num_vertices(), m, |visit| {
         let mut chunk = Vec::new();
         while r.next_chunk(&mut chunk)? {
             for &(u, v) in &chunk {
@@ -599,20 +560,20 @@ pub fn csr_from_chunked(src: impl AsRef<Path>, dst: impl AsRef<Path>) -> io::Res
     Ok(m)
 }
 
-/// Open a `DNECSRF1` container as a [`Graph`] on the memory-mapped
+/// Open a `DNECSRF2` container as a [`Graph`] on the memory-mapped
 /// storage backend ([`crate::mmap::MmapCsr`]).
 pub fn open_csr_mmap(path: impl AsRef<Path>) -> io::Result<Graph> {
     Ok(Graph::from_storage(std::sync::Arc::new(crate::mmap::MmapCsr::open(path)?)))
 }
 
 /// Open a finished `DNECHNK1` file as a [`Graph`] on the chunk-streamed
-/// storage backend ([`crate::storage::ChunkStore`]) — no adjacency, no
-/// full edge materialization, bounded memory.
+/// storage backend ([`crate::storage::ChunkStore`]) — no full edge
+/// materialization, bounded memory.
 pub fn open_chunk_streamed(path: impl AsRef<Path>) -> io::Result<Graph> {
     Ok(Graph::from_storage(std::sync::Arc::new(crate::storage::ChunkStore::open(path)?)))
 }
 
-/// Sibling path where [`open_chunked_with`] caches the CSR container for
+/// Sibling path where [`open_chunked_with`] caches the container for
 /// the mmap backend: the chunked file's name with `.csr` appended.
 pub fn csr_cache_path(chunked: impl AsRef<Path>) -> std::path::PathBuf {
     let mut os = chunked.as_ref().as_os_str().to_os_string();
@@ -623,11 +584,11 @@ pub fn csr_cache_path(chunked: impl AsRef<Path>) -> std::path::PathBuf {
 /// Open a finished `DNECHNK1` file as a [`Graph`] on the requested
 /// storage backend:
 ///
-/// * [`StorageKind::InMemory`] — decode every chunk and build the heap
-///   CSR ([`read_chunked`]);
-/// * [`StorageKind::Mmap`] — convert to a sibling `DNECSRF1` container
-///   (cached at [`csr_cache_path`], rebuilt when missing or older than
-///   the source) and map it read-only;
+/// * [`StorageKind::InMemory`] — decode every chunk onto the heap
+///   ([`read_chunked`]);
+/// * [`StorageKind::Mmap`] — convert to a sibling `DNECSRF2` container
+///   (cached at [`csr_cache_path`], rebuilt when missing, older than the
+///   source, or not opening cleanly) and map it read-only;
 /// * [`StorageKind::ChunkStreamed`] — stream the chunks directly.
 pub fn open_chunked_with(path: impl AsRef<Path>, kind: StorageKind) -> io::Result<Graph> {
     let path = path.as_ref();
@@ -824,6 +785,27 @@ mod tests {
         std::fs::write(&p, &bytes).unwrap();
         let e = read_chunked(&p).unwrap_err();
         assert!(e.to_string().contains("corrupt frame"), "got: {e}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn old_layout_csr_cache_is_rebuilt_not_an_error() {
+        // A sibling cache left by a build that still stored adjacency:
+        // the previous magic at the previous length, newer than the source.
+        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 12));
+        let p = tmp("old_cache.chunked");
+        write_chunked(&g, &p, 64).unwrap();
+        let (n, m) = (g.num_vertices() as usize, g.num_edges() as usize);
+        let mut old = vec![0u8; 32 + 8 * (6 * m + n + 1)];
+        old[..8].copy_from_slice(b"DNECSRF1");
+        old[8..16].copy_from_slice(&(n as u64).to_le_bytes());
+        old[16..24].copy_from_slice(&(m as u64).to_le_bytes());
+        let csr = csr_cache_path(&p);
+        std::fs::write(&csr, &old).unwrap();
+        assert!(open_csr_mmap(&csr).is_err(), "the old layout must not open");
+        let reopened = open_chunked_with(&p, StorageKind::Mmap).unwrap();
+        assert_eq!(reopened, g);
+        assert_eq!(std::fs::metadata(&csr).unwrap().len(), (32 + 16 * m + 8 * n) as u64);
     }
 
     #[test]

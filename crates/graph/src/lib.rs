@@ -3,14 +3,18 @@
 //! This crate provides the graph representation and the synthetic
 //! graph generators used throughout the Distributed NE reproduction:
 //!
-//! * [`Graph`] — an undirected, unweighted graph in **compressed sparse
-//!   row (CSR)** form with globally numbered, deduplicated edges,
-//!   mirroring the paper's storage choice (§4 "Data Structure"). `Graph`
-//!   is a facade over the pluggable [`GraphStorage`] seam: the default
-//!   backend keeps the CSR as continuous in-memory arrays, while the
-//!   `mmap` and `chunk-streamed` backends ([`storage`], [`mmap`]) serve
-//!   the same accessors from disk for graphs bigger than RAM
+//! * [`Graph`] — an undirected, unweighted graph as its **canonical edge
+//!   list**: globally numbered, sorted, deduplicated edges plus a degree
+//!   per vertex. `Graph` is a facade over the pluggable [`GraphStorage`]
+//!   seam: the default backend keeps the two arrays on the heap, while
+//!   the `mmap` and `chunk-streamed` backends ([`storage`], [`mmap`])
+//!   serve the same accessors from disk for graphs bigger than RAM
 //!   (`DNE_GRAPH_STORAGE` selects one at [`io::open_chunked_env`]).
+//! * [`Adjacency`] — neighbour lists in compressed sparse row form,
+//!   *derived* from a `Graph` on any backend by the callers that walk
+//!   them (the baseline partitioners and the sequential application
+//!   references); the paper's own partitioner deploys from one pass over
+//!   the edge stream and builds its CSR per machine (§4 "Data Structure").
 //! * [`EdgeListBuilder`] — canonicalizing edge-list builder (drops self
 //!   loops, deduplicates parallel edges, sorts) used by every generator and
 //!   by the IO layer.
@@ -22,8 +26,8 @@
 //!   1D/2D hash partitioning and for internal hash maps.
 //! * [`io`] — a plain-text edge-list reader/writer, a chunk-framed
 //!   streaming binary format (`DNECHNK1`) for graphs too large to buffer
-//!   twice, and an on-disk CSR container (`DNECSRF1`) built from it in
-//!   two sequential O(|V|)-heap passes.
+//!   twice, and a mappable container (`DNECSRF2`) built from it in one
+//!   sequential O(1)-heap pass.
 //! * [`parallel`] — the parallel ingestion machinery behind
 //!   [`EdgeListBuilder::build_parallel`],
 //!   [`Graph::from_canonical_edges_parallel`] and the `gen::*_parallel`
@@ -57,6 +61,7 @@
 
 #![deny(missing_docs)]
 
+pub mod adjacency;
 pub mod degree;
 pub mod edge_list;
 pub mod gen;
@@ -69,6 +74,7 @@ pub mod storage;
 pub mod transform;
 pub mod types;
 
+pub use adjacency::Adjacency;
 pub use edge_list::EdgeListBuilder;
 pub use graph::Graph;
 pub use storage::{GraphStorage, StorageKind};

@@ -1,43 +1,41 @@
-//! Memory-mapped CSR storage: the `mmap` backend of the
+//! Memory-mapped storage: the `mmap` backend of the
 //! [`crate::storage::GraphStorage`] seam.
 //!
-//! A `DNECSRF1` container (written once by [`crate::io::write_csr`] or the
-//! streaming converter [`crate::io::csr_from_chunked`]) holds the exact
-//! four CSR arrays of the in-memory representation as little-endian u64
-//! sections. [`MmapCsr`] maps the file read-only and serves every accessor
-//! — including full adjacency — straight out of the mapping, so the OS
-//! pages CSR data in on demand and evicts it under pressure; the process
-//! *heap* stays `O(1)` no matter how large the graph is.
+//! A `DNECSRF2` container (written once by [`crate::io::write_csr`] or the
+//! streaming converter [`crate::io::csr_from_chunked`]) holds the two
+//! arrays of the in-memory representation — the canonical edge list and
+//! the degree of every vertex — as little-endian u64 sections.
+//! [`MmapCsr`] maps the file read-only and serves every accessor straight
+//! out of the mapping, so the OS pages the data in on demand and evicts it
+//! under pressure; the process *heap* stays `O(1)` no matter how large the
+//! graph is.
 //!
 //! The mapping uses raw `mmap(2)`/`munmap(2)` FFI declarations (the
 //! workspace is dependency-free by design, so no `libc` crate); on
 //! non-Unix targets the backend reports `Unsupported` at open time.
 //!
-//! ## `DNECSRF1` layout
+//! ## `DNECSRF2` layout
 //!
 //! All values little-endian u64; every section offset is a multiple of 8
 //! so the page-aligned mapping can be reinterpreted as one `&[u64]`:
 //!
 //! ```text
-//! bytes 0..8    magic "DNECSRF1"
+//! bytes 0..8    magic "DNECSRF2"
 //! bytes 8..16   |V|
 //! bytes 16..24  |E|
 //! bytes 24..32  reserved (zero)
 //! words         edges     2|E| words  (u0 v0 u1 v1 …, canonical order)
-//! words         offsets   |V|+1 words
-//! words         adj_v     2|E| words
-//! words         adj_e     2|E| words
+//! words         degrees   |V| words
 //! ```
 //!
 //! Edge pairs are stored as interleaved words and never reinterpreted as
 //! `&[(u64, u64)]` — tuple layout is not a layout guarantee Rust makes.
 //!
 //! Open-time validation is structural and `O(|V|)`: magic, exact file
-//! size for the declared counts, `offsets[0] == 0`, `offsets[|V|] ==
-//! 2|E|`, and monotonicity of the offsets section. The `O(|E|)` payload
-//! is trusted (it is written by this crate's converter); corrupting it
-//! yields wrong query answers, not memory unsafety — every accessor is
-//! bounds-checked against the validated counts.
+//! size for the declared counts, and degrees that sum to `2|E|`. The
+//! `O(|E|)` payload is trusted (it is written by this crate's converter);
+//! corrupting it yields wrong query answers, not memory unsafety — every
+//! accessor is bounds-checked against the validated counts.
 
 use std::fs::File;
 use std::io;
@@ -161,20 +159,20 @@ impl std::fmt::Debug for MmapRegion {
     }
 }
 
-/// Magic of the on-disk CSR container.
-pub(crate) const CSR_MAGIC: &[u8; 8] = b"DNECSRF1";
+/// Magic of the on-disk container.
+pub(crate) const CSR_MAGIC: &[u8; 8] = b"DNECSRF2";
 /// Header size in bytes (magic + |V| + |E| + reserved word).
 pub(crate) const CSR_HEADER_BYTES: u64 = 32;
 
-/// Expected total file size for a `DNECSRF1` container with the given
+/// Expected total file size for a `DNECSRF2` container with the given
 /// counts, or `None` on arithmetic overflow (an absurd header).
 pub(crate) fn csr_file_len(n: VertexId, m: u64) -> Option<u64> {
-    // words: edges 2m + offsets (n+1) + adj_v 2m + adj_e 2m
-    let words = m.checked_mul(6)?.checked_add(n.checked_add(1)?)?;
+    // words: edges 2m + degrees n
+    let words = m.checked_mul(2)?.checked_add(n)?;
     words.checked_mul(8)?.checked_add(CSR_HEADER_BYTES)
 }
 
-/// The `mmap` storage backend: a read-only mapped `DNECSRF1` container.
+/// The `mmap` storage backend: a read-only mapped `DNECSRF2` container.
 #[derive(Debug)]
 pub struct MmapCsr {
     path: PathBuf,
@@ -183,13 +181,11 @@ pub struct MmapCsr {
     num_edges: u64,
     /// Word index (into [`MmapRegion::u64s`]) where each section starts.
     edges_at: usize,
-    offsets_at: usize,
-    adj_v_at: usize,
-    adj_e_at: usize,
+    degrees_at: usize,
 }
 
 impl MmapCsr {
-    /// Map a `DNECSRF1` file and validate its structure (see the module
+    /// Map a `DNECSRF2` file and validate its structure (see the module
     /// docs for exactly what is checked). `InvalidData` on any mismatch.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
@@ -197,11 +193,11 @@ impl MmapCsr {
         let file_len = file.metadata()?.len();
         let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
         if file_len < CSR_HEADER_BYTES {
-            return Err(bad(format!("{}: too short for a DNECSRF1 header", path.display())));
+            return Err(bad(format!("{}: too short for a DNECSRF2 header", path.display())));
         }
         let region = MmapRegion::map(&file, file_len, false)?;
         if &region.bytes()[..8] != CSR_MAGIC {
-            return Err(bad(format!("{}: not a DNECSRF1 file", path.display())));
+            return Err(bad(format!("{}: not a DNECSRF2 file", path.display())));
         }
         let words = region.u64s();
         let n = u64::from_le(words[1]);
@@ -215,44 +211,18 @@ impl MmapCsr {
             )));
         }
         let edges_at = (CSR_HEADER_BYTES / 8) as usize;
-        let offsets_at = edges_at + 2 * m as usize;
-        let adj_v_at = offsets_at + n as usize + 1;
-        let adj_e_at = adj_v_at + 2 * m as usize;
-        let offsets = &words[offsets_at..adj_v_at];
-        if offsets.first() != Some(&0u64.to_le()) {
-            return Err(bad(format!("{}: offsets[0] != 0", path.display())));
+        let degrees_at = edges_at + 2 * m as usize;
+        let total =
+            words[degrees_at..].iter().try_fold(0u64, |sum, &d| sum.checked_add(u64::from_le(d)));
+        if total != Some(2 * m) {
+            return Err(bad(format!("{}: degrees do not sum to 2|E| = {}", path.display(), 2 * m)));
         }
-        if u64::from_le(offsets[n as usize]) != 2 * m {
-            return Err(bad(format!(
-                "{}: offsets[|V|] = {} but 2|E| = {}",
-                path.display(),
-                u64::from_le(offsets[n as usize]),
-                2 * m
-            )));
-        }
-        if offsets.windows(2).any(|w| u64::from_le(w[0]) > u64::from_le(w[1])) {
-            return Err(bad(format!("{}: offsets section is not monotonic", path.display())));
-        }
-        Ok(Self {
-            path,
-            region,
-            num_vertices: n,
-            num_edges: m,
-            edges_at,
-            offsets_at,
-            adj_v_at,
-            adj_e_at,
-        })
+        Ok(Self { path, region, num_vertices: n, num_edges: m, edges_at, degrees_at })
     }
 
     /// The mapped container file.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    #[inline]
-    fn offset(&self, v: VertexId) -> u64 {
-        u64::from_le(self.region.u64s()[self.offsets_at + v as usize])
     }
 }
 
@@ -279,18 +249,8 @@ impl GraphStorage for MmapCsr {
 
     #[inline]
     fn degree(&self, v: VertexId) -> u64 {
-        self.offset(v + 1) - self.offset(v)
-    }
-
-    #[inline]
-    fn adjacency(&self, v: VertexId) -> Option<(&[VertexId], &[EdgeId])> {
-        let lo = self.offset(v) as usize;
-        let hi = self.offset(v + 1) as usize;
-        let w = self.region.u64s();
-        Some((
-            &w[self.adj_v_at + lo..self.adj_v_at + hi],
-            &w[self.adj_e_at + lo..self.adj_e_at + hi],
-        ))
+        // The last section: an out-of-range `v` is out of the mapping's bounds.
+        u64::from_le(self.region.u64s()[self.degrees_at + v as usize])
     }
 
     fn edge_slice(&self) -> Option<&[Edge]> {
@@ -300,7 +260,7 @@ impl GraphStorage for MmapCsr {
     }
 
     fn try_for_each_edge(&self, f: &mut dyn FnMut(EdgeId, VertexId, VertexId)) -> io::Result<()> {
-        let w = &self.region.u64s()[self.edges_at..self.offsets_at];
+        let w = &self.region.u64s()[self.edges_at..self.degrees_at];
         for (e, pair) in w.chunks_exact(2).enumerate() {
             f(e as EdgeId, u64::from_le(pair[0]), u64::from_le(pair[1]));
         }
@@ -339,9 +299,6 @@ mod tests {
         }
         for v in 0..g.num_vertices() {
             assert_eq!(s.degree(v), g.degree(v));
-            let (av, ae) = s.adjacency(v).unwrap();
-            assert_eq!(av, g.neighbor_vertices(v));
-            assert_eq!(ae, g.incident_edges(v));
         }
         assert_eq!(s.resident_bytes(), 0, "mapped pages are not heap");
     }
@@ -366,19 +323,11 @@ mod tests {
         std::fs::write(&p, &b).unwrap();
         assert!(MmapCsr::open(&p).is_err(), "liar edge count");
 
-        // Non-monotonic offsets: swap two interior offset words.
-        let m = g.num_edges() as usize;
-        let off0 = 32 + 16 * m;
+        // A degree that no longer sums with the others to 2|E|.
         let mut b = good.clone();
-        let (x, y) = (off0 + 8, off0 + 16);
-        for i in 0..8 {
-            b.swap(x + i, y + i);
-        }
-        // Only corrupt if the two offsets actually differ.
-        if good[x..x + 8] != good[y..y + 8] {
-            std::fs::write(&p, &b).unwrap();
-            assert!(MmapCsr::open(&p).is_err(), "non-monotonic offsets");
-        }
+        b[32 + 16 * g.num_edges() as usize] ^= 1;
+        std::fs::write(&p, &b).unwrap();
+        assert!(MmapCsr::open(&p).is_err(), "degrees must sum to 2|E|");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Parallel ingestion: chunked canonicalization, k-way merge-dedup, and
-//! deterministic parallel CSR construction.
+//! parallel validation and degree counting.
 //!
 //! The paper's premise is trillion-edge inputs; at the scales the benchmark
 //! bins sweep, *building* the input graph (sample → canonicalize → sort →
-//! dedup → CSR) dominates wall-clock long before the partitioner does. This
-//! module parallelizes that ingestion path with the same primitive the
+//! dedup → validate) dominates wall-clock long before the partitioner does.
+//! This module parallelizes that ingestion path with the same primitive the
 //! simulated cluster uses (`std::thread::scope` — no external thread-pool
 //! dependency), while keeping every result **byte-identical** to the
 //! sequential path:
@@ -14,11 +14,8 @@
 //!   sorted runs pairwise (also in parallel). The output is the globally
 //!   sorted, deduplicated canonical edge list — a set, so it is independent
 //!   of the chunking and therefore of the thread count.
-//! * `build_csr_parallel` — parallel CSR construction: per-thread degree
-//!   counting merged into the offset array, then a parallel adjacency fill
-//!   that writes each arc to a position computed *deterministically* from
-//!   the edge order (not from thread interleaving), reproducing the
-//!   sequential fill exactly.
+//! * `validate_and_count` — the canonical-order checks and the degree
+//!   array of the in-memory backend: per-chunk histograms, summed.
 //! * `par_map` — the tiny work-queue that backs both, reused by the
 //!   parallel generators (`gen::*_parallel`) for per-chunk sampling.
 //!
@@ -28,7 +25,7 @@
 
 use std::sync::Mutex;
 
-use crate::types::{Edge, EdgeId, VertexId};
+use crate::types::{Edge, VertexId};
 
 /// Inputs smaller than this skip the parallel machinery entirely — thread
 /// spawn overhead exceeds the work. Both paths produce identical output, so
@@ -236,74 +233,28 @@ pub fn sort_dedup_parallel(mut raw: Vec<Edge>, threads: usize) -> Vec<Edge> {
     merge_sorted_runs(runs, threads)
 }
 
-/// The CSR component arrays produced by [`build_csr_parallel`].
-pub(crate) struct CsrArrays {
-    /// `offsets[v] .. offsets[v+1]` bounds vertex `v`'s adjacency slice.
-    pub offsets: Vec<u64>,
-    /// Neighbor of each incident arc.
-    pub adj_v: Vec<VertexId>,
-    /// Global edge id of each incident arc.
-    pub adj_e: Vec<EdgeId>,
-}
-
-/// Shared mutable output array written at provably disjoint indices by
-/// multiple threads (see the SAFETY discussion in [`build_csr_parallel`]).
-struct SendPtr<T>(*mut T);
-
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Write `val` at index `i`.
-    ///
-    /// # Safety
-    /// `i` must be in bounds of the underlying allocation and no other
-    /// thread may read or write index `i` during the scope.
-    #[inline]
-    unsafe fn write(&self, i: usize, val: T) {
-        unsafe { self.0.add(i).write(val) }
-    }
-}
-
-/// Build the CSR adjacency arrays for a canonical edge list in parallel.
+/// Validate a canonical edge list and count every vertex's degree on up
+/// to `threads` threads (one below [`PAR_MIN_ITEMS`] edges): each chunk of
+/// the list is checked and histogrammed on its own, and the histograms are
+/// summed. Chunk `j` also checks the ordering across its left boundary, so
+/// the whole list is verified strictly sorted.
 ///
-/// Reproduces [`crate::Graph::from_canonical_edges`] byte-for-byte: the
-/// sequential fill appends arcs in edge-id order, which for each vertex `x`
-/// yields its smaller-endpoint ("v-side") arcs first — every edge `(w, x)`
-/// with `w < x` sorts before every edge `(x, y)` — each block ordered by
-/// edge id. Both block layouts are computed here without regard to thread
-/// scheduling:
+/// Each worker holds one histogram of length `|V|` — `8·t·|V|` bytes,
+/// chosen over a vertex-range decomposition, which needs none but rescans
+/// all of `E` per thread for the scattered larger endpoints.
 ///
-/// * v-side: per-thread histograms of larger endpoints are prefix-summed
-///   across threads, giving each thread an exclusive cursor range per
-///   vertex in edge-id order;
-/// * u-side: the edge list is sorted by smaller endpoint, so an edge's rank
-///   within its vertex's u-side block is its distance from the start of the
-///   equal-`u` run, recovered with one `partition_point` per chunk.
-///
-/// Panics on invalid input with the same messages as the sequential
-/// constructor.
-///
-/// Memory note: phase A holds one `u32` histogram of length `|V|` per
-/// worker — `4·t·|V|` bytes, chosen over a vertex-range decomposition
-/// (which needs no histograms but rescans all of `E` per thread for the
-/// scattered larger endpoints). At the simulated scales here that is a few
-/// MB; a billion-vertex deployment would want the histogram swapped for a
-/// distribution sort.
-pub(crate) fn build_csr_parallel(
+/// # Panics
+/// If an endpoint is out of range, a self loop is present, or the list is
+/// not strictly sorted.
+pub(crate) fn validate_and_count(
     num_vertices: VertexId,
     edges: &[Edge],
     threads: usize,
-) -> CsrArrays {
+) -> Vec<u64> {
     let n = num_vertices as usize;
-    let m = edges.len();
-    let ranges = chunk_ranges(m, threads);
-
-    // Phase A (parallel): validate each chunk and histogram the larger
-    // ("v-side") endpoints. Chunk j also checks the ordering across its
-    // left boundary, so the whole list is verified strictly sorted.
-    let mut hists: Vec<Vec<u32>> = par_map(ranges.clone(), threads, |(lo, hi)| {
-        let mut hist = vec![0u32; n];
+    let threads = if edges.len() < PAR_MIN_ITEMS { 1 } else { threads };
+    let mut hists = par_map(chunk_ranges(edges.len(), threads), threads, |(lo, hi)| {
+        let mut hist = vec![0u64; n];
         for i in lo..hi {
             let (u, v) = edges[i];
             assert!(u < v, "edges must be canonical (u < v, no self loops)");
@@ -311,104 +262,17 @@ pub(crate) fn build_csr_parallel(
             if i > 0 {
                 assert!(edges[i - 1] < edges[i], "edge list must be strictly sorted/deduplicated");
             }
+            hist[u as usize] += 1;
             hist[v as usize] += 1;
         }
         hist
-    });
-
-    // Smaller-endpoint ("u-side") degrees: the list is sorted by `u`, so
-    // each vertex range owns a contiguous edge range — count it with one
-    // scan per thread, writing disjoint slices of `udeg`.
-    let mut udeg = vec![0u64; n];
-    if n > 0 {
-        let vchunk = n.div_ceil(threads.max(1)).max(1);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = udeg
-                .chunks_mut(vchunk)
-                .enumerate()
-                .map(|(ci, slice)| {
-                    let lo = (ci * vchunk) as VertexId;
-                    scope.spawn(move || {
-                        let hi = lo + slice.len() as VertexId;
-                        let mut e = edges.partition_point(|&(u, _)| u < lo);
-                        while e < m && edges[e].0 < hi {
-                            slice[(edges[e].0 - lo) as usize] += 1;
-                            e += 1;
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            }
-        });
+    })
+    .into_iter();
+    let mut degrees = hists.next().unwrap_or_else(|| vec![0; n]);
+    for hist in hists {
+        degrees.iter_mut().zip(hist).for_each(|(d, c)| *d += c);
     }
-
-    // Phase B (sequential, O(n·t)): merge the per-thread histograms into
-    // the offset array; turn each histogram entry into that thread's
-    // exclusive starting cursor within its vertex's v-side block, and
-    // record where each vertex's u-side block begins.
-    let mut offsets = vec![0u64; n + 1];
-    let mut ubase = vec![0u64; n];
-    for x in 0..n {
-        let mut vdeg = 0u64;
-        for hist in hists.iter_mut() {
-            let c = hist[x];
-            hist[x] = u32::try_from(vdeg).expect("per-vertex degree exceeds u32");
-            vdeg += c as u64;
-        }
-        ubase[x] = offsets[x] + vdeg;
-        offsets[x + 1] = offsets[x] + udeg[x] + vdeg;
-    }
-    let total = offsets[n] as usize;
-    debug_assert_eq!(total, 2 * m);
-
-    // Phase C (parallel): fill both adjacency arrays. Each write index is a
-    // function of the edge order alone, so the result is identical to the
-    // sequential fill for every thread count.
-    let mut adj_v = vec![0 as VertexId; total];
-    let mut adj_e = vec![0 as EdgeId; total];
-    {
-        let pv = SendPtr(adj_v.as_mut_ptr());
-        let pe = SendPtr(adj_e.as_mut_ptr());
-        let jobs: Vec<((usize, usize), Vec<u32>)> = ranges.into_iter().zip(hists).collect();
-        let offsets = &offsets;
-        let ubase = &ubase;
-        // SAFETY of the writes below: indices are pairwise distinct across
-        // all threads. v-side targets are `offsets[v] + cursor` where each
-        // thread's cursor walks the half-open range it was assigned by the
-        // phase-B prefix sum (disjoint across threads, one increment per
-        // edge). u-side targets are `ubase[u] + rank` with `rank` the
-        // edge's unique position inside its equal-`u` run. The u-side block
-        // `[ubase[x], offsets[x+1])` and v-side block `[offsets[x],
-        // ubase[x])` never overlap, and all indices are below
-        // `offsets[n] == adj_v.len()`. The arrays are only read after the
-        // scope joins.
-        par_map(jobs, threads, move |((lo, hi), mut cursor)| {
-            if lo >= hi {
-                return;
-            }
-            let mut prev_u = edges[lo].0;
-            let mut rank = (lo - edges[..lo].partition_point(|&(u, _)| u < prev_u)) as u64;
-            for (i, &(u, v)) in edges.iter().enumerate().take(hi).skip(lo) {
-                if u != prev_u {
-                    prev_u = u;
-                    rank = 0;
-                }
-                let pu_idx = (ubase[u as usize] + rank) as usize;
-                rank += 1;
-                let pv_idx = (offsets[v as usize] + cursor[v as usize] as u64) as usize;
-                cursor[v as usize] += 1;
-                unsafe {
-                    pv.write(pu_idx, v);
-                    pe.write(pu_idx, i as EdgeId);
-                    pv.write(pv_idx, u);
-                    pe.write(pv_idx, i as EdgeId);
-                }
-            }
-        });
-    }
-    CsrArrays { offsets, adj_v, adj_e }
+    degrees
 }
 
 #[cfg(test)]
@@ -475,19 +339,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_csr_matches_sequential() {
+    fn parallel_build_matches_sequential() {
         let raw = random_raw(700, 2 * PAR_MIN_ITEMS, 7);
         let edges = sort_dedup_parallel(raw, 4);
         let seq = crate::Graph::from_canonical_edges(700, edges.clone());
         for threads in [2usize, 3, 8] {
             let par = crate::Graph::from_canonical_edges_parallel(700, edges.clone(), threads);
             assert_eq!(seq, par, "threads {threads}");
+            for v in seq.vertices() {
+                assert_eq!(seq.degree(v), par.degree(v), "threads {threads}, vertex {v}");
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "strictly sorted")]
-    fn parallel_csr_rejects_unsorted_across_chunks() {
+    fn parallel_build_rejects_unsorted_across_chunks() {
         let mut edges: Vec<Edge> = (0..(PAR_MIN_ITEMS as u64 * 2)).map(|i| (i, i + 1)).collect();
         let mid = edges.len() / 2;
         edges.swap(mid, mid + 1);

@@ -1,28 +1,29 @@
 //! The pluggable graph-storage seam: one trait, three backends.
 //!
 //! The paper's title promises trillion-edge graphs, but a `Graph` that
-//! always materializes its full CSR in RAM lower-bounds every memory
-//! metric by `O(|E|)` regardless of the algorithm. This module splits the
+//! always holds its edge list in RAM lower-bounds every memory metric by
+//! `O(|E|)` regardless of the algorithm. This module splits the
 //! *representation* of a graph from its *interface* so the partitioners
 //! can run over storage that pages or streams the edge set instead:
 //!
-//! * [`InMemoryCsr`] — the original heap-allocated CSR arrays. Fastest,
-//!   supports every accessor, costs `O(|E|)` heap.
-//! * `MmapCsr` (see [`crate::mmap`]) — an on-disk CSR container
-//!   ([`crate::io::write_csr`] / [`crate::io::csr_from_chunked`]) mapped
-//!   read-only; the OS pages adjacency in on demand, so live *heap* is
+//! * [`InMemoryCsr`] — the canonical edge list and a degree array on the
+//!   heap: `16·|E| + 8·|V|` bytes. Fastest.
+//! * `MmapCsr` (see [`crate::mmap`]) — the same two arrays in an on-disk
+//!   container ([`crate::io::write_csr`] / [`crate::io::csr_from_chunked`])
+//!   mapped read-only; the OS pages them in on demand, so live *heap* is
 //!   `O(1)` and resident set follows the access pattern.
 //! * [`ChunkStore`] — sequential passes over a `DNECHNK1` chunk-framed
 //!   file ([`crate::io::ChunkedGraphWriter`]); at most one chunk is
-//!   buffered at a time and no adjacency is ever built. Heap is
-//!   `O(chunk + frames)`, plus `O(|V|)` only if a caller asks for degrees.
+//!   buffered at a time. Heap is `O(chunk + frames)`, plus `O(|V|)` only
+//!   if a caller asks for degrees.
 //!
-//! Backends differ in which accessors they can serve; the capability
-//! table lives on [`GraphStorage`] and the failure semantics are part of
-//! each method's contract. All backends expose the *same* canonical edge
-//! numbering, so every deterministic partitioner produces bit-identical
-//! assignments regardless of the storage backend — the property the
-//! `storage_equivalence` integration suite asserts.
+//! Every backend serves every accessor but [`GraphStorage::edge_slice`];
+//! the failure semantics are part of each method's contract. All backends
+//! expose the *same* canonical edge numbering, so every deterministic
+//! partitioner produces bit-identical assignments regardless of the
+//! storage backend — the property the `storage_equivalence` integration
+//! suite asserts. Neighbour lists are not storage: callers that walk them
+//! derive a [`crate::Adjacency`] from any backend.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -38,14 +39,14 @@ const KIND_NAMES: &str = "\"in-memory\", \"mmap\", or \"chunk-streamed\"";
 /// Which storage backend a [`crate::Graph`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageKind {
-    /// Heap-allocated CSR arrays (the original representation).
+    /// Heap-allocated edge list and degree array.
     #[default]
     InMemory,
-    /// Read-only memory-mapped on-disk CSR container: the OS pages
-    /// adjacency in on demand; live heap is `O(1)`.
+    /// Read-only memory-mapped on-disk container of the same two arrays:
+    /// the OS pages them in on demand; live heap is `O(1)`.
     Mmap,
     /// Sequential passes over a `DNECHNK1` chunk-framed file with one
-    /// buffered chunk; no adjacency arrays are ever built.
+    /// buffered chunk.
     ChunkStreamed,
 }
 
@@ -114,17 +115,15 @@ impl std::fmt::Display for StorageKind {
 }
 
 /// Storage backend of a [`crate::Graph`]: the seam between the graph's
-/// *interface* (canonical edge ids, adjacency) and its *representation*
+/// *interface* (canonical edge ids, degrees) and its *representation*
 /// (heap arrays, a mapped file, a streamed chunk file).
 ///
-/// ## Capability table
+/// ## Capabilities
 ///
-/// | accessor            | in-memory | mmap | chunk-streamed |
-/// |---------------------|-----------|------|----------------|
-/// | `edge` / `for_each` | yes       | yes  | yes (chunk cache / stream) |
-/// | `degree`            | yes       | yes  | yes (lazy `O(V)` degree pass) |
-/// | `adjacency`         | yes       | yes  | **no** (`None`) |
-/// | `edge_slice`        | yes       | no   | no             |
+/// Every backend serves `edge`, `try_for_each_edge` and `degree`
+/// (chunk-streamed: a one-frame cache, a re-streamed file, and a lazy
+/// `O(|V|)` degree pass). `edge_slice` is the one accessor that depends
+/// on the backend: only in-memory holds an addressable `[Edge]`.
 ///
 /// ## Failure semantics
 ///
@@ -154,16 +153,6 @@ pub trait GraphStorage: std::fmt::Debug + Send + Sync {
     /// `O(|V|)` array.
     fn degree(&self, v: VertexId) -> u64;
 
-    /// Adjacency of `v` as `(neighbor vertices, incident edge ids)` slice
-    /// pair, or `None` if this backend keeps no adjacency arrays
-    /// (chunk-streamed).
-    fn adjacency(&self, v: VertexId) -> Option<(&[VertexId], &[EdgeId])>;
-
-    /// Whether [`GraphStorage::adjacency`] returns `Some` on this backend.
-    fn has_adjacency(&self) -> bool {
-        true
-    }
-
     /// The full canonical edge array as a slice, if this backend holds
     /// one in addressable memory with the layout of `[Edge]` (only
     /// in-memory does).
@@ -186,60 +175,21 @@ pub trait GraphStorage: std::fmt::Debug + Send + Sync {
 // In-memory backend
 // ---------------------------------------------------------------------------
 
-/// The original heap-allocated CSR arrays (see [`crate::Graph`] for the
-/// invariants); the zero-regression default backend.
+/// The canonical edge list (see [`crate::Graph`] for the invariants) and
+/// the degree of every vertex, on the heap; the default backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InMemoryCsr {
-    pub(crate) num_vertices: VertexId,
-    pub(crate) edges: Box<[Edge]>,
-    pub(crate) offsets: Box<[u64]>,
-    pub(crate) adj_v: Box<[VertexId]>,
-    pub(crate) adj_e: Box<[EdgeId]>,
+    edges: Box<[Edge]>,
+    degrees: Box<[u64]>,
 }
 
 impl InMemoryCsr {
     /// Build from a canonical (sorted, deduplicated, loop-free) edge
-    /// list; panics exactly like
-    /// [`crate::Graph::from_canonical_edges`].
-    pub fn from_canonical_edges(num_vertices: VertexId, edges: Vec<Edge>) -> Self {
-        let n = num_vertices as usize;
-        let m = edges.len();
-        for w in edges.windows(2) {
-            assert!(w[0] < w[1], "edge list must be strictly sorted/deduplicated");
-        }
-        let mut degrees = vec![0u64; n];
-        for &(u, v) in &edges {
-            assert!(u < v, "edges must be canonical (u < v, no self loops)");
-            assert!((v as usize) < n, "endpoint {v} out of range (n = {n})");
-            degrees[u as usize] += 1;
-            degrees[v as usize] += 1;
-        }
-        let mut offsets = vec![0u64; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + degrees[v];
-        }
-        let total = offsets[n] as usize;
-        debug_assert_eq!(total, 2 * m);
-        let mut adj_v = vec![0 as VertexId; total];
-        let mut adj_e = vec![0 as EdgeId; total];
-        let mut cursor = offsets.clone();
-        for (eid, &(u, v)) in edges.iter().enumerate() {
-            let cu = cursor[u as usize] as usize;
-            adj_v[cu] = v;
-            adj_e[cu] = eid as EdgeId;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize] as usize;
-            adj_v[cv] = u;
-            adj_e[cv] = eid as EdgeId;
-            cursor[v as usize] += 1;
-        }
-        Self {
-            num_vertices,
-            edges: edges.into_boxed_slice(),
-            offsets: offsets.into_boxed_slice(),
-            adj_v: adj_v.into_boxed_slice(),
-            adj_e: adj_e.into_boxed_slice(),
-        }
+    /// list, validating and counting degrees on up to `threads` threads;
+    /// panics exactly like [`crate::Graph::from_canonical_edges`].
+    pub fn from_canonical_edges(num_vertices: VertexId, edges: Vec<Edge>, threads: usize) -> Self {
+        let degrees = crate::parallel::validate_and_count(num_vertices, &edges, threads);
+        Self { edges: edges.into_boxed_slice(), degrees: degrees.into_boxed_slice() }
     }
 }
 
@@ -249,7 +199,7 @@ impl GraphStorage for InMemoryCsr {
     }
 
     fn num_vertices(&self) -> VertexId {
-        self.num_vertices
+        self.degrees.len() as VertexId
     }
 
     fn num_edges(&self) -> u64 {
@@ -263,14 +213,7 @@ impl GraphStorage for InMemoryCsr {
 
     #[inline]
     fn degree(&self, v: VertexId) -> u64 {
-        self.offsets[v as usize + 1] - self.offsets[v as usize]
-    }
-
-    #[inline]
-    fn adjacency(&self, v: VertexId) -> Option<(&[VertexId], &[EdgeId])> {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        Some((&self.adj_v[lo..hi], &self.adj_e[lo..hi]))
+        self.degrees[v as usize]
     }
 
     fn edge_slice(&self) -> Option<&[Edge]> {
@@ -285,10 +228,7 @@ impl GraphStorage for InMemoryCsr {
     }
 
     fn resident_bytes(&self) -> usize {
-        self.edges.heap_bytes()
-            + self.offsets.heap_bytes()
-            + self.adj_v.heap_bytes()
-            + self.adj_e.heap_bytes()
+        self.edges.heap_bytes() + self.degrees.heap_bytes()
     }
 }
 
@@ -300,8 +240,8 @@ impl GraphStorage for InMemoryCsr {
 /// indexed at open (validating that the summed frame counts match the
 /// header's `|E|`), after which sequential scans re-stream the file and
 /// random `edge(e)` lookups page one frame at a time through a
-/// single-frame cache. No adjacency is ever built; degrees are computed
-/// lazily with one extra pass only if asked for.
+/// single-frame cache. Degrees are computed lazily with one extra pass
+/// only if asked for.
 #[derive(Debug)]
 pub struct ChunkStore {
     path: PathBuf,
@@ -402,14 +342,6 @@ impl GraphStorage for ChunkStore {
         degrees[v as usize]
     }
 
-    fn adjacency(&self, _v: VertexId) -> Option<(&[VertexId], &[EdgeId])> {
-        None
-    }
-
-    fn has_adjacency(&self) -> bool {
-        false
-    }
-
     fn edge_slice(&self) -> Option<&[Edge]> {
         None
     }
@@ -477,7 +409,6 @@ mod tests {
         for v in 0..g.num_vertices() {
             assert_eq!(s.degree(v), g.degree(v));
         }
-        assert!(s.adjacency(0).is_none());
         assert!(s.edge_slice().is_none());
         // Sequential scan sees every edge in canonical order.
         let mut seen = Vec::new();
@@ -489,7 +420,7 @@ mod tests {
         assert!(s.resident_bytes() > 0, "cache + degree array are live heap");
         assert!(
             s.resident_bytes() < g.heap_bytes(),
-            "streamed residency must undercut the full CSR"
+            "streamed residency must undercut the full edge list"
         );
     }
 

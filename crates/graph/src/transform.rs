@@ -1,31 +1,30 @@
 //! Connected-component labelling — the sequential reference the WCC
 //! application kernel is verified against (`dne_apps::wcc_reference`).
 
-use std::collections::VecDeque;
-
 use crate::types::VertexId;
 use crate::Graph;
 
-/// Connected-component labels (smallest member id per component).
+/// Connected-component labels (smallest member id per component), by
+/// union-find over one edge scan — any storage backend, no neighbour lists.
 pub fn component_labels(g: &Graph) -> Vec<VertexId> {
-    let n = g.num_vertices() as usize;
-    let mut label = vec![VertexId::MAX; n];
-    for start in g.vertices() {
-        if label[start as usize] != VertexId::MAX {
-            continue;
+    fn find(parent: &mut [VertexId], mut v: VertexId) -> VertexId {
+        while parent[v as usize] != v {
+            parent[v as usize] = parent[parent[v as usize] as usize]; // path halving
+            v = parent[v as usize];
         }
-        label[start as usize] = start;
-        let mut q = VecDeque::from([start]);
-        while let Some(v) = q.pop_front() {
-            for &u in g.neighbor_vertices(v) {
-                if label[u as usize] == VertexId::MAX {
-                    label[u as usize] = start;
-                    q.push_back(u);
-                }
-            }
-        }
+        v
     }
-    label
+    let mut parent: Vec<VertexId> = g.vertices().collect();
+    g.for_each_edge(|_, u, v| {
+        let (a, b) = (find(&mut parent, u), find(&mut parent, v));
+        // The smaller root wins, so a root is its component's smallest id.
+        parent[a.max(b) as usize] = a.min(b);
+    });
+    // `parent[v] <= v`, so an ascending sweep meets every parent resolved.
+    for v in 0..parent.len() {
+        parent[v] = parent[parent[v] as usize];
+    }
+    parent
 }
 
 #[cfg(test)]

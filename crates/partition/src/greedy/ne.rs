@@ -46,6 +46,11 @@ impl NePartitioner {
 
 struct NeState<'g> {
     g: &'g Graph,
+    /// `incident[offsets[v]..offsets[v + 1]]` — the ids of the edges at
+    /// `v`, ascending. NE is the one method that walks edge ids per
+    /// vertex, so the array is its own.
+    offsets: Vec<usize>,
+    incident: Vec<EdgeId>,
     /// Edge → partition (UNASSIGNED until allocated).
     parts: Vec<PartitionId>,
     /// Exact remaining degree per vertex.
@@ -70,8 +75,22 @@ impl<'g> NeState<'g> {
             let j = rng.next_below(i as u64 + 1) as usize;
             shuffled.swap(i, j);
         }
+        let mut offsets = vec![0usize; n + 1];
+        for v in 0..n {
+            offsets[v + 1] = offsets[v] + g.degree(v as VertexId) as usize;
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut incident = vec![0 as EdgeId; offsets[n]];
+        g.for_each_edge(|e, u, v| {
+            for x in [u, v] {
+                incident[cursor[x as usize]] = e;
+                cursor[x as usize] += 1;
+            }
+        });
         Self {
             g,
+            offsets,
+            incident,
             parts: vec![UNASSIGNED; g.num_edges() as usize],
             rest: (0..g.num_vertices()).map(|v| g.degree(v)).collect(),
             stamp: vec![0; n],
@@ -122,8 +141,8 @@ impl<'g> NeState<'g> {
     fn expand(&mut self, v: VertexId, p: PartitionId) {
         self.join(v, p);
         let mut new_boundary: Vec<VertexId> = Vec::new();
-        for i in 0..self.g.incident_edges(v).len() {
-            let e = self.g.incident_edges(v)[i];
+        for i in self.offsets[v as usize]..self.offsets[v as usize + 1] {
+            let e = self.incident[i];
             if self.parts[e as usize] == UNASSIGNED {
                 let u = self.g.opposite(e, v);
                 self.allocate(e, p);
@@ -136,8 +155,8 @@ impl<'g> NeState<'g> {
         // Two-hop: edges between new boundary vertices and any vertex
         // already in V(E_p) never increase replication.
         for u in new_boundary {
-            for i in 0..self.g.incident_edges(u).len() {
-                let e = self.g.incident_edges(u)[i];
+            for i in self.offsets[u as usize]..self.offsets[u as usize + 1] {
+                let e = self.incident[i];
                 if self.parts[e as usize] == UNASSIGNED {
                     let w = self.g.opposite(e, u);
                     if self.in_part(w, p) {
@@ -232,6 +251,25 @@ mod tests {
     use crate::quality::PartitionQuality;
     use crate::streaming::HdrfPartitioner;
     use dne_graph::gen;
+
+    #[test]
+    fn incidence_names_each_edge_at_both_endpoints_in_ascending_order() {
+        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 8));
+        let st = NeState::new(&g, 1);
+        let mut slots = vec![0u32; g.num_edges() as usize];
+        for v in g.vertices() {
+            let at_v = &st.incident[st.offsets[v as usize]..st.offsets[v as usize + 1]];
+            assert_eq!(at_v.len() as u64, g.degree(v));
+            assert!(at_v.windows(2).all(|w| w[0] < w[1]), "vertex {v}: ascending edge ids");
+            for &e in at_v {
+                let (a, b) = g.edge(e);
+                assert!(v == a || v == b, "edge {e} is not incident to {v}");
+                assert_eq!(g.opposite(e, g.opposite(e, v)), v);
+                slots[e as usize] += 1;
+            }
+        }
+        assert!(slots.iter().all(|&c| c == 2), "every edge sits in exactly two slots");
+    }
 
     #[test]
     fn covers_all_edges() {

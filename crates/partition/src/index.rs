@@ -7,7 +7,7 @@
 //! maps, and the replication set of a vertex plus per-partition quality
 //! stats from the assignment's [`ReplicaTable`] — both built by sequential
 //! edge scans, so it works unchanged on every `DNE_GRAPH_STORAGE`
-//! backend, including the adjacency-free chunk-streamed one.
+//! backend.
 //!
 //! The edge maps are sharded by the workspace's existing edge hash
 //! ([`dne_graph::hash::mix2`]) masked to a power-of-two shard count (what
@@ -64,8 +64,8 @@ pub struct ShardedAssignmentIndex {
 impl ShardedAssignmentIndex {
     /// Index `assignment` over the edges of `g` into `shards` shards.
     ///
-    /// Sequential [`Graph::for_each_edge`] scans only — no adjacency
-    /// arrays — so any storage backend can feed it.
+    /// Sequential [`Graph::for_each_edge`] scans only, so any storage
+    /// backend feeds it at its best access pattern.
     ///
     /// # Panics
     /// If `shards` is not a positive power of two, or the assignment does
@@ -259,7 +259,6 @@ mod tests {
         let p = dir.join("g.chunks");
         dne_graph::io::write_chunked(&g, &p, 9).unwrap();
         let s = dne_graph::io::open_chunk_streamed(&p).unwrap();
-        assert!(!s.has_adjacency());
         let streamed = ShardedAssignmentIndex::build(&s, &a, 8);
         assert_eq!(streamed.fingerprint(), mem.fingerprint());
         assert_eq!(streamed.total_replicas(), mem.total_replicas());

@@ -80,3 +80,50 @@ pub use index::{parse_shards, ShardedAssignmentIndex};
 pub use quality::PartitionQuality;
 pub use replica::ReplicaTable;
 pub use traits::{EdgePartitioner, VertexPartitioner, VertexToEdge};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dne_graph::{gen, io};
+
+    #[test]
+    fn baselines_are_the_parent_commits_bit_for_bit() {
+        // Assignment fingerprints printed at commit 508f3d9, when `Graph`
+        // stored adjacency and these methods read it there. Every one of
+        // them walks neighbours (sequential NE: incident edge ids), and the
+        // chunk-streamed reopen is the backend that could not run them.
+        use greedy::NePartitioner;
+        use streaming::GingerPartitioner;
+        use vertex::{MetisLikePartitioner, SheepPartitioner, SpinnerPartitioner};
+        let g = gen::rmat(&gen::RmatConfig::graph500(9, 6, 24));
+        assert_eq!((g.num_vertices(), g.num_edges()), (512, 2261));
+        let methods: [(Box<dyn EdgePartitioner>, u64); 6] = [
+            (Box::new(NePartitioner::new(7)), 0xaafc_f08a_1b2c_b890),
+            (Box::new(GingerPartitioner::new(7)), 0xc864_5d61_0b6f_3d7c),
+            (Box::new(VertexToEdge::new(MetisLikePartitioner::new(7), 7)), 0xb6b3_f9f6_c176_a67f),
+            (
+                Box::new(VertexToEdge::new(vertex::XtraPulpPartitioner::new(7), 7)),
+                0x2454_d264_0176_7f00,
+            ),
+            (Box::new(SheepPartitioner::new()), 0xa643_d4da_15f9_3f00),
+            (Box::new(VertexToEdge::new(SpinnerPartitioner::new(7), 7)), 0xf0f0_e63c_0367_7972),
+        ];
+        let dir = std::env::temp_dir().join(format!("dne-baselines-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.chunks");
+        io::write_chunked(&g, &path, 256).unwrap();
+        let streamed = io::open_chunk_streamed(&path).unwrap();
+        for (method, pinned) in &methods {
+            for g in [&g, &streamed] {
+                assert_eq!(
+                    method.partition(g, 4).fingerprint(),
+                    *pinned,
+                    "{} on {} storage",
+                    method.name(),
+                    g.storage_kind()
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn streamed_storage_measures_identically() {
         // Round-trip the graph through a chunked file opened with the
-        // chunk-streamed backend (no adjacency arrays) and re-measure.
+        // chunk-streamed backend and re-measure.
         let g = gen::rmat(&gen::RmatConfig::graph500(6, 6, 11));
         let a = EdgeAssignment::from_fn(&g, 5, |e| (e % 5) as u32);
         let q = PartitionQuality::measure(&g, &a);
@@ -135,7 +135,6 @@ mod tests {
         let p = dir.join("streamed.chunks");
         dne_graph::io::write_chunked(&g, &p, 7).unwrap();
         let s = dne_graph::io::open_chunk_streamed(&p).unwrap();
-        assert!(!s.has_adjacency());
         assert_eq!(PartitionQuality::measure(&s, &a), q);
     }
 
@@ -168,7 +167,7 @@ mod tests {
                 let q = PartitionQuality::measure(&g, &a);
                 let got =
                     [q.replication_factor, q.edge_balance, q.vertex_balance].map(f64::to_bits);
-                assert_eq!(got, bits, "case {i}, adjacency {}", g.has_adjacency());
+                assert_eq!(got, bits, "case {i}, {} storage", g.storage_kind());
             }
         }
     }

@@ -5,9 +5,8 @@
 //! served replica-set lookup, the application engine's mirror routing and
 //! the communication model all start from the same per-vertex sets.
 //! [`ReplicaTable::build`] derives them in one sequential
-//! [`Graph::for_each_edge`] scan, so every storage backend — including the
-//! adjacency-free chunk-streamed one — feeds it at its best access
-//! pattern, with `|V| · ⌈k/64⌉` words of transient memory however many
+//! [`Graph::for_each_edge`] scan, so every storage backend feeds it at its
+//! best access pattern, with `|V| · ⌈k/64⌉` words of transient memory however many
 //! replicas there are.
 
 use crate::assignment::{EdgeAssignment, PartitionId};

@@ -15,7 +15,7 @@
 use crate::assignment::{EdgeAssignment, PartitionId};
 use crate::traits::EdgePartitioner;
 use dne_graph::hash::mix2;
-use dne_graph::Graph;
+use dne_graph::{Adjacency, Graph};
 
 /// PowerLyra "Hybrid Ginger" partitioner.
 #[derive(Debug, Clone)]
@@ -65,13 +65,14 @@ impl EdgePartitioner for GingerPartitioner {
         let avg_v = n as f64 / kk as f64;
         let avg_e = (2 * g.num_edges()) as f64 / kk as f64;
         let mut nbr_counts = vec![0f64; kk];
+        let adj = Adjacency::build(g);
         for _ in 0..self.sweeps {
             for v in 0..n as u64 {
                 if !is_low(v) {
                     continue;
                 }
                 nbr_counts.iter_mut().for_each(|c| *c = 0.0);
-                for &u in g.neighbor_vertices(v) {
+                for &u in adj.of(v) {
                     // Low neighbors attract with weight 1 (their bundle can
                     // co-locate); high neighbors attract weakly (replicated
                     // anyway, but an edge to them still lands somewhere).

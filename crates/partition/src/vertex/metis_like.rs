@@ -80,14 +80,14 @@ impl MetisLikePartitioner {
 
     fn base_level(g: &Graph) -> Level {
         let n = g.num_vertices() as usize;
-        let mut adj = vec![Vec::new(); n];
-        for v in g.vertices() {
-            let a = &mut adj[v as usize];
-            a.reserve(g.degree(v) as usize);
-            for &u in g.neighbor_vertices(v) {
-                a.push((u as u32, 1u64));
-            }
-        }
+        let mut adj: Vec<Vec<(u32, u64)>> =
+            g.vertices().map(|v| Vec::with_capacity(g.degree(v) as usize)).collect();
+        // The finest level is the one place the hierarchy needs neighbour
+        // lists, so they are filled straight from the edge scan.
+        g.for_each_edge(|_, u, v| {
+            adj[u as usize].push((v as u32, 1));
+            adj[v as usize].push((u as u32, 1));
+        });
         Level { adj, vweight: vec![1; n], coarse_map: Vec::new() }
     }
 

@@ -18,7 +18,7 @@ pub use spinner::SpinnerPartitioner;
 pub use xtrapulp::XtraPulpPartitioner;
 
 use crate::assignment::PartitionId;
-use dne_graph::Graph;
+use dne_graph::{Adjacency, Graph};
 
 /// Shared label-propagation refinement used by Spinner-like and
 /// XtraPuLP-like: asynchronous sweeps where each vertex adopts the label
@@ -28,6 +28,7 @@ use dne_graph::Graph;
 /// systems balance edges, not vertex counts, on skewed graphs).
 pub(crate) fn label_propagation_refine(
     g: &Graph,
+    adj: &Adjacency,
     labels: &mut [PartitionId],
     k: usize,
     sweeps: usize,
@@ -48,7 +49,7 @@ pub(crate) fn label_propagation_refine(
                 continue;
             }
             affinity.iter_mut().for_each(|a| *a = 0.0);
-            for &u in g.neighbor_vertices(v) {
+            for &u in adj.of(v) {
                 affinity[labels[u as usize] as usize] += 1.0;
             }
             let old = labels[v as usize] as usize;
@@ -92,7 +93,7 @@ mod tests {
         // Start from an alternating (bad) labeling.
         let mut labels: Vec<PartitionId> =
             (0..g.num_vertices()).map(|v| (v % 2) as PartitionId).collect();
-        label_propagation_refine(&g, &mut labels, 2, 20, 1.2);
+        label_propagation_refine(&g, &Adjacency::build(&g), &mut labels, 2, 20, 1.2);
         // Each clique should end up monochromatic.
         let first = &labels[0..10];
         let second = &labels[10..20];
@@ -105,7 +106,7 @@ mod tests {
         let g = gen::rmat(&gen::RmatConfig::graph500(8, 4, 3));
         let mut labels: Vec<PartitionId> =
             (0..g.num_vertices()).map(|v| (v % 4) as PartitionId).collect();
-        label_propagation_refine(&g, &mut labels, 4, 10, 1.1);
+        label_propagation_refine(&g, &Adjacency::build(&g), &mut labels, 4, 10, 1.1);
         assert!(labels.iter().all(|&l| l < 4));
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::assignment::{EdgeAssignment, PartitionId};
 use crate::traits::EdgePartitioner;
-use dne_graph::{Graph, VertexId};
+use dne_graph::{Adjacency, Graph, VertexId};
 
 /// Sheep-style elimination-tree edge partitioner.
 #[derive(Debug, Clone)]
@@ -64,10 +64,11 @@ impl EdgePartitioner for SheepPartitioner {
         // 2. Approximate elimination-tree parents.
         const ROOT: u32 = u32::MAX;
         let mut parent = vec![ROOT; n];
+        let adj = Adjacency::build(g);
         for v in g.vertices() {
             let rv = rank[v as usize];
             let mut best: Option<(u64, VertexId)> = None;
-            for &u in g.neighbor_vertices(v) {
+            for &u in adj.of(v) {
                 let ru = rank[u as usize];
                 if ru > rv && best.is_none_or(|(br, _)| ru < br) {
                     best = Some((ru, u));

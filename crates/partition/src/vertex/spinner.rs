@@ -11,7 +11,7 @@ use crate::assignment::PartitionId;
 use crate::traits::VertexPartitioner;
 use crate::vertex::label_propagation_refine;
 use dne_graph::hash::mix2;
-use dne_graph::Graph;
+use dne_graph::{Adjacency, Graph};
 
 /// Spinner-style vertex partitioner: random init + balanced LP.
 #[derive(Debug, Clone)]
@@ -39,7 +39,8 @@ impl VertexPartitioner for SpinnerPartitioner {
         // Random initial assignment — the defining (and limiting) step.
         let mut labels: Vec<PartitionId> =
             (0..g.num_vertices()).map(|v| (mix2(self.seed, v) % k as u64) as PartitionId).collect();
-        label_propagation_refine(g, &mut labels, k as usize, self.sweeps, self.slack);
+        let adj = Adjacency::build(g);
+        label_propagation_refine(g, &adj, &mut labels, k as usize, self.sweeps, self.slack);
         labels
     }
 }

@@ -14,7 +14,7 @@ use crate::assignment::PartitionId;
 use crate::traits::VertexPartitioner;
 use crate::vertex::label_propagation_refine;
 use dne_graph::hash::SplitMix64;
-use dne_graph::{Graph, VertexId};
+use dne_graph::{Adjacency, Graph, VertexId};
 use std::collections::VecDeque;
 
 /// XtraPuLP-style vertex partitioner: multi-source region growing + LP.
@@ -64,6 +64,7 @@ impl VertexPartitioner for XtraPulpPartitioner {
             labels[s as usize] = p as PartitionId;
             queues[p].push_back(s);
         }
+        let adj = Adjacency::build(g);
         let mut assigned = seeds.len() as u64;
         let mut stall_rr = 0usize;
         while assigned < n {
@@ -74,7 +75,7 @@ impl VertexPartitioner for XtraPulpPartitioner {
                 let mut expanded = 0;
                 while expanded < budget {
                     let Some(v) = queues[p].pop_front() else { break };
-                    for &u in g.neighbor_vertices(v) {
+                    for &u in adj.of(v) {
                         if labels[u as usize] == PartitionId::MAX {
                             labels[u as usize] = p as PartitionId;
                             queues[p].push_back(u);
@@ -100,7 +101,7 @@ impl VertexPartitioner for XtraPulpPartitioner {
                 }
             }
         }
-        label_propagation_refine(g, &mut labels, kk, self.sweeps, self.slack);
+        label_propagation_refine(g, &adj, &mut labels, kk, self.sweeps, self.slack);
         labels
     }
 }

@@ -17,7 +17,7 @@ fn main() {
     let verts_per_machine = 10u32; // log2; the paper uses 22
     let ef = 16u64;
     // Input graphs are built through the parallel ingestion path — at the
-    // scales this sweep targets, generation + CSR build dominates
+    // scales this sweep targets, generation + validation dominates
     // wall-clock long before the partitioner does. The output is
     // byte-identical to the serial `rmat` at every thread count.
     let threads = default_ingest_threads();

@@ -1,9 +1,9 @@
-//! Property tests of the graph substrate: CSR invariants, builder
+//! Property tests of the graph substrate: adjacency invariants, builder
 //! idempotence, component labels, generator guarantees.
 
 use distributed_ne::graph::gen;
 use distributed_ne::graph::transform;
-use distributed_ne::graph::{EdgeListBuilder, Graph};
+use distributed_ne::graph::{Adjacency, EdgeListBuilder, Graph};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary small raw edge list (with duplicates and loops).
@@ -32,24 +32,26 @@ proptest! {
         prop_assert_eq!(b2.finish(), edges);
     }
 
-    /// CSR adjacency is an involution: every edge appears in exactly two
-    /// adjacency slots, and `opposite` round-trips.
+    /// Derived adjacency is an involution: every edge appears in exactly
+    /// two slots (the degrees sum to 2|E|, and so do the list lengths),
+    /// and `u ∈ of(v) ⇔ v ∈ of(u)`.
     #[test]
     fn csr_adjacency_involution(raw in raw_edges()) {
         let mut b = EdgeListBuilder::new();
         b.extend_edges(raw);
         let g = b.into_graph(64);
-        let mut slot_count = vec![0u32; g.num_edges() as usize];
-        for v in g.vertices() {
-            for (u, e) in g.neighbors(v) {
-                slot_count[e as usize] += 1;
-                prop_assert_eq!(g.opposite(e, v), u);
-                prop_assert_eq!(g.opposite(e, u), v);
-            }
-        }
-        prop_assert!(slot_count.iter().all(|&c| c == 2));
+        let adj = Adjacency::build(&g);
         let degree_sum: u64 = g.vertices().map(|v| g.degree(v)).sum();
         prop_assert_eq!(degree_sum, 2 * g.num_edges());
+        for v in g.vertices() {
+            prop_assert_eq!(adj.of(v).len() as u64, g.degree(v));
+            for &u in adj.of(v) {
+                prop_assert!(adj.of(u).contains(&v), "{} ∈ of({}) but not the converse", u, v);
+            }
+        }
+        for &(u, v) in g.edges() {
+            prop_assert!(adj.of(u).contains(&v) && adj.of(v).contains(&u));
+        }
     }
 
     /// Component labels partition the vertex set and are closed over edges.
