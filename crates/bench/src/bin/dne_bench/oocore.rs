@@ -8,7 +8,7 @@
 //! * `prepare <chunked-path> [scale] [edge-factor]` — generate an RMAT
 //!   graph, write it as a DNECHNK1 chunked file, and print the bytes
 //!   the in-memory backend holds for it.
-//! * `run <chunked-path> [k] [frontier-budget]` — open the chunked file
+//! * `run <chunked-path> [k]` — open the chunked file
 //!   with the backend from `DNE_GRAPH_STORAGE`, run Distributed NE with a
 //!   fixed seed, and print a one-line summary ending in the assignment
 //!   fingerprint. Equal fingerprints across backends prove bit-identical
@@ -29,10 +29,8 @@ use dne_graph::{io, StorageKind};
 const SEED: u64 = 7;
 
 /// The two command lines, for the dispatcher's usage text.
-pub const USAGE: [&str; 2] = [
-    "oocore prepare <chunked-path> [scale] [edge-factor]",
-    "oocore run <chunked-path> [k] [frontier-budget]",
-];
+pub const USAGE: [&str; 2] =
+    ["oocore prepare <chunked-path> [scale] [edge-factor]", "oocore run <chunked-path> [k]"];
 
 fn prepare(path: &Path, scale: u32, ef: u64) -> std::io::Result<()> {
     let g = rmat_parallel(&RmatConfig::graph500(scale, ef, SEED), default_ingest_threads());
@@ -43,14 +41,10 @@ fn prepare(path: &Path, scale: u32, ef: u64) -> std::io::Result<()> {
     Ok(())
 }
 
-fn run_partition(path: &Path, k: u32, frontier_budget: u64) -> std::io::Result<()> {
+fn run_partition(path: &Path, k: u32) -> std::io::Result<()> {
     let kind = StorageKind::from_env();
     let g = io::open_chunked_with(path, kind)?;
-    let mut config = NeConfig::default().with_seed(SEED);
-    if frontier_budget > 0 {
-        config = config.with_frontier_budget(frontier_budget);
-    }
-    let ne = DistributedNe::new(config);
+    let ne = DistributedNe::new(NeConfig::default().with_seed(SEED));
     let (assignment, stats) = ne.partition_with_stats(&g, k);
     // Resident peak, and the address-space peak a `ulimit -v` cap bites on.
     let mib = |bytes: Option<u64>| {
@@ -83,7 +77,7 @@ pub fn run(args: &[String]) -> Result<(), Failure> {
     };
     let result = match cmd.as_str() {
         "prepare" => prepare(path, opt(2, "scale", 16)? as u32, opt(3, "edge-factor", 24)?),
-        "run" => run_partition(path, opt(2, "k", 8)? as u32, opt(3, "frontier-budget", 0)?),
+        "run" => run_partition(path, opt(2, "k", 8)? as u32),
         other => return Err(Failure::Usage(format!("unknown oocore command {other:?}"))),
     };
     result.map_err(|e| Failure::Run(format!("oocore {cmd} failed: {e}")))

@@ -8,7 +8,7 @@
 //! original within rounding) and the **skew class** (social-network vs
 //! web-crawl RMAT parameters). The scale is reduced ~512× so the full
 //! benchmark suite runs on one machine; the registry records the original
-//! sizes for the EXPERIMENTS.md comparison.
+//! sizes for reporting.
 
 use dne_graph::gen::{rmat_parallel, RmatConfig};
 use dne_graph::parallel::default_ingest_threads;

@@ -31,7 +31,7 @@
 //! verifying load generator).
 //!
 //! The library hosts what they share: the [`datasets`] registry (scaled
-//! stand-ins for the paper's real-world graphs — see DESIGN.md §3 for the
+//! stand-ins for the paper's real-world graphs — its module doc makes the
 //! substitution argument), the partitioner rosters ([`suite`]), table/TSV
 //! output ([`table`]), the command-line preamble ([`harness`]), the
 //! process-fleet launcher ([`fleet`]) and the lookup protocol ([`lookup`]).

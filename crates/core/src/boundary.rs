@@ -51,50 +51,20 @@ impl Boundary {
         self.heap.is_empty()
     }
 
-    /// Pop the `k` minimum-score vertices (Algorithm 4,
-    /// `popK-MinDrestVertices`). Returns fewer if the boundary runs dry.
-    pub fn pop_k_min(&mut self, k: usize) -> Vec<VertexId> {
-        let mut out = Vec::with_capacity(k.min(self.heap.len()));
-        while out.len() < k {
-            match self.heap.pop() {
-                Some(Reverse((_, v))) => out.push(v),
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Multi-expansion pop: `k = ⌈λ·|B_p|⌉`, at least 1 (Algorithm 4
-    /// line 5 with the λ→0 floor of Algorithm 1).
-    pub fn pop_lambda(&mut self, lambda: f64) -> Vec<VertexId> {
-        let k = ((lambda * self.heap.len() as f64).ceil() as usize).max(1);
-        self.pop_k_min(k)
-    }
-
-    /// Capacity-aware multi-expansion pop: like [`Boundary::pop_lambda`]
-    /// but only pops vertices whose join-time `D_rest` scores fit in
+    /// Capacity-aware multi-expansion pop: the `k = ⌈λ·|B_p|⌉` (at least
+    /// 1 — Algorithm 4 line 5 with the λ→0 floor of Algorithm 1)
+    /// minimum-score vertices (`popK-MinDrestVertices`, ties by vertex
+    /// id), but only while their join-time `D_rest` scores fit in
     /// `edge_budget` (the partition's remaining capacity). Join-time scores
     /// are upper bounds on the edges a one-hop expansion can allocate
     /// (rest degrees only shrink after the join), so the one-hop phase can
     /// never exceed the budget. Returns empty when even the cheapest
     /// boundary vertex does not fit — the partition's capacity is
     /// effectively exhausted (Equation 2's constraint, which the paper's
-    /// reported edge balance of ≈ α implies is enforced).
-    ///
-    /// `max_pops` additionally caps the number of vertices popped this
-    /// round (the frontier budget of
-    /// [`NeConfig`](crate::NeConfig::with_frontier_budget)), bounding the
-    /// per-iteration selection fan-out independently of `λ·|B_p|`. Pass
-    /// `u64::MAX` for the paper's unbounded behavior; any cap is floored
-    /// at one vertex so a non-empty boundary always makes progress.
-    pub fn pop_lambda_capped(
-        &mut self,
-        lambda: f64,
-        edge_budget: u64,
-        max_pops: u64,
-    ) -> Vec<VertexId> {
+    /// reported edge balance of ≈ α implies is enforced) — and fewer than
+    /// `k` when the boundary runs dry.
+    pub fn pop_lambda_capped(&mut self, lambda: f64, edge_budget: u64) -> Vec<VertexId> {
         let k = ((lambda * self.heap.len() as f64).ceil() as usize).max(1);
-        let k = k.min(usize::try_from(max_pops.max(1)).unwrap_or(usize::MAX));
         let mut out = Vec::new();
         let mut estimated = 0u64;
         while out.len() < k {
@@ -173,13 +143,16 @@ wire_struct!(BoundaryExport { heap, expanded, enqueued });
 mod tests {
     use super::*;
 
+    /// No capacity limit: the pop is `⌈λ·|B_p|⌉` minimum-score vertices.
+    const ANY: u64 = u64::MAX;
+
     #[test]
     fn pops_in_score_order() {
         let mut b = Boundary::new();
         b.insert(10, 5);
         b.insert(11, 1);
         b.insert(12, 3);
-        assert_eq!(b.pop_k_min(3), vec![11, 12, 10]);
+        assert_eq!(b.pop_lambda_capped(1.0, ANY), vec![11, 12, 10]);
         assert!(b.is_empty());
     }
 
@@ -187,7 +160,7 @@ mod tests {
     fn expanded_vertices_never_rejoin() {
         let mut b = Boundary::new();
         b.insert(1, 2);
-        assert_eq!(b.pop_k_min(1), vec![1]);
+        assert_eq!(b.pop_lambda_capped(1.0, ANY), vec![1]);
         b.insert(1, 0); // stale re-join attempt
         assert!(b.is_empty());
     }
@@ -198,7 +171,7 @@ mod tests {
         b.insert(7, 3);
         b.insert(7, 1);
         assert_eq!(b.len(), 1);
-        assert_eq!(b.pop_k_min(2), vec![7]);
+        assert_eq!(b.pop_lambda_capped(1.0, ANY), vec![7]);
     }
 
     #[test]
@@ -208,11 +181,24 @@ mod tests {
             b.insert(v, v);
         }
         // λ = 0.1 over 100 → 10 vertices.
-        assert_eq!(b.pop_lambda(0.1).len(), 10);
+        assert_eq!(b.pop_lambda_capped(0.1, ANY).len(), 10);
         // λ small → at least one.
-        assert_eq!(b.pop_lambda(1e-6).len(), 1);
+        assert_eq!(b.pop_lambda_capped(1e-6, ANY).len(), 1);
         // λ = 1.0 → everything left.
-        assert_eq!(b.pop_lambda(1.0).len(), 89);
+        assert_eq!(b.pop_lambda_capped(1.0, ANY).len(), 89);
+    }
+
+    #[test]
+    fn capacity_stops_the_pop_before_lambda_does() {
+        let mut b = Boundary::new();
+        for v in 0..10 {
+            b.insert(v, 3);
+        }
+        // λ asks for all ten; a budget of 10 fits three 3-edge vertices.
+        assert_eq!(b.pop_lambda_capped(1.0, 10), vec![0, 1, 2]);
+        // Even the cheapest does not fit: nothing is popped.
+        assert!(b.pop_lambda_capped(1.0, 2).is_empty());
+        assert_eq!(b.len(), 7);
     }
 
     #[test]
@@ -220,6 +206,6 @@ mod tests {
         let mut b = Boundary::new();
         b.insert(5, 2);
         b.insert(3, 2);
-        assert_eq!(b.pop_k_min(2), vec![3, 5]);
+        assert_eq!(b.pop_lambda_capped(1.0, ANY), vec![3, 5]);
     }
 }

@@ -81,11 +81,6 @@ pub struct NeConfig {
     /// restarts. Equal seeds ⇒ identical partitions (the runtime's
     /// lock-step exchanges make the whole algorithm deterministic).
     pub seed: u64,
-    /// Consecutive no-progress iterations tolerated before the leftover
-    /// trickle kicks in (isolated edges assigned to the least-loaded
-    /// partition). The paper leaves this corner unspecified; see DESIGN.md
-    /// §6.5.
-    pub stall_limit: u32,
     /// Transport backend of the simulated cluster: `Loopback` moves
     /// messages by pointer with estimated byte accounting, `Bytes` really
     /// serializes every envelope and charges exact bytes, `Tcp` carries
@@ -109,14 +104,6 @@ pub struct NeConfig {
     /// time (disabled when unset), so constructing a config never touches
     /// the environment.
     pub comm_batch: Option<BatchConfig>,
-    /// Cap on boundary vertices expanded per iteration (the frontier
-    /// budget). Multi-expansion normally pops `⌈λ·|B_p|⌉` vertices; on a
-    /// memory-constrained machine running out-of-core storage that
-    /// fan-out — and the selection/allocation traffic it generates — is
-    /// the dominant transient working set, so bounding it trades
-    /// iterations for peak memory. `None` (the default) keeps the paper's
-    /// unbounded behavior and bit-identical results.
-    pub frontier_budget: Option<u64>,
     /// Per-round checkpointing of the machine state for elastic fault
     /// tolerance (see [`crate::snapshot`]). `None` (the default) resolves
     /// `DNE_CHECKPOINT_EVERY` / `DNE_CHECKPOINT_DIR` at partition time
@@ -138,11 +125,9 @@ impl Default for NeConfig {
             alpha: 1.1,
             lambda: 0.1,
             seed: 0,
-            stall_limit: 3,
             transport: None,
             collectives: None,
             comm_batch: None,
-            frontier_budget: None,
             checkpoint: None,
             fault_round: None,
         }
@@ -207,14 +192,6 @@ impl NeConfig {
     /// was made, otherwise whatever `DNE_COMM_BATCH` says right now.
     pub fn resolved_comm_batch(&self) -> BatchConfig {
         self.comm_batch.unwrap_or_else(BatchConfig::from_env)
-    }
-
-    /// Cap the number of boundary vertices expanded per iteration (must be
-    /// at least 1). See [`NeConfig::frontier_budget`].
-    pub fn with_frontier_budget(mut self, budget: u64) -> Self {
-        assert!(budget >= 1, "frontier budget must be at least 1");
-        self.frontier_budget = Some(budget);
-        self
     }
 
     /// Checkpoint the machine state every `every` rounds into `dir`

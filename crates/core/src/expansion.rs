@@ -91,24 +91,12 @@ pub struct ExpansionState {
     pub limit: u64,
     /// Expansion factor λ.
     pub lambda: f64,
-    /// Cap on boundary vertices expanded per iteration (`u64::MAX` =
-    /// unbounded, the paper's behavior). See
-    /// [`NeConfig::with_frontier_budget`](crate::NeConfig::with_frontier_budget).
-    pub frontier_budget: u64,
 }
 
 impl ExpansionState {
-    /// Fresh state for partition `part` with capacity `limit` and an
-    /// unbounded frontier budget.
+    /// Fresh state for partition `part` with capacity `limit`.
     pub fn new(part: Part, limit: u64, lambda: f64) -> Self {
-        Self {
-            part,
-            boundary: Boundary::new(),
-            edges: Vec::new(),
-            limit,
-            lambda,
-            frontier_budget: u64::MAX,
-        }
+        Self { part, boundary: Boundary::new(), edges: Vec::new(), limit, lambda }
     }
 
     /// Size `edges` once for the whole run of a `num_edges`-edge graph:
@@ -150,7 +138,7 @@ impl ExpansionState {
         }
         let budget = self.limit - self.size();
         if !self.boundary.is_empty() {
-            let vs = self.boundary.pop_lambda_capped(self.lambda, budget, self.frontier_budget);
+            let vs = self.boundary.pop_lambda_capped(self.lambda, budget);
             if !vs.is_empty() {
                 return SelectAction::Vertices { vertices: vs };
             }

@@ -26,6 +26,15 @@ pub struct DistributedNe {
     config: NeConfig,
 }
 
+/// Consecutive no-progress rounds tolerated before the leftover trickle:
+/// once `Σ|E_p|` has not moved for this many rounds, every partition is
+/// full or starved while isolated edges remain, and each allocator hands
+/// its free edges to the globally least-loaded partitions in one last
+/// exchange (the `state.stall >= STALL_LIMIT` branch of
+/// [`DistributedNe::run_machine`]). The paper leaves this corner
+/// unspecified.
+const STALL_LIMIT: u32 = 3;
+
 /// One machine's initial-deployment bucket: `(global edge id, u, v)`
 /// triplets, self-contained so the machine never reads back through the
 /// (possibly out-of-core) graph.
@@ -310,7 +319,6 @@ impl DistributedNe {
         alloc.ensure_parts(kk);
         let limit = (self.config.alpha * m as f64 / k as f64).ceil() as u64;
         let mut exp = ExpansionState::new(rank as Part, limit, self.config.lambda);
-        exp.frontier_budget = self.config.frontier_budget.unwrap_or(u64::MAX);
         let checkpoint = self.config.resolved_checkpoint();
         let fault_round = self.config.resolved_fault_round();
         let header =
@@ -464,7 +472,7 @@ impl DistributedNe {
             // whenever this round could enter the leftover trickle — the
             // run is ending, so there is no next round to pre-compute.
             let pending = ctx.try_start_all_gather_u64(exp.size())?;
-            if state.stall + 1 < self.config.stall_limit {
+            if state.stall + 1 < STALL_LIMIT {
                 let t4 = Instant::now();
                 state.next_select =
                     NextSelect(Some(exp.select(rank, alloc.free_edges, &state.free_hints)));
@@ -482,8 +490,8 @@ impl DistributedNe {
                 state.stall = 0;
             }
             state.prev_total = total;
-            if state.stall >= self.config.stall_limit {
-                // Leftover trickle (DESIGN.md §6.5): every partition is full
+            if state.stall >= STALL_LIMIT {
+                // Leftover trickle (see `STALL_LIMIT`): every partition is full
                 // or starved while isolated edges remain — assign them to
                 // the globally least-loaded partitions and finish.
                 // Deficit-directed leftover distribution: each allocator

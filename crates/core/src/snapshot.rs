@@ -709,15 +709,15 @@ mod tests {
         for v in 0..50u64 {
             b.insert(v * 3 % 47, v % 7);
         }
-        let _ = b.pop_k_min(5);
+        assert_eq!(b.pop_lambda_capped(0.1, u64::MAX).len(), 5);
         let rebuilt = Boundary::from_export(b.export()).unwrap();
         let mut a = b;
         let mut c = rebuilt;
-        // Interleave the capped and plain pops: sequences must agree step
-        // by step until both run dry.
+        // Capacity-capped pops: sequences must agree step by step until
+        // both run dry.
         loop {
-            let pa = a.pop_lambda_capped(0.3, 100, 4);
-            let pc = c.pop_lambda_capped(0.3, 100, 4);
+            let pa = a.pop_lambda_capped(0.3, 100);
+            let pc = c.pop_lambda_capped(0.3, 100);
             assert_eq!(pa, pc);
             if pa.is_empty() {
                 break;
@@ -740,7 +740,7 @@ mod tests {
         for v in 0..6u64 {
             exp.boundary.insert(v, 6 - v);
         }
-        assert_eq!(exp.boundary.pop_k_min(2), vec![5, 4]);
+        assert_eq!(exp.boundary.pop_lambda_capped(0.3, u64::MAX), vec![5, 4]);
         let header = SnapshotHeader::new(1, 4, run_fingerprint(g.num_edges(), 4, 3));
         let snap = RankSnapshot::capture(header, &sample_snapshot().state, &exp, &alloc);
         assert_eq!(snap.boundary.expanded, vec![4, 5]);

@@ -1,5 +1,6 @@
-//! The simulated cluster: spawn P "machines", wire them together over the
-//! selected transport backend, run a per-rank closure, join the results.
+//! The simulated cluster: spawn P "machines", wire them together with one
+//! mesh of the selected transport backend, run a per-rank closure, join
+//! the results.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -11,8 +12,9 @@ use crate::stats::CommStats;
 use crate::transport::{BatchConfig, TransportError, TransportKind};
 use crate::wire::{WireDecode, WireEncode};
 
-/// Handle given to each simulated machine: its rank, the interconnect, the
-/// collectives, and the accounting hooks.
+/// Handle given to each simulated machine: its rank, its one endpoint of
+/// the interconnect, the collective schedule run over it, and the
+/// accounting hooks.
 ///
 /// Every messaging primitive comes in two flavors: a `try_`-prefixed
 /// fallible form returning `Result<_, TransportError>` (what per-rank
@@ -91,7 +93,7 @@ impl<M: Send + WireEncode + WireDecode + 'static> Ctx<M> {
     /// round: call it mid-computation so frames are decoded while the CPU
     /// would otherwise idle in the next blocking collect.
     pub fn try_drain_ready(&mut self) -> Result<usize, TransportError> {
-        Ok(self.comm.drain_ready()? + self.coll.drain_ready()?)
+        self.comm.drain_ready()
     }
 
     /// Begin an all-gather without collecting it (see
@@ -104,7 +106,7 @@ impl<M: Send + WireEncode + WireDecode + 'static> Ctx<M> {
         &mut self,
         value: u64,
     ) -> Result<PendingGather, TransportError> {
-        self.coll.start_all_gather_u64(value)
+        self.coll.start_all_gather_u64(&self.comm, value)
     }
 
     /// Complete an all-gather begun by [`Ctx::try_start_all_gather_u64`].
@@ -113,7 +115,7 @@ impl<M: Send + WireEncode + WireDecode + 'static> Ctx<M> {
         &mut self,
         pending: PendingGather,
     ) -> Result<Vec<u64>, TransportError> {
-        self.coll.finish_all_gather_u64(pending)
+        self.coll.finish_all_gather_u64(&self.comm, pending)
     }
 
     /// Lock-step all-to-all: send one message to every rank (produced by
@@ -142,7 +144,7 @@ impl<M: Send + WireEncode + WireDecode + 'static> Ctx<M> {
     /// MPI-style barrier across all machines.
     #[inline]
     pub fn try_barrier(&mut self) -> Result<(), TransportError> {
-        self.coll.barrier()
+        self.try_all_gather_u64(0).map(drop)
     }
 
     /// Infallible [`Ctx::try_barrier`]; panics on transport failure.
@@ -151,10 +153,14 @@ impl<M: Send + WireEncode + WireDecode + 'static> Ctx<M> {
         self.try_barrier().unwrap_or_else(|e| self.bail(e));
     }
 
-    /// All-gather one `u64` per machine.
+    /// All-gather one `u64` per machine, returned indexed by rank —
+    /// identical under every topology. Every reduction below is a fold of
+    /// this vector in rank order, which is what makes them bit-identical
+    /// across topologies (`f64` sums included).
     #[inline]
     pub fn try_all_gather_u64(&mut self, value: u64) -> Result<Vec<u64>, TransportError> {
-        self.coll.all_gather_u64(value)
+        let pending = self.try_start_all_gather_u64(value)?;
+        self.try_finish_all_gather_u64(pending)
     }
 
     /// Infallible [`Ctx::try_all_gather_u64`]; panics on transport failure.
@@ -169,7 +175,7 @@ impl<M: Send + WireEncode + WireDecode + 'static> Ctx<M> {
     /// Sum-reduce a `u64` across machines (paper's `AllGatherSum`).
     #[inline]
     pub fn try_all_reduce_sum_u64(&mut self, value: u64) -> Result<u64, TransportError> {
-        self.coll.all_reduce_sum_u64(value)
+        Ok(self.try_all_gather_u64(value)?.iter().sum())
     }
 
     /// Infallible [`Ctx::try_all_reduce_sum_u64`]; panics on failure.
@@ -184,7 +190,7 @@ impl<M: Send + WireEncode + WireDecode + 'static> Ctx<M> {
     /// Max-reduce a `u64` across machines.
     #[inline]
     pub fn try_all_reduce_max_u64(&mut self, value: u64) -> Result<u64, TransportError> {
-        self.coll.all_reduce_max_u64(value)
+        Ok(self.try_all_gather_u64(value)?.into_iter().max().unwrap_or(0))
     }
 
     /// Infallible [`Ctx::try_all_reduce_max_u64`]; panics on failure.
@@ -196,10 +202,10 @@ impl<M: Send + WireEncode + WireDecode + 'static> Ctx<M> {
         }
     }
 
-    /// Sum-reduce an `f64` across machines.
+    /// Sum-reduce an `f64` across machines (transported via bit pattern).
     #[inline]
     pub fn try_all_reduce_sum_f64(&mut self, value: f64) -> Result<f64, TransportError> {
-        self.coll.all_reduce_sum_f64(value)
+        Ok(self.try_all_gather_u64(value.to_bits())?.iter().map(|&b| f64::from_bits(b)).sum())
     }
 
     /// Infallible [`Ctx::try_all_reduce_sum_f64`]; panics on failure.
@@ -214,7 +220,7 @@ impl<M: Send + WireEncode + WireDecode + 'static> Ctx<M> {
     /// OR-reduce a `bool` across machines.
     #[inline]
     pub fn try_all_reduce_any(&mut self, value: bool) -> Result<bool, TransportError> {
-        self.coll.all_reduce_any(value)
+        Ok(self.try_all_reduce_sum_u64(value as u64)? > 0)
     }
 
     /// Infallible [`Ctx::try_all_reduce_any`]; panics on failure.
@@ -256,9 +262,9 @@ pub struct Cluster {
     /// (and can never be broken by) the environment.
     collectives: Option<CollectiveTopology>,
     /// `None` resolves `DNE_COMM_BATCH` lazily at [`Cluster::run`] time —
-    /// the same pattern as `collectives`. Applies to the point-to-point
-    /// fabric only; collectives always run unbatched (their cost model is
-    /// exact per-message).
+    /// the same pattern as `collectives`. Applies to point-to-point
+    /// messages only; collective blocks are never coalesced (their cost
+    /// model is exact per-message).
     comm_batch: Option<BatchConfig>,
 }
 
@@ -338,22 +344,18 @@ impl Cluster {
     {
         let stats = CommStats::new(self.nprocs);
         let mem = MemoryTracker::new(self.nprocs);
+        let topology = self.collectives();
         let endpoints = CommEndpoint::<M>::fabric(
             self.transport,
             self.nprocs,
             self.comm_batch(),
             Arc::clone(&stats),
         );
-        let collectives = Collectives::fabric(
-            self.transport,
-            self.collectives(),
-            self.nprocs,
-            Arc::clone(&stats),
-        );
         let start = Instant::now();
         let results: Vec<R> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.nprocs);
-            for (comm, coll) in endpoints.into_iter().zip(collectives) {
+            for comm in endpoints {
+                let coll = Collectives::new(topology, comm.rank(), self.nprocs);
                 let mem = Arc::clone(&mem);
                 let f = &f;
                 handles.push(scope.spawn(move || {

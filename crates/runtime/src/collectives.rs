@@ -4,9 +4,10 @@
 //! Algorithm 1 of the paper uses `Barrier()` (line 9) and
 //! `AllGatherSum(|Ep|)` (line 14) every iteration; the application engine
 //! uses all-reduce for convergence/frontier checks. Collectives are built
-//! as *real traffic* over the same [`Transport`] fabric as point-to-point
-//! messages, so every backend (loopback / bytes / tcp) gets every topology
-//! for free.
+//! as *real traffic* over the very link that carries the point-to-point
+//! messages — each block rides the collective lane of the rank's one
+//! [`CommEndpoint`], as the MPI code runs both over one communicator — so
+//! every backend (loopback / bytes / tcp) gets every topology for free.
 //!
 //! # Topologies
 //!
@@ -37,30 +38,34 @@
 //!   post-step — the classic recursive-doubling edge case, covered by
 //!   property tests.
 //!
-//! Every reduction (`sum`, `max`, `any`, `f64` sum) is a fold of the
-//! all-gathered vector *in rank order*, identical code under every
-//! topology — which is what makes results (including `f64` sums, where
-//! association order changes bits) **bit-identical** across topologies.
+//! Every reduction (`sum`, `max`, `any`, `f64` sum — the `Ctx` methods) is
+//! a fold of the all-gathered vector *in rank order*, identical code under
+//! every topology — which is what makes results (including `f64` sums,
+//! where association order changes bits) **bit-identical** across
+//! topologies.
 //!
 //! # Wire format and accounting
 //!
 //! Collective rounds travel as [`CollMsg`]: a packed block of `u64` words
 //! with *no* length prefix (the frame's payload length already determines
-//! the word count), so a one-word flat round costs exactly 8 wire bytes —
-//! the same accounting as before topologies existed. Exact per-rank costs
+//! the word count; a header flag marks the lane), so a one-word flat round
+//! costs exactly 8 wire bytes — the same accounting as before topologies
+//! existed. Blocks are never coalesced, whatever `DNE_COMM_BATCH` says. Exact per-rank costs
 //! for every topology are published by
 //! [`CollectiveTopology::rank_traffic`] /
 //! [`CollectiveTopology::total_traffic`] — sums over the sends of the
 //! schedule the executor runs, so the two cannot disagree — which the
-//! unit, property, and equivalence tests check measured [`CommStats`]
+//! unit, property, and equivalence tests check measured [`CommStats`](crate::CommStats)
 //! against; the closed forms and a literal table of totals in
 //! `ARCHITECTURE.md` and `tests/collective_equivalence.rs` pin them
 //! independently.
 //!
 //! Round alignment comes from the same argument as
-//! [`crate::Ctx::exchange`]: per-link FIFO order plus a deterministic
-//! per-topology schedule (each receive names its source) keeps
-//! back-to-back collectives race-free even when peers run ahead.
+//! [`crate::Ctx::exchange`]: per-link FIFO order within the collective lane
+//! plus a deterministic per-topology schedule (each receive names its
+//! source) keeps back-to-back collectives race-free even when peers run
+//! ahead — and application messages interleaved on the link wait in their
+//! own lane.
 //!
 //! Topology selection mirrors transport selection: the `DNE_COLLECTIVES`
 //! environment variable (`flat` | `tree` | `recursive-doubling`), or
@@ -75,14 +80,12 @@
 //! reported once the fabric is torn down.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use crate::comm::CommEndpoint;
-use crate::stats::CommStats;
-use crate::transport::{BatchConfig, Transport, TransportError, TransportKind};
+use crate::transport::TransportError;
 use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireSize};
 
-/// Wire message of the collectives fabric: a packed block of `u64` words
+/// Wire message of the collective lane: a packed block of `u64` words
 /// with **no** length prefix. The enclosing frame already carries the
 /// payload length, so the word count is `payload_len / 8` — a one-word
 /// collective round costs exactly 8 wire bytes. Because decoding consumes
@@ -256,7 +259,7 @@ impl CollectiveTopology {
     /// Exact `(bytes, messages)` one collective charges to `rank` in a
     /// `p`-rank fabric. This is the published cost model, derived from the
     /// very schedule the executor runs (8 bytes per word of every send);
-    /// the test suites assert measured [`CommStats`] against sums of this
+    /// the test suites assert measured [`CommStats`](crate::CommStats) against sums of this
     /// function and pin its totals to a literal table.
     pub fn rank_traffic(self, rank: usize, p: usize) -> (u64, u64) {
         self.schedule(rank, p).iter().fold((0, 0), |(bytes, msgs), step| match step {
@@ -329,72 +332,23 @@ pub struct PendingGather {
     words: Vec<u64>,
 }
 
-/// Per-rank collective-communication endpoint for one cluster run.
+/// One rank's collective schedule and its executor: the all-gather runs
+/// over whatever [`CommEndpoint`] it is handed, and owns no link of its
+/// own.
 pub struct Collectives {
-    comm: CommEndpoint<CollMsg>,
-    topology: CollectiveTopology,
     /// This rank's [`CollectiveTopology::schedule`], computed once.
     schedule: Vec<Step>,
     /// How many sends lead the schedule, ahead of its first receive.
     leading_sends: usize,
-    stats: Arc<CommStats>,
 }
 
 impl Collectives {
-    /// Build the `n` connected collective endpoints of a run at once,
-    /// sharing the run's byte accounting and aggregation topology.
-    pub fn fabric(
-        kind: TransportKind,
-        topology: CollectiveTopology,
-        n: usize,
-        stats: Arc<CommStats>,
-    ) -> Vec<Collectives> {
-        // Collectives always run unbatched: their cost model publishes
-        // exact per-rank frame-per-message traffic, and a one-word block
-        // gains nothing from coalescing anyway.
-        kind.fabric(n, BatchConfig::disabled(), Arc::clone(&stats))
-            .into_iter()
-            .map(|link| Collectives::from_transport(link, topology, Arc::clone(&stats)))
-            .collect()
-    }
-
-    /// Wrap a single already-connected transport endpoint — how a worker
-    /// process in a real multi-process cluster (see [`crate::tcp`])
-    /// builds its collectives handle.
-    pub fn from_transport(
-        link: Box<dyn Transport<CollMsg>>,
-        topology: CollectiveTopology,
-        stats: Arc<CommStats>,
-    ) -> Collectives {
-        let schedule = topology.schedule(link.rank(), link.nprocs());
+    /// The executor of `topology` for rank `rank` of an `nprocs`-rank
+    /// session.
+    pub fn new(topology: CollectiveTopology, rank: usize, nprocs: usize) -> Collectives {
+        let schedule = topology.schedule(rank, nprocs);
         let leading_sends = schedule.iter().take_while(|s| matches!(s, Step::Send(..))).count();
-        let comm = CommEndpoint::from_transport(link, Arc::clone(&stats));
-        Collectives { comm, topology, schedule, leading_sends, stats }
-    }
-
-    /// This endpoint's rank.
-    #[inline]
-    pub fn rank(&self) -> usize {
-        self.comm.rank()
-    }
-
-    /// Number of participants.
-    #[inline]
-    pub fn nprocs(&self) -> usize {
-        self.comm.nprocs()
-    }
-
-    /// The aggregation topology this endpoint runs.
-    #[inline]
-    pub fn topology(&self) -> CollectiveTopology {
-        self.topology
-    }
-
-    /// All-gather: contribute `value`, receive the full vector of
-    /// contributions indexed by rank — identical under every topology.
-    pub fn all_gather_u64(&mut self, value: u64) -> Result<Vec<u64>, TransportError> {
-        let pending = self.start_all_gather_u64(value)?;
-        self.finish_all_gather_u64(pending)
+        Collectives { schedule, leading_sends }
     }
 
     /// Begin an all-gather without collecting it: the collective round is
@@ -404,120 +358,91 @@ impl Collectives {
     /// recursive doubling. The caller overlaps computation with the
     /// in-flight round, then calls [`Collectives::finish_all_gather_u64`].
     /// One `start` must be finished before the next collective begins;
-    /// results and accounting are bit-identical to the one-shot
-    /// [`Collectives::all_gather_u64`] (which is itself start + finish).
-    pub fn start_all_gather_u64(&mut self, value: u64) -> Result<PendingGather, TransportError> {
-        self.stats.record_collective(self.rank());
-        let mut words = vec![0; self.nprocs()];
-        words[self.rank()] = value;
-        self.run_schedule(&mut words, 0..self.leading_sends)?;
-        self.comm.flush()?;
+    /// start + finish is the whole all-gather.
+    pub fn start_all_gather_u64<M>(
+        &self,
+        comm: &CommEndpoint<M>,
+        value: u64,
+    ) -> Result<PendingGather, TransportError>
+    where
+        M: Send + WireEncode + WireDecode + 'static,
+    {
+        comm.record_collective();
+        let mut words = vec![0; comm.nprocs()];
+        words[comm.rank()] = value;
+        self.run_schedule(comm, &mut words, 0..self.leading_sends)?;
         Ok(PendingGather { words })
     }
 
     /// Complete an all-gather begun by
     /// [`Collectives::start_all_gather_u64`], returning the rank-indexed
-    /// contribution vector.
-    pub fn finish_all_gather_u64(
-        &mut self,
+    /// contribution vector — identical under every topology.
+    pub fn finish_all_gather_u64<M>(
+        &self,
+        comm: &CommEndpoint<M>,
         mut pending: PendingGather,
-    ) -> Result<Vec<u64>, TransportError> {
-        self.run_schedule(&mut pending.words, self.leading_sends..self.schedule.len())?;
+    ) -> Result<Vec<u64>, TransportError>
+    where
+        M: Send + WireEncode + WireDecode + 'static,
+    {
+        self.run_schedule(comm, &mut pending.words, self.leading_sends..self.schedule.len())?;
         Ok(pending.words)
     }
 
     /// The one executor: run the given steps of this rank's schedule over
     /// the rank-indexed buffer `words`.
-    fn run_schedule(
-        &mut self,
+    fn run_schedule<M>(
+        &self,
+        comm: &CommEndpoint<M>,
         words: &mut [u64],
         steps: Range<usize>,
-    ) -> Result<(), TransportError> {
+    ) -> Result<(), TransportError>
+    where
+        M: Send + WireEncode + WireDecode + 'static,
+    {
         for step in &self.schedule[steps] {
             match step {
                 Step::Send(peer, ranks) => {
-                    self.comm.send(*peer, CollMsg(words[ranks.clone()].to_vec()))?;
+                    comm.send_block(*peer, CollMsg(words[ranks.clone()].to_vec()))?;
                 }
                 Step::Recv(peer, ranks) => {
-                    let block = expect_words(self.comm.recv_from(*peer)?, ranks.len(), *peer)?;
+                    let block = expect_words(comm.recv_block_from(*peer)?, ranks.len(), *peer)?;
                     words[ranks.clone()].copy_from_slice(&block);
                 }
             }
         }
         Ok(())
     }
-
-    /// Drain whatever collective traffic is already deliverable into this
-    /// endpoint's buffers without blocking — the eager-recv half of an
-    /// overlapped round; returns how many blocks arrived.
-    pub fn drain_ready(&mut self) -> Result<usize, TransportError> {
-        self.comm.drain_ready()
-    }
-
-    /// Barrier: returns once every participant has arrived.
-    pub fn barrier(&mut self) -> Result<(), TransportError> {
-        self.all_gather_u64(0).map(|_| ())
-    }
-
-    /// Sum-reduce a `u64` across all participants.
-    pub fn all_reduce_sum_u64(&mut self, value: u64) -> Result<u64, TransportError> {
-        Ok(self.all_gather_u64(value)?.iter().sum())
-    }
-
-    /// Max-reduce a `u64` across all participants.
-    pub fn all_reduce_max_u64(&mut self, value: u64) -> Result<u64, TransportError> {
-        Ok(self.all_gather_u64(value)?.into_iter().max().unwrap_or(0))
-    }
-
-    /// Sum-reduce an `f64` (transported via bit pattern, summed at the
-    /// reader in rank order — bit-identical under every topology).
-    pub fn all_reduce_sum_f64(&mut self, value: f64) -> Result<f64, TransportError> {
-        Ok(self.all_gather_u64(value.to_bits())?.iter().map(|&b| f64::from_bits(b)).sum())
-    }
-
-    /// Logical OR across participants (any participant true ⇒ all see true).
-    pub fn all_reduce_any(&mut self, value: bool) -> Result<bool, TransportError> {
-        Ok(self.all_reduce_sum_u64(value as u64)? > 0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BatchConfig, Cluster, CommStats, Ctx, TransportKind};
 
     const ALL: [TransportKind; 3] = TransportKind::ALL;
     const TOPOLOGIES: [CollectiveTopology; 3] = CollectiveTopology::ALL;
 
-    fn run_on(
-        kind: TransportKind,
-        topo: CollectiveTopology,
-        n: usize,
-        f: impl Fn(usize, &mut Collectives) + Sync,
-    ) {
-        let stats = CommStats::new(n);
-        let fabric = Collectives::fabric(kind, topo, n, stats);
-        std::thread::scope(|s| {
-            for mut coll in fabric {
-                let f = &f;
-                s.spawn(move || f(coll.rank(), &mut coll));
-            }
-        });
+    /// A `kind`/`topo` cluster of `n` ranks.
+    fn cluster(kind: TransportKind, topo: CollectiveTopology, n: usize) -> Cluster {
+        Cluster::with_transport(n, kind).with_collectives(topo)
     }
 
-    /// Run the same program on every (transport × topology) pair.
-    fn all(n: usize, f: impl Fn(usize, &mut Collectives) + Sync) {
+    /// Run the same program on every (transport × topology) pair; `f`
+    /// gets the pair's label.
+    fn all(n: usize, f: impl Fn(&str, &mut Ctx<u64>) + Sync) {
         for kind in ALL {
             for topo in TOPOLOGIES {
-                run_on(kind, topo, n, &f);
+                cluster(kind, topo, n).run(|ctx| f(&format!("{kind}/{topo}"), ctx));
             }
         }
     }
 
     #[test]
     fn all_gather_returns_rank_indexed_values() {
-        all(4, |rank, coll| {
-            let got = coll.all_gather_u64((rank * 10) as u64).unwrap();
-            assert_eq!(got, vec![0, 10, 20, 30], "{}", coll.topology());
+        all(4, |label, ctx| {
+            let got = ctx.all_gather_u64((ctx.rank() * 10) as u64);
+            assert_eq!(got, vec![0, 10, 20, 30], "{label}");
         });
     }
 
@@ -526,19 +451,19 @@ mod tests {
         // P = 5 and 7: the recursive-doubling fold/unfold and the ragged
         // binomial tree must still deliver the full rank-indexed vector.
         for n in [2, 3, 5, 6, 7] {
-            all(n, |rank, coll| {
-                let got = coll.all_gather_u64(100 + rank as u64).unwrap();
-                let want: Vec<u64> = (0..coll.nprocs() as u64).map(|r| 100 + r).collect();
-                assert_eq!(got, want, "P={n} {}", coll.topology());
+            all(n, |label, ctx| {
+                let got = ctx.all_gather_u64(100 + ctx.rank() as u64);
+                let want: Vec<u64> = (0..ctx.nprocs() as u64).map(|r| 100 + r).collect();
+                assert_eq!(got, want, "P={n} {label}");
             });
         }
     }
 
     #[test]
     fn repeated_rounds_do_not_mix() {
-        all(3, |rank, coll| {
+        all(3, |_, ctx| {
             for round in 0..50u64 {
-                let got = coll.all_gather_u64(round * 100 + rank as u64).unwrap();
+                let got = ctx.all_gather_u64(round * 100 + ctx.rank() as u64);
                 assert_eq!(got, vec![round * 100, round * 100 + 1, round * 100 + 2]);
             }
         });
@@ -546,22 +471,23 @@ mod tests {
 
     #[test]
     fn reductions() {
-        all(4, |rank, coll| {
-            assert_eq!(coll.all_reduce_sum_u64(2).unwrap(), 8);
-            assert_eq!(coll.all_reduce_max_u64(rank as u64).unwrap(), 3);
-            let s = coll.all_reduce_sum_f64(0.5).unwrap();
+        all(4, |_, ctx| {
+            let rank = ctx.rank();
+            assert_eq!(ctx.all_reduce_sum_u64(2), 8);
+            assert_eq!(ctx.all_reduce_max_u64(rank as u64), 3);
+            let s = ctx.all_reduce_sum_f64(0.5);
             assert!((s - 2.0).abs() < 1e-12);
-            assert!(coll.all_reduce_any(rank == 2).unwrap());
-            assert!(!coll.all_reduce_any(false).unwrap());
+            assert!(ctx.all_reduce_any(rank == 2));
+            assert!(!ctx.all_reduce_any(false));
         });
     }
 
     #[test]
     fn single_process_collectives_are_identity() {
-        all(1, |_rank, coll| {
-            assert_eq!(coll.all_gather_u64(9).unwrap(), vec![9]);
-            assert_eq!(coll.all_reduce_sum_u64(9).unwrap(), 9);
-            coll.barrier().unwrap();
+        all(1, |_, ctx| {
+            assert_eq!(ctx.all_gather_u64(9), vec![9]);
+            assert_eq!(ctx.all_reduce_sum_u64(9), 9);
+            ctx.barrier();
         });
     }
 
@@ -631,13 +557,7 @@ mod tests {
         for kind in ALL {
             for topo in TOPOLOGIES {
                 for n in [1usize, 2, 3, 4, 5] {
-                    let stats = CommStats::new(n);
-                    let fabric = Collectives::fabric(kind, topo, n, stats.clone());
-                    std::thread::scope(|s| {
-                        for mut coll in fabric {
-                            s.spawn(move || coll.barrier().unwrap());
-                        }
-                    });
+                    let stats = cluster(kind, topo, n).run::<u64, _, _>(|ctx| ctx.barrier()).comm;
                     for rank in 0..n {
                         let (bytes, msgs) = topo.rank_traffic(rank, n);
                         assert_eq!(
@@ -666,16 +586,17 @@ mod tests {
         // what the one-shot gather returns, on every pair and at awkward
         // P, including back-to-back overlapped rounds.
         for n in [1, 2, 3, 5] {
-            all(n, |rank, coll| {
+            all(n, |label, ctx| {
                 for round in 0..10u64 {
-                    let pending = coll.start_all_gather_u64(round * 100 + rank as u64).unwrap();
+                    let value = round * 100 + ctx.rank() as u64;
+                    let pending = ctx.try_start_all_gather_u64(value).unwrap();
                     // "Computation" while the round is in flight, plus an
                     // eager drain of whatever already arrived.
-                    let _ = coll.drain_ready().unwrap();
-                    let got = coll.finish_all_gather_u64(pending).unwrap();
+                    let _ = ctx.try_drain_ready().unwrap();
+                    let got = ctx.try_finish_all_gather_u64(pending).unwrap();
                     let want: Vec<u64> =
-                        (0..coll.nprocs() as u64).map(|r| round * 100 + r).collect();
-                    assert_eq!(got, want, "P={n} round {round} {}", coll.topology());
+                        (0..ctx.nprocs() as u64).map(|r| round * 100 + r).collect();
+                    assert_eq!(got, want, "P={n} round {round} {label}");
                 }
             });
         }
@@ -683,21 +604,12 @@ mod tests {
 
     #[test]
     fn split_all_gather_charges_exactly_one_collective_round() {
-        let stats = CommStats::new(3);
-        let fabric = Collectives::fabric(
-            TransportKind::Loopback,
-            CollectiveTopology::Flat,
-            3,
-            stats.clone(),
-        );
-        std::thread::scope(|s| {
-            for mut coll in fabric {
-                s.spawn(move || {
-                    let pending = coll.start_all_gather_u64(1).unwrap();
-                    coll.finish_all_gather_u64(pending).unwrap();
-                });
-            }
-        });
+        let stats = cluster(TransportKind::Loopback, CollectiveTopology::Flat, 3)
+            .run::<u64, _, _>(|ctx| {
+                let pending = ctx.try_start_all_gather_u64(1).unwrap();
+                ctx.try_finish_all_gather_u64(pending).unwrap();
+            })
+            .comm;
         assert_eq!(stats.total_collective_rounds(), 3, "one round per rank, recorded at start");
         let (bytes, msgs) = CollectiveTopology::Flat.total_traffic(3);
         assert_eq!((stats.total_bytes(), stats.total_msgs()), (bytes, msgs));
@@ -721,11 +633,12 @@ mod tests {
     fn single_process_collectives_are_free() {
         for kind in [TransportKind::Bytes, TransportKind::Tcp] {
             for topo in TOPOLOGIES {
-                let stats = CommStats::new(1);
-                let fabric = Collectives::fabric(kind, topo, 1, stats.clone());
-                let mut coll = fabric.into_iter().next().unwrap();
-                coll.barrier().unwrap();
-                assert_eq!(coll.all_gather_u64(3).unwrap(), vec![3]);
+                let stats = cluster(kind, topo, 1)
+                    .run::<u64, _, _>(|ctx| {
+                        ctx.barrier();
+                        assert_eq!(ctx.all_gather_u64(3), vec![3]);
+                    })
+                    .comm;
                 assert_eq!(
                     stats.total_bytes(),
                     0,
@@ -740,13 +653,18 @@ mod tests {
         // Rank 1 goes away before contributing its word: rank 0's
         // all-gather must surface a typed transport error instead of
         // blocking forever or panicking mid-collective.
-        let stats = CommStats::new(2);
-        let mut fabric =
-            Collectives::fabric(TransportKind::Tcp, CollectiveTopology::Flat, 2, stats);
-        let one = fabric.pop().expect("rank 1");
-        let mut zero = fabric.pop().expect("rank 0");
-        drop(one);
-        let err = zero.all_gather_u64(1).unwrap_err();
+        let mut fabric = CommEndpoint::<u64>::fabric(
+            TransportKind::Tcp,
+            2,
+            BatchConfig::disabled(),
+            CommStats::new(2),
+        );
+        drop(fabric.pop().expect("rank 1"));
+        let zero = fabric.pop().expect("rank 0");
+        let coll = Collectives::new(CollectiveTopology::Flat, 0, 2);
+        let err =
+            coll.start_all_gather_u64(&zero, 1).and_then(|p| coll.finish_all_gather_u64(&zero, p));
+        let err = err.unwrap_err();
         assert!(matches!(err, TransportError::Disconnected { .. }), "{err}");
     }
 

@@ -1,39 +1,65 @@
-//! Point-to-point FIFO messaging between simulated machines.
+//! Point-to-point FIFO messaging between simulated machines, on the one
+//! link per rank that also carries the collectives.
 //!
 //! [`CommEndpoint`] is the runtime's per-process messaging handle: it owns
-//! one endpoint of a [`Transport`] fabric (loopback, bytes, or tcp — see
-//! [`crate::transport`]), charges every non-self send to [`CommStats`], and
-//! layers the round-alignment buffering that the lock-step
-//! [`crate::Ctx::exchange`] primitive needs. Per-link FIFO order is
+//! this rank's endpoint of a [`Transport`] fabric (loopback, bytes, or tcp
+//! — see [`crate::transport`]), charges every non-self send to
+//! [`CommStats`], and layers the round-alignment buffering that the
+//! lock-step [`crate::Ctx::exchange`] primitive and the collective
+//! schedules need. A cluster session has one such link per rank:
+//! application messages and collective blocks ride it as the two lanes of
+//! an [`Envelope`], and every arrival is sorted into a per-source queue of
+//! its lane, so an application receive never consumes a block and a
+//! collective receive never consumes a message. Per-link FIFO order is
 //! guaranteed by all backends (crossbeam channels are per-producer FIFO,
 //! TCP streams are ordered), which is exactly the MPI non-overtaking
-//! guarantee the algorithms rely on.
+//! guarantee the algorithms rely on — within each lane.
 //!
 //! Every operation is fallible: a peer that dies mid-run or a frame that
 //! fails to decode propagates as a [`TransportError`] so callers —
 //! including real worker processes on the TCP backend — can attribute the
 //! failure instead of panicking mid-collective.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use crate::collectives::CollMsg;
 use crate::stats::CommStats;
-use crate::transport::{BatchConfig, Transport, TransportError, TransportKind};
+use crate::transport::{BatchConfig, Envelope, Transport, TransportError, TransportKind};
 use crate::wire::{WireDecode, WireEncode};
+
+/// One source's arrivals not consumed yet, per lane, each in arrival
+/// (= per-link FIFO) order.
+struct Lanes<M> {
+    app: VecDeque<M>,
+    coll: VecDeque<CollMsg>,
+}
+
+impl<M> Lanes<M> {
+    fn push(&mut self, env: Envelope<M>) {
+        match env {
+            Envelope::App(msg) => self.app.push_back(msg),
+            Envelope::Coll(block) => self.coll.push_back(block),
+        }
+    }
+}
 
 /// The per-process endpoint of the simulated interconnect.
 pub struct CommEndpoint<M> {
     link: Box<dyn Transport<M>>,
-    /// Messages that arrived early (next round) while we were still
-    /// collecting the current round — see `exchange` in `cluster.rs`.
-    pending: Vec<VecDeque<M>>,
+    /// Messages and blocks that arrived ahead of the receive that wants
+    /// them — a peer already in the next round (see `exchange` in
+    /// `cluster.rs`), the other lane, an eager drain. Behind a `RefCell`
+    /// because the `&self` receive sorts what it passes over.
+    pending: RefCell<Vec<Lanes<M>>>,
     stats: Arc<CommStats>,
 }
 
 impl<M: Send + WireEncode + WireDecode + 'static> CommEndpoint<M> {
     /// Build all `n` connected endpoints of the chosen backend at once,
-    /// coalescing small sends per `batch`.
-    pub(crate) fn fabric(
+    /// coalescing small application sends per `batch`.
+    pub fn fabric(
         kind: TransportKind,
         n: usize,
         batch: BatchConfig,
@@ -49,8 +75,9 @@ impl<M: Send + WireEncode + WireDecode + 'static> CommEndpoint<M> {
     /// process in a real multi-process cluster (see [`crate::tcp`])
     /// builds its messaging handle.
     pub fn from_transport(link: Box<dyn Transport<M>>, stats: Arc<CommStats>) -> CommEndpoint<M> {
-        let n = link.nprocs();
-        CommEndpoint { link, pending: (0..n).map(|_| VecDeque::new()).collect(), stats }
+        let lanes =
+            (0..link.nprocs()).map(|_| Lanes { app: VecDeque::new(), coll: VecDeque::new() });
+        CommEndpoint { link, pending: RefCell::new(lanes.collect()), stats }
     }
 
     /// This endpoint's rank.
@@ -70,95 +97,96 @@ impl<M: Send + WireEncode + WireDecode + 'static> CommEndpoint<M> {
     /// algorithms can treat all ranks uniformly. This is the *only* place
     /// that decides chargeability — transports just report sizes.
     pub fn send(&self, dst: usize, msg: M) -> Result<(), TransportError> {
-        let wire = self.link.send(dst, msg)?;
+        self.post(dst, Envelope::App(msg))
+    }
+
+    /// Send a collective block to `dst` on the collective lane, charged
+    /// exactly like an application message.
+    pub(crate) fn send_block(&self, dst: usize, block: CollMsg) -> Result<(), TransportError> {
+        self.post(dst, Envelope::Coll(block))
+    }
+
+    fn post(&self, dst: usize, env: Envelope<M>) -> Result<(), TransportError> {
+        let wire = self.link.send(dst, env)?;
         if dst != self.rank() {
             self.stats.record_send(self.rank(), wire);
         }
         Ok(())
     }
 
-    /// Blocking receive of the next message from any source.
+    /// Count one collective round against this rank.
+    pub(crate) fn record_collective(&self) {
+        self.stats.record_collective(self.rank());
+    }
+
+    /// Block until `take` finds what it wants among the pending arrivals,
+    /// sorting every envelope the link delivers meanwhile into its lane.
+    fn wait<T>(
+        &self,
+        mut take: impl FnMut(&mut [Lanes<M>]) -> Option<T>,
+    ) -> Result<T, TransportError> {
+        loop {
+            if let Some(found) = take(&mut self.pending.borrow_mut()) {
+                return Ok(found);
+            }
+            let (src, env) = self.link.recv()?;
+            self.pending.borrow_mut()[src].push(env);
+        }
+    }
+
+    /// Blocking receive of the next application message from any source
+    /// (already-buffered ones first, lowest source first).
     ///
     /// Flushes this endpoint's own coalescing buffers first — blocking on
     /// a receive while holding unsent envelopes a peer is waiting for
     /// would deadlock the round.
     pub fn recv(&self) -> Result<(usize, M), TransportError> {
         self.link.flush()?;
-        self.link.recv()
+        self.wait(|lanes| {
+            lanes.iter_mut().enumerate().find_map(|(src, l)| l.app.pop_front().map(|m| (src, m)))
+        })
     }
 
     /// Push every buffered (coalesced) envelope onto the wire now. A
     /// no-op when `DNE_COMM_BATCH` is off; called automatically before
-    /// every blocking receive.
+    /// every blocking application receive.
     pub fn flush(&self) -> Result<(), TransportError> {
         self.link.flush()
     }
 
     /// Drain every envelope the transport can deliver *without blocking*
-    /// into the per-source pending queues, returning how many arrived.
+    /// into the per-source queues of its lane, returning how many arrived.
     /// Overlapped rounds call this mid-computation so inbound frames are
     /// decoded while the CPU would otherwise idle in the next blocking
     /// collect; the drained envelopes are served (in per-link FIFO order)
-    /// by the next [`CommEndpoint::recv_from`] /
-    /// [`CommEndpoint::recv_one_from_each`].
+    /// by the next receive of their lane.
     pub fn drain_ready(&mut self) -> Result<usize, TransportError> {
         let mut drained = 0;
-        while let Some((src, msg)) = self.link.try_recv()? {
-            self.pending[src].push_back(msg);
+        while let Some((src, env)) = self.link.try_recv()? {
+            self.pending.get_mut()[src].push(env);
             drained += 1;
         }
         Ok(drained)
     }
 
-    /// Blocking receive of the next message from a *specific* source,
-    /// buffering envelopes that arrive from other ranks in the meantime
-    /// (served by later `recv_from`/`recv_one_from_each` calls in per-link
-    /// FIFO order). This is what lets the tree and recursive-doubling
-    /// collective schedules name their partner per round without racing
-    /// peers that have run ahead.
-    pub fn recv_from(&mut self, src: usize) -> Result<M, TransportError> {
-        if let Some(m) = self.pending[src].pop_front() {
-            return Ok(m);
-        }
-        self.link.flush()?;
-        loop {
-            let (from, msg) = self.link.recv()?;
-            if from == src {
-                return Ok(msg);
-            }
-            self.pending[from].push_back(msg);
-        }
+    /// Blocking receive of the next collective block from `src`, sorting
+    /// whatever else arrives meanwhile into its lane. This is what lets the
+    /// tree and recursive-doubling schedules name their partner per round
+    /// without racing peers that have run ahead. It does not flush: the
+    /// application lane's frames leave at the application's own flush
+    /// points, exactly as if the collectives had a link of their own.
+    pub(crate) fn recv_block_from(&self, src: usize) -> Result<CollMsg, TransportError> {
+        self.wait(|lanes| lanes[src].coll.pop_front())
     }
 
-    /// Receive exactly one message from *every* rank (including self),
-    /// returning them indexed by source. Out-of-round messages (a second
-    /// message from a rank that already delivered this round) are buffered
-    /// for the next call — this is what makes back-to-back exchanges safe
-    /// even when peers race ahead.
+    /// Receive exactly one application message from *every* rank
+    /// (including self), returning them indexed by source. Out-of-round
+    /// messages (a second message from a rank that already delivered this
+    /// round) stay buffered for the next call — this is what makes
+    /// back-to-back exchanges safe even when peers race ahead.
     pub fn recv_one_from_each(&mut self) -> Result<Vec<M>, TransportError> {
-        let n = self.nprocs();
-        let mut slots: Vec<Option<M>> = (0..n).map(|_| None).collect();
-        let mut filled = 0;
-        // Serve from the pending buffers first.
-        for (slot, pending) in slots.iter_mut().zip(self.pending.iter_mut()) {
-            if slot.is_none() {
-                if let Some(m) = pending.pop_front() {
-                    *slot = Some(m);
-                    filled += 1;
-                }
-            }
-        }
         self.link.flush()?;
-        while filled < n {
-            let (src, msg) = self.link.recv()?;
-            if slots[src].is_none() {
-                slots[src] = Some(msg);
-                filled += 1;
-            } else {
-                self.pending[src].push_back(msg);
-            }
-        }
-        Ok(slots.into_iter().map(|s| s.expect("slot filled")).collect())
+        (0..self.nprocs()).map(|src| self.wait(|lanes| lanes[src].app.pop_front())).collect()
     }
 }
 
@@ -232,20 +260,56 @@ mod tests {
     }
 
     #[test]
-    fn recv_from_buffers_other_sources() {
+    fn block_receive_buffers_other_sources() {
+        let block = |w: u64| CollMsg(vec![w]);
         for kind in ALL {
             let (mut eps, _) = fabric_of(kind, 3);
             let c = eps.pop().unwrap();
             let b = eps.pop().unwrap();
-            let mut a = eps.pop().unwrap();
+            let a = eps.pop().unwrap();
             // Ranks 1 and 2 both send; rank 0 asks for rank 2 first.
-            b.send(0, 11).unwrap();
-            b.send(0, 12).unwrap();
-            c.send(0, 21).unwrap();
-            assert_eq!(a.recv_from(2).unwrap(), 21, "{kind}");
-            // Rank 1's envelopes were buffered in arrival (FIFO) order.
-            assert_eq!(a.recv_from(1).unwrap(), 11, "{kind}");
-            assert_eq!(a.recv_from(1).unwrap(), 12, "{kind}");
+            b.send_block(0, block(11)).unwrap();
+            b.send_block(0, block(12)).unwrap();
+            c.send_block(0, block(21)).unwrap();
+            assert_eq!(a.recv_block_from(2).unwrap(), block(21), "{kind}");
+            // Rank 1's blocks were buffered in arrival (FIFO) order.
+            assert_eq!(a.recv_block_from(1).unwrap(), block(11), "{kind}");
+            assert_eq!(a.recv_block_from(1).unwrap(), block(12), "{kind}");
+        }
+    }
+
+    #[test]
+    fn lanes_interleave_on_one_link() {
+        let block = |w: u64| CollMsg(vec![w]);
+        for kind in ALL {
+            let (mut eps, stats) = fabric_of(kind, 2);
+            let mut b = eps.pop().unwrap();
+            let a = eps.pop().unwrap();
+            // app, block, app: the collective receive takes the block past
+            // the first message, which then still comes first on its lane.
+            a.send(1, 1).unwrap();
+            a.send_block(1, block(2)).unwrap();
+            a.send(1, 3).unwrap();
+            assert_eq!(b.recv_block_from(0).unwrap(), block(2), "{kind}");
+            assert_eq!(b.recv().unwrap(), (0, 1), "{kind}");
+            assert_eq!(b.recv().unwrap(), (0, 3), "{kind}");
+            // A mixed burst, drained eagerly, is sorted into both lanes.
+            for i in [4, 6] {
+                a.send(1, i).unwrap();
+                a.send_block(1, block(i + 1)).unwrap();
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            let mut drained = 0;
+            while drained < 4 && std::time::Instant::now() < deadline {
+                drained += b.drain_ready().unwrap();
+            }
+            assert_eq!(drained, 4, "{kind}");
+            assert_eq!(b.recv_block_from(0).unwrap(), block(5), "{kind}");
+            assert_eq!(b.recv_block_from(0).unwrap(), block(7), "{kind}");
+            b.send(1, 0).unwrap();
+            assert_eq!(b.recv_one_from_each().unwrap(), vec![4, 0], "{kind}");
+            assert_eq!(b.recv().unwrap(), (0, 6), "{kind}");
+            assert_eq!(stats.total_bytes(), 7 * 8, "{kind}: a word is 8 bytes on either lane");
         }
     }
 
@@ -333,7 +397,7 @@ mod tests {
                     let got = a.recv_one_from_each().unwrap();
                     assert_eq!(got[0], 99);
                     for _ in 0..19 {
-                        a.recv_from(1).unwrap();
+                        a.recv().unwrap();
                     }
                     drop(peer.join().unwrap());
                 });

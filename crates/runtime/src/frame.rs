@@ -1,22 +1,28 @@
-//! The wire-frame layer: both frame layouts, encode and decode, and the
+//! The wire-frame layer: every frame layout, encode and decode, and the
 //! stream machinery built on them. Everything that knows what a frame
 //! looks like lives here; the byte-shipping backends
 //! ([`crate::transport::BytesTransport`], [`crate::tcp::TcpTransport`])
 //! and the request/response service layer ([`crate::service`]) only move
 //! the bytes this module produces.
 //!
-//! Two layouts share one 12-byte little-endian header,
-//! `[u64 length prefix][u32 source word]`:
+//! Three layouts share one 12-byte little-endian header,
+//! `[u64 length prefix][u32 source word]`; the top two bits of the prefix
+//! are flags, the rest is the body length:
 //!
-//! * **classic** — `[u64 payload len][u32 src][payload]`, one envelope;
-//! * **multi-message** — the top bit of the length prefix set:
+//! * **classic** — `[u64 payload len][u32 src][payload]`, one application
+//!   envelope;
+//! * **collective block** — the classic layout with bit 62 set,
+//!   `[u64 payload len | COLL_FLAG][u32 src][words]`: one [`CollMsg`] on
+//!   the collective lane of the same link, never coalesced;
+//! * **multi-message** — bit 63 set:
 //!   `[u64 body len | BATCH_FLAG][u32 src][u32 count][(u32 sublen)(payload)]×count`,
-//!   several same-destination envelopes in send order.
+//!   several same-destination application envelopes in send order.
 //!
 //! A length prefix of `u64::MAX` is the goodbye marker of a graceful
-//! shutdown (checked before the flag bit wherever both can occur). The
-//! source word is the sender's rank on mesh links and a request sequence
-//! number in the service layer.
+//! shutdown (checked before the flag bits wherever both can occur); both
+//! flags at once is a framing error. The source word is the sender's rank
+//! on mesh links and a request sequence number in the service layer, which
+//! speaks classic frames only.
 //!
 //! The pieces:
 //!
@@ -27,7 +33,7 @@
 //!   leaves as one multi-message frame at the next flush point, enforces
 //!   the payload bound and counts physical frames. A backend supplies
 //!   only a `FrameSink`: where a finished frame's bytes go.
-//! * `decode_frames` — the one decoder, for either layout.
+//! * `decode_frames` — the one decoder, for every layout.
 //! * `FrameAssembler` (crate-internal) — the one reassembly
 //!   implementation (short reads, coalesced arrivals, bounded
 //!   allocation): bytes are pushed in, borrowed frames are pulled out;
@@ -46,9 +52,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::collectives::CollMsg;
 use crate::stats::CommStats;
-use crate::transport::{BatchConfig, TransportError};
-use crate::wire::{WireDecode, WireEncode, WireReader};
+use crate::transport::{BatchConfig, Envelope, TransportError};
+use crate::wire::{WireDecode, WireEncode, WireReader, WireSize};
 
 /// Frame header: `[u64 length prefix][u32 source word]`, little-endian.
 pub(crate) const FRAME_HEADER_BYTES: usize = 12;
@@ -63,8 +70,15 @@ pub const MAX_FRAME_PAYLOAD: u64 = 1 << 30;
 /// Flag bit set in the `u64` length prefix of a *multi-message* frame.
 /// The body of a flagged frame is `[u32 count][(u32 sublen)(payload)]…`
 /// instead of a single payload. The goodbye sentinel (`u64::MAX`, every
-/// bit set) is checked before this flag everywhere both can occur.
+/// bit set) is checked before the flags everywhere both can occur.
 pub(crate) const BATCH_FLAG: u64 = 1 << 63;
+
+/// Flag bit set in the `u64` length prefix of a *collective block*: a
+/// classic frame whose payload is a [`CollMsg`] on the collective lane.
+pub(crate) const COLL_FLAG: u64 = 1 << 62;
+
+/// Both flag bits: what every reader masks off the length prefix.
+const FLAGS: u64 = BATCH_FLAG | COLL_FLAG;
 
 /// Length-prefix sentinel marking a goodbye frame.
 pub(crate) const BYE_LEN: u64 = u64::MAX;
@@ -101,13 +115,13 @@ pub(crate) fn bye_frame(src: usize) -> [u8; FRAME_HEADER_BYTES] {
     f
 }
 
-/// Encode `msg` as one classic frame (`[u64 payload len][u32 src][payload]`)
-/// straight onto the end of `out` — no intermediate buffer — and return
-/// the frame's size.
-fn encode_frame_into<M: WireEncode>(out: &mut Vec<u8>, src: u32, msg: &M) -> usize {
+/// Encode `msg` as one classic frame (`[u64 payload len | flag][u32 src][payload]`,
+/// `flag` 0 or [`COLL_FLAG`]) straight onto the end of `out` — no
+/// intermediate buffer — and return the frame's size.
+fn encode_frame_into<M: WireEncode>(out: &mut Vec<u8>, src: u32, msg: &M, flag: u64) -> usize {
     let (start, payload_len) = (out.len(), msg.wire_bytes());
     out.reserve(FRAME_HEADER_BYTES + payload_len);
-    (payload_len as u64).encode(out);
+    (payload_len as u64 | flag).encode(out);
     src.encode(out);
     msg.encode(out);
     debug_assert_eq!(
@@ -127,7 +141,7 @@ pub(crate) fn push_frame<M: WireEncode>(
     msg: &M,
 ) -> Result<usize, TransportError> {
     check_payload_bound(msg.wire_bytes(), src as usize)?;
-    Ok(encode_frame_into(out, src, msg))
+    Ok(encode_frame_into(out, src, msg, 0))
 }
 
 /// Where an [`Outbox`] puts finished frames — the one backend-specific
@@ -157,9 +171,12 @@ struct Pending {
 /// pending body and leave as one multi-message frame when the body fills
 /// (`max_msgs` envelopes or `max_bytes` payload bytes) or at the next
 /// [`Outbox::flush`]; an envelope of `max_bytes` or more flushes the body
-/// (the link stays FIFO) and travels as a classic frame. Self-sends
-/// round-trip the codec as classic frames but never cross a wire, so they
-/// are never buffered and never counted.
+/// (the link stays FIFO) and travels as a classic frame. Collective blocks
+/// always travel alone, as flagged classic frames that neither join nor
+/// flush a pending body — so the published per-rank collective cost holds
+/// under any policy and the application frames are what they would be
+/// without them. Self-sends round-trip the codec as classic frames but
+/// never cross a wire, so they are never buffered and never counted.
 pub(crate) struct Outbox {
     rank: usize,
     policy: BatchConfig,
@@ -188,14 +205,15 @@ impl Outbox {
         &self,
         sink: &impl FrameSink,
         dst: usize,
-        msg: &M,
+        msg: &Envelope<M>,
     ) -> Result<usize, TransportError> {
         let wire = msg.wire_bytes();
         // Enforced at the sender: shipping a gigabyte only for the
         // receiver to reject it as stream corruption would waste the
         // transfer and misattribute a legitimate (if oversized) message.
         check_payload_bound(wire, self.rank)?;
-        let coalescing = dst != self.rank && self.policy.enabled();
+        let flag = if matches!(msg, Envelope::Coll(_)) { COLL_FLAG } else { 0 };
+        let coalescing = dst != self.rank && self.policy.enabled() && flag == 0;
         if coalescing && wire < self.policy.max_bytes {
             let mut p = self.pending[dst].lock();
             let start = p.body.len();
@@ -214,7 +232,7 @@ impl Outbox {
             self.flush_pending(sink, dst, &mut self.pending[dst].lock())?;
         }
         let mut frame = 0;
-        sink.put(dst, |out| frame = encode_frame_into(out, self.rank as u32, msg))?;
+        sink.put(dst, |out| frame = encode_frame_into(out, self.rank as u32, msg, flag))?;
         if dst != self.rank {
             self.stats.record_frames(self.rank, 1);
         }
@@ -277,43 +295,46 @@ pub(crate) fn source_word(frame: &[u8]) -> u32 {
     header(frame).expect("a complete frame starts with its header").1
 }
 
-/// Split a complete classic frame into its source word and payload;
-/// `None` for a multi-message frame.
+/// Split a complete unflagged classic frame into its source word and
+/// payload; `None` for a multi-message frame or a collective block.
 pub(crate) fn classic_parts(frame: &[u8]) -> Option<(u32, &[u8])> {
     let (len, src) = header(frame)?;
-    (len & BATCH_FLAG == 0).then(|| (src, &frame[FRAME_HEADER_BYTES..]))
+    (len & FLAGS == 0).then(|| (src, &frame[FRAME_HEADER_BYTES..]))
 }
 
-/// Decode one whole encoded frame — classic or multi-message — into its
-/// source rank and its envelopes in send order: the one decoder under the
-/// bytes backend and the tcp io loop, so both understand coalesced
-/// traffic identically. Malformed frames are typed errors, never panics:
-/// on the in-process bytes backend they would indicate a codec bug, but
-/// the same frames cross real sockets on the tcp backend, where
-/// truncation and corruption are input conditions.
+/// Decode one whole encoded frame — classic, collective block or
+/// multi-message — into its source rank and its envelopes, each on its
+/// lane, in send order: the one decoder under the bytes backend and the
+/// tcp io loop, so both understand coalesced traffic identically.
+/// Malformed frames are typed errors, never panics: on the in-process
+/// bytes backend they would indicate a codec bug, but the same frames
+/// cross real sockets on the tcp backend, where truncation and corruption
+/// are input conditions.
 pub(crate) fn decode_frames<M: WireDecode>(
     frame: &[u8],
-) -> Result<(usize, Vec<M>), TransportError> {
+) -> Result<(usize, Vec<Envelope<M>>), TransportError> {
     let Some((len, src)) = header(frame) else {
         return Err(frame_err(None, format!("{} bytes are too short for a header", frame.len())));
     };
     let (src, body) = (src as usize, &frame[FRAME_HEADER_BYTES..]);
-    if len & !BATCH_FLAG != body.len() as u64 {
+    if len & !FLAGS != body.len() as u64 {
         return Err(frame_err(
             Some(src),
             format!(
                 "length prefix mismatch: header claims {} body bytes, {} present",
-                len & !BATCH_FLAG,
+                len & !FLAGS,
                 body.len()
             ),
         ));
     }
-    let msgs = if len & BATCH_FLAG == 0 {
-        vec![M::from_wire(body).map_err(|error| TransportError::Decode { src, error })?]
-    } else {
-        decode_batch_body(src, body)?
+    let decode_err = |error| TransportError::Decode { src, error };
+    let envs = match len & FLAGS {
+        0 => vec![Envelope::App(M::from_wire(body).map_err(decode_err)?)],
+        COLL_FLAG => vec![Envelope::Coll(CollMsg::from_wire(body).map_err(decode_err)?)],
+        BATCH_FLAG => decode_batch_body(src, body)?.into_iter().map(Envelope::App).collect(),
+        _ => return Err(frame_err(Some(src), "a collective block flagged multi-message".into())),
     };
-    Ok((src, msgs))
+    Ok((src, envs))
 }
 
 /// Decode the body of a multi-message frame (everything after the 12-byte
@@ -381,8 +402,8 @@ impl<R: Read> FramedReader<R> {
     /// EOF cleanly between frames yields
     /// [`TransportError::Disconnected`] (the caller knows which peer the
     /// stream belongs to); EOF anywhere inside a frame, an oversized
-    /// length prefix, or a multi-message frame yields
-    /// [`TransportError::Frame`].
+    /// length prefix, or a flagged (multi-message or collective) frame
+    /// yields [`TransportError::Frame`].
     pub fn read_frame(&mut self) -> Result<Option<(u32, &[u8])>, TransportError> {
         while self.assembler.ready(None)?.is_none() {
             let n = match self.inner.read(&mut self.scratch) {
@@ -401,7 +422,7 @@ impl<R: Read> FramedReader<R> {
                 Some(parts) => Ok(Some(parts)),
                 None => Err(TransportError::Frame {
                     src: None,
-                    detail: "multi-message frame on a single-message stream".into(),
+                    detail: "flagged mesh frame on a single-message stream".into(),
                 }),
             },
         }
@@ -412,8 +433,8 @@ impl<R: Read> FramedReader<R> {
 /// its buffer.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Assembled<'a> {
-    /// A complete encoded frame, header included — single-message or
-    /// multi-message; `decode_frames` understands both.
+    /// A complete encoded frame, header included — of any layout;
+    /// `decode_frames` understands them all.
     Frame(&'a [u8]),
     /// The goodbye marker of a graceful shutdown.
     Bye,
@@ -449,11 +470,11 @@ impl FrameAssembler {
         let rest = &self.buf[self.pos..];
         let Some((len, src)) = header(rest) else { return Ok(None) };
         // The goodbye sentinel has every bit set, so it must be
-        // recognized before the batch flag is interpreted.
+        // recognized before the flags are interpreted.
         if len == BYE_LEN {
             return Ok(Some(FRAME_HEADER_BYTES));
         }
-        let body = len & !BATCH_FLAG;
+        let body = len & !FLAGS;
         if body > MAX_FRAME_PAYLOAD {
             return Err(TransportError::Frame {
                 src: peer.or(Some(src as usize)),
@@ -553,6 +574,7 @@ impl WriteQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Envelope::{App, Coll};
 
     /// `msg` as one classic frame from rank `src`.
     fn encode_frame<M: WireEncode>(src: usize, msg: &M) -> Vec<u8> {
@@ -582,11 +604,11 @@ mod tests {
     }
 
     /// `msgs` as one multi-message frame from rank `src`.
-    fn batch_frame<M: WireEncode>(src: usize, msgs: &[M]) -> Vec<u8> {
+    fn batch_frame<M: WireEncode + Clone>(src: usize, msgs: &[M]) -> Vec<u8> {
         let (outbox, _) = outbox(src, BatchConfig::msgs(msgs.len() + 1));
         let kept = Kept::default();
         for m in msgs {
-            outbox.send(&kept, src + 1, m).unwrap();
+            outbox.send(&kept, src + 1, &App(m.clone())).unwrap();
         }
         outbox.flush(&kept).unwrap();
         let mut frames = kept.0.into_inner();
@@ -602,7 +624,7 @@ mod tests {
         assert_eq!(&frame[0..8], &8u64.to_le_bytes(), "payload length prefix");
         assert_eq!(&frame[8..12], &3u32.to_le_bytes(), "source rank");
         assert_eq!(&frame[12..], &0x0102_0304_0506_0708u64.to_le_bytes());
-        assert_eq!(decode_frames::<u64>(&frame).unwrap(), (3, vec![0x0102_0304_0506_0708]));
+        assert_eq!(decode_frames::<u64>(&frame).unwrap(), (3, vec![App(0x0102_0304_0506_0708)]));
     }
 
     #[test]
@@ -612,9 +634,9 @@ mod tests {
         // 8-byte length word), and a u32 (4 bytes) from rank 5.
         let (outbox, stats) = outbox(5, BatchConfig::msgs(8));
         let kept = Kept::default();
-        assert_eq!(outbox.send(&kept, 6, &0x1122_3344_5566_7788u64).unwrap(), 8);
-        assert_eq!(outbox.send(&kept, 6, &Vec::<u64>::new()).unwrap(), 8);
-        assert_eq!(outbox.send(&kept, 6, &0xAABB_CCDDu32).unwrap(), 4);
+        assert_eq!(outbox.send(&kept, 6, &App(0x1122_3344_5566_7788u64)).unwrap(), 8);
+        assert_eq!(outbox.send(&kept, 6, &App(Vec::<u64>::new())).unwrap(), 8);
+        assert_eq!(outbox.send(&kept, 6, &App(0xAABB_CCDDu32)).unwrap(), 4);
         assert!(kept.0.lock().is_empty(), "nothing leaves before the flush point");
         outbox.flush(&kept).unwrap();
         #[rustfmt::skip]
@@ -635,7 +657,54 @@ mod tests {
         let frame = batch_frame(5, &[7u64, 8, 9]);
         assert!(classic_parts(&frame).is_none(), "flag bit must mark multi-message frames");
         assert!(classic_parts(&encode_frame(5, &7u64)).is_some());
-        assert_eq!(decode_frames::<u64>(&frame).unwrap(), (5, vec![7, 8, 9]));
+        assert_eq!(decode_frames::<u64>(&frame).unwrap(), (5, vec![App(7), App(8), App(9)]));
+    }
+
+    #[test]
+    fn collective_block_layout_is_pinned_byte_for_byte() {
+        // [u64 payload len | COLL_FLAG][u32 src][words], little-endian: two
+        // words from rank 5 — sent while an application envelope for the
+        // same peer is coalescing, which the block neither joins nor flushes.
+        let (outbox, stats) = outbox(5, BatchConfig::msgs(8));
+        let kept = Kept::default();
+        let block = CollMsg(vec![0x1122_3344_5566_7788, 9]);
+        assert_eq!(outbox.send(&kept, 6, &App(7u64)).unwrap(), 8);
+        assert_eq!(outbox.send(&kept, 6, &Coll::<u64>(block.clone())).unwrap(), 16);
+        #[rustfmt::skip]
+        let golden: Vec<u8> = vec![
+            0x10, 0, 0, 0, 0, 0, 0, 0x40, // payload = 2 words = 16, flag bit 62
+            5, 0, 0, 0,                   // src
+            0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+            9, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(kept.0.lock().clone(), vec![golden.clone()], "the block leaves alone, at once");
+        outbox.flush(&kept).unwrap();
+        assert_eq!(kept.0.lock()[1], batch_frame(5, &[7u64]), "the pending body is untouched");
+        assert_eq!(stats.frames_by(5), 2, "one frame per block, one per flushed body");
+        assert!(classic_parts(&golden).is_none(), "the service layer never takes a block");
+        assert_eq!(decode_frames::<u64>(&golden).unwrap(), (5, vec![Coll(block)]));
+    }
+
+    #[test]
+    fn both_flags_or_an_unknown_flag_bit_are_typed_errors() {
+        // `COLL | BATCH` passes the assembler (an 8-byte body is in bounds)
+        // and is refused by the decoder; an unknown high bit is refused by
+        // both, as a length no frame can have.
+        for (prefix, what) in [(8 | BATCH_FLAG | COLL_FLAG, "multi-message"), (8 | 1 << 61, "")] {
+            let mut frame = prefix.to_le_bytes().to_vec();
+            frame.extend_from_slice(&3u32.to_le_bytes());
+            frame.extend_from_slice(&[0u8; 8]);
+            match decode_frames::<u64>(&frame) {
+                Err(TransportError::Frame { src: Some(3), detail }) => {
+                    assert!(detail.contains(what), "{detail}");
+                }
+                other => panic!("{prefix:#x}: expected a framing error from rank 3, got {other:?}"),
+            }
+            let mut a = FrameAssembler::default();
+            a.push(&frame);
+            let assembled = a.next(Some(3));
+            assert_eq!(assembled.is_ok(), prefix & FLAGS == FLAGS, "{prefix:#x}: {assembled:?}");
+        }
     }
 
     #[test]
@@ -712,10 +781,10 @@ mod tests {
         let big: Vec<u64> = (0..40).collect();
         let sent: Vec<Vec<u64>> = vec![vec![1], vec![], vec![2, 3], big, vec![4]];
         let (plain, _) = outbox(0, BatchConfig::disabled());
-        plain.send(&kept, 1, &sent[0]).unwrap();
+        plain.send(&kept, 1, &App(sent[0].clone())).unwrap();
         let (batched, stats) = outbox(0, BatchConfig { max_msgs: 64, max_bytes: 64 });
         for msg in &sent[1..] {
-            batched.send(&kept, 1, msg).unwrap();
+            batched.send(&kept, 1, &App(msg.clone())).unwrap();
         }
         batched.flush(&kept).unwrap();
         let frames = kept.0.into_inner();
@@ -724,6 +793,7 @@ mod tests {
         assert!(classic_parts(&frames[1]).is_none() && classic_parts(&frames[2]).is_some());
         let mut stream = frames.concat();
         stream.extend_from_slice(&bye_frame(0));
+        let sent: Vec<Envelope<Vec<u64>>> = sent.into_iter().map(App).collect();
 
         for cut in 0..=stream.len() {
             let mut a = FrameAssembler::default();
@@ -750,7 +820,7 @@ mod tests {
     fn self_sends_are_classic_frames_never_buffered_never_counted() {
         let (outbox, stats) = outbox(0, BatchConfig::msgs(8));
         let kept = Kept::default();
-        assert_eq!(outbox.send(&kept, 0, &7u64).unwrap(), 8);
+        assert_eq!(outbox.send(&kept, 0, &App(7u64)).unwrap(), 8);
         let frames = kept.0.into_inner();
         assert_eq!(frames, vec![encode_frame(0, &7u64)], "out at once, as a classic frame");
         assert_eq!(stats.frames_by(0), 0, "no wire crossed");
@@ -772,7 +842,7 @@ mod tests {
         for policy in [BatchConfig::disabled(), BatchConfig::msgs(8)] {
             let (outbox, stats) = outbox(0, policy);
             let kept = Kept::default();
-            let err = outbox.send(&kept, 1, &Huge).unwrap_err();
+            let err = outbox.send(&kept, 1, &App(Huge)).unwrap_err();
             assert!(matches!(err, TransportError::Frame { src: Some(0), .. }), "{err}");
             assert!(kept.0.lock().is_empty() && stats.frames_by(0) == 0);
         }

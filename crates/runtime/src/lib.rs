@@ -9,7 +9,10 @@
 //!   `P` of them and joins their results);
 //! * the **interconnect** is a pluggable [`Transport`] fabric of FIFO links
 //!   with per-link byte accounting ([`CommStats`]) — this is what the
-//!   Table 5 "COM" column measures. Three backends exist:
+//!   Table 5 "COM" column measures. A run builds **one** such mesh: each
+//!   link carries application messages and collective blocks as the two
+//!   lanes of an [`Envelope`], as the paper's MPI code runs both over one
+//!   communicator. Three backends exist:
 //!   [`TransportKind::Loopback`] moves values by pointer and charges the
 //!   [`WireSize`] estimate; [`TransportKind::Bytes`] really serializes
 //!   every envelope through the [`WireEncode`]/[`WireDecode`] codec into
@@ -33,7 +36,7 @@
 //! * **collectives** (barrier, all-gather, all-reduce over `u64`/`f64`)
 //!   match the MPI primitives the paper's pseudo-code uses (`Barrier()` in
 //!   Algorithm 1 line 9, `AllGatherSum` in line 14) and are themselves
-//!   real traffic over the transport fabric, scheduled by a pluggable
+//!   real traffic on the same links (never coalesced), scheduled by a pluggable
 //!   [`CollectiveTopology`]: `Flat` (the reference: depth 1, `8·(P−1)`
 //!   bytes per rank), `Binomial` tree (depth `2·log₂P`, `2·(P−1)`
 //!   messages in total), or `RecursiveDoubling` (depth `log₂P`,
@@ -113,8 +116,8 @@ pub use service::{
 pub use stats::CommStats;
 pub use tcp::{TcpProcessCluster, TcpSession, TcpTransport, EPOCH_ANY};
 pub use transport::{
-    BatchConfig, BytesTransport, LoopbackTransport, Transport, TransportError, TransportKind,
-    DEFAULT_BATCH_BYTES,
+    BatchConfig, BytesTransport, Envelope, LoopbackTransport, Transport, TransportError,
+    TransportKind, DEFAULT_BATCH_BYTES,
 };
 pub use wire::{WireDecode, WireEncode, WireError, WireReader, WireSize};
 

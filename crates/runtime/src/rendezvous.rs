@@ -1,6 +1,8 @@
 //! Bootstrap of the TCP socket fabric: the rendezvous protocol that turns
 //! `P` processes (or threads) that know one address into a full mesh of
-//! connected `TcpStream`s, once per bootstrap **epoch**. Everything here
+//! connected `TcpStream`s — the one mesh of a cluster session, which
+//! carries application messages and collective blocks alike — once per
+//! bootstrap **epoch**. Everything here
 //! runs before the first data frame; the steady state — the endpoint, its
 //! io loop and [`TcpProcessCluster`](crate::tcp::TcpProcessCluster) — is
 //! [`crate::tcp`], which re-exports this module's public names.
@@ -26,15 +28,15 @@
 //!    `1..i` (sending a hello so the acceptor learns who called) and
 //!    accepts one connection from each rank `i+1..P`.
 //!
-//! The `fabric` byte lets one rendezvous listener serve several fabrics
-//! (a cluster run builds two: point-to-point and collectives); hellos
-//! that arrive for a fabric not currently being collected are stashed,
-//! so process startup order cannot wedge the bootstrap. The collectives
-//! mesh's fabric id additionally encodes the collective topology, so
+//! The hello's `fabric` byte names the session's collective topology
+//! (`FABRIC_BASE` + its index in [`CollectiveTopology::ALL`]), so
 //! processes that resolved different `DNE_COLLECTIVES` values fail the
-//! bootstrap with a typed error naming the disagreement instead of
-//! deadlocking at the first barrier. Every bootstrap step carries a
-//! deadline — a peer that never shows up is a
+//! bootstrap with a typed error naming the disagreement — at the
+//! rendezvous or at a mesh listener — instead of deadlocking at the first
+//! barrier. The ids start past 0–3, the point-to-point and collectives
+//! meshes of the earlier two-mesh protocol, so a binary still speaking it
+//! fails the bootstrap with a typed error too, instead of wedging. Every
+//! bootstrap step carries a deadline — a peer that never shows up is a
 //! [`TransportError::Bootstrap`], not a hang.
 //!
 //! # Records
@@ -85,50 +87,34 @@ const MAGIC: u32 = 0x444E_4531;
 /// take before the bootstrap fails with a typed error.
 const BOOTSTRAP_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Fabric id of the point-to-point mesh in a cluster session.
-pub(crate) const FABRIC_P2P: u8 = 0;
+/// First fabric id of a session: ids 0–3 named the point-to-point and
+/// collectives meshes of the two-mesh protocol and are never reused.
+const FABRIC_BASE: u8 = 4;
 
-/// First fabric id of the collectives meshes: the collective topology is
-/// baked into the fabric id (`FABRIC_COLL_BASE + topology index`), so a
-/// cluster whose processes disagree on `DNE_COLLECTIVES` fails the
-/// bootstrap with a typed error naming the disagreement instead of
-/// deadlocking at the first barrier.
-const FABRIC_COLL_BASE: u8 = 1;
-
-/// The collectives-mesh fabric id of `topology`.
-pub(crate) fn coll_fabric(topology: CollectiveTopology) -> u8 {
+/// The fabric id of a session whose collectives run `topology`.
+pub(crate) fn fabric_id(topology: CollectiveTopology) -> u8 {
     let idx = CollectiveTopology::ALL.iter().position(|t| *t == topology).expect("topology in ALL");
-    FABRIC_COLL_BASE + idx as u8
+    FABRIC_BASE + idx as u8
 }
 
-/// Human-readable name of a fabric id, for bootstrap errors.
-fn fabric_name(fabric: u8) -> String {
-    if fabric == FABRIC_P2P {
-        "point-to-point".into()
-    } else {
-        match CollectiveTopology::ALL.get((fabric - FABRIC_COLL_BASE) as usize) {
-            Some(t) => format!("{t}-collectives"),
-            None => format!("unknown fabric {fabric}"),
-        }
+/// Refuse a hello for a fabric other than `ours`: another topology means
+/// the cluster's processes resolved different `DNE_COLLECTIVES` values;
+/// any other id, a peer speaking another bootstrap protocol.
+fn check_fabric(theirs: u8, ours: u8) -> Result<(), TransportError> {
+    let topology = |id: u8| CollectiveTopology::ALL.get(usize::from(id.wrapping_sub(FABRIC_BASE)));
+    match (theirs == ours, topology(theirs), topology(ours)) {
+        (true, ..) => Ok(()),
+        (false, Some(t), Some(o)) => Err(bootstrap_err(format!(
+            "a peer bootstrapped a {t}-collectives session while this process expects {o} — \
+             the cluster's processes disagree on the collective topology \
+             (check DNE_COLLECTIVES in every process's environment)"
+        ))),
+        _ => Err(bootstrap_err(format!(
+            "a peer sent a hello for fabric {theirs}, which is not a session of this \
+             bootstrap protocol (ids 0-3 are the two-mesh protocol's: is an older \
+             binary in the cluster?)"
+        ))),
     }
-}
-
-/// Whether a fabric id names a collectives mesh (of any topology).
-fn is_coll_fabric(fabric: u8) -> bool {
-    fabric >= FABRIC_COLL_BASE
-        && ((fabric - FABRIC_COLL_BASE) as usize) < CollectiveTopology::ALL.len()
-}
-
-/// Two collectives fabrics that differ can only mean the cluster's
-/// processes resolved different `DNE_COLLECTIVES` values.
-fn topology_disagreement(theirs: u8, ours: u8) -> TransportError {
-    bootstrap_err(format!(
-        "a peer bootstrapped the {} mesh while this process expects the {} mesh — \
-         the cluster's processes disagree on the collective topology \
-         (check DNE_COLLECTIVES in every process's environment)",
-        fabric_name(theirs),
-        fabric_name(ours)
-    ))
 }
 
 pub(crate) fn io_err(context: impl Into<String>, error: io::Error) -> TransportError {
@@ -331,12 +317,8 @@ fn accept_hello(
 }
 
 /// The rendezvous point of a TCP fabric: rank 0's listener, which peers
-/// dial to exchange rank handshakes before the mesh is built.
-///
-/// One rendezvous can bootstrap several fabrics in sequence (a cluster
-/// session builds a point-to-point mesh and a collectives mesh); hellos
-/// arriving early for a later fabric are stashed, so peer startup order
-/// does not matter.
+/// dial to exchange rank handshakes before the mesh is built — one fabric
+/// per epoch.
 pub struct TcpRendezvous {
     listener: TcpListener,
     addr: SocketAddr,
@@ -344,7 +326,6 @@ pub struct TcpRendezvous {
     /// Hellos carrying a different concrete epoch are rejected with a
     /// typed error; [`EPOCH_ANY`] hellos adopt this epoch via the roster.
     epoch: u32,
-    stash: Vec<(u8, u32, SocketAddr, TcpStream)>,
 }
 
 impl TcpRendezvous {
@@ -355,7 +336,7 @@ impl TcpRendezvous {
         // Every accept on this listener is an `accept_hello` under a deadline.
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        Ok(Self { listener, addr, epoch: 0, stash: Vec::new() })
+        Ok(Self { listener, addr, epoch: 0 })
     }
 
     /// The bound address peers must dial.
@@ -363,24 +344,15 @@ impl TcpRendezvous {
         self.addr
     }
 
-    /// The bootstrap generation this rendezvous currently serves.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
     /// Move this rendezvous to a new bootstrap generation (a recovery
-    /// bootstrap after a rank died). Hellos stashed under the previous
-    /// epoch belong to a dead world and are discarded.
+    /// bootstrap after a rank died).
     ///
     /// # Panics
     /// Panics when `epoch` is the [`EPOCH_ANY`] wildcard — the rendezvous
     /// owns the authoritative counter and must serve a concrete epoch.
     pub fn set_epoch(&mut self, epoch: u32) {
         assert!(epoch != EPOCH_ANY, "the rendezvous must serve a concrete epoch");
-        if epoch != self.epoch {
-            self.epoch = epoch;
-            self.stash.clear();
-        }
+        self.epoch = epoch;
     }
 
     /// Accept hellos until every rank `1..nprocs` reported in for
@@ -396,35 +368,8 @@ impl TcpRendezvous {
         nprocs: usize,
     ) -> Result<Vec<(u32, SocketAddr, TcpStream)>, TransportError> {
         let mut slots: Vec<Option<(SocketAddr, TcpStream)>> = (0..nprocs).map(|_| None).collect();
-        let mut place =
-            |rank: u32, addr: SocketAddr, stream: TcpStream| -> Result<(), TransportError> {
-                let slot = slots.get_mut(rank as usize).filter(|_| rank >= 1).ok_or_else(|| {
-                    bootstrap_err(format!("hello from out-of-range rank {rank} (nprocs {nprocs})"))
-                })?;
-                if slot.is_some() {
-                    return Err(bootstrap_err(format!("two hellos from rank {rank}")));
-                }
-                *slot = Some((addr, stream));
-                Ok(())
-            };
-        let mut remaining = nprocs - 1;
-        // Serve hellos stashed by an earlier fabric's collection first.
-        let mut i = 0;
-        while i < self.stash.len() {
-            if self.stash[i].0 == fabric {
-                let (_, rank, addr, stream) = self.stash.remove(i);
-                place(rank, addr, stream)?;
-                remaining -= 1;
-            } else if is_coll_fabric(self.stash[i].0) && is_coll_fabric(fabric) {
-                // A stashed collectives hello for a *different* topology:
-                // fail loudly now, not via a barrier deadlock later.
-                return Err(topology_disagreement(self.stash[i].0, fabric));
-            } else {
-                i += 1;
-            }
-        }
         let deadline = Instant::now() + BOOTSTRAP_TIMEOUT;
-        while remaining > 0 {
+        for remaining in (1..nprocs).rev() {
             let (hello, stream) = accept_hello(&self.listener, deadline, "rendezvous", || {
                 format!(
                     "timed out waiting for {remaining} of {} peers to dial the rendezvous at {}",
@@ -433,6 +378,7 @@ impl TcpRendezvous {
                 )
             })?;
             let Hello { fabric: f, rank, epoch, mesh, .. } = hello;
+            check_fabric(f, fabric)?;
             if epoch != EPOCH_ANY && epoch != self.epoch {
                 return Err(bootstrap_err(format!(
                     "rank {rank} dialed the rendezvous with epoch {epoch} but the \
@@ -447,15 +393,13 @@ impl TcpRendezvous {
                     stream.peer_addr().map_err(|e| io_err("reading hello source address", e))?.ip()
                 }
             };
-            let addr = SocketAddr::new(ip, mesh.port);
-            if f == fabric {
-                place(rank, addr, stream)?;
-                remaining -= 1;
-            } else if is_coll_fabric(f) && is_coll_fabric(fabric) {
-                return Err(topology_disagreement(f, fabric));
-            } else {
-                self.stash.push((f, rank, addr, stream));
+            let slot = slots.get_mut(rank as usize).filter(|_| rank >= 1).ok_or_else(|| {
+                bootstrap_err(format!("hello from out-of-range rank {rank} (nprocs {nprocs})"))
+            })?;
+            if slot.is_some() {
+                return Err(bootstrap_err(format!("two hellos from rank {rank}")));
             }
+            *slot = Some((SocketAddr::new(ip, mesh.port), stream));
         }
         Ok(slots
             .into_iter()
@@ -578,14 +522,7 @@ where
             drop(s);
             continue;
         }
-        if f != fabric {
-            if is_coll_fabric(f) && is_coll_fabric(fabric) {
-                return Err(topology_disagreement(f, fabric));
-            }
-            return Err(bootstrap_err(format!(
-                "mesh hello for fabric {f} arrived on fabric {fabric}'s listener"
-            )));
-        }
+        check_fabric(f, fabric)?;
         let peer = peer as usize;
         if peer <= rank || peer >= nprocs {
             return Err(bootstrap_err(format!(
@@ -605,6 +542,9 @@ where
 mod tests {
     use super::*;
 
+    /// The fabric id every test session below bootstraps.
+    const FLAT: u8 = FABRIC_BASE;
+
     /// Dial `addr` and send a raw bootstrap hello (test helper).
     fn dial_hello(addr: SocketAddr, fabric: u8, rank: u32, epoch: u32) -> TcpStream {
         let mut s = TcpStream::connect(addr).expect("dialing test rendezvous");
@@ -616,9 +556,9 @@ mod tests {
     fn duplicate_hello_is_a_typed_bootstrap_error() {
         let mut rv = TcpRendezvous::bind("127.0.0.1:0").unwrap();
         let addr = rv.local_addr();
-        let _c1 = dial_hello(addr, FABRIC_P2P, 1, 0);
-        let _c2 = dial_hello(addr, FABRIC_P2P, 1, 0);
-        let err = rv.collect(FABRIC_P2P, 3).expect_err("two hellos from one rank must fail");
+        let _c1 = dial_hello(addr, FLAT, 1, 0);
+        let _c2 = dial_hello(addr, FLAT, 1, 0);
+        let err = rv.collect(FLAT, 3).expect_err("two hellos from one rank must fail");
         assert!(matches!(err, TransportError::Bootstrap { .. }), "typed bootstrap error: {err:?}");
         assert!(err.to_string().contains("two hellos from rank 1"), "names the rank: {err}");
     }
@@ -627,8 +567,8 @@ mod tests {
     fn out_of_range_rank_hello_is_a_typed_bootstrap_error() {
         let mut rv = TcpRendezvous::bind("127.0.0.1:0").unwrap();
         let addr = rv.local_addr();
-        let _c = dial_hello(addr, FABRIC_P2P, 7, 0);
-        let err = rv.collect(FABRIC_P2P, 2).expect_err("rank 7 of 2 must fail the bootstrap");
+        let _c = dial_hello(addr, FLAT, 7, 0);
+        let err = rv.collect(FLAT, 2).expect_err("rank 7 of 2 must fail the bootstrap");
         assert!(matches!(err, TransportError::Bootstrap { .. }), "typed bootstrap error: {err:?}");
         assert!(err.to_string().contains("out-of-range rank 7"), "names the rank: {err}");
     }
@@ -639,8 +579,8 @@ mod tests {
         // be a misconfigured worker.
         let mut rv = TcpRendezvous::bind("127.0.0.1:0").unwrap();
         let addr = rv.local_addr();
-        let _c = dial_hello(addr, FABRIC_P2P, 0, 0);
-        let err = rv.collect(FABRIC_P2P, 2).expect_err("a rank-0 hello must fail the bootstrap");
+        let _c = dial_hello(addr, FLAT, 0, 0);
+        let err = rv.collect(FLAT, 2).expect_err("a rank-0 hello must fail the bootstrap");
         assert!(err.to_string().contains("out-of-range rank 0"), "names the rank: {err}");
     }
 
@@ -652,10 +592,28 @@ mod tests {
         let mut rv = TcpRendezvous::bind("127.0.0.1:0").unwrap();
         rv.set_epoch(2);
         let addr = rv.local_addr();
-        let _c = dial_hello(addr, FABRIC_P2P, 1, 0);
-        let err = rv.collect(FABRIC_P2P, 2).expect_err("a stale-epoch hello must fail");
+        let _c = dial_hello(addr, FLAT, 1, 0);
+        let err = rv.collect(FLAT, 2).expect_err("a stale-epoch hello must fail");
         let msg = err.to_string();
         assert!(msg.contains("epoch 0") && msg.contains("epoch 2"), "names both epochs: {msg}");
+    }
+
+    #[test]
+    fn two_mesh_era_hello_is_a_typed_bootstrap_error() {
+        // Fabric ids 0-3 were the point-to-point and collectives meshes of
+        // the two-mesh protocol: a binary still speaking it is refused by
+        // name at the rendezvous, not left to wedge the bootstrap.
+        assert_eq!(fabric_id(CollectiveTopology::Flat), FLAT);
+        for old in 0..FABRIC_BASE {
+            let mut rv = TcpRendezvous::bind("127.0.0.1:0").unwrap();
+            let _c = dial_hello(rv.local_addr(), old, 1, 0);
+            let err = rv.collect(FLAT, 2).expect_err("an old-protocol hello must fail");
+            assert!(matches!(err, TransportError::Bootstrap { .. }), "typed: {err:?}");
+            assert!(err.to_string().contains("two-mesh"), "names the protocol: {err}");
+        }
+        // Another topology's session id is the DNE_COLLECTIVES disagreement.
+        let err = check_fabric(fabric_id(CollectiveTopology::Binomial), FLAT).unwrap_err();
+        assert!(err.to_string().contains("DNE_COLLECTIVES"), "{err}");
     }
 
     #[test]
@@ -665,8 +623,8 @@ mod tests {
         let mut rv = TcpRendezvous::bind("127.0.0.1:0").unwrap();
         rv.set_epoch(5);
         let addr = rv.local_addr();
-        let _c = dial_hello(addr, FABRIC_P2P, 1, EPOCH_ANY);
-        let peers = rv.collect(FABRIC_P2P, 2).expect("a wildcard hello joins any epoch");
+        let _c = dial_hello(addr, FLAT, 1, EPOCH_ANY);
+        let peers = rv.collect(FLAT, 2).expect("a wildcard hello joins any epoch");
         assert_eq!(peers.len(), 1);
         assert_eq!(peers[0].0, 1);
     }
@@ -729,7 +687,7 @@ mod tests {
     #[test]
     fn malformed_records_are_typed_bootstrap_errors() {
         let mut hello = Vec::new();
-        write_hello(&mut hello, FABRIC_P2P, 1, 0, None, 9).unwrap();
+        write_hello(&mut hello, FLAT, 1, 0, None, 9).unwrap();
         // A short read is an io error naming the record, never a hang or panic.
         let err = read_hello(&mut &hello[..31]).err().expect("31 of 32 bytes");
         assert!(matches!(err, TransportError::Io { .. }), "{err:?}");

@@ -7,10 +7,13 @@
 //! a full mesh — the rendezvous protocol, hellos and rosters, bootstrap
 //! epochs and recovery re-bootstraps — is [`crate::rendezvous`], whose
 //! public names ([`TcpRendezvous`], [`EPOCH_ANY`]) are re-exported here.
+//! A cluster session is **one** mesh: `P − 1` sockets, one io thread and
+//! one wake pipe per rank, carrying application messages and collective
+//! blocks alike as the two lanes of an [`Envelope`].
 //!
 //! # Framing
 //!
-//! Data frames are exactly the bytes backend's — both layouts, their
+//! Data frames are exactly the bytes backend's — every layout, their
 //! encoder (the send-side `Outbox`) and their decoder live in
 //! [`crate::frame`]; this module never looks inside one. The push-based
 //! `FrameAssembler` reassembles frames from whatever byte slices the poll
@@ -71,7 +74,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::cluster::Ctx;
-use crate::collectives::{CollMsg, CollectiveTopology, Collectives};
+use crate::collectives::{CollectiveTopology, Collectives};
 use crate::comm::CommEndpoint;
 #[cfg(unix)]
 use crate::frame::{bye_frame, source_word};
@@ -79,11 +82,9 @@ use crate::frame::{decode_frames, FrameSink, Outbox, WriteQueue};
 use crate::memory::MemoryTracker;
 #[cfg(unix)]
 use crate::poll::{Ending, Engine};
-use crate::rendezvous::{
-    bootstrap_err, coll_fabric, connect_endpoint, host_endpoint, io_err, FABRIC_P2P,
-};
+use crate::rendezvous::{bootstrap_err, connect_endpoint, fabric_id, host_endpoint, io_err};
 use crate::stats::CommStats;
-use crate::transport::{BatchConfig, Transport, TransportError};
+use crate::transport::{BatchConfig, Envelope, Transport, TransportError};
 use crate::wire::{WireDecode, WireEncode};
 
 pub use crate::frame::{FramedReader, MAX_FRAME_PAYLOAD};
@@ -107,8 +108,8 @@ const CRASH_DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// What the io thread delivers into the endpoint's event queue.
 enum Event<M> {
-    /// A decoded envelope from a peer (or a self-send).
-    Frame(usize, M),
+    /// A decoded envelope from a peer (or a self-send), on either lane.
+    Frame(usize, Envelope<M>),
     /// The peer said goodbye: graceful teardown, the link is retired.
     Bye,
     /// The link failed: dirty EOF, framing violation, or decode error.
@@ -141,7 +142,7 @@ type WakePipe = std::convert::Infallible;
 ///
 /// One io thread per endpoint multiplexes every mesh link through the
 /// shared connection engine: it reassembles incoming frames (via
-/// `FrameAssembler`), decodes them into `(src, msg)` envelopes, and
+/// `FrameAssembler`), decodes them into `(src, envelope)` pairs, and
 /// drains per-peer write queues that `send`/`flush` fill through the
 /// shared `Outbox` (this endpoint is its `FrameSink`). `recv`
 /// surfaces a peer that died without its goodbye frame as
@@ -176,7 +177,9 @@ where
 {
     /// Build all `n` connected endpoints of an in-process fabric: machine
     /// threads bridged by real localhost sockets, bootstrapped through
-    /// the same rendezvous protocol spawned worker processes use.
+    /// the same rendezvous protocol spawned worker processes use (its
+    /// ranks share one collective topology by construction, so the hello
+    /// names the default one).
     ///
     /// # Panics
     /// Panics when the localhost mesh cannot be built (ports exhausted,
@@ -207,28 +210,19 @@ where
         }
         let mut rv = TcpRendezvous::bind("127.0.0.1:0")
             .map_err(|e| io_err("binding in-process rendezvous", e))?;
-        let addr = rv.local_addr();
+        let (addr, fabric) = (rv.local_addr(), fabric_id(CollectiveTopology::default()));
         std::thread::scope(|scope| {
             let dialers: Vec<_> = (1..n)
                 .map(|r| {
                     let stats = Arc::clone(&stats);
                     scope.spawn(move || {
-                        connect_endpoint::<M>(
-                            addr,
-                            FABRIC_P2P,
-                            r,
-                            n,
-                            0,
-                            "127.0.0.1:0",
-                            batch,
-                            stats,
-                        )
-                        .map(|(ep, _epoch)| ep)
+                        connect_endpoint::<M>(addr, fabric, r, n, 0, "127.0.0.1:0", batch, stats)
+                            .map(|(ep, _epoch)| ep)
                     })
                 })
                 .collect();
             let mut out = Vec::with_capacity(n);
-            out.push(host_endpoint::<M>(&mut rv, FABRIC_P2P, n, batch, Arc::clone(&stats))?);
+            out.push(host_endpoint::<M>(&mut rv, fabric, n, batch, Arc::clone(&stats))?);
             for d in dialers {
                 out.push(
                     d.join()
@@ -345,7 +339,7 @@ impl<M> TcpTransport<M> {
 
     /// Account one event off the queue: an envelope or a fault is a
     /// receive's outcome, a retired link only lowers the live count.
-    fn settle(&self, event: Event<M>) -> Option<Result<(usize, M), TransportError>> {
+    fn settle(&self, event: Event<M>) -> Option<Result<(usize, Envelope<M>), TransportError>> {
         let outcome = match event {
             Event::Frame(src, msg) => return Some(Ok((src, msg))),
             Event::Bye => None,
@@ -379,9 +373,9 @@ impl<M: WireDecode> FrameSink for TcpTransport<M> {
         }
         let mut frame = Vec::new();
         write(&mut frame);
-        for msg in decode_frames::<M>(&frame)?.1 {
+        for env in decode_frames::<M>(&frame)?.1 {
             self.events_tx
-                .send(Event::Frame(self.rank, msg))
+                .send(Event::Frame(self.rank, env))
                 .expect("own event queue outlives the endpoint");
         }
         Ok(())
@@ -565,8 +559,8 @@ impl<M: WireDecode> MeshIo<M> {
                     ),
                 });
             }
-            for msg in decode_frames::<M>(frame)?.1 {
-                let _ = tx.send(Event::Frame(peer, msg));
+            for env in decode_frames::<M>(frame)?.1 {
+                let _ = tx.send(Event::Frame(peer, env));
             }
             Ok(true)
         });
@@ -599,15 +593,15 @@ where
         self.nprocs
     }
 
-    fn send(&self, dst: usize, msg: M) -> Result<usize, TransportError> {
-        self.outbox.send(self, dst, &msg)
+    fn send(&self, dst: usize, env: Envelope<M>) -> Result<usize, TransportError> {
+        self.outbox.send(self, dst, &env)
     }
 
     fn flush(&self) -> Result<(), TransportError> {
         self.outbox.flush(self)
     }
 
-    fn try_recv(&self) -> Result<Option<(usize, M)>, TransportError> {
+    fn try_recv(&self) -> Result<Option<(usize, Envelope<M>)>, TransportError> {
         while let Ok(event) = self.events_rx.try_recv() {
             if let Some(outcome) = self.settle(event) {
                 return outcome.map(Some);
@@ -616,7 +610,7 @@ where
         Ok(None)
     }
 
-    fn recv(&self) -> Result<(usize, M), TransportError> {
+    fn recv(&self) -> Result<(usize, Envelope<M>), TransportError> {
         loop {
             let event = if *self.live.lock() == 0 {
                 // Every link has retired: only already-queued envelopes
@@ -669,11 +663,12 @@ impl<M> Drop for TcpTransport<M> {
 ///
 /// Rank 0 [`host`](TcpProcessCluster::host)s the rendezvous; every other
 /// process [`join`](TcpProcessCluster::join)s it.
-/// [`connect`](TcpProcessCluster::connect) then bootstraps the two meshes
-/// of a cluster session (point-to-point and collectives) and hands back a
-/// [`TcpSession`] whose [`Ctx`] offers the exact API that in-process
-/// `Cluster::run` closures receive — the same per-rank algorithm code
-/// drives both. See the `dne-tcp-worker` binary for the full workflow.
+/// [`connect`](TcpProcessCluster::connect) then bootstraps the session's
+/// one mesh — application messages and collective blocks share it — and
+/// hands back a [`TcpSession`] whose [`Ctx`] offers the exact API that
+/// in-process `Cluster::run` closures receive — the same per-rank
+/// algorithm code drives both. See the `dne-tcp-worker` binary for the
+/// full workflow.
 pub struct TcpProcessCluster {
     rank: usize,
     nprocs: usize,
@@ -732,20 +727,20 @@ impl TcpProcessCluster {
     /// Select the collective topology explicitly (overrides
     /// `DNE_COLLECTIVES`, which is then never consulted). Every process of
     /// the cluster must pass the same value: the topology is baked into
-    /// the collectives mesh's fabric id, so a disagreement fails the
-    /// bootstrap with a typed [`TransportError::Bootstrap`] naming both
-    /// topologies instead of deadlocking at the first barrier.
+    /// the session's fabric id, so a disagreement fails the bootstrap with
+    /// a typed [`TransportError::Bootstrap`] naming both topologies instead
+    /// of deadlocking at the first barrier.
     pub fn with_collectives(mut self, collectives: CollectiveTopology) -> Self {
         self.collectives = Some(collectives);
         self
     }
 
-    /// Select the coalescing policy of the point-to-point mesh explicitly
-    /// (overrides `DNE_COMM_BATCH`; the collectives mesh always runs
-    /// unbatched, so the published per-rank collective traffic stays
-    /// exact). Results and logical message/byte accounting are identical
-    /// with batching on or off — only the physical frame count changes, so
-    /// processes need not agree on the policy.
+    /// Select the coalescing policy of the application messages explicitly
+    /// (overrides `DNE_COMM_BATCH`; collective blocks are never coalesced,
+    /// so the published per-rank collective traffic stays exact). Results
+    /// and logical message/byte accounting are identical with batching on
+    /// or off — only the physical frame count changes, so processes need
+    /// not agree on the policy.
     pub fn with_comm_batch(mut self, batch: BatchConfig) -> Self {
         self.comm_batch = Some(batch);
         self
@@ -767,7 +762,7 @@ impl TcpProcessCluster {
         self.addr
     }
 
-    /// Bootstrap both meshes and build this rank's cluster context. Unless
+    /// Bootstrap the session's mesh and build this rank's cluster context. Unless
     /// set explicitly, the collective topology resolves from
     /// `DNE_COLLECTIVES` (flat when unset — every process of a cluster
     /// must agree, which environment inheritance gives for free) and the
@@ -785,29 +780,7 @@ impl TcpProcessCluster {
         self.connect_epoch(0)
     }
 
-    /// This rank's side of one fabric's bootstrap — hosting when it holds
-    /// the rendezvous, dialing it otherwise — and the epoch the mesh was
-    /// built under.
-    fn bootstrap<T>(
-        &mut self,
-        fabric: u8,
-        epoch: u32,
-        batch: BatchConfig,
-        stats: &Arc<CommStats>,
-    ) -> Result<(TcpTransport<T>, u32), TransportError>
-    where
-        T: Send + WireEncode + WireDecode + 'static,
-    {
-        let (nprocs, stats) = (self.nprocs, Arc::clone(stats));
-        match self.rendezvous.as_mut() {
-            Some(rv) => Ok((host_endpoint(rv, fabric, nprocs, batch, stats)?, rv.epoch())),
-            None => connect_endpoint(
-                self.addr, fabric, self.rank, nprocs, epoch, &self.bind, batch, stats,
-            ),
-        }
-    }
-
-    /// Bootstrap (or re-bootstrap) the cluster's meshes under an explicit
+    /// Bootstrap (or re-bootstrap) the cluster's mesh under an explicit
     /// bootstrap generation, without consuming the cluster object — the
     /// recovery workflow: when a session dies with
     /// [`TransportError::Disconnected`], drop it and call `connect_epoch`
@@ -826,27 +799,31 @@ impl TcpProcessCluster {
     {
         let topology = self.collectives.unwrap_or_else(CollectiveTopology::from_env);
         let batch = self.comm_batch.unwrap_or_else(BatchConfig::from_env);
-        let stats = CommStats::new(self.nprocs);
-        let memory = MemoryTracker::new(self.nprocs);
-        if let Some(rv) = self.rendezvous.as_mut() {
-            assert!(
-                epoch != EPOCH_ANY,
-                "rank 0 owns the epoch counter and must pass a concrete epoch"
-            );
-            rv.set_epoch(epoch);
-        }
-        let (p2p, epoch) = self.bootstrap::<M>(FABRIC_P2P, epoch, batch, &stats)?;
-        // The collectives mesh joins the epoch the point-to-point roster
-        // agreed on — never the wildcard, so both meshes are of one
-        // generation — and always runs unbatched.
-        let (coll, _) = self.bootstrap::<CollMsg>(
-            coll_fabric(topology),
-            epoch,
-            BatchConfig::disabled(),
-            &stats,
-        )?;
-        let comm = CommEndpoint::from_transport(Box::new(p2p), Arc::clone(&stats));
-        let collectives = Collectives::from_transport(Box::new(coll), topology, Arc::clone(&stats));
+        let (nprocs, fabric) = (self.nprocs, fabric_id(topology));
+        let stats = CommStats::new(nprocs);
+        let memory = MemoryTracker::new(nprocs);
+        let (link, epoch) = match self.rendezvous.as_mut() {
+            Some(rv) => {
+                assert!(
+                    epoch != EPOCH_ANY,
+                    "rank 0 owns the epoch counter and must pass a concrete epoch"
+                );
+                rv.set_epoch(epoch);
+                (host_endpoint::<M>(rv, fabric, nprocs, batch, Arc::clone(&stats))?, epoch)
+            }
+            None => connect_endpoint::<M>(
+                self.addr,
+                fabric,
+                self.rank,
+                nprocs,
+                epoch,
+                &self.bind,
+                batch,
+                Arc::clone(&stats),
+            )?,
+        };
+        let comm = CommEndpoint::from_transport(Box::new(link), Arc::clone(&stats));
+        let collectives = Collectives::new(topology, self.rank, nprocs);
         let ctx = Ctx::from_parts(comm, collectives, Arc::clone(&memory));
         Ok(TcpSession { ctx, comm: stats, memory, epoch })
     }
@@ -861,7 +838,7 @@ pub struct TcpSession<M> {
     pub comm: Arc<CommStats>,
     /// Process-local memory accounting (this rank's row only).
     pub memory: Arc<MemoryTracker>,
-    /// The bootstrap generation this session's meshes were built under
+    /// The bootstrap generation this session's mesh was built under
     /// (0 for a cluster's first bootstrap; see
     /// [`TcpProcessCluster::connect_epoch`]).
     pub epoch: u32,
@@ -871,6 +848,7 @@ pub struct TcpSession<M> {
 mod tests {
     use super::*;
     use crate::wire::WireSize;
+    use Envelope::App;
 
     // ---------------------------------------------------- socket fabric --
 
@@ -881,11 +859,11 @@ mod tests {
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         for i in 0..5u64 {
-            a.send(1, i).unwrap();
+            a.send(1, App(i)).unwrap();
         }
         a.flush().unwrap();
         for i in 0..5u64 {
-            assert_eq!(b.recv().unwrap(), (0, i));
+            assert_eq!(b.recv().unwrap(), (0, App(i)));
         }
         assert_eq!(stats.frames_by(0), 1, "five coalesced envelopes are one physical frame");
     }
@@ -896,9 +874,9 @@ mod tests {
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         let payload: Vec<u64> = (0..500).collect();
-        let wire = a.send(1, payload.clone()).unwrap();
+        let wire = a.send(1, App(payload.clone())).unwrap();
         assert_eq!(wire, payload.wire_bytes());
-        assert_eq!(b.recv().unwrap(), (0, payload));
+        assert_eq!(b.recv().unwrap(), (0, App(payload)));
     }
 
     #[test]
@@ -907,10 +885,10 @@ mod tests {
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         for i in 0..200 {
-            a.send(1, i).unwrap();
+            a.send(1, App(i)).unwrap();
         }
         for i in 0..200 {
-            assert_eq!(b.recv().unwrap(), (0, i));
+            assert_eq!(b.recv().unwrap(), (0, App(i)));
         }
     }
 
@@ -956,11 +934,11 @@ mod tests {
         let mut eps = TcpTransport::<u64>::fabric(2);
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
-        b.send(0, 41).unwrap();
-        b.send(0, 42).unwrap();
+        b.send(0, App(41)).unwrap();
+        b.send(0, App(42)).unwrap();
         drop(b);
-        assert_eq!(a.recv().unwrap(), (1, 41));
-        assert_eq!(a.recv().unwrap(), (1, 42));
+        assert_eq!(a.recv().unwrap(), (1, App(41)));
+        assert_eq!(a.recv().unwrap(), (1, App(42)));
         match a.recv() {
             Err(TransportError::Disconnected { peer: None }) => {}
             other => panic!("expected all-gone disconnect, got {other:?}"),
@@ -971,8 +949,8 @@ mod tests {
     fn self_sends_work_without_sockets() {
         let eps = TcpTransport::<u64>::fabric(1);
         let a = &eps[0];
-        assert_eq!(a.send(0, 9).unwrap(), 8);
-        assert_eq!(a.recv().unwrap(), (0, 9));
+        assert_eq!(a.send(0, App(9)).unwrap(), 8);
+        assert_eq!(a.recv().unwrap(), (0, App(9)));
         // Nothing queued and no links: recv must error, not block.
         assert!(matches!(a.recv(), Err(TransportError::Disconnected { peer: None })));
     }
@@ -984,11 +962,11 @@ mod tests {
             for ep in eps {
                 s.spawn(move || {
                     for dst in 0..4 {
-                        ep.send(dst, (ep.rank() * 10 + dst) as u64).unwrap();
+                        ep.send(dst, App((ep.rank() * 10 + dst) as u64)).unwrap();
                     }
                     let mut got = vec![0u64; 4];
                     for _ in 0..4 {
-                        let (src, v) = ep.recv().unwrap();
+                        let (src, App(v)) = ep.recv().unwrap() else { panic!("a block") };
                         got[src] = v;
                     }
                     let want: Vec<u64> = (0..4).map(|src| (src * 10 + ep.rank()) as u64).collect();
@@ -1008,12 +986,12 @@ mod tests {
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         let t = std::thread::spawn(move || {
-            b.send(0, 7).unwrap();
+            b.send(0, App(7)).unwrap();
             b.flush().unwrap();
             panic!("injected crash (expected in this test)");
         });
         assert!(t.join().is_err(), "the injected panic must propagate");
-        assert_eq!(a.recv().unwrap(), (1, 7), "queued frames drain before the slam");
+        assert_eq!(a.recv().unwrap(), (1, App(7)), "queued frames drain before the slam");
         match a.recv() {
             Err(TransportError::Disconnected { peer: Some(1) }) => {}
             other => panic!("expected dirty disconnect from the panicking rank, got {other:?}"),

@@ -4,14 +4,15 @@
 //! like — and the one send path that produces them — is
 //! [`crate::frame`]'s business, not this module's.
 //!
-//! All traffic in the simulated cluster — point-to-point envelopes *and*
-//! collective rounds — flows through the [`Transport`] trait. Three
-//! backends implement it:
+//! All traffic in the simulated cluster — point-to-point messages *and*
+//! collective blocks — flows through the [`Transport`] trait as one
+//! [`Envelope`] lane or the other: a cluster session is one transport per
+//! rank. Three backends implement it:
 //!
 //! * [`LoopbackTransport`] — the thin no-codec reference and the fast
-//!   path: `(source, message)` pairs move between machine threads by
+//!   path: `(source, envelope)` pairs move between machine threads by
 //!   pointer through a crossbeam channel, and the wire cost is the
-//!   [`WireSize`] *estimate*. No frames exist, so there is nothing to
+//!   [`WireSize`] *estimate* of the envelope's payload. No frames exist, so there is nothing to
 //!   coalesce: it ignores [`BatchConfig`] and counts one frame per
 //!   inter-rank envelope.
 //! * [`BytesTransport`] — every envelope is really serialized through the
@@ -54,6 +55,7 @@ use std::sync::Arc;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
+use crate::collectives::CollMsg;
 use crate::frame::{check_payload_bound, decode_frames, FrameSink, Outbox};
 use crate::stats::CommStats;
 use crate::wire::{WireDecode, WireEncode, WireError, WireSize};
@@ -331,6 +333,39 @@ impl std::error::Error for TransportError {
     }
 }
 
+/// What one link carries: the two lanes of a cluster session's single
+/// mesh. The payload is the inner value alone — which lane it rides is the
+/// frame header's business ([`crate::frame`]), so a collective block costs
+/// exactly its words and an application message exactly its encoding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Envelope<M> {
+    /// An application message (`Ctx::send`, `Ctx::exchange`).
+    App(M),
+    /// A collective block of the all-gather schedule.
+    Coll(CollMsg),
+}
+
+// By hand: the lane is not part of the payload, so there is no tag to encode.
+impl<M: WireSize> WireSize for Envelope<M> {
+    #[inline]
+    fn wire_bytes(&self) -> usize {
+        match self {
+            Envelope::App(m) => m.wire_bytes(),
+            Envelope::Coll(block) => block.wire_bytes(),
+        }
+    }
+}
+
+impl<M: WireEncode> WireEncode for Envelope<M> {
+    #[inline]
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            Envelope::App(m) => m.encode(buf),
+            Envelope::Coll(block) => block.encode(buf),
+        }
+    }
+}
+
 /// One endpoint of the simulated interconnect: the seam between the
 /// runtime's messaging primitives and the medium that carries them.
 ///
@@ -338,9 +373,9 @@ impl std::error::Error for TransportError {
 /// encoded payload on bytes/tcp) for *every* destination, including self.
 /// Whether a send is chargeable is not a transport concern: accounting
 /// policy (self-sends are free) lives in exactly one place, the
-/// [`CommEndpoint`](crate::comm::CommEndpoint) wrapping this trait. `recv`
-/// blocks for the next envelope from any source and returns it tagged with
-/// the source rank.
+/// [`CommEndpoint`](crate::comm::CommEndpoint) wrapping this trait, which
+/// also sorts arrivals into their lanes. `recv` blocks for the next
+/// envelope from any source and returns it tagged with the source rank.
 ///
 /// Both operations are fallible: a vanished peer or an undecodable frame
 /// is a [`TransportError`], not a panic, so callers (including worker
@@ -353,17 +388,18 @@ pub trait Transport<M>: Send {
     /// Number of endpoints in the fabric.
     fn nprocs(&self) -> usize;
 
-    /// Deliver `msg` to `dst`'s queue; returns the envelope's wire size.
+    /// Deliver `env` to `dst`'s queue; returns the envelope's wire size.
     ///
-    /// Under an enabled [`BatchConfig`] small envelopes may be buffered
-    /// rather than transmitted immediately; [`Transport::flush`] (called
-    /// by `CommEndpoint` before every blocking receive) pushes them out.
-    /// The reported wire size is always the *logical* envelope's payload
+    /// Under an enabled [`BatchConfig`] small application messages may be
+    /// buffered rather than transmitted immediately; [`Transport::flush`]
+    /// (called by `CommEndpoint` before every blocking application
+    /// receive) pushes them out. Collective blocks are never buffered. The
+    /// reported wire size is always the *logical* envelope's payload
     /// bytes, buffered or not, so byte accounting is batching-invariant.
-    fn send(&self, dst: usize, msg: M) -> Result<usize, TransportError>;
+    fn send(&self, dst: usize, env: Envelope<M>) -> Result<usize, TransportError>;
 
-    /// Blocking receive of the next `(source, message)` envelope.
-    fn recv(&self) -> Result<(usize, M), TransportError>;
+    /// Blocking receive of the next `(source, envelope)` pair.
+    fn recv(&self) -> Result<(usize, Envelope<M>), TransportError>;
 
     /// Transmit every buffered envelope as multi-message frames (one per
     /// destination with a non-empty buffer). A no-op when coalescing is
@@ -377,7 +413,7 @@ pub trait Transport<M>: Send {
     /// deliverable, `None` otherwise. Lets callers drain the inbound
     /// queue eagerly while mid-round computation is still running. The
     /// default says "nothing ready", which is always safe.
-    fn try_recv(&self) -> Result<Option<(usize, M)>, TransportError> {
+    fn try_recv(&self) -> Result<Option<(usize, Envelope<M>)>, TransportError> {
         Ok(None)
     }
 }
@@ -399,15 +435,15 @@ fn channel_mesh<E>(n: usize) -> Vec<(usize, Vec<Sender<E>>, Receiver<E>)> {
         .collect()
 }
 
-/// The pointer-passing reference backend: `(source, message)` envelopes
-/// move through typed channels untouched — no codec, no frames, nothing
+/// The pointer-passing reference backend: `(source, envelope)` pairs move
+/// through typed channels untouched — no codec, no frames, nothing
 /// to coalesce, so it takes no [`BatchConfig`]. Wire cost is the
 /// [`WireSize`] estimate, the payload bound is enforced as on the framing
 /// backends, and its `frames` count is simply its inter-rank envelopes.
 pub struct LoopbackTransport<M> {
     rank: usize,
-    senders: Vec<Sender<(usize, M)>>,
-    receiver: Receiver<(usize, M)>,
+    senders: Vec<Sender<(usize, Envelope<M>)>>,
+    receiver: Receiver<(usize, Envelope<M>)>,
     stats: Arc<CommStats>,
 }
 
@@ -444,11 +480,11 @@ impl<M: Send + WireSize> Transport<M> for LoopbackTransport<M> {
         self.senders.len()
     }
 
-    fn send(&self, dst: usize, msg: M) -> Result<usize, TransportError> {
-        let wire = msg.wire_bytes();
+    fn send(&self, dst: usize, env: Envelope<M>) -> Result<usize, TransportError> {
+        let wire = env.wire_bytes();
         check_payload_bound(wire, self.rank)?;
         self.senders[dst]
-            .send((self.rank, msg))
+            .send((self.rank, env))
             .map_err(|_| TransportError::Disconnected { peer: Some(dst) })?;
         if dst != self.rank {
             self.stats.record_frames(self.rank, 1);
@@ -456,11 +492,11 @@ impl<M: Send + WireSize> Transport<M> for LoopbackTransport<M> {
         Ok(wire)
     }
 
-    fn recv(&self) -> Result<(usize, M), TransportError> {
+    fn recv(&self) -> Result<(usize, Envelope<M>), TransportError> {
         self.receiver.recv().map_err(|_| TransportError::Disconnected { peer: None })
     }
 
-    fn try_recv(&self) -> Result<Option<(usize, M)>, TransportError> {
+    fn try_recv(&self) -> Result<Option<(usize, Envelope<M>)>, TransportError> {
         match self.receiver.try_recv() {
             Ok(envelope) => Ok(Some(envelope)),
             Err(TryRecvError::Empty) => Ok(None),
@@ -483,7 +519,7 @@ pub struct BytesTransport<M> {
     senders: Vec<Sender<Vec<u8>>>,
     receiver: Receiver<Vec<u8>>,
     /// Envelopes decoded from received frames, in arrival order.
-    inbox: Mutex<VecDeque<(usize, M)>>,
+    inbox: Mutex<VecDeque<(usize, Envelope<M>)>>,
     outbox: Outbox,
 }
 
@@ -503,10 +539,11 @@ impl<M: Send + WireEncode + WireDecode> BytesTransport<M> {
             .collect()
     }
 
-    /// Decode one received frame — single or multi-message — into the inbox.
+    /// Decode one received frame — of any layout, on either lane —
+    /// into the inbox.
     fn ingest(&self, frame: Vec<u8>) -> Result<(), TransportError> {
-        let (src, msgs) = decode_frames::<M>(&frame)?;
-        self.inbox.lock().extend(msgs.into_iter().map(|m| (src, m)));
+        let (src, envs) = decode_frames::<M>(&frame)?;
+        self.inbox.lock().extend(envs.into_iter().map(|env| (src, env)));
         Ok(())
     }
 }
@@ -531,11 +568,11 @@ impl<M: Send + WireEncode + WireDecode> Transport<M> for BytesTransport<M> {
         self.senders.len()
     }
 
-    fn send(&self, dst: usize, msg: M) -> Result<usize, TransportError> {
-        self.outbox.send(self, dst, &msg)
+    fn send(&self, dst: usize, env: Envelope<M>) -> Result<usize, TransportError> {
+        self.outbox.send(self, dst, &env)
     }
 
-    fn recv(&self) -> Result<(usize, M), TransportError> {
+    fn recv(&self) -> Result<(usize, Envelope<M>), TransportError> {
         loop {
             if let Some(envelope) = self.inbox.lock().pop_front() {
                 return Ok(envelope);
@@ -550,7 +587,7 @@ impl<M: Send + WireEncode + WireDecode> Transport<M> for BytesTransport<M> {
         self.outbox.flush(self)
     }
 
-    fn try_recv(&self) -> Result<Option<(usize, M)>, TransportError> {
+    fn try_recv(&self) -> Result<Option<(usize, Envelope<M>)>, TransportError> {
         loop {
             if let Some(envelope) = self.inbox.lock().pop_front() {
                 return Ok(Some(envelope));
@@ -569,6 +606,7 @@ impl<M: Send + WireEncode + WireDecode> Transport<M> for BytesTransport<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Envelope::App;
 
     /// Unbatched fabric with throwaway stats — the historical shape.
     fn plain_fabric<M>(kind: TransportKind, n: usize) -> Vec<Box<dyn Transport<M>>>
@@ -604,11 +642,11 @@ mod tests {
         let b = fabric.pop().unwrap();
         let a = fabric.pop().unwrap();
         let payload: Vec<u64> = (0..100).collect();
-        let wire = a.send(1, payload.clone()).unwrap();
+        let wire = a.send(1, App(payload.clone())).unwrap();
         assert_eq!(wire, payload.wire_bytes(), "charged bytes must equal wire size");
         let (src, got) = b.recv().unwrap();
         assert_eq!(src, 0);
-        assert_eq!(got, payload);
+        assert_eq!(got, App(payload));
     }
 
     #[test]
@@ -633,8 +671,8 @@ mod tests {
         for kind in TransportKind::ALL {
             let fabric = plain_fabric::<u64>(kind, 1);
             let a = &fabric[0];
-            assert_eq!(a.send(0, 7).unwrap(), 8, "{kind}: size reported even for self-sends");
-            assert_eq!(a.recv().unwrap(), (0, 7));
+            assert_eq!(a.send(0, App(7)).unwrap(), 8, "{kind}: size reported even for self-sends");
+            assert_eq!(a.recv().unwrap(), (0, App(7)));
         }
     }
 
@@ -644,7 +682,7 @@ mod tests {
         let _b = fabric.pop().unwrap();
         let a = fabric.pop().unwrap();
         drop(_b);
-        let err = a.send(1, 5).unwrap_err();
+        let err = a.send(1, App(5)).unwrap_err();
         assert!(matches!(err, TransportError::Disconnected { peer: Some(1) }), "{err}");
     }
 
@@ -676,11 +714,11 @@ mod tests {
             let b = fabric.pop().unwrap();
             let a = fabric.pop().unwrap();
             for i in 0..10u64 {
-                assert_eq!(a.send(1, i).unwrap(), 8, "{kind}: logical wire size per envelope");
+                assert_eq!(a.send(1, App(i)).unwrap(), 8, "{kind}: logical wire size per envelope");
             }
             a.flush().unwrap();
             for i in 0..10u64 {
-                assert_eq!(b.recv().unwrap(), (0, i), "{kind}: batch preserves FIFO order");
+                assert_eq!(b.recv().unwrap(), (0, App(i)), "{kind}: batch preserves FIFO order");
             }
             let frames = if kind == TransportKind::Loopback { 10 } else { 2 };
             assert_eq!(stats.frames_by(0), frames, "{kind}: frames for 10 envelopes");
@@ -699,13 +737,13 @@ mod tests {
             let b = fabric.pop().unwrap();
             let a = fabric.pop().unwrap();
             let big: Vec<u64> = (0..100).collect();
-            a.send(1, vec![1]).unwrap();
-            a.send(1, big.clone()).unwrap();
-            a.send(1, vec![2]).unwrap();
+            a.send(1, App(vec![1])).unwrap();
+            a.send(1, App(big.clone())).unwrap();
+            a.send(1, App(vec![2])).unwrap();
             a.flush().unwrap();
-            assert_eq!(b.recv().unwrap(), (0, vec![1]), "{kind}");
-            assert_eq!(b.recv().unwrap(), (0, big.clone()), "{kind}");
-            assert_eq!(b.recv().unwrap(), (0, vec![2]), "{kind}");
+            assert_eq!(b.recv().unwrap(), (0, App(vec![1])), "{kind}");
+            assert_eq!(b.recv().unwrap(), (0, App(big.clone())), "{kind}");
+            assert_eq!(b.recv().unwrap(), (0, App(vec![2])), "{kind}");
             // frame 1: flushed [1]; frame 2: the big envelope; frame 3:
             // the flushed trailing [2].
             assert_eq!(stats.frames_by(0), 3, "{kind}");
@@ -718,21 +756,21 @@ mod tests {
             let mut fabric = plain_fabric::<u64>(kind, 2);
             let b = fabric.pop().unwrap();
             let a = fabric.pop().unwrap();
-            a.send(1, 11).unwrap();
-            a.send(1, 12).unwrap();
+            a.send(1, App(11)).unwrap();
+            a.send(1, App(12)).unwrap();
             a.flush().unwrap();
             // The tcp fabric delivers asynchronously; poll briefly.
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
             let mut got = Vec::new();
             while got.len() < 2 && std::time::Instant::now() < deadline {
-                if let Some((src, v)) = b.try_recv().unwrap() {
+                if let Some((src, env)) = b.try_recv().unwrap() {
                     assert_eq!(src, 0);
-                    got.push(v);
+                    got.push(env);
                 } else {
                     std::thread::yield_now();
                 }
             }
-            assert_eq!(got, vec![11, 12], "{kind}");
+            assert_eq!(got, vec![App(11), App(12)], "{kind}");
             assert!(b.try_recv().unwrap().is_none(), "{kind}: queue must now be empty");
         }
     }
@@ -744,9 +782,9 @@ mod tests {
             let mut fabric = kind.fabric::<u64>(2, BatchConfig::disabled(), Arc::clone(&stats));
             let b = fabric.pop().unwrap();
             let a = fabric.pop().unwrap();
-            a.send(1, 1).unwrap();
-            a.send(0, 2).unwrap(); // self: delivered, never a wire frame
-            a.send(1, 3).unwrap();
+            a.send(1, App(1)).unwrap();
+            a.send(0, App(2)).unwrap(); // self: delivered, never a wire frame
+            a.send(1, App(3)).unwrap();
             let _ = b.recv().unwrap();
             let _ = a.recv().unwrap();
             let _ = b.recv().unwrap();

@@ -42,8 +42,8 @@ use distributed_ne::partition::streaming::HdrfPartitioner;
 use distributed_ne::partition::{EdgeAssignment, EdgePartitioner};
 use distributed_ne::runtime::comm::CommEndpoint;
 use distributed_ne::runtime::{
-    CollMsg, CollectiveTopology, Collectives, CommStats, Ctx, MemoryTracker, TcpTransport,
-    TransportError, WireDecode, WireEncode,
+    CollectiveTopology, Collectives, CommStats, Ctx, MemoryTracker, TcpTransport, TransportError,
+    WireDecode, WireEncode,
 };
 use proptest::prelude::*;
 
@@ -314,9 +314,9 @@ fn fault_fixture() -> (Graph, EdgeAssignment) {
     (g, a)
 }
 
-/// Build the 3-rank tcp fabrics (point-to-point messages + collectives),
-/// kill rank 1 the way a dead process dies (sockets slammed shut, no
-/// goodbye frames), and return the two survivors' contexts.
+/// Build the 3-rank tcp fabric (one mesh: point-to-point messages and
+/// collectives), kill rank 1 the way a dead process dies (sockets slammed
+/// shut, no goodbye frames), and return the two survivors' contexts.
 fn surviving_ctxs<M>() -> Vec<Ctx<M>>
 where
     M: Send + WireEncode + WireDecode + 'static,
@@ -324,26 +324,15 @@ where
     let stats = CommStats::new(3);
     let mem = MemoryTracker::new(3);
     let mut links = TcpTransport::<M>::fabric(3);
-    let mut colls = TcpTransport::<CollMsg>::fabric(3);
     let victim = links.remove(1);
     victim.abort();
     drop(victim);
-    let coll_victim = colls.remove(1);
-    coll_victim.abort();
-    drop(coll_victim);
     links
         .into_iter()
-        .zip(colls)
-        .map(|(link, coll)| {
-            Ctx::from_parts(
-                CommEndpoint::from_transport(Box::new(link), stats.clone()),
-                Collectives::from_transport(
-                    Box::new(coll),
-                    CollectiveTopology::Flat,
-                    stats.clone(),
-                ),
-                mem.clone(),
-            )
+        .map(|link| {
+            let comm = CommEndpoint::from_transport(Box::new(link), stats.clone());
+            let coll = Collectives::new(CollectiveTopology::Flat, comm.rank(), comm.nprocs());
+            Ctx::from_parts(comm, coll, mem.clone())
         })
         .collect()
 }

@@ -29,9 +29,10 @@ use distributed_ne::apps::Engine;
 use distributed_ne::core::{DistributedNe, NeConfig};
 use distributed_ne::graph::gen;
 use distributed_ne::partition::{EdgePartitioner, PartitionQuality};
+use distributed_ne::runtime::comm::CommEndpoint;
 use distributed_ne::runtime::{
-    CollMsg, CollectiveTopology, Collectives, CommStats, TcpTransport, TransportError,
-    TransportKind,
+    BatchConfig, CollectiveTopology, Collectives, CommStats, Ctx, MemoryTracker, TcpTransport,
+    TransportError, TransportKind,
 };
 use proptest::prelude::*;
 
@@ -67,7 +68,7 @@ fn measured_collective_traffic_matches_the_closed_forms() {
         for kind in [TransportKind::Loopback, TransportKind::Bytes] {
             for (topo, (want_bytes, want_msgs)) in TOPOLOGIES.into_iter().zip(per_topo) {
                 let stats = CommStats::new(p);
-                let fabric = Collectives::fabric(kind, topo, p, stats.clone());
+                let fabric = ranks(kind, topo, p, stats.clone());
                 std::thread::scope(|s| {
                     for mut coll in fabric {
                         s.spawn(move || coll.barrier().unwrap());
@@ -166,6 +167,50 @@ fn app_engine_is_equivalent_across_every_transport_topology_pair() {
 
 // ------------------------------------------------------- property tests --
 
+/// One rank of a raw fabric driven only through its collectives: its
+/// endpoint of the session's one mesh with the schedule executor over it,
+/// the fallible collectives under their plain names.
+struct CollRank(Ctx<u64>);
+
+impl CollRank {
+    fn new(comm: CommEndpoint<u64>, topo: CollectiveTopology) -> Self {
+        let (rank, n) = (comm.rank(), comm.nprocs());
+        CollRank(Ctx::from_parts(comm, Collectives::new(topo, rank, n), MemoryTracker::new(n)))
+    }
+    fn rank(&self) -> usize {
+        self.0.rank()
+    }
+    fn barrier(&mut self) -> Result<(), TransportError> {
+        self.0.try_barrier()
+    }
+    fn all_gather_u64(&mut self, v: u64) -> Result<Vec<u64>, TransportError> {
+        self.0.try_all_gather_u64(v)
+    }
+    fn all_reduce_sum_u64(&mut self, v: u64) -> Result<u64, TransportError> {
+        self.0.try_all_reduce_sum_u64(v)
+    }
+    fn all_reduce_max_u64(&mut self, v: u64) -> Result<u64, TransportError> {
+        self.0.try_all_reduce_max_u64(v)
+    }
+    fn all_reduce_sum_f64(&mut self, v: f64) -> Result<f64, TransportError> {
+        self.0.try_all_reduce_sum_f64(v)
+    }
+    fn all_reduce_any(&mut self, v: bool) -> Result<bool, TransportError> {
+        self.0.try_all_reduce_any(v)
+    }
+}
+
+/// The `n` ranks of a raw `kind` fabric under `topo`, charging `stats`.
+fn ranks(
+    kind: TransportKind,
+    topo: CollectiveTopology,
+    n: usize,
+    stats: std::sync::Arc<CommStats>,
+) -> Vec<CollRank> {
+    let endpoints = CommEndpoint::fabric(kind, n, BatchConfig::disabled(), stats);
+    endpoints.into_iter().map(|comm| CollRank::new(comm, topo)).collect()
+}
+
 /// Run one collective program on a raw fabric, one thread per rank,
 /// returning the per-rank outcomes in rank order.
 fn run_fabric<R: Send>(
@@ -173,9 +218,9 @@ fn run_fabric<R: Send>(
     topo: CollectiveTopology,
     n: usize,
     stats: std::sync::Arc<CommStats>,
-    f: impl Fn(usize, &mut Collectives) -> R + Sync,
+    f: impl Fn(usize, &mut CollRank) -> R + Sync,
 ) -> Vec<R> {
-    let fabric = Collectives::fabric(kind, topo, n, stats);
+    let fabric = ranks(kind, topo, n, stats);
     std::thread::scope(|s| {
         let handles: Vec<_> = fabric
             .into_iter()
@@ -262,13 +307,13 @@ fn killed_rank_mid_collective_is_a_typed_error_under_every_topology() {
     // a panic, whichever schedule the topology runs.
     for topo in CollectiveTopology::ALL {
         let stats = CommStats::new(3);
-        let mut links = TcpTransport::<CollMsg>::fabric(3);
+        let mut links = TcpTransport::<u64>::fabric(3);
         let victim = links.remove(1);
         victim.abort();
         drop(victim); // goodbye writes fail silently on the dead sockets
-        let survivors: Vec<Collectives> = links
+        let survivors: Vec<CollRank> = links
             .into_iter()
-            .map(|l| Collectives::from_transport(Box::new(l), topo, stats.clone()))
+            .map(|l| CollRank::new(CommEndpoint::from_transport(Box::new(l), stats.clone()), topo))
             .collect();
         std::thread::scope(|s| {
             for mut coll in survivors {

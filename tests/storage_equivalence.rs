@@ -20,7 +20,7 @@ mod common;
 use common::{materialize_chunked, reopen, storage_transport_pairs, STORAGES};
 use distributed_ne::core::{DistributedNe, NeConfig};
 use distributed_ne::graph::{gen, EdgeListBuilder, StorageKind};
-use distributed_ne::partition::{EdgePartitioner, PartitionQuality, UNASSIGNED};
+use distributed_ne::partition::PartitionQuality;
 use distributed_ne::runtime::TransportKind;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,40 +60,6 @@ fn distributed_ne_is_equivalent_across_every_storage_transport_pair() {
             assert_eq!(q.vertex_balance, q_ref.vertex_balance, "{label}: VB");
         }
     }
-}
-
-#[test]
-fn frontier_budget_caps_are_equivalent_across_storage_backends() {
-    // The out-of-core knob: a frontier budget changes the iteration
-    // schedule (more, smaller selection rounds) but must do so
-    // *identically* on every backend, and the unbounded default must be
-    // bit-identical to the paper's behavior.
-    let g = gen::rmat(&gen::RmatConfig::graph500(8, 4, 9));
-    let path = materialize_chunked(&g, "frontier_budget");
-    let k = 4u32;
-    for budget in [None, Some(1), Some(4), Some(1 << 20)] {
-        let run = |g: &distributed_ne::graph::Graph| {
-            let mut c = NeConfig::default().with_seed(3);
-            if let Some(b) = budget {
-                c = c.with_frontier_budget(b);
-            }
-            DistributedNe::new(c).partition_with_stats(g, k)
-        };
-        let (a_ref, s_ref) = run(&g);
-        assert!(a_ref.as_slice().iter().all(|&p| p != UNASSIGNED));
-        for storage in STORAGES {
-            let (a, s) = run(&reopen(&path, storage));
-            let label = format!("budget {budget:?} on {storage}");
-            assert_eq!(a, a_ref, "{label}: assignment");
-            assert_eq!(s.iterations, s_ref.iterations, "{label}: iterations");
-        }
-    }
-    // A tight budget must still terminate and cover every edge (checked
-    // above via UNASSIGNED); a huge budget is a no-op vs unbounded.
-    let unbounded = DistributedNe::new(NeConfig::default().with_seed(3)).partition(&g, k);
-    let huge = DistributedNe::new(NeConfig::default().with_seed(3).with_frontier_budget(u64::MAX))
-        .partition(&g, k);
-    assert_eq!(unbounded, huge, "u64::MAX budget must equal the unbounded default");
 }
 
 #[test]
