@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use dne_graph::hash::mix2;
-use dne_graph::{EdgeId, Graph, VertexId};
+use dne_graph::{EdgeId, Graph, LocalIds, VertexId};
 use dne_partition::{EdgeAssignment, PartitionId, ReplicaTable};
 use dne_runtime::{BatchConfig, Cluster, CollectiveTopology, Ctx, TransportError, TransportKind};
 
@@ -207,18 +207,15 @@ impl<'g> Engine<'g> {
     }
 
     /// The local vertex table of `rank`: the sorted distinct endpoints of
-    /// its owned edges plus the id→slot map.
-    fn local_verts(&self, rank: usize) -> (Vec<VertexId>, dne_graph::hash::FastMap<VertexId, u32>) {
+    /// its owned edges, numbered in that order.
+    fn local_verts(&self, rank: usize) -> LocalIds {
         let my_edges = &self.edges_by_part[rank];
         let mut verts: Vec<VertexId> = Vec::with_capacity(my_edges.len() * 2);
         for &(_, u, v) in my_edges {
             verts.push(u);
             verts.push(v);
         }
-        verts.sort_unstable();
-        verts.dedup();
-        let local_of = verts.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect();
-        (verts, local_of)
+        LocalIds::new(verts)
     }
 
     /// One rank's share of a value-propagation program, over an explicit
@@ -238,7 +235,9 @@ impl<'g> Engine<'g> {
         let mut busy = Duration::ZERO;
         // ---- Local structures (loading phase).
         let my_edges = &self.edges_by_part[rank];
-        let (verts, local_of) = self.local_verts(rank);
+        let local = self.local_verts(rank);
+        let lid = |v| local.get(v).expect("a replica's vertex is local") as usize;
+        let verts = local.ids();
         let n_local = verts.len();
         let mut value: Vec<f64> =
             verts.iter().map(|&v| (prog.init)(v, g.degree(v), prog.param)).collect();
@@ -259,7 +258,7 @@ impl<'g> Engine<'g> {
             // ---- Gather along local edges.
             acc.iter_mut().for_each(|a| *a = None);
             for &(_, u, v) in my_edges {
-                let (lu, lv) = (local_of[&u] as usize, local_of[&v] as usize);
+                let (lu, lv) = (lid(u), lid(v));
                 if !prog.frontier_only || changed[lu] {
                     acc[lv] = Some(combine(acc[lv], (prog.edge_fn)(value[lu], deg[lu])));
                 }
@@ -289,7 +288,7 @@ impl<'g> Engine<'g> {
             let t1 = t_busy();
             for msg in incoming {
                 for (v, a) in msg {
-                    let lv = local_of[&v] as usize;
+                    let lv = lid(v);
                     acc[lv] = Some(combine(acc[lv], a));
                 }
             }
@@ -327,7 +326,7 @@ impl<'g> Engine<'g> {
             let t2 = t_busy();
             for msg in incoming {
                 for (v, x) in msg {
-                    let lv = local_of[&v] as usize;
+                    let lv = lid(v);
                     if value[lv] != x {
                         changed[lv] = true;
                     }
@@ -416,14 +415,16 @@ impl<'g> Engine<'g> {
         let t_busy = std::time::Instant::now;
         let mut busy = Duration::ZERO;
         let my_edges = &self.edges_by_part[rank];
-        let (verts, local_of) = self.local_verts(rank);
+        let local = self.local_verts(rank);
+        let lid = |v| local.get(v).expect("a replica's vertex is local") as usize;
+        let verts = local.ids();
         let n_local = verts.len();
         let t0 = t_busy();
         // Local adjacency fragments from the owned edges.
         let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n_local];
         for &(_, u, v) in my_edges {
-            adj[local_of[&u] as usize].push(v);
-            adj[local_of[&v] as usize].push(u);
+            adj[lid(u)].push(v);
+            adj[lid(v)].push(u);
         }
         // ---- Round 1: ship fragments to masters.
         let mut partials: Vec<AdjMsg> = vec![Vec::new(); k];
@@ -441,7 +442,7 @@ impl<'g> Engine<'g> {
         let t1 = t_busy();
         for msg in incoming {
             for (v, frag) in msg {
-                adj[local_of[&v] as usize].extend(frag);
+                adj[lid(v)].extend(frag);
             }
         }
         // ---- Round 2: masters sort the full lists and broadcast them to
@@ -466,7 +467,7 @@ impl<'g> Engine<'g> {
         let t2 = t_busy();
         for msg in incoming {
             for (v, full) in msg {
-                adj[local_of[&v] as usize] = full;
+                adj[lid(v)] = full;
             }
         }
         // ---- Count common neighbors per owned edge (sorted-merge
@@ -474,7 +475,7 @@ impl<'g> Engine<'g> {
         let mut tri = vec![0u64; n_local];
         let mut triple_local = 0u64;
         for &(_, u, v) in my_edges {
-            let (lu, lv) = (local_of[&u] as usize, local_of[&v] as usize);
+            let (lu, lv) = (lid(u), lid(v));
             let t = sorted_intersection_count(&adj[lu], &adj[lv]);
             tri[lu] += t;
             tri[lv] += t;
@@ -495,7 +496,7 @@ impl<'g> Engine<'g> {
         let t3 = t_busy();
         for msg in incoming {
             for (v, charge) in msg {
-                tri[local_of[&v] as usize] += charge.iter().sum::<u64>();
+                tri[lid(v)] += charge.iter().sum::<u64>();
             }
         }
         let mastered: Vec<(VertexId, u64)> = (0..n_local)

@@ -190,7 +190,7 @@ pub fn two_hop(
 pub fn local_drest(part: &AllocatorPart, bp_new: &[(u32, Part)]) -> Vec<(VertexId, Part, u64)> {
     bp_new
         .iter()
-        .map(|&(lv, p)| (part.global_ids[lv as usize], p, part.rest[lv as usize] as u64))
+        .map(|&(lv, p)| (part.global_ids()[lv as usize], p, part.rest[lv as usize] as u64))
         .collect()
 }
 

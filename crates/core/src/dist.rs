@@ -17,9 +17,9 @@
 //!
 //! The subgraph itself is CSR over local edge slots with one allocation
 //! word per edge — "stored without any memory-consuming data structure such
-//! as the hash map" (§7.3); the only hash map is the global→local id
-//! mapping built at load time (charged to loading, like the paper's
-//! excluded deployment phase).
+//! as the hash map" (§7.3). Global ids translate to local ones through
+//! [`LocalIds`]: a rank query over the sorted ids, answered through a
+//! `u32` bucket directory.
 //!
 //! ## Layout
 //!
@@ -35,11 +35,11 @@
 //!
 //! | per local (replicated) vertex | bytes | |
 //! |---|---|---|
-//! | global id | 8 | `global_ids`, sorted: local ids are monotone in global ids |
-//! | CSR offset | 8 | |
+//! | global id | 8 | sorted: local ids are monotone in global ids |
+//! | id directory | ≤ 4 | [`LocalIds`]'s bucket directory, at most `n + 2` words |
+//! | CSR offset | 4 | `u32` — the slot count is asserted to fit |
 //! | rest degree | 4 | `u32` — it counts `u32`-indexed adjacency slots |
 //! | scan slot | 4 | the shuffled random-restart order |
-//! | map entry | 16 × table capacity / n | `local_of`, the one hash map |
 //! | memberships | 8 | two inline `Part` words: sets of up to two partitions |
 //!
 //! A vertex in three or more partitions spills its set into one shared
@@ -49,8 +49,8 @@
 //! *partition*) the only other term. A vertex never owns a heap
 //! allocation of its own.
 
-use dne_graph::hash::{mix2, FastMap, SplitMix64};
-use dne_graph::{EdgeId, Graph, HeapSize, VertexId};
+use dne_graph::hash::{mix2, SplitMix64};
+use dne_graph::{EdgeId, Graph, HeapSize, LocalIds, VertexId};
 
 use crate::messages::Part;
 
@@ -290,12 +290,11 @@ impl HeapSize for Memberships {
 /// Allocator-local subgraph: the edges owned by one allocation process in
 /// CSR form, plus the mutable allocation state.
 pub struct AllocatorPart {
-    /// Global vertex id of each local vertex (sorted ascending).
-    pub global_ids: Vec<VertexId>,
-    /// Reverse map global → local (built once at load).
-    local_of: FastMap<VertexId, u32>,
+    /// The local vertices: global id of each local id (sorted ascending)
+    /// and the translation back.
+    local: LocalIds,
     /// CSR offsets over local vertices.
-    offsets: Vec<u64>,
+    offsets: Vec<u32>,
     /// Adjacency: local index of the neighbor. Within a vertex's range the
     /// slots are a permutation of the load-time order in which the still
     /// free ones keep their relative order (see
@@ -351,35 +350,31 @@ impl AllocatorPart {
         rank: u32,
         seed: u64,
     ) -> Self {
-        // Local vertex set.
-        let mut verts: Vec<VertexId> = Vec::with_capacity(local_edges.len() * 2);
+        let slots = 2 * local_edges.len();
+        assert!(slots <= u32::MAX as usize, "{slots} adjacency slots overflow the u32 offsets");
+        let mut endpoints: Vec<VertexId> = Vec::with_capacity(slots);
         for &(_, u, v) in &local_edges {
-            verts.push(u);
-            verts.push(v);
+            endpoints.push(u);
+            endpoints.push(v);
         }
-        verts.sort_unstable();
-        verts.dedup();
-        verts.shrink_to_fit();
-        let local_of: FastMap<VertexId, u32> =
-            verts.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect();
-        let n = verts.len();
+        let local = LocalIds::new(endpoints);
+        let lid = |v| local.get(v).expect("an endpoint of a local edge is a local vertex");
+        let n = local.len();
         // Degrees → offsets.
         let mut deg = vec![0u32; n];
         for &(_, u, v) in &local_edges {
-            deg[local_of[&u] as usize] += 1;
-            deg[local_of[&v] as usize] += 1;
+            deg[lid(u) as usize] += 1;
+            deg[lid(v) as usize] += 1;
         }
-        let mut offsets = vec![0u64; n + 1];
+        let mut offsets = vec![0u32; n + 1];
         for i in 0..n {
-            offsets[i + 1] = offsets[i] + deg[i] as u64;
+            offsets[i + 1] = offsets[i] + deg[i];
         }
-        let slots = offsets[n] as usize;
-        assert!(slots <= u32::MAX as usize, "{slots} adjacency slots overflow the u32 degrees");
         let mut adj_nbr = vec![0u32; slots];
         let mut adj_edge = vec![0u32; slots];
         let mut cursor = offsets.clone();
         for (le, &(_, u, v)) in local_edges.iter().enumerate() {
-            let (lu, lv) = (local_of[&u], local_of[&v]);
+            let (lu, lv) = (lid(u), lid(v));
             let cu = cursor[lu as usize] as usize;
             adj_nbr[cu] = lv;
             adj_edge[cu] = le as u32;
@@ -401,8 +396,7 @@ impl AllocatorPart {
             scan_order.swap(i, j);
         }
         Self {
-            global_ids: verts,
-            local_of,
+            local,
             offsets,
             adj_nbr,
             adj_edge,
@@ -429,12 +423,19 @@ impl AllocatorPart {
     /// Local index of a global vertex, if present here.
     #[inline]
     pub fn local_of(&self, v: VertexId) -> Option<u32> {
-        self.local_of.get(&v).copied()
+        self.local.get(v)
+    }
+
+    /// Global id of every local vertex, ascending: entry `lv` is the
+    /// vertex of local id `lv`.
+    #[inline]
+    pub fn global_ids(&self) -> &[VertexId] {
+        self.local.ids()
     }
 
     /// Number of local vertices.
     pub fn num_local_vertices(&self) -> usize {
-        self.global_ids.len()
+        self.local.len()
     }
 
     /// Number of local (owned) edges.
@@ -525,14 +526,15 @@ impl AllocatorPart {
     /// end-of-run debug cross-check and for tests, never per round.
     pub(crate) fn recount_heap_bytes(&self) -> usize {
         let (n, m) = (self.num_local_vertices(), self.num_local_edges());
-        // Per local vertex: id, offset, rest, scan slot; per local edge:
-        // two adjacency slots of two words, id, allocation word.
-        n * (8 + 8 + 4 + 4)
-            + 8
+        // Per local vertex: id, offset, rest, scan slot; the id
+        // directory; per local edge: two adjacency slots of two words, id,
+        // allocation word.
+        n * (8 + 4 + 4 + 4)
+            + 4
+            + (self.local.buckets() + 1) * 4
             + m * (2 * 2 * 4 + 8 + 4)
             + self.members.recount_heap_bytes()
             + self.part_edges.len() * 8
-            + self.local_of.capacity() * 16
     }
 
     /// Whether local vertex `lv` is a member of partition `p`.
@@ -605,10 +607,9 @@ impl AllocatorPart {
 
 impl HeapSize for AllocatorPart {
     fn heap_bytes(&self) -> usize {
-        // Everything the allocator owns, by capacity — the global→local
-        // map too (it is live through the whole run). Called once per
+        // Everything the allocator owns, by capacity. Called once per
         // round, so every term is O(1).
-        self.global_ids.heap_bytes()
+        self.local.heap_bytes()
             + self.offsets.heap_bytes()
             + self.adj_nbr.heap_bytes()
             + self.adj_edge.heap_bytes()
@@ -618,7 +619,6 @@ impl HeapSize for AllocatorPart {
             + self.members.heap_bytes()
             + self.part_edges.heap_bytes()
             + self.scan_order.heap_bytes()
-            + self.local_of.capacity() * 16
     }
 }
 
@@ -731,7 +731,6 @@ mod tests {
             let m = bucket.len();
             let part = AllocatorPart::from_owned_edges(bucket, 0, 1);
             let n = part.num_local_vertices();
-            assert_eq!(part.global_ids.capacity(), n);
             assert_eq!((part.offsets.len(), part.offsets.capacity()), (n + 1, n + 1));
             assert_eq!((part.adj_nbr.len(), part.adj_nbr.capacity()), (2 * m, 2 * m));
             assert_eq!((part.adj_edge.len(), part.adj_edge.capacity()), (2 * m, 2 * m));
@@ -741,18 +740,19 @@ mod tests {
             assert_eq!((part.scan_order.len(), part.scan_order.capacity()), (n, n));
             assert_eq!((part.members.inline.len(), part.members.inline.capacity()), (n, n));
             assert_eq!(part.members.arena.capacity(), 0);
-            // ids + offsets + two adjacency words in both directions + edge
-            // id + allocation word + rest + two inline memberships + scan
-            // slot + the id map; nothing per partition before ensure_parts.
+            // ids + their directory + offsets + two adjacency words in
+            // both directions + edge id + allocation word + rest + two
+            // inline memberships + scan slot; nothing per partition before
+            // ensure_parts.
             let closed_form = 8 * n
-                + 8 * (n + 1)
+                + 4 * (part.local.buckets() + 1)
+                + 4 * (n + 1)
                 + 2 * 4 * 2 * m
                 + 8 * m
                 + 4 * m
                 + 4 * n
                 + 2 * 4 * n
-                + 4 * n
-                + 16 * part.local_of.capacity();
+                + 4 * n;
             assert_eq!(part.heap_bytes(), closed_form);
             assert_eq!(part.heap_bytes(), part.recount_heap_bytes());
         }

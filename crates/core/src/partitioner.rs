@@ -210,12 +210,10 @@ impl DistributedNe {
     /// global state) — the `dne-tcp-worker` recovery loop agrees on the
     /// newest common round with an all-gather before calling this. A
     /// resumed run's final assignment is bit-identical to an uninterrupted
-    /// run's.
-    ///
-    /// # Panics
-    /// Panics if the snapshot fails [`RankSnapshot::validate`] against
-    /// this rank/graph/config — callers load snapshots through the
-    /// fallible [`snapshot`] API and should validate before resuming.
+    /// run's. A snapshot that fails [`RankSnapshot::validate`] against
+    /// this rank/graph/config, or does not restore into the rebuilt
+    /// allocator, is a [`TransportError::Io`] carrying the
+    /// [`SnapshotError`].
     pub fn run_rank_from(
         &self,
         ctx: &mut Ctx<NeMsg>,
@@ -263,8 +261,7 @@ impl DistributedNe {
     ///
     /// # Panics
     /// If `rejoin` is set without a checkpoint policy (there is nothing to
-    /// rejoin from), or — like [`DistributedNe::run_rank_from`] — if a
-    /// loaded snapshot belongs to another run.
+    /// rejoin from).
     pub fn run_rank_recovering(
         &self,
         cluster: &mut TcpProcessCluster,
@@ -337,7 +334,10 @@ impl DistributedNe {
             Some(snap) => snap
                 .validate(header.rank, k, header.fingerprint)
                 .and_then(|()| snap.restore_into(&mut exp, &mut alloc))
-                .unwrap_or_else(|e| panic!("rank {rank}: cannot resume: {e}")),
+                .map_err(|e| TransportError::Io {
+                    context: format!("rank {rank}: resuming from a snapshot"),
+                    error: std::io::Error::other(e),
+                })?,
             None => LoopState {
                 round: 0,
                 prev_total: 0,
@@ -393,7 +393,7 @@ impl DistributedNe {
             // ---- Phase 3: membership sync (Algorithm 2 l.3).
             let mut sync_buckets: Vec<Vec<(VertexId, Part)>> = vec![Vec::new(); kk];
             for &(lv, p) in &one.new_memberships {
-                let v = alloc.global_ids[lv as usize];
+                let v = alloc.global_ids()[lv as usize];
                 for dst in grid.replicas(v) {
                     if dst as usize != rank {
                         sync_buckets[dst as usize].push((v, p));
@@ -717,11 +717,16 @@ mod tests {
         //                                 the graph is its edge list and a
         //                                 degree array, adjacency is derived
         //                                 by the methods that walk it
+        // and then 222 008 → 198 880 with no hash map in the allocator:
+        //   local_of     21 504 → 0       the map's 16-byte slots
+        //   offsets       7 376 → 3 688   8·(n + 4) → 4·(n + 4): u64 → u32
+        //   directory         0 → 2 064   516 `u32` bucket words over the
+        //                                 four ranks (≤ n + 2 per rank)
         use dne_runtime::TransportKind;
         let g = gen::rmat(&gen::RmatConfig::graph500(9, 8, 3));
         let config = NeConfig::default().with_seed(3).with_transport(TransportKind::Loopback);
         let (_, stats) = DistributedNe::new(config).partition_with_stats(&g, 4);
-        assert_eq!(stats.peak_memory_bytes, 222_008);
+        assert_eq!(stats.peak_memory_bytes, 198_880);
     }
 
     #[test]
@@ -935,6 +940,40 @@ mod tests {
             a_ref,
             "recovered run must be bit-identical to the uninterrupted one"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshots_of_another_run_are_a_typed_error_at_every_rank() {
+        // Snapshots written under seed 21 and resumed under seed 22: the
+        // run fingerprint differs, so every rank refuses its own snapshot
+        // with the `TransportError::Io` an unreadable one gets — no rank
+        // panics (a panic would fail the whole cluster run).
+        use dne_runtime::TransportKind;
+        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 21));
+        let k = 4u32;
+        let dir = std::env::temp_dir().join(format!("dne-foreign-snap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = DistributedNe::new(NeConfig::default().with_seed(21).with_checkpoint(1, &dir))
+            .partition_with_stats(&g, k);
+        let resumer = ne(22);
+        let outcomes = Cluster::with_transport(k as usize, TransportKind::Loopback)
+            .run::<NeMsg, _, _>(|ctx| {
+                let (_, path) = RankSnapshot::latest(&dir, ctx.rank() as u32)
+                    .unwrap()
+                    .expect("every rank checkpointed");
+                let snap = RankSnapshot::read(&path).unwrap();
+                resumer.run_rank_from(ctx, &g, k, Some(snap)).err()
+            })
+            .results;
+        for (rank, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                Some(TransportError::Io { error, .. }) => {
+                    assert!(error.to_string().contains("fingerprint"), "rank {rank}: {error}")
+                }
+                other => panic!("rank {rank}: expected a typed snapshot error, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

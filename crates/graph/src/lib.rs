@@ -15,6 +15,10 @@
 //!   them (the baseline partitioners and the sequential application
 //!   references); the paper's own partitioner deploys from one pass over
 //!   the edge stream and builds its CSR per machine (§4 "Data Structure").
+//! * [`LocalIds`] — a machine's sorted distinct vertex ids with a `u32`
+//!   bucket directory: dense local ids and the global→local translation
+//!   without a hash map (both per-machine CSRs number their vertices
+//!   through it).
 //! * [`EdgeListBuilder`] — canonicalizing edge-list builder (drops self
 //!   loops, deduplicates parallel edges, sorts) used by every generator and
 //!   by the IO layer.
@@ -68,6 +72,7 @@ pub mod gen;
 pub mod graph;
 pub mod hash;
 pub mod io;
+pub mod local_ids;
 pub mod mmap;
 pub mod parallel;
 pub mod storage;
@@ -77,6 +82,7 @@ pub mod types;
 pub use adjacency::Adjacency;
 pub use edge_list::EdgeListBuilder;
 pub use graph::Graph;
+pub use local_ids::LocalIds;
 pub use storage::{GraphStorage, StorageKind};
 pub use types::{EdgeId, VertexId, INVALID_VERTEX};
 
