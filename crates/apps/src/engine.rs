@@ -206,16 +206,10 @@ impl<'g> Engine<'g> {
         Cluster::with_transport(k, transport).with_collectives(collectives).with_comm_batch(batch)
     }
 
-    /// The local vertex table of `rank`: the sorted distinct endpoints of
-    /// its owned edges, numbered in that order.
+    /// The local vertex table of `rank`: the distinct endpoints of its
+    /// owned edges, numbered in ascending order.
     fn local_verts(&self, rank: usize) -> LocalIds {
-        let my_edges = &self.edges_by_part[rank];
-        let mut verts: Vec<VertexId> = Vec::with_capacity(my_edges.len() * 2);
-        for &(_, u, v) in my_edges {
-            verts.push(u);
-            verts.push(v);
-        }
-        LocalIds::new(verts)
+        LocalIds::new(self.edges_by_part[rank].iter().flat_map(|&(_, u, v)| [u, v]))
     }
 
     /// One rank's share of a value-propagation program, over an explicit

@@ -18,8 +18,8 @@
 //! The subgraph itself is CSR over local edge slots with one allocation
 //! word per edge — "stored without any memory-consuming data structure such
 //! as the hash map" (§7.3). Global ids translate to local ones through
-//! [`LocalIds`]: a rank query over the sorted ids, answered through a
-//! `u32` bucket directory.
+//! [`LocalIds`]: a rank bitmap over the machine's id range, set in one pass
+//! over the endpoints, so `local_of` is a bit test plus a popcount.
 //!
 //! ## Layout
 //!
@@ -35,8 +35,8 @@
 //!
 //! | per local (replicated) vertex | bytes | |
 //! |---|---|---|
-//! | global id | 8 | sorted: local ids are monotone in global ids |
-//! | id directory | ≤ 4 | [`LocalIds`]'s bucket directory, at most `n + 2` words |
+//! | global id | 8 | ascending: local ids are monotone in global ids |
+//! | rank bitmap | 12 per 64 ids | [`LocalIds`]' bit words and their counts, below the rank's largest id |
 //! | CSR offset | 4 | `u32` — the slot count is asserted to fit |
 //! | rest degree | 4 | `u32` — it counts `u32`-indexed adjacency slots |
 //! | scan slot | 4 | the shuffled random-restart order |
@@ -352,12 +352,7 @@ impl AllocatorPart {
     ) -> Self {
         let slots = 2 * local_edges.len();
         assert!(slots <= u32::MAX as usize, "{slots} adjacency slots overflow the u32 offsets");
-        let mut endpoints: Vec<VertexId> = Vec::with_capacity(slots);
-        for &(_, u, v) in &local_edges {
-            endpoints.push(u);
-            endpoints.push(v);
-        }
-        let local = LocalIds::new(endpoints);
+        let local = LocalIds::new(local_edges.iter().flat_map(|&(_, u, v)| [u, v]));
         let lid = |v| local.get(v).expect("an endpoint of a local edge is a local vertex");
         let n = local.len();
         // Degrees → offsets.
@@ -526,12 +521,12 @@ impl AllocatorPart {
     /// end-of-run debug cross-check and for tests, never per round.
     pub(crate) fn recount_heap_bytes(&self) -> usize {
         let (n, m) = (self.num_local_vertices(), self.num_local_edges());
-        // Per local vertex: id, offset, rest, scan slot; the id
-        // directory; per local edge: two adjacency slots of two words, id,
-        // allocation word.
+        // Per local vertex: id, offset, rest, scan slot; per bitmap word:
+        // the word and its count; per local edge: two adjacency slots of
+        // two words, id, allocation word.
         n * (8 + 4 + 4 + 4)
             + 4
-            + (self.local.buckets() + 1) * 4
+            + self.local.words() * (8 + 4)
             + m * (2 * 2 * 4 + 8 + 4)
             + self.members.recount_heap_bytes()
             + self.part_edges.len() * 8
@@ -740,12 +735,13 @@ mod tests {
             assert_eq!((part.scan_order.len(), part.scan_order.capacity()), (n, n));
             assert_eq!((part.members.inline.len(), part.members.inline.capacity()), (n, n));
             assert_eq!(part.members.arena.capacity(), 0);
-            // ids + their directory + offsets + two adjacency words in
-            // both directions + edge id + allocation word + rest + two
-            // inline memberships + scan slot; nothing per partition before
-            // ensure_parts.
+            // ids + a bitmap word and its count per 64 ids up to the
+            // largest + offsets + two adjacency words in both directions +
+            // edge id + allocation word + rest + two inline memberships +
+            // scan slot; nothing per partition before ensure_parts.
+            let words = part.global_ids().last().map_or(0, |&max| max as usize / 64 + 1);
             let closed_form = 8 * n
-                + 4 * (part.local.buckets() + 1)
+                + 12 * words
                 + 4 * (n + 1)
                 + 2 * 4 * 2 * m
                 + 8 * m

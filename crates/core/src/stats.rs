@@ -12,8 +12,10 @@ pub struct NeStats {
     pub num_edges: u64,
     /// Iterations of the expansion loop (Figure 6's left axis).
     pub iterations: u64,
-    /// Wall-clock time of the parallel section (Figure 10's metric —
-    /// excludes graph loading/deployment, as in the paper §7.3).
+    /// Wall-clock time of the parallel section (Figure 10's metric). It
+    /// excludes loading the graph and bucketing its edges by owner, but
+    /// includes each machine's local CSR build, which the paper counts as
+    /// deployment (§7.3).
     pub elapsed: Duration,
     /// Total bytes crossing the simulated interconnect.
     pub comm_bytes: u64,

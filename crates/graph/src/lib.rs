@@ -15,10 +15,10 @@
 //!   them (the baseline partitioners and the sequential application
 //!   references); the paper's own partitioner deploys from one pass over
 //!   the edge stream and builds its CSR per machine (§4 "Data Structure").
-//! * [`LocalIds`] — a machine's sorted distinct vertex ids with a `u32`
-//!   bucket directory: dense local ids and the global→local translation
-//!   without a hash map (both per-machine CSRs number their vertices
-//!   through it).
+//! * [`LocalIds`] — a machine's distinct vertex ids, ascending, read off a
+//!   rank bitmap over its id range: dense local ids and an O(1)
+//!   global→local translation (a bit test plus a popcount) without a hash
+//!   map (both per-machine CSRs number their vertices through it).
 //! * [`EdgeListBuilder`] — canonicalizing edge-list builder (drops self
 //!   loops, deduplicates parallel edges, sorts) used by every generator and
 //!   by the IO layer.
