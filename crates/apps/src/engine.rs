@@ -231,7 +231,7 @@ impl<'g> Engine<'g> {
         let my_edges = &self.edges_by_part[rank];
         let local = self.local_verts(rank);
         let lid = |v| local.get(v).expect("a replica's vertex is local") as usize;
-        let verts = local.ids();
+        let verts: Vec<VertexId> = local.iter().collect();
         let n_local = verts.len();
         let mut value: Vec<f64> =
             verts.iter().map(|&v| (prog.init)(v, g.degree(v), prog.param)).collect();
@@ -411,7 +411,7 @@ impl<'g> Engine<'g> {
         let my_edges = &self.edges_by_part[rank];
         let local = self.local_verts(rank);
         let lid = |v| local.get(v).expect("a replica's vertex is local") as usize;
-        let verts = local.ids();
+        let verts: Vec<VertexId> = local.iter().collect();
         let n_local = verts.len();
         let t0 = t_busy();
         // Local adjacency fragments from the owned edges.

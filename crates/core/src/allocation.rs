@@ -188,10 +188,7 @@ pub fn two_hop(
 /// boundary vertex (Algorithm 2, `ComputeLocalDrest`). Run *after*
 /// [`two_hop`] so the score reflects this iteration's allocations.
 pub fn local_drest(part: &AllocatorPart, bp_new: &[(u32, Part)]) -> Vec<(VertexId, Part, u64)> {
-    bp_new
-        .iter()
-        .map(|&(lv, p)| (part.global_ids()[lv as usize], p, part.rest[lv as usize] as u64))
-        .collect()
+    bp_new.iter().map(|&(lv, p)| (part.global_id(lv), p, part.rest[lv as usize] as u64)).collect()
 }
 
 #[cfg(test)]

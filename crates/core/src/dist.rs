@@ -30,12 +30,12 @@
 //! | per local edge | bytes | |
 //! |---|---|---|
 //! | adjacency | 16 | neighbor + edge slot, `u32` each, once per endpoint |
-//! | global edge id | 8 | `edge_global` |
+//! | global edge id | ≈ 1.25–2 | `edge_global`, a [`PackedIds`]: deltas from each 64-edge block's minimum, plus a 16-byte header per block (1.25 at P = 4, 1.5 at 16, 2.0 at 256 on RMAT) |
 //! | allocation word | 4 | `edge_part`, [`FREE`] until claimed |
 //!
 //! | per local (replicated) vertex | bytes | |
 //! |---|---|---|
-//! | global id | 8 | ascending: local ids are monotone in global ids |
+//! | global id | ≈ 1.2–1.8 | ascending (local ids are monotone in global ids), packed like the edge ids |
 //! | rank bitmap | 12 per 64 ids | [`LocalIds`]' bit words and their counts, below the rank's largest id |
 //! | CSR offset | 4 | `u32` — the slot count is asserted to fit |
 //! | rest degree | 4 | `u32` — it counts `u32`-indexed adjacency slots |
@@ -50,7 +50,7 @@
 //! allocation of its own.
 
 use dne_graph::hash::{mix2, SplitMix64};
-use dne_graph::{EdgeId, Graph, HeapSize, LocalIds, VertexId};
+use dne_graph::{EdgeId, Graph, HeapSize, LocalIds, PackedIds, VertexId};
 
 use crate::messages::Part;
 
@@ -302,8 +302,9 @@ pub struct AllocatorPart {
     adj_nbr: Vec<u32>,
     /// Adjacency: local edge slot (moves together with `adj_nbr`).
     adj_edge: Vec<u32>,
-    /// Global edge id per local edge slot.
-    pub edge_global: Vec<EdgeId>,
+    /// Global edge id per local edge slot, read through
+    /// [`AllocatorPart::edge_id`].
+    edge_global: PackedIds,
     /// Allocation word per local edge ([`FREE`] until claimed).
     pub edge_part: Vec<Part>,
     /// Remaining (unallocated) local degree per local vertex: the number
@@ -379,10 +380,8 @@ impl AllocatorPart {
             adj_edge[cv] = le as u32;
             cursor[lv as usize] += 1;
         }
-        // A fresh vector of exactly |E_local| ids: collecting out of the
-        // consumed bucket would reuse its (slack, 24-byte-element)
-        // allocation in place.
-        let edge_global: Vec<EdgeId> = local_edges.iter().map(|&(e, _, _)| e).collect();
+        // Packed straight from the bucket, which is dropped with its slack.
+        let edge_global = PackedIds::new(local_edges.iter().map(|&(e, _, _)| e));
         drop(local_edges);
         let mut scan_order: Vec<u32> = (0..n as u32).collect();
         let mut rng = SplitMix64::new(mix2(seed, rank as u64) ^ 0x41_4C4C_4F43); // "ALLOC"
@@ -421,11 +420,16 @@ impl AllocatorPart {
         self.local.get(v)
     }
 
-    /// Global id of every local vertex, ascending: entry `lv` is the
-    /// vertex of local id `lv`.
+    /// Global id of local vertex `lv` (local ids ascend with global ones).
     #[inline]
-    pub fn global_ids(&self) -> &[VertexId] {
-        self.local.ids()
+    pub fn global_id(&self, lv: u32) -> VertexId {
+        self.local.id(lv)
+    }
+
+    /// Global id of local edge slot `le`.
+    #[inline]
+    pub fn edge_id(&self, le: u32) -> EdgeId {
+        self.edge_global.get(le as usize)
     }
 
     /// Number of local vertices.
@@ -521,13 +525,15 @@ impl AllocatorPart {
     /// end-of-run debug cross-check and for tests, never per round.
     pub(crate) fn recount_heap_bytes(&self) -> usize {
         let (n, m) = (self.num_local_vertices(), self.num_local_edges());
-        // Per local vertex: id, offset, rest, scan slot; per bitmap word:
-        // the word and its count; per local edge: two adjacency slots of
-        // two words, id, allocation word.
-        n * (8 + 4 + 4 + 4)
+        // The local ids (packed ids, bitmap words and counts) and the
+        // packed edge ids as their own walks find them; per local vertex:
+        // offset, rest, scan slot; per local edge: two adjacency slots of
+        // two words, allocation word.
+        self.local.recount_heap_bytes()
+            + self.edge_global.recount_heap_bytes()
+            + n * (4 + 4 + 4)
             + 4
-            + self.local.words() * (8 + 4)
-            + m * (2 * 2 * 4 + 8 + 4)
+            + m * (2 * 2 * 4 + 4)
             + self.members.recount_heap_bytes()
             + self.part_edges.len() * 8
     }
@@ -714,37 +720,51 @@ mod tests {
     fn deploy_keeps_no_slack_whatever_the_bucket_came_with() {
         // The two ways a bucket reaches `from_owned_edges` oversized: grown
         // by `push` (what `partition_with_stats` hands over) and allocated
-        // ahead. Collecting the ids out of the consumed bucket would keep
-        // its allocation, 24-byte elements and slack included.
+        // ahead; and a bucket out of edge-id order, which the packed ids
+        // must read back in slot order all the same.
         let g = gen::rmat(&gen::RmatConfig::graph500(8, 4, 1));
         let mut pushed = Vec::new();
         g.for_each_edge(|e, u, v| pushed.push((e, u, v)));
         assert!(pushed.capacity() > pushed.len(), "the trap needs a bucket with slack");
         let mut ahead = Vec::with_capacity(4 * pushed.len());
         ahead.extend_from_slice(&pushed);
-        for bucket in [pushed, ahead] {
+        let mut shuffled = pushed.clone();
+        let mut rng = SplitMix64::new(7);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        for (bucket, ascending) in [(pushed, true), (ahead, true), (shuffled, false)] {
             let m = bucket.len();
+            let ids: Vec<EdgeId> = bucket.iter().map(|&(e, _, _)| e).collect();
             let part = AllocatorPart::from_owned_edges(bucket, 0, 1);
             let n = part.num_local_vertices();
             assert_eq!((part.offsets.len(), part.offsets.capacity()), (n + 1, n + 1));
             assert_eq!((part.adj_nbr.len(), part.adj_nbr.capacity()), (2 * m, 2 * m));
             assert_eq!((part.adj_edge.len(), part.adj_edge.capacity()), (2 * m, 2 * m));
-            assert_eq!((part.edge_global.len(), part.edge_global.capacity()), (m, m));
             assert_eq!((part.edge_part.len(), part.edge_part.capacity()), (m, m));
             assert_eq!((part.rest.len(), part.rest.capacity()), (n, n));
             assert_eq!((part.scan_order.len(), part.scan_order.capacity()), (n, n));
             assert_eq!((part.members.inline.len(), part.members.inline.capacity()), (n, n));
             assert_eq!(part.members.arena.capacity(), 0);
-            // ids + a bitmap word and its count per 64 ids up to the
-            // largest + offsets + two adjacency words in both directions +
-            // edge id + allocation word + rest + two inline memberships +
-            // scan slot; nothing per partition before ensure_parts.
-            let words = part.global_ids().last().map_or(0, |&max| max as usize / 64 + 1);
-            let closed_form = 8 * n
-                + 12 * words
+            assert!((0..m as u32).all(|le| part.edge_id(le) == ids[le as usize]));
+            assert!((1..n as u32).all(|lv| part.global_id(lv - 1) < part.global_id(lv)));
+            // An ascending bucket's ids are dense deltas; a shuffled one's
+            // still fit, at up to 8 bytes each plus the headers and the two
+            // closing words.
+            let packed = part.edge_global.heap_bytes();
+            assert!(if ascending {
+                packed < 2 * m
+            } else {
+                packed <= 8 * (m + 2) + 16 * (m / 64 + 2)
+            });
+            // The local ids and the edge ids as their walks find them +
+            // offsets + two adjacency words in both directions + allocation
+            // word + rest + two inline memberships + scan slot; nothing per
+            // partition before ensure_parts.
+            let closed_form = part.local.recount_heap_bytes()
+                + part.edge_global.recount_heap_bytes()
                 + 4 * (n + 1)
                 + 2 * 4 * 2 * m
-                + 8 * m
                 + 4 * m
                 + 4 * n
                 + 2 * 4 * n

@@ -395,7 +395,7 @@ impl DistributedNe {
             // ---- Phase 3: membership sync (Algorithm 2 l.3).
             let mut sync_buckets: Vec<Vec<(VertexId, Part)>> = vec![Vec::new(); kk];
             for &(lv, p) in &one.new_memberships {
-                let v = alloc.global_ids()[lv as usize];
+                let v = alloc.global_id(lv);
                 for dst in grid.replicas(v) {
                     if dst as usize != rank {
                         sync_buckets[dst as usize].push((v, p));
@@ -439,7 +439,7 @@ impl DistributedNe {
             }
             let mut res_edges: Vec<Vec<EdgeId>> = vec![Vec::new(); kk];
             for &(le, p) in one.allocated.iter().chain(two.iter()) {
-                res_edges[p as usize].push(alloc.edge_global[le as usize]);
+                res_edges[p as usize].push(alloc.edge_id(le));
             }
             allocation_time += t2.elapsed();
             // ---- Phase 5: results back to the expansion processes.
@@ -511,7 +511,7 @@ impl DistributedNe {
                         let p = (0..kk).min_by_key(|&p| (model[p], p)).expect("k >= 1 partitions");
                         model[p] += kk as u64;
                         alloc.claim_edge(le, p as Part);
-                        extra[p].push(alloc.edge_global[le as usize]);
+                        extra[p].push(alloc.edge_id(le));
                     }
                 }
                 let finals = ctx.try_exchange(|dst| NeMsg::Result {
@@ -727,11 +727,20 @@ mod tests {
         // and then 198 880 → 197 200 with local ids from a rank bitmap:
         //   directory     2 064 → 384     four ranks × 8 words (ids < 512)
         //                                 × 12 B (a `u64` word, a `u32` count)
+        // and then 197 200 → 172 456 with both id arrays block-packed
+        // (64 deltas of one width per block, a 16-byte header per block,
+        // and per array one closing header and two closing words):
+        //   global_ids    7 344 → 1 272   8·n → 312 + 328 + 304 + 328: 5
+        //                                 headers and 2 words per rank and
+        //                                 1.0 B of deltas per id
+        //   edge_global  22 480 → 3 808   8·m → 856 + 1 160 + 744 + 1 048:
+        //                                 10–16 headers and 2 words per
+        //                                 rank and 1.0 B of deltas per id
         use dne_runtime::TransportKind;
         let g = gen::rmat(&gen::RmatConfig::graph500(9, 8, 3));
         let config = NeConfig::default().with_seed(3).with_transport(TransportKind::Loopback);
         let (_, stats) = DistributedNe::new(config).partition_with_stats(&g, 4);
-        assert_eq!(stats.peak_memory_bytes, 197_200);
+        assert_eq!(stats.peak_memory_bytes, 172_456);
     }
 
     #[test]

@@ -777,7 +777,7 @@ mod tests {
         // degrees, memberships) and a random restart advances the cursor.
         let requests = [(2, 0), (3, u64::MAX)].map(|(part, random_budget)| SelectRequest {
             part,
-            vertices: a.global_ids()[..3].to_vec(),
+            vertices: (0..3).map(|lv| a.global_id(lv)).collect(),
             random_budget,
         });
         assert!(!one_hop(&mut a, &requests).allocated.is_empty());

@@ -19,6 +19,9 @@
 //!   rank bitmap over its id range: dense local ids and an O(1)
 //!   global→local translation (a bit test plus a popcount) without a hash
 //!   map (both per-machine CSRs number their vertices through it).
+//! * [`PackedIds`] — a sequence of `u64` ids in blocks of fixed-width
+//!   deltas from each block's minimum, with O(1) reads: how the allocator
+//!   keeps its global edge ids and [`LocalIds`] its global vertex ids.
 //! * [`EdgeListBuilder`] — canonicalizing edge-list builder (drops self
 //!   loops, deduplicates parallel edges, sorts) used by every generator and
 //!   by the IO layer.
@@ -74,6 +77,7 @@ pub mod hash;
 pub mod io;
 pub mod local_ids;
 pub mod mmap;
+pub mod packed_ids;
 pub mod parallel;
 pub mod storage;
 pub mod transform;
@@ -83,6 +87,7 @@ pub use adjacency::Adjacency;
 pub use edge_list::EdgeListBuilder;
 pub use graph::Graph;
 pub use local_ids::LocalIds;
+pub use packed_ids::PackedIds;
 pub use storage::{GraphStorage, StorageKind};
 pub use types::{EdgeId, VertexId, INVALID_VERTEX};
 

@@ -12,13 +12,14 @@
 //!
 //! | array | bytes | |
 //! |---|---|---|
-//! | `ids` | 8 per local vertex | the set bits, ascending: entry `i` is the vertex of local id `i` |
+//! | `ids` | ≈ 1.2–1.8 per local vertex | the set bits, ascending, as a [`PackedIds`]: entry `i` is the vertex of local id `i` |
 //! | `bits` | 8 per 64 ids | word `w` covers ids `64·w .. 64·w + 64`, up to the largest local id |
 //! | `below` | 4 per 64 ids | the number of set bits in all words before `w` |
 //!
-//! Building sets one bit per endpoint and reads `ids` off the words, so they
-//! come out ascending and distinct by construction, in one pass over the
-//! input and one over the words. A lookup is a bit test plus a popcount.
+//! Building sets one bit per endpoint and packs `ids` straight off the words
+//! (passes over the words, no list of the ids in between), so they come out
+//! ascending and distinct by construction. A lookup is a bit test plus a
+//! popcount; the way back, [`LocalIds::id`], is one [`PackedIds::get`].
 //!
 //! ## Domain and cost
 //!
@@ -28,16 +29,19 @@
 //! vertex, the 12 bytes per 64 ids below a machine's largest id are smaller
 //! whenever the machine holds more than ≈ 4.7 % of those ids (`12/64 < 4·n /
 //! range`). A 2D-hash share of an RMAT or road graph at P ≤ 16 holds 18–50 %;
-//! a road grid at P = 64 is about even.
+//! a road grid at P = 64 is about even. The packed ids cost a block header
+//! (16 bytes) per 64 of them plus `w` bits each, where `w` bits span the
+//! block: at a density `d` of local ids in the range, `w ≈ log₂(64 / d)`,
+//! 8–10 bits for those shares.
 
 use crate::types::VertexId;
-use crate::HeapSize;
+use crate::{HeapSize, PackedIds};
 
 /// The distinct global ids of one machine's vertices, ascending; the local
 /// id of a vertex is its position among them, answered by a rank bitmap.
 #[derive(Debug)]
 pub struct LocalIds {
-    ids: Vec<VertexId>,
+    ids: PackedIds,
     /// Bit `v % 64` of word `v / 64` is set iff `v` is local.
     bits: Vec<u64>,
     /// `below[w]`: the number of set bits in the words before `w`.
@@ -64,18 +68,17 @@ impl LocalIds {
             bits[w] |= 1 << (v % 64);
         }
         bits.shrink_to_fit();
-        let n: usize = bits.iter().map(|word| word.count_ones() as usize).sum();
+        let mut n = 0usize;
+        let below: Vec<u32> = bits
+            .iter()
+            .map(|word| {
+                let before = n;
+                n += word.count_ones() as usize;
+                before as u32
+            })
+            .collect();
         assert!(n <= u32::MAX as usize, "{n} local vertices overflow the u32 local ids");
-        let mut ids = Vec::with_capacity(n);
-        let mut below = Vec::with_capacity(bits.len());
-        for (w, &word) in bits.iter().enumerate() {
-            below.push(ids.len() as u32);
-            let mut rest = word;
-            while rest != 0 {
-                ids.push(64 * w as u64 + u64::from(rest.trailing_zeros()));
-                rest &= rest - 1;
-            }
-        }
+        let ids = PackedIds::new(ascending(&bits));
         Self { ids, bits, below }
     }
 
@@ -89,10 +92,19 @@ impl LocalIds {
         (word & bit != 0).then(|| self.below[w] + (word & (bit - 1)).count_ones())
     }
 
-    /// The global ids, ascending: entry `i` is the vertex of local id `i`.
+    /// The global id of local vertex `lv`.
+    ///
+    /// # Panics
+    /// If `lv >= self.len()`.
     #[inline]
-    pub fn ids(&self) -> &[VertexId] {
-        &self.ids
+    pub fn id(&self, lv: u32) -> VertexId {
+        self.ids.get(lv as usize)
+    }
+
+    /// The global ids, ascending, read off the bitmap: the `i`-th is the
+    /// vertex of local id `i`.
+    pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
+        ascending(&self.bits)
     }
 
     /// Number of local vertices.
@@ -105,9 +117,10 @@ impl LocalIds {
         self.ids.is_empty()
     }
 
-    /// Number of bitmap words: one per 64 ids up to the largest local id.
-    pub fn words(&self) -> usize {
-        self.bits.len()
+    /// What [`HeapSize::heap_bytes`] must equal, from lengths and the
+    /// packed ids' walk instead of capacities. O(len / 64).
+    pub fn recount_heap_bytes(&self) -> usize {
+        self.ids.recount_heap_bytes() + self.bits.len() * 8 + self.below.len() * 4
     }
 }
 
@@ -117,32 +130,43 @@ impl HeapSize for LocalIds {
     }
 }
 
+/// The set bits of `bits`, ascending, as ids: what [`LocalIds::iter`]
+/// yields and what [`LocalIds::new`] packs.
+fn ascending(bits: &[u64]) -> impl Iterator<Item = VertexId> + Clone + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)))
+            .take_while(|&rest| rest != 0)
+            .map(move |rest| 64 * w as u64 + u64::from(rest.trailing_zeros()))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// Every member maps to its index in a `BTreeMap` model, `ids` is
-    /// strictly ascending, probes below, between and past the members
-    /// (and `u64::MAX`) miss, and the arrays carry no slack.
+    /// Every member maps to its index in a `BTreeMap` model and back, the
+    /// ascending iterator yields the model's keys,
+    /// probes below, between and past the members (and `u64::MAX`) miss,
+    /// and the arrays carry no slack.
     fn check_against_model(raw: Vec<VertexId>) {
         let model: BTreeMap<VertexId, u32> = raw.iter().map(|&v| (v, 0)).collect();
         let model: BTreeMap<VertexId, u32> = model.into_keys().zip(0..).collect();
         let local = LocalIds::new(raw);
         let n = model.len();
-        assert_eq!(local.ids(), &model.keys().copied().collect::<Vec<_>>()[..]);
-        assert!(local.ids().windows(2).all(|w| w[0] < w[1]), "ids not strictly ascending");
+        assert_eq!(local.iter().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
         assert_eq!((local.len(), local.is_empty()), (n, n == 0));
         let max = model.keys().next_back().copied();
         let words = max.map_or(0, |max| max as usize / 64 + 1);
-        assert_eq!(local.words(), words);
-        assert_eq!(local.heap_bytes(), 8 * n + 12 * words);
-        assert_eq!(local.ids.capacity(), local.ids.len());
+        assert_eq!(local.bits.len(), words);
+        assert_eq!(local.heap_bytes(), local.ids.heap_bytes() + 12 * words);
+        assert_eq!(local.heap_bytes(), local.recount_heap_bytes());
         assert_eq!(local.bits.capacity(), local.bits.len());
         assert_eq!(local.below.capacity(), local.below.len());
         for (&v, &lv) in &model {
             assert_eq!(local.get(v), Some(lv), "member {v}");
+            assert_eq!(local.id(lv), v, "local id {lv}");
         }
         let mut probes = vec![0, 1, 63, 64, u64::MAX - 1, u64::MAX, u64::MAX / 2];
         for (&v, &next) in model.keys().zip(model.keys().skip(1)) {
