@@ -329,7 +329,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.chunks");
         dne_graph::io::write_chunked(&g, &path, 50).unwrap();
-        let s = dne_graph::io::open_chunk_streamed(&path).unwrap();
+        let s =
+            dne_graph::io::open_chunked_with(&path, dne_graph::StorageKind::ChunkStreamed).unwrap();
         assert_eq!(sssp_reference(&s, 3), sssp_reference(&g, 3));
         assert_eq!(bfs_reference(&s, 3), bfs_reference(&g, 3));
         assert_eq!(wcc_reference(&s), wcc_reference(&g));

@@ -31,7 +31,7 @@ use dne_partition::VertexPartitioner;
 
 /// Route a generated graph through the `DNE_GRAPH_STORAGE` backend: with
 /// the in-memory default this is the identity, otherwise the graph is
-/// spilled to a chunked file in the temp dir and reopened through the
+/// spilled to a binary graph file in the temp dir and reopened through the
 /// selected backend, so the whole figure measures out-of-core storage
 /// (partitioning results are bit-identical either way).
 fn with_env_storage(g: Graph, name: &str) -> Graph {
@@ -42,7 +42,7 @@ fn with_env_storage(g: Graph, name: &str) -> Graph {
     let dir = std::env::temp_dir().join("dne_fig9_storage");
     std::fs::create_dir_all(&dir).expect("create fig9 scratch dir");
     let path = dir.join(format!("{name}.chunks"));
-    io::write_chunked(&g, &path, 1 << 16).expect("spill graph to chunked file");
+    io::write_chunked(&g, &path, 1 << 16).expect("spill graph to a binary file");
     drop(g); // free the in-memory edge list before the backend under test opens
     io::open_chunked_with(&path, kind).unwrap_or_else(|e| panic!("reopen {name} as {kind}: {e}"))
 }

@@ -1,14 +1,14 @@
-//! Out-of-core smoke test (`dne-bench oocore …`): partition one chunked
-//! file through the storage backend selected by `DNE_GRAPH_STORAGE` and
+//! Out-of-core smoke test (`dne-bench oocore …`): partition one binary
+//! graph file through the storage backend selected by `DNE_GRAPH_STORAGE` and
 //! print what the run held.
 //!
 //! Two commands, designed to be driven from a shell (see README
 //! "Out-of-core partitioning" and `.github/workflows/ci.yml`):
 //!
 //! * `prepare <chunked-path> [scale] [edge-factor]` — generate an RMAT
-//!   graph, write it as a DNECHNK1 chunked file, and print the bytes
-//!   the in-memory backend holds for it.
-//! * `run <chunked-path> [k]` — open the chunked file
+//!   graph, write it as the binary graph file every backend opens, and
+//!   print the bytes the in-memory backend holds for it.
+//! * `run <chunked-path> [k]` — open that file
 //!   with the backend from `DNE_GRAPH_STORAGE`, run Distributed NE with a
 //!   fixed seed, and print a one-line summary ending in the assignment
 //!   fingerprint. Equal fingerprints across backends prove bit-identical

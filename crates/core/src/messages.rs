@@ -34,7 +34,7 @@
 //! the umbrella crate fuzz the round trip.
 
 use dne_graph::{EdgeId, VertexId};
-use dne_runtime::wire_enum;
+use dne_runtime::{wire_enum, TransportError};
 
 /// Partition id on the wire (matches `dne_partition::PartitionId`).
 pub type Part = u32;
@@ -87,6 +87,50 @@ impl NeMsg {
     /// An empty Sync.
     pub fn empty_sync() -> Self {
         NeMsg::Sync { pairs: Vec::new() }
+    }
+
+    fn kind(&self) -> &'static str {
+        match self {
+            NeMsg::Select { .. } => "Select",
+            NeMsg::Sync { .. } => "Sync",
+            NeMsg::Result { .. } => "Result",
+        }
+    }
+
+    fn unexpected(&self, src: usize, expected: &'static str) -> TransportError {
+        TransportError::Protocol { src, expected, got: self.kind() }
+    }
+
+    /// The fields of a Select from rank `src`: `(vertices, random_budget)`;
+    /// any other kind is a [`TransportError::Protocol`] error.
+    pub fn into_select(self, src: usize) -> Result<(Vec<VertexId>, u64), TransportError> {
+        match self {
+            NeMsg::Select { vertices, random_budget } => Ok((vertices, random_budget)),
+            other => Err(other.unexpected(src, "Select")),
+        }
+    }
+
+    /// The pairs of a Sync from rank `src`; any other kind is a
+    /// [`TransportError::Protocol`] error.
+    pub fn into_sync(self, src: usize) -> Result<Vec<(VertexId, Part)>, TransportError> {
+        match self {
+            NeMsg::Sync { pairs } => Ok(pairs),
+            other => Err(other.unexpected(src, "Sync")),
+        }
+    }
+
+    /// The fields of a Result from rank `src`: `(boundary, edges,
+    /// free_edges)`; any other kind is a [`TransportError::Protocol`]
+    /// error.
+    #[allow(clippy::type_complexity)]
+    pub fn into_result(
+        self,
+        src: usize,
+    ) -> Result<(Vec<(VertexId, u64)>, Vec<EdgeId>, u64), TransportError> {
+        match self {
+            NeMsg::Result { boundary, edges, free_edges } => Ok((boundary, edges, free_edges)),
+            other => Err(other.unexpected(src, "Result")),
+        }
     }
 }
 

@@ -381,16 +381,14 @@ impl DistributedNe {
             })?;
             // ---- Phase 2: one-hop allocation (Algorithm 3 l.1–9).
             let t1 = Instant::now();
-            let requests: Vec<SelectRequest> = selects
+            let requests = selects
                 .into_iter()
                 .enumerate()
-                .map(|(src, msg)| match msg {
-                    NeMsg::Select { vertices, random_budget } => {
-                        SelectRequest { part: src as Part, vertices, random_budget }
-                    }
-                    _ => unreachable!("phase 1 delivers Select messages only"),
+                .map(|(src, msg)| {
+                    let (vertices, random_budget) = msg.into_select(src)?;
+                    Ok(SelectRequest { part: src as Part, vertices, random_budget })
                 })
-                .collect();
+                .collect::<Result<Vec<_>, TransportError>>()?;
             let one = allocation::one_hop(&mut alloc, &requests);
             // ---- Phase 3: membership sync (Algorithm 2 l.3).
             let mut sync_buckets: Vec<Vec<(VertexId, Part)>> = vec![Vec::new(); kk];
@@ -408,11 +406,8 @@ impl DistributedNe {
             })?;
             let t2 = Instant::now();
             let mut bp_new: Vec<(u32, Part)> = one.new_memberships;
-            for msg in syncs {
-                let NeMsg::Sync { pairs } = msg else {
-                    unreachable!("phase 3 delivers Sync messages only")
-                };
-                for (v, p) in pairs {
+            for (src, msg) in syncs.into_iter().enumerate() {
+                for (v, p) in msg.into_sync(src)? {
                     if let Some(lv) = alloc.local_of(v) {
                         if alloc.add_membership(lv, p) {
                             bp_new.push((lv, p));
@@ -452,9 +447,7 @@ impl DistributedNe {
             let mut boundary_updates: Vec<(VertexId, u64)> = Vec::new();
             let mut new_edges: Vec<EdgeId> = Vec::new();
             for (src, msg) in results.into_iter().enumerate() {
-                let NeMsg::Result { boundary, edges, free_edges } = msg else {
-                    unreachable!("phase 5 delivers Result messages only")
-                };
+                let (boundary, edges, free_edges) = msg.into_result(src)?;
                 state.free_hints[src] = free_edges;
                 boundary_updates.extend(boundary);
                 new_edges.extend(edges);
@@ -519,10 +512,9 @@ impl DistributedNe {
                     edges: std::mem::take(&mut extra[dst]),
                     free_edges: 0,
                 })?;
-                for msg in finals {
-                    if let NeMsg::Result { edges, .. } = msg {
-                        exp.absorb(&[], &edges);
-                    }
+                for (src, msg) in finals.into_iter().enumerate() {
+                    let (_, edges, _) = msg.into_result(src)?;
+                    exp.absorb(&[], &edges);
                 }
                 let total = ctx.try_all_reduce_sum_u64(exp.size())?;
                 assert_eq!(total, m, "trickle must complete the cover");
@@ -989,6 +981,35 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wrong_kind_message_is_a_typed_error_at_every_honest_rank() {
+        // A rogue rank joins the initial gather, then sends Sync where
+        // phase 1 expects Select: every honest rank returns a typed
+        // protocol error naming it instead of panicking.
+        use dne_runtime::TransportKind;
+        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 5));
+        let (k, rogue) = (4u32, 2usize);
+        let honest = ne(5);
+        let outcomes = Cluster::with_transport(k as usize, TransportKind::Loopback)
+            .run::<NeMsg, _, _>(|ctx| {
+                if ctx.rank() == rogue {
+                    ctx.try_all_gather_u64(0).unwrap();
+                    ctx.try_exchange(|_| NeMsg::empty_sync()).unwrap();
+                    return None;
+                }
+                honest.run_rank(ctx, &g, k).err()
+            })
+            .results;
+        for (rank, outcome) in outcomes.into_iter().enumerate().filter(|&(r, _)| r != rogue) {
+            match outcome {
+                Some(TransportError::Protocol { src, expected: "Select", got: "Sync" }) => {
+                    assert_eq!(src, rogue, "rank {rank}")
+                }
+                other => panic!("rank {rank}: expected a typed protocol error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -106,7 +106,6 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             let path = dir.join("g.chunks");
             io::write_chunked(&g, &path, chunk).unwrap();
-            let _ = std::fs::remove_file(io::csr_cache_path(&path));
             for kind in StorageKind::ALL {
                 let reopened = io::open_chunked_with(&path, kind).unwrap();
                 prop_assert_eq!(reopened.storage_kind(), kind);

@@ -18,7 +18,7 @@ use crate::HeapSize;
 ///
 /// Where the list *lives* is the backend's business ([`StorageKind`]):
 /// on the heap (the default), in a read-only memory-mapped file, or in a
-/// chunk file re-streamed per scan. Every backend serves every accessor
+/// file re-streamed per scan. Every backend serves every accessor
 /// except [`Self::edges`], which needs a contiguous in-memory slice and
 /// documents the panic it raises without one. The portable way to touch
 /// every edge on any backend is [`Self::for_each_edge`]. Neighbour lists
@@ -91,7 +91,8 @@ impl Graph {
     /// Live heap bytes owned by the storage backend right now — what the
     /// mem-score accounting charges for holding the graph. In-memory
     /// reports its two arrays; mmap reports 0 (pages belong to the OS);
-    /// chunk-streamed reports its frame index plus the one cached chunk.
+    /// chunk-streamed reports its one cached block (plus its degree array
+    /// once degrees were asked for).
     #[inline]
     pub fn resident_bytes(&self) -> usize {
         self.storage.resident_bytes()
@@ -215,7 +216,7 @@ impl PartialEq for Graph {
             return false;
         }
         // One sequential scan of `self`; `other` answers by edge id, which
-        // every backend serves (the chunk-streamed one from its one-frame
+        // every backend serves (the chunk-streamed one from its one-block
         // cache, which this ascending order keeps hitting).
         let mut same = true;
         self.for_each_edge(|e, u, v| same &= other.edge(e) == (u, v));
@@ -336,7 +337,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let open_all = |name: &str, g: &Graph| {
             let path = dir.join(name);
-            io::write_chunked(g, &path, 37).unwrap(); // several frames
+            io::write_chunked(g, &path, 37).unwrap();
             StorageKind::ALL.map(|kind| io::open_chunked_with(&path, kind).unwrap())
         };
         let (same, differing) = (open_all("a.chunks", &g), open_all("b.chunks", &other));

@@ -1,6 +1,5 @@
-//! Edge-list IO: whitespace-separated text (SNAP/KONECT style), a
-//! chunk-framed streaming binary format for graphs too large to buffer
-//! twice, and an on-disk container for memory mapping built from it.
+//! Edge-list IO: whitespace-separated text (SNAP/KONECT style), and the
+//! one binary graph file that every storage backend opens directly.
 //!
 //! The paper's datasets ship as SNAP/KONECT edge lists; this module lets a
 //! user of the library feed their own graphs to the partitioners. Lines
@@ -8,27 +7,52 @@
 //! conventions respectively); an optional third weight column is accepted
 //! and explicitly ignored (the graph model is unweighted).
 //!
-//! Three on-disk formats:
+//! Two on-disk formats:
 //! * **text** ([`read_text_edge_list`] / [`write_text_edge_list`]) — for
 //!   interchange with published datasets;
-//! * **chunk-framed binary** (`DNECHNK1`, [`ChunkedGraphWriter`] /
-//!   [`read_chunked`]) — the streaming format: edges travel in
-//!   length-prefixed frames so writer and reader each hold at most one
-//!   chunk beyond the final edge array itself;
-//! * **mappable container** (`DNECSRF2`, [`write_csr`] /
-//!   [`csr_from_chunked`] / [`open_csr_mmap`]) — the edge list and the
-//!   degree array laid out for read-only memory mapping; see
-//!   [`crate::mmap`] for the layout.
+//! * **binary** (`DNECSRF2`, [`write_chunked`] / [`open_chunked_with`]) —
+//!   the canonical edge list as fixed-width records, then the degree of
+//!   every vertex. [`open_chunked_with`] opens the file itself under any
+//!   [`StorageKind`]: in-memory reads the records onto the heap, mmap maps
+//!   the file ([`crate::mmap`]), chunk-streamed scans it through one
+//!   64 KiB buffer ([`crate::storage::ChunkStore`]).
 //!
-//! A chunked file is also the input of the out-of-core storage backends:
-//! [`open_chunked_with`] opens it under any [`StorageKind`] without the
-//! caller caring which on-disk shape backs the returned [`Graph`].
+//! ## `DNECSRF2` layout
+//!
+//! All values little-endian u64; every section offset is a multiple of 8
+//! so a page-aligned mapping reads as one `&[u64]`:
+//!
+//! ```text
+//! bytes 0..8    magic "DNECSRF2"
+//! bytes 8..16   |V|
+//! bytes 16..24  |E|
+//! bytes 24..32  reserved (zero)
+//! words         edges     2|E| words  (u0 v0 u1 v1 …, canonical order)
+//! words         degrees   |V| words
+//! ```
+//!
+//! Edge `e` is the 16-byte record at byte `32 + 16·e`, so any edge is
+//! found by arithmetic. The degree trailer costs `8·|V|` bytes on disk;
+//! the writer still holds no degree array, because it asks the graph for
+//! each degree as it writes the trailer.
+//!
+//! [`write_chunked`] streams the file to a sibling temporary name and
+//! renames it into place, so no reader ever sees a partial file. Opening
+//! runs one check on every backend: the magic, the exact file length for
+//! the declared counts, and degrees that sum to `2|E|`. Past that,
+//! in-memory and chunk-streamed validate every record they scan
+//! (canonical for `|V|`, strictly ascending), and in-memory also compares
+//! the degrees it counts with the trailer; mmap trusts the `O(|E|)`
+//! payload. Every failure is a typed `InvalidData` error — a file of the
+//! retired chunk-framed format included.
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use crate::storage::StorageKind;
+use crate::mmap::MmapCsr;
+use crate::storage::{ChunkStore, GraphStorage, InMemoryCsr, StorageKind};
 use crate::types::{Edge, VertexId};
 use crate::{EdgeListBuilder, Graph};
 
@@ -115,513 +139,201 @@ pub fn write_text_edge_list(g: &Graph, path: impl AsRef<Path>) -> io::Result<()>
     w.flush()
 }
 
-const CHUNKED_MAGIC: &[u8; 8] = b"DNECHNK1";
-/// Placeholder edge count written while a chunked file is still streaming;
-/// patched by [`ChunkedGraphWriter::finish`].
-const EDGE_COUNT_UNKNOWN: u64 = u64::MAX;
+/// Magic of the binary graph file.
+const MAGIC: &[u8; 8] = b"DNECSRF2";
+/// Header bytes: the magic, `|V|`, `|E|` and a reserved zero word.
+pub(crate) const HEADER_BYTES: u64 = 32;
+/// Edge records per read: every scan reads the file through one buffer of
+/// this many records (64 KiB), and chunk-streamed `edge(e)` caches one
+/// block of them.
+pub(crate) const BLOCK_EDGES: usize = 4096;
 
-/// Streaming writer for the chunk-framed binary format.
-///
-/// Layout: `DNECHNK1` magic, `|V|` (u64 LE), `|E|` (u64 LE — `u64::MAX`
-/// until [`Self::finish`] patches it), then zero or more frames of
-/// `count` (u64 LE) followed by `count` canonical `(u, v)` pairs.
-///
-/// The writer never needs the full edge list in memory: chunks are
-/// validated and appended as they are produced, so a graph can round-trip
-/// to disk while only one chunk is buffered — the point of the format at
-/// scales where two in-memory copies don't fit.
-/// Chunks must arrive in canonical order (each strictly ascending and
-/// strictly after the previous chunk's last edge), which is exactly how
-/// [`crate::Graph::edges`] and the parallel merge emit them.
-#[derive(Debug)]
-pub struct ChunkedGraphWriter {
-    w: BufWriter<File>,
-    num_vertices: VertexId,
-    written: u64,
-    last: Option<Edge>,
+fn invalid(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-impl ChunkedGraphWriter {
-    /// Create the file and write the streaming header.
-    pub fn create(path: impl AsRef<Path>, num_vertices: VertexId) -> io::Result<Self> {
-        let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(CHUNKED_MAGIC)?;
-        w.write_all(&num_vertices.to_le_bytes())?;
-        w.write_all(&EDGE_COUNT_UNKNOWN.to_le_bytes())?;
-        Ok(Self { w, num_vertices, written: 0, last: None })
-    }
-
-    /// Append one frame of canonical edges. Empty chunks are skipped.
-    ///
-    /// Fails with `InvalidInput` if the chunk is not strictly sorted
-    /// canonical order continuing the stream, or names an endpoint outside
-    /// `0..num_vertices`.
-    pub fn write_chunk(&mut self, edges: &[Edge]) -> io::Result<()> {
-        if edges.is_empty() {
-            return Ok(());
-        }
-        for &(u, v) in edges {
-            if u >= v || v >= self.num_vertices {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("edge ({u}, {v}) is not canonical for |V| = {}", self.num_vertices),
-                ));
-            }
-            if self.last.is_some_and(|last| last >= (u, v)) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("edge ({u}, {v}) breaks the stream's canonical order"),
-                ));
-            }
-            self.last = Some((u, v));
-        }
-        self.w.write_all(&(edges.len() as u64).to_le_bytes())?;
-        for &(u, v) in edges {
-            self.w.write_all(&u.to_le_bytes())?;
-            self.w.write_all(&v.to_le_bytes())?;
-        }
-        self.written += edges.len() as u64;
-        Ok(())
-    }
-
-    /// Flush, patch the header's edge count, and return it.
-    pub fn finish(self) -> io::Result<u64> {
-        let mut f = self.w.into_inner().map_err(|e| e.into_error())?;
-        f.seek(io::SeekFrom::Start((CHUNKED_MAGIC.len() + 8) as u64))?;
-        f.write_all(&self.written.to_le_bytes())?;
-        f.sync_data()?;
-        Ok(self.written)
-    }
+/// Exact length of a binary graph file with these counts, or `None` on
+/// arithmetic overflow (an absurd header).
+pub(crate) fn file_len(n: VertexId, m: u64) -> Option<u64> {
+    m.checked_mul(2)?.checked_add(n)?.checked_mul(8)?.checked_add(HEADER_BYTES)
 }
 
-/// Write a graph in the chunk-framed format, `chunk_edges` edges per frame.
+/// Write `g` as a `DNECSRF2` binary file (see the module docs), streaming
+/// its edges through a buffer of `chunk_edges` records. Works on any
+/// storage backend of `g`. The file is written under a sibling temporary
+/// name and renamed into place, so a reader of `path` sees the old file or
+/// the whole new one, never a partial write.
 pub fn write_chunked(g: &Graph, path: impl AsRef<Path>, chunk_edges: usize) -> io::Result<()> {
-    let mut w = ChunkedGraphWriter::create(path, g.num_vertices())?;
-    let mut chunk = Vec::with_capacity(chunk_edges.clamp(1, 1 << 20));
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(format!(".tmp{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let written = write_records(g, &tmp, chunk_edges).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+fn write_records(g: &Graph, path: &Path, chunk_edges: usize) -> io::Result<()> {
+    let capacity = 16 * chunk_edges.clamp(1, 1 << 20);
+    let mut w = BufWriter::with_capacity(capacity, File::create(path)?);
+    w.write_all(MAGIC)?;
+    for word in [g.num_vertices(), g.num_edges(), 0] {
+        w.write_all(&word.to_le_bytes())?;
+    }
     let mut written = Ok(());
     g.try_for_each_edge(|_, u, v| {
-        if written.is_err() {
-            return;
-        }
-        chunk.push((u, v));
-        if chunk.len() >= chunk_edges.max(1) {
-            written = w.write_chunk(&chunk);
-            chunk.clear();
+        if written.is_ok() {
+            written = w.write_all(&u.to_le_bytes()).and_then(|()| w.write_all(&v.to_le_bytes()));
         }
     })?;
     written?;
-    w.write_chunk(&chunk)?;
-    w.finish()?;
+    for v in g.vertices() {
+        w.write_all(&g.degree(v).to_le_bytes())?;
+    }
+    w.into_inner().map_err(|e| e.into_error())?.sync_data()
+}
+
+/// Read `count` records of `R` bytes from `r` through `buf`, handing each
+/// to `f`; the first error, of the read or of `f`, ends the pass.
+fn read_records<const R: usize>(
+    r: &mut impl Read,
+    count: u64,
+    buf: &mut [u8],
+    mut f: impl FnMut(&[u8; R]) -> io::Result<()>,
+) -> io::Result<()> {
+    let step = (buf.len() / R * R) as u64;
+    let mut left = count * R as u64;
+    while left > 0 {
+        let take = left.min(step) as usize;
+        r.read_exact(&mut buf[..take])?;
+        for record in buf[..take].chunks_exact(R) {
+            f(record.try_into().expect("chunks_exact yields R bytes"))?;
+        }
+        left -= take as u64;
+    }
     Ok(())
 }
 
-/// Read a u64 frame header, distinguishing clean end-of-file (no further
-/// frame) from a truncated header.
-fn read_frame_len(r: &mut impl Read) -> io::Result<Option<u64>> {
-    let mut buf = [0u8; 8];
-    let mut filled = 0;
-    while filled < buf.len() {
-        let k = match r.read(&mut buf[filled..]) {
-            // Match read_exact's semantics: a signal-interrupted read is
-            // retried, not treated as corruption.
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            other => other?,
-        };
-        if k == 0 {
-            return if filled == 0 {
-                Ok(None)
-            } else {
-                Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated frame header"))
-            };
-        }
-        filled += k;
-    }
-    Ok(Some(u64::from_le_bytes(buf)))
+/// A buffer of [`BLOCK_EDGES`] records, what every scan reads through.
+pub(crate) fn scan_buffer() -> Vec<u8> {
+    vec![0u8; 16 * BLOCK_EDGES]
 }
 
-/// Parsed and validated `DNECHNK1` header.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ChunkedHeader {
-    /// Declared vertex count.
-    pub num_vertices: VertexId,
-    /// Patched edge count (never the unfinished sentinel).
-    pub declared_edges: u64,
-}
-
-/// Read and validate a chunked file's 24-byte header: magic, the
-/// finished-writer sentinel, and a declared count the file could
-/// physically hold (a corrupt count must not provoke a huge allocation).
-fn read_chunked_header(r: &mut impl Read, file_len: u64) -> io::Result<ChunkedHeader> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != CHUNKED_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a DNECHNK1 file"));
-    }
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    let n = u64::from_le_bytes(buf);
-    r.read_exact(&mut buf)?;
-    let declared = u64::from_le_bytes(buf);
-    if declared == EDGE_COUNT_UNKNOWN {
-        // The writer patches the count in `finish`; the sentinel means the
-        // producing process died mid-stream. Refuse rather than silently
-        // return a truncated graph.
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unfinished chunked file (writer never ran finish; edge count unpatched)",
-        ));
-    }
-    let payload_cap = file_len.saturating_sub(24) / 16;
-    if declared > payload_cap {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("header declares {declared} edges but the file can hold {payload_cap}"),
-        ));
-    }
-    Ok(ChunkedHeader { num_vertices: n, declared_edges: declared })
-}
-
-/// Size of the buffer frames are decoded through: a multiple of one pair's
-/// 16 bytes, and bounded so a corrupt frame header cannot provoke an absurd
-/// allocation.
-const SCRATCH_BYTES: usize = 1 << 16;
-
-/// Decode `count` pairs from `r` onto the end of `out`, validating while
-/// decoding so a corrupt payload surfaces as `Err(InvalidData)` here
-/// instead of a panic in the graph constructor's canonical-order assertions
-/// downstream: every pair canonical for `|V| = n`, and the stream strictly
-/// ascending from `last` (which is advanced). The one decode loop behind
-/// the sequential reader and the random-access frame read.
-fn decode_pairs(
+/// Read `count` edge records from `r` through `buf`, handing each to `f`
+/// after checking that it is canonical for `|V| = n` and that the records
+/// ascend strictly. A bad record is an `InvalidData` error, never a panic
+/// downstream.
+pub(crate) fn read_edges(
     r: &mut impl Read,
     count: u64,
     n: VertexId,
-    scratch: &mut [u8],
-    last: &mut Option<Edge>,
-    out: &mut Vec<Edge>,
+    buf: &mut [u8],
+    mut f: impl FnMut(VertexId, VertexId),
 ) -> io::Result<()> {
-    let mut remaining = (count as usize)
-        .checked_mul(16)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame length overflow"))?;
-    out.reserve(count as usize);
-    while remaining > 0 {
-        let take = remaining.min(scratch.len());
-        r.read_exact(&mut scratch[..take])?;
-        for pair in scratch[..take].chunks_exact(16) {
-            let u = u64::from_le_bytes(pair[..8].try_into().unwrap());
-            let v = u64::from_le_bytes(pair[8..].try_into().unwrap());
-            if u >= v || v >= n {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("corrupt frame: ({u}, {v}) is not canonical for |V| = {n}"),
-                ));
-            }
-            if last.is_some_and(|last| last >= (u, v)) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("corrupt frame: ({u}, {v}) breaks the canonical edge order"),
-                ));
-            }
-            *last = Some((u, v));
-            out.push((u, v));
+    let mut last: Option<Edge> = None;
+    read_records::<16>(r, count, buf, |record| {
+        let (u, v) = (word(&record[..8]), word(&record[8..]));
+        if u >= v || v >= n {
+            return Err(invalid(format!(
+                "corrupt edge record: ({u}, {v}) is not canonical for |V| = {n}"
+            )));
         }
-        remaining -= take;
-    }
-    Ok(())
-}
-
-/// Streaming frame-by-frame reader over a chunked file with full payload
-/// validation: every pair must be canonical for the declared `|V|`, the
-/// stream strictly ascending across frame boundaries, and the total frame
-/// count must match the header when end-of-file is reached. This is the
-/// one decode loop behind [`read_chunked`], the chunk-streamed storage
-/// backend's sequential scans, and the container converter's pass.
-#[derive(Debug)]
-pub(crate) struct ChunkedEdgeReader {
-    r: BufReader<File>,
-    header: ChunkedHeader,
-    read_so_far: u64,
-    last: Option<Edge>,
-    /// What [`decode_pairs`] reads through.
-    scratch: Vec<u8>,
-}
-
-impl ChunkedEdgeReader {
-    /// Open `path` and validate its header.
-    pub(crate) fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let mut r = BufReader::new(file);
-        let header = read_chunked_header(&mut r, file_len)?;
-        Ok(Self { r, header, read_so_far: 0, last: None, scratch: vec![0u8; SCRATCH_BYTES] })
-    }
-
-    /// Declared vertex count.
-    pub(crate) fn num_vertices(&self) -> VertexId {
-        self.header.num_vertices
-    }
-
-    /// Declared (finished) edge count.
-    pub(crate) fn declared_edges(&self) -> u64 {
-        self.header.declared_edges
-    }
-
-    /// Decode the next frame into `out` (cleared first). Returns `false`
-    /// on clean end-of-file — at which point the total decoded count has
-    /// been checked against the header — and `Err` on any corruption.
-    pub(crate) fn next_chunk(&mut self, out: &mut Vec<Edge>) -> io::Result<bool> {
-        out.clear();
-        let Some(count) = read_frame_len(&mut self.r)? else {
-            if self.header.declared_edges != self.read_so_far {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "header declares {} edges, frames carry {}",
-                        self.header.declared_edges, self.read_so_far
-                    ),
-                ));
-            }
-            return Ok(false);
-        };
-        decode_pairs(
-            &mut self.r,
-            count,
-            self.header.num_vertices,
-            &mut self.scratch,
-            &mut self.last,
-            out,
-        )?;
-        self.read_so_far += count;
-        Ok(true)
-    }
-}
-
-/// One frame's location within a chunked file, as indexed by
-/// [`scan_chunked_frames`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ChunkFrame {
-    /// Global id of the first edge in this frame.
-    pub first_edge: u64,
-    /// Number of edges in this frame.
-    pub count: u64,
-    /// Byte offset of the frame's payload (just past its count word).
-    pub payload_at: u64,
-}
-
-/// Index a chunked file's frame directory without decoding any payload:
-/// reads each frame's count word and seeks past its pairs, so the cost is
-/// `O(frames)` I/O regardless of `|E|`.
-///
-/// Beyond the header checks, this validates that every frame fits inside
-/// the file and — the check a seek-based scan would otherwise lose — that
-/// the **summed frame counts equal the header's declared `|E|`**, failing
-/// with an `InvalidData` error naming both counts.
-pub(crate) fn scan_chunked_frames(
-    path: impl AsRef<Path>,
-) -> io::Result<(ChunkedHeader, Vec<ChunkFrame>)> {
-    let mut f = File::open(path)?;
-    let file_len = f.metadata()?.len();
-    let header = read_chunked_header(&mut f, file_len)?;
-    let mut frames = Vec::new();
-    let mut pos = 24u64;
-    let mut total = 0u64;
-    while let Some(count) = read_frame_len(&mut f)? {
-        pos += 8;
-        let bytes = count
-            .checked_mul(16)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame length overflow"))?;
-        if pos.checked_add(bytes).is_none_or(|end| end > file_len) {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("frame of {count} edges overruns the file"),
-            ));
+        if last.is_some_and(|last| last >= (u, v)) {
+            return Err(invalid(format!(
+                "corrupt edge record: ({u}, {v}) breaks the canonical edge order"
+            )));
         }
-        frames.push(ChunkFrame { first_edge: total, count, payload_at: pos });
-        // Frames occupy disjoint file ranges, so `total` is bounded by
-        // `file_len / 16` and cannot overflow.
-        total += count;
-        pos += bytes;
-        f.seek(io::SeekFrom::Start(pos))?;
-    }
-    if total != header.declared_edges {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "chunked file declares {} edges but its frames sum to {total}",
-                header.declared_edges
-            ),
-        ));
-    }
-    Ok((header, frames))
-}
-
-/// Decode one frame (located by [`scan_chunked_frames`]) into `out`,
-/// validating that each pair is canonical and the frame internally
-/// ascending. Cross-frame ordering is the sequential reader's job.
-pub(crate) fn read_frame_payload(
-    path: impl AsRef<Path>,
-    frame: &ChunkFrame,
-    num_vertices: VertexId,
-    out: &mut Vec<Edge>,
-) -> io::Result<()> {
-    out.clear();
-    let mut f = File::open(path)?;
-    f.seek(io::SeekFrom::Start(frame.payload_at))?;
-    let mut scratch = vec![0u8; SCRATCH_BYTES];
-    decode_pairs(&mut BufReader::new(f), frame.count, num_vertices, &mut scratch, &mut None, out)
-}
-
-/// Read a graph written in the chunk-framed format ([`ChunkedGraphWriter`]).
-/// The edge list is appended frame by frame into a single allocation —
-/// only one decoded chunk ever coexists with the growing edge array.
-pub fn read_chunked(path: impl AsRef<Path>) -> io::Result<Graph> {
-    let mut r = ChunkedEdgeReader::open(path)?;
-    let mut edges: Vec<Edge> = Vec::with_capacity(r.declared_edges() as usize);
-    let mut chunk = Vec::new();
-    while r.next_chunk(&mut chunk)? {
-        edges.append(&mut chunk);
-    }
-    Ok(Graph::from_canonical_edges(r.num_vertices(), edges))
-}
-
-/// Build a `DNECSRF2` container (see [`crate::mmap`] for the layout) from
-/// one pass over a canonical edge stream of `m` edges, holding `O(1)` heap.
-fn build_csr_file<F>(path: &Path, n: VertexId, m: u64, pass: F) -> io::Result<()>
-where
-    F: FnOnce(&mut dyn FnMut(VertexId, VertexId)) -> io::Result<()>,
-{
-    let len = crate::mmap::csr_file_len(n, m).ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, "container section sizes overflow u64")
-    })?;
-    let file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(path)?;
-    file.set_len(len)?;
-    // Fill through a shared read-write mapping of the zero-extended file:
-    // edges land sequentially, degree increments are random-access (one
-    // word per vertex), which the page cache absorbs.
-    let mut region = crate::mmap::MmapRegion::map(&file, len, true)?;
-    let (header, body) =
-        region.u64s_mut().split_at_mut((crate::mmap::CSR_HEADER_BYTES / 8) as usize);
-    let (edge_words, degrees) = body.split_at_mut(2 * m as usize);
-    let mut slots = edge_words.chunks_exact_mut(2);
-    let mut carried = 0u64;
-    pass(&mut |u, v| {
-        // A stream longer than promised runs out of slots, not into the degrees.
-        if let Some(pair) = slots.next() {
-            pair.copy_from_slice(&[u.to_le(), v.to_le()]);
-            for x in [u, v] {
-                let d = &mut degrees[x as usize];
-                *d = (u64::from_le(*d) + 1).to_le();
-            }
-        }
-        carried += 1;
-    })?;
-    if carried != m {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("edge stream carried {carried} edges, header promised {m}"),
-        ));
-    }
-    // The header goes last: a file abandoned mid-fill never carries the magic.
-    header.copy_from_slice(&[u64::from_ne_bytes(*crate::mmap::CSR_MAGIC), n.to_le(), m.to_le(), 0]);
-    drop(region); // munmap flushes the shared mapping
-    file.sync_all()
-}
-
-/// Write `g` as a `DNECSRF2` container, openable with
-/// [`open_csr_mmap`]. Works for any storage backend of `g` (the graph is
-/// streamed, not sliced).
-pub fn write_csr(g: &Graph, path: impl AsRef<Path>) -> io::Result<()> {
-    build_csr_file(path.as_ref(), g.num_vertices(), g.num_edges(), |visit| {
-        g.try_for_each_edge(|_, u, v| visit(u, v))
+        last = Some((u, v));
+        f(u, v);
+        Ok(())
     })
 }
 
-/// Convert a finished `DNECHNK1` chunked file into a `DNECSRF2`
-/// container without ever materializing the graph: one streaming pass
-/// over the chunks fills the memory-mapped output in place, so peak heap is
-/// `O(chunk)`. Returns the edge count.
-pub fn csr_from_chunked(src: impl AsRef<Path>, dst: impl AsRef<Path>) -> io::Result<u64> {
-    let mut r = ChunkedEdgeReader::open(src)?;
-    let m = r.declared_edges();
-    build_csr_file(dst.as_ref(), r.num_vertices(), m, |visit| {
-        let mut chunk = Vec::new();
-        while r.next_chunk(&mut chunk)? {
-            for &(u, v) in &chunk {
-                visit(u, v);
-            }
+/// Read the degree trailer's `n` words from `r` through `buf`, handing
+/// each to `f` with its vertex id.
+pub(crate) fn read_degrees(
+    r: &mut impl Read,
+    n: VertexId,
+    buf: &mut [u8],
+    mut f: impl FnMut(VertexId, u64) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut v = 0;
+    read_records::<8>(r, n, buf, |record| {
+        f(v, word(record))?;
+        v += 1;
+        Ok(())
+    })
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
+}
+
+/// Open a binary graph file and run the check every backend shares: the
+/// magic, the exact file length for the declared `(|V|, |E|)`, and degrees
+/// that sum to `2|E|`. Returns the file positioned at its first edge
+/// record, with `|V|` and `|E|`.
+pub(crate) fn open_checked(path: &Path) -> io::Result<(File, VertexId, u64)> {
+    let mut file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let name = path.display();
+    if len < HEADER_BYTES {
+        return Err(invalid(format!("{name}: {len} bytes is too short for a graph file")));
+    }
+    let mut header = [0u8; HEADER_BYTES as usize];
+    file.read_exact(&mut header)?;
+    match &header[..8] {
+        magic if magic == MAGIC => {}
+        b"DNECHNK1" => {
+            return Err(invalid(format!(
+                "{name}: a DNECHNK1 file of the retired chunk-framed format, which is \
+                 no longer read; write the graph again with io::write_chunked"
+            )))
         }
+        _ => return Err(invalid(format!("{name}: not a DNECSRF2 graph file"))),
+    }
+    let (n, m) = (word(&header[8..16]), word(&header[16..24]));
+    let expect =
+        file_len(n, m).ok_or_else(|| invalid(format!("{name}: header counts overflow")))?;
+    if len != expect {
+        return Err(invalid(format!(
+            "{name}: file is {len} bytes but |V| = {n}, |E| = {m} requires {expect}"
+        )));
+    }
+    file.seek(io::SeekFrom::Start(HEADER_BYTES + 16 * m))?;
+    let mut sum = Some(0u64);
+    read_degrees(&mut file, n, &mut scan_buffer(), |_, d| {
+        sum = sum.and_then(|s| s.checked_add(d));
         Ok(())
     })?;
-    Ok(m)
+    if sum != Some(2 * m) {
+        return Err(invalid(format!("{name}: degrees do not sum to 2|E| = {}", 2 * m)));
+    }
+    file.seek(io::SeekFrom::Start(HEADER_BYTES))?;
+    Ok((file, n, m))
 }
 
-/// Open a `DNECSRF2` container as a [`Graph`] on the memory-mapped
-/// storage backend ([`crate::mmap::MmapCsr`]).
-pub fn open_csr_mmap(path: impl AsRef<Path>) -> io::Result<Graph> {
-    Ok(Graph::from_storage(std::sync::Arc::new(crate::mmap::MmapCsr::open(path)?)))
-}
-
-/// Open a finished `DNECHNK1` file as a [`Graph`] on the chunk-streamed
-/// storage backend ([`crate::storage::ChunkStore`]) — no full edge
-/// materialization, bounded memory.
-pub fn open_chunk_streamed(path: impl AsRef<Path>) -> io::Result<Graph> {
-    Ok(Graph::from_storage(std::sync::Arc::new(crate::storage::ChunkStore::open(path)?)))
-}
-
-/// Sibling path where [`open_chunked_with`] caches the container for
-/// the mmap backend: the chunked file's name with `.csr` appended.
-pub fn csr_cache_path(chunked: impl AsRef<Path>) -> std::path::PathBuf {
-    let mut os = chunked.as_ref().as_os_str().to_os_string();
-    os.push(".csr");
-    std::path::PathBuf::from(os)
-}
-
-/// Open a finished `DNECHNK1` file as a [`Graph`] on the requested
-/// storage backend:
+/// Open a binary graph file written by [`write_chunked`] as a [`Graph`]
+/// on the requested storage backend:
 ///
-/// * [`StorageKind::InMemory`] — decode every chunk onto the heap
-///   ([`read_chunked`]);
-/// * [`StorageKind::Mmap`] — convert to a sibling `DNECSRF2` container
-///   (cached at [`csr_cache_path`], rebuilt when missing, older than the
-///   source, or not opening cleanly) and map it read-only;
-/// * [`StorageKind::ChunkStreamed`] — stream the chunks directly.
+/// * [`StorageKind::InMemory`] — read every record onto the heap
+///   ([`InMemoryCsr::open`]);
+/// * [`StorageKind::Mmap`] — map the file read-only ([`MmapCsr::open`]);
+/// * [`StorageKind::ChunkStreamed`] — scan the file per pass
+///   ([`ChunkStore::open`]).
+///
+/// Any corrupt or foreign file is a typed `InvalidData` error (see the
+/// module docs for what each backend checks).
 pub fn open_chunked_with(path: impl AsRef<Path>, kind: StorageKind) -> io::Result<Graph> {
     let path = path.as_ref();
-    match kind {
-        StorageKind::InMemory => read_chunked(path),
-        StorageKind::ChunkStreamed => open_chunk_streamed(path),
-        StorageKind::Mmap => {
-            let (n, m) = {
-                let r = ChunkedEdgeReader::open(path)?;
-                (r.num_vertices(), r.declared_edges())
-            };
-            let csr = csr_cache_path(path);
-            let fresh = match (std::fs::metadata(&csr), std::fs::metadata(path)) {
-                (Ok(c), Ok(s)) => match (c.modified(), s.modified()) {
-                    (Ok(cm), Ok(sm)) => cm >= sm,
-                    _ => false,
-                },
-                _ => false,
-            };
-            if fresh {
-                // A stale or foreign cache file must never win over the
-                // source: accept it only if it opens cleanly and agrees on
-                // both counts.
-                if let Ok(g) = open_csr_mmap(&csr) {
-                    if g.num_vertices() == n && g.num_edges() == m {
-                        return Ok(g);
-                    }
-                }
-            }
-            csr_from_chunked(path, &csr)?;
-            open_csr_mmap(&csr)
-        }
-    }
+    let storage: Arc<dyn GraphStorage> = match kind {
+        StorageKind::InMemory => Arc::new(InMemoryCsr::open(path)?),
+        StorageKind::Mmap => Arc::new(MmapCsr::open(path)?),
+        StorageKind::ChunkStreamed => Arc::new(ChunkStore::open(path)?),
+    };
+    Ok(Graph::from_storage(storage))
 }
 
 /// [`open_chunked_with`] on the backend selected by the
@@ -684,140 +396,109 @@ mod tests {
         assert!(e.to_string().contains("extra"), "got: {e}");
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("dne_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        dir.join(format!("{}_{name}", std::process::id()))
     }
 
     #[test]
-    fn chunked_roundtrip_is_exact() {
+    fn binary_roundtrip_is_exact_on_every_backend() {
         let g = gen::rmat(&gen::RmatConfig::graph500(10, 8, 5));
-        let p = tmp("g.chunked");
+        let p = tmp("g.bin");
         write_chunked(&g, &p, 1000).unwrap();
-        assert_eq!(g, read_chunked(&p).unwrap());
-    }
-
-    #[test]
-    fn chunked_writer_streams_and_patches_header() {
-        let g = gen::rmat(&gen::RmatConfig::graph500(8, 4, 9));
-        let p = tmp("g_stream.chunked");
-        let mut w = ChunkedGraphWriter::create(&p, g.num_vertices()).unwrap();
-        for chunk in g.edges().chunks(100) {
-            w.write_chunk(chunk).unwrap();
-        }
-        assert_eq!(w.finish().unwrap(), g.num_edges());
-        assert_eq!(g, read_chunked(&p).unwrap());
-    }
-
-    #[test]
-    fn chunked_writer_rejects_out_of_order_and_non_canonical() {
-        let p = tmp("g_bad.chunked");
-        let mut w = ChunkedGraphWriter::create(&p, 10).unwrap();
-        w.write_chunk(&[(0, 1), (1, 2)]).unwrap();
-        assert!(w.write_chunk(&[(0, 2)]).is_err(), "out of order across chunks");
-        let mut w = ChunkedGraphWriter::create(&p, 10).unwrap();
-        assert!(w.write_chunk(&[(2, 1)]).is_err(), "non-canonical pair");
-        let mut w = ChunkedGraphWriter::create(&p, 2).unwrap();
-        assert!(w.write_chunk(&[(1, 5)]).is_err(), "endpoint out of range");
-    }
-
-    #[test]
-    fn chunked_reader_rejects_unfinished_file() {
-        let p = tmp("unfinished.chunked");
-        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 3));
-        let mut w = ChunkedGraphWriter::create(&p, g.num_vertices()).unwrap();
-        w.write_chunk(g.edges()).unwrap();
-        drop(w); // simulate a crash before finish() patches the header
-        let e = read_chunked(&p).unwrap_err();
-        assert!(e.to_string().contains("unfinished"), "got: {e}");
-    }
-
-    #[test]
-    fn chunked_reader_rejects_absurd_declared_count() {
-        let p = tmp("liar.chunked");
-        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 4));
-        write_chunked(&g, &p, 64).unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        bytes[16..24].copy_from_slice(&(1u64 << 62).to_le_bytes());
-        std::fs::write(&p, &bytes).unwrap();
-        let e = read_chunked(&p).unwrap_err();
-        assert!(e.to_string().contains("can hold"), "got: {e}");
-    }
-
-    #[test]
-    fn chunked_reader_rejects_frame_sum_disagreeing_with_header() {
-        // A *modest* lie: the declared |E| fits the payload cap, but the
-        // frames sum to something else. Both the streaming reader and the
-        // seek-based frame scanner must reject it with a typed error
-        // naming both counts.
-        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 8));
-        let m = g.num_edges();
-        for lie in [m - 1, m + 1] {
-            let p = tmp(&format!("count_lie_{lie}.chunked"));
-            write_chunked(&g, &p, 64).unwrap();
-            let mut bytes = std::fs::read(&p).unwrap();
-            bytes[16..24].copy_from_slice(&lie.to_le_bytes());
-            std::fs::write(&p, &bytes).unwrap();
-            let e = scan_chunked_frames(&p).unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "scan, lie={lie}");
-            assert!(
-                e.to_string().contains(&format!("declares {lie} edges"))
-                    && e.to_string().contains(&format!("sum to {m}")),
-                "scan must name both counts, got: {e}"
-            );
-            assert!(read_chunked(&p).is_err(), "streaming read, lie={lie}");
-            let e = open_chunk_streamed(&p).unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "open, lie={lie}");
+        let len = std::fs::metadata(&p).unwrap().len();
+        assert_eq!(len, 32 + 16 * g.num_edges() + 8 * g.num_vertices());
+        for kind in StorageKind::ALL {
+            let back = open_chunked_with(&p, kind).unwrap();
+            assert_eq!(back.storage_kind(), kind);
+            assert_eq!(back, g, "{kind}");
+            assert!(g.vertices().all(|v| back.degree(v) == g.degree(v)), "{kind}: degrees");
         }
     }
 
-    #[test]
-    fn chunked_reader_returns_err_on_corrupt_payload() {
-        let p = tmp("flipped.chunked");
-        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 6));
-        write_chunked(&g, &p, 64).unwrap();
-        let mut bytes = std::fs::read(&p).unwrap();
-        // Flip a byte inside the first frame's payload (header is 24 bytes,
-        // frame length 8 more) — must surface as Err, never a panic.
-        let target = 24 + 8 + 3;
-        bytes[target] ^= 0xFF;
-        std::fs::write(&p, &bytes).unwrap();
-        let e = read_chunked(&p).unwrap_err();
-        assert!(e.to_string().contains("corrupt frame"), "got: {e}");
+    /// Opens `bytes` as a file on `kind` and, if that succeeds, scans it:
+    /// the error of whichever step failed first.
+    fn open_and_scan(path: &Path, bytes: &[u8], kind: StorageKind) -> io::Result<()> {
+        std::fs::write(path, bytes).unwrap();
+        open_chunked_with(path, kind)?.try_for_each_edge(|_, _, _| {})
     }
 
-    #[cfg(unix)]
+    /// The rejection table: every corruption of one small file, on every
+    /// backend, is a typed `InvalidData` error and never a panic.
     #[test]
-    fn old_layout_csr_cache_is_rebuilt_not_an_error() {
-        // A sibling cache left by a build that still stored adjacency:
-        // the previous magic at the previous length, newer than the source.
-        let g = gen::rmat(&gen::RmatConfig::graph500(7, 4, 12));
-        let p = tmp("old_cache.chunked");
-        write_chunked(&g, &p, 64).unwrap();
+    fn every_backend_rejects_every_bad_file_with_a_typed_error() {
+        let g = gen::rmat(&gen::RmatConfig::graph500(5, 4, 3));
         let (n, m) = (g.num_vertices() as usize, g.num_edges() as usize);
+        let good_path = tmp("table_good.bin");
+        write_chunked(&g, &good_path, 16).unwrap();
+        let good = std::fs::read(&good_path).unwrap();
+        let with = |at: usize, bytes: &[u8]| {
+            let mut b = good.clone();
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            b
+        };
+        let flipped = |at: usize| with(at, &[good[at] ^ 0xFF]);
+        // The layout before the degree trailer replaced offsets and
+        // adjacency arrays, at its own length.
         let mut old = vec![0u8; 32 + 8 * (6 * m + n + 1)];
-        old[..8].copy_from_slice(b"DNECSRF1");
-        old[8..16].copy_from_slice(&(n as u64).to_le_bytes());
-        old[16..24].copy_from_slice(&(m as u64).to_le_bytes());
-        let csr = csr_cache_path(&p);
-        std::fs::write(&csr, &old).unwrap();
-        assert!(open_csr_mmap(&csr).is_err(), "the old layout must not open");
-        let reopened = open_chunked_with(&p, StorageKind::Mmap).unwrap();
-        assert_eq!(reopened, g);
-        assert_eq!(std::fs::metadata(&csr).unwrap().len(), (32 + 16 * m + 8 * n) as u64);
-    }
-
-    #[test]
-    fn chunked_reader_rejects_wrong_magic_and_truncation() {
-        let p = tmp("not_chunked.bin");
-        let g = gen::rmat(&gen::RmatConfig::graph500(6, 4, 1));
-        std::fs::write(&p, [b"DNEGRAPH".as_slice(), &[0; 16]].concat()).unwrap();
-        assert!(read_chunked(&p).is_err());
-        let p = tmp("truncated.chunked");
-        write_chunked(&g, &p, 50).unwrap();
-        let full = std::fs::read(&p).unwrap();
-        std::fs::write(&p, &full[..full.len() - 7]).unwrap();
-        assert!(read_chunked(&p).is_err());
+        old[..32].copy_from_slice(&with(0, b"DNECSRF1")[..32]);
+        let mut rows = vec![
+            ("DNECHNK1 file".to_string(), with(0, b"DNECHNK1")),
+            ("wrong magic".to_string(), with(0, b"DNEGRAPH")),
+            ("DNECSRF1 layout".to_string(), old),
+            ("|E| = m - 1".to_string(), with(16, &(m as u64 - 1).to_le_bytes())),
+            ("|E| = m + 1".to_string(), with(16, &(m as u64 + 1).to_le_bytes())),
+            ("degree sum off by one".to_string(), with(32 + 16 * m, &[good[32 + 16 * m] ^ 1])),
+        ];
+        rows.extend(
+            (0..good.len()).map(|len| (format!("cut at {len} bytes"), good[..len].to_vec())),
+        );
+        let p = tmp("table_bad.bin");
+        for (row, bytes) in &rows {
+            for kind in StorageKind::ALL {
+                let e = open_and_scan(&p, bytes, kind).expect_err(row);
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{row} on {kind}: {e}");
+                if row.starts_with("DNECHNK1") {
+                    assert!(e.to_string().contains("DNECHNK1 file of the retired"), "{e}");
+                }
+            }
+        }
+        // A flipped byte inside an edge record. In-memory catches every one
+        // (order or degree trailer); chunk-streamed validates order only, so
+        // it is fed the flips that leave a record non-canonical: the top
+        // byte of either endpoint. Mmap trusts the payload.
+        for record in 32..32 + 16 * m {
+            let e = open_and_scan(&p, &flipped(record), StorageKind::InMemory).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "byte {record}: {e}");
+            if record % 8 == 7 {
+                let e =
+                    open_and_scan(&p, &flipped(record), StorageKind::ChunkStreamed).unwrap_err();
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "byte {record}: {e}");
+            }
+        }
+        // An interrupted write: the edge stream fails half-way, before the
+        // rename. The target keeps its old bytes (or stays absent), and no
+        // temporary file is left beside it.
+        let broken_path = tmp("table_broken.bin");
+        std::fs::write(&broken_path, flipped(32 + 16 * (m / 2) + 15)).unwrap();
+        let broken = open_chunked_with(&broken_path, StorageKind::ChunkStreamed).unwrap();
+        let e = write_chunked(&broken, &good_path, 16).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        assert_eq!(std::fs::read(&good_path).unwrap(), good, "the old file survives");
+        let absent = tmp("table_absent.bin");
+        let _ = std::fs::remove_file(&absent);
+        assert!(write_chunked(&broken, &absent, 16).is_err());
+        for kind in StorageKind::ALL {
+            let e = open_chunked_with(&absent, kind).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::NotFound, "{kind}: {e}");
+        }
+        let temps =
+            [&good_path, &absent].map(|p| p.file_name().unwrap().to_string_lossy() + ".tmp");
+        let dir = std::fs::read_dir(good_path.parent().unwrap()).unwrap();
+        for entry in dir.flatten() {
+            let name = entry.file_name();
+            assert!(!temps.iter().any(|t| name.to_string_lossy().starts_with(&**t)), "{name:?}");
+        }
     }
 }

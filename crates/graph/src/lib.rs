@@ -31,10 +31,9 @@
 //!   Erdős–Rényi, Chung–Lu power-law, and small classic graphs for tests.
 //! * [`hash`] — fast non-cryptographic hashing (splitmix64-based) used for
 //!   1D/2D hash partitioning and for internal hash maps.
-//! * [`io`] — a plain-text edge-list reader/writer, a chunk-framed
-//!   streaming binary format (`DNECHNK1`) for graphs too large to buffer
-//!   twice, and a mappable container (`DNECSRF2`) built from it in one
-//!   sequential O(1)-heap pass.
+//! * [`io`] — a plain-text edge-list reader/writer, and the one binary
+//!   graph file (`DNECSRF2`: fixed-width edge records, then a degree per
+//!   vertex) that every storage backend opens directly.
 //! * [`parallel`] — the parallel ingestion machinery behind
 //!   [`EdgeListBuilder::build_parallel`],
 //!   [`Graph::from_canonical_edges_parallel`] and the `gen::*_parallel`

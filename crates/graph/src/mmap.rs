@@ -1,46 +1,31 @@
 //! Memory-mapped storage: the `mmap` backend of the
 //! [`crate::storage::GraphStorage`] seam.
 //!
-//! A `DNECSRF2` container (written once by [`crate::io::write_csr`] or the
-//! streaming converter [`crate::io::csr_from_chunked`]) holds the two
-//! arrays of the in-memory representation — the canonical edge list and
-//! the degree of every vertex — as little-endian u64 sections.
-//! [`MmapCsr`] maps the file read-only and serves every accessor straight
-//! out of the mapping, so the OS pages the data in on demand and evicts it
-//! under pressure; the process *heap* stays `O(1)` no matter how large the
-//! graph is.
+//! The binary graph file ([`crate::io`] has the `DNECSRF2` layout) holds
+//! the two arrays of the in-memory representation — the canonical edge
+//! list and the degree of every vertex — as little-endian u64 sections.
+//! [`MmapCsr`] maps that file itself read-only and serves every accessor
+//! straight out of the mapping, so the OS pages the data in on demand and
+//! evicts it under pressure; the process *heap* stays `O(1)` no matter
+//! how large the graph is. Edge pairs are read as interleaved words and
+//! never reinterpreted as `&[(u64, u64)]` — tuple layout is not a layout
+//! guarantee Rust makes.
 //!
 //! The mapping uses raw `mmap(2)`/`munmap(2)` FFI declarations (the
 //! workspace is dependency-free by design, so no `libc` crate); on
 //! non-Unix targets the backend reports `Unsupported` at open time.
 //!
-//! ## `DNECSRF2` layout
-//!
-//! All values little-endian u64; every section offset is a multiple of 8
-//! so the page-aligned mapping can be reinterpreted as one `&[u64]`:
-//!
-//! ```text
-//! bytes 0..8    magic "DNECSRF2"
-//! bytes 8..16   |V|
-//! bytes 16..24  |E|
-//! bytes 24..32  reserved (zero)
-//! words         edges     2|E| words  (u0 v0 u1 v1 …, canonical order)
-//! words         degrees   |V| words
-//! ```
-//!
-//! Edge pairs are stored as interleaved words and never reinterpreted as
-//! `&[(u64, u64)]` — tuple layout is not a layout guarantee Rust makes.
-//!
-//! Open-time validation is structural and `O(|V|)`: magic, exact file
-//! size for the declared counts, and degrees that sum to `2|E|`. The
-//! `O(|E|)` payload is trusted (it is written by this crate's converter);
-//! corrupting it yields wrong query answers, not memory unsafety — every
-//! accessor is bounds-checked against the validated counts.
+//! Open-time validation is the `O(|V|)` check every backend shares
+//! (magic, exact file size for the declared counts, degrees summing to
+//! `2|E|`). The `O(|E|)` payload is trusted; corrupting it yields wrong
+//! query answers, not memory unsafety — every accessor is bounds-checked
+//! against the validated counts.
 
 use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::io::{file_len, open_checked, HEADER_BYTES};
 use crate::storage::{GraphStorage, StorageKind};
 use crate::types::{Edge, EdgeId, VertexId};
 
@@ -52,7 +37,6 @@ mod sys {
     use std::os::unix::io::AsRawFd;
 
     const PROT_READ: i32 = 1;
-    const PROT_WRITE: i32 = 2;
     const MAP_SHARED: i32 = 1;
 
     extern "C" {
@@ -67,21 +51,24 @@ mod sys {
         fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
     }
 
-    pub(super) fn map(file: &File, len: usize, writable: bool) -> io::Result<*mut u8> {
-        let prot = if writable { PROT_READ | PROT_WRITE } else { PROT_READ };
-        let ptr = unsafe { mmap(std::ptr::null_mut(), len, prot, MAP_SHARED, file.as_raw_fd(), 0) };
+    pub(super) fn map(file: &File, len: usize) -> io::Result<*const u8> {
+        // SAFETY: a fresh read-only mapping at an address the kernel picks
+        // aliases no Rust object; `file` is an open descriptor.
+        let ptr =
+            unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_SHARED, file.as_raw_fd(), 0) };
         if ptr as isize == -1 {
             return Err(io::Error::last_os_error());
         }
         Ok(ptr.cast())
     }
 
-    pub(super) fn unmap(ptr: *mut u8, len: usize) {
+    pub(super) fn unmap(ptr: *const u8, len: usize) {
         // Failure here is unrecoverable and unactionable; like every mmap
         // wrapper, swallow it (the region was ours, EINVAL cannot happen
         // for a pointer we got from map()).
+        // SAFETY: `ptr`/`len` are one mapping from `map`, unmapped once.
         unsafe {
-            let _ = munmap(ptr.cast(), len);
+            let _ = munmap(ptr.cast_mut().cast(), len);
         }
     }
 }
@@ -91,56 +78,46 @@ mod sys {
     use std::fs::File;
     use std::io;
 
-    pub(super) fn map(_file: &File, _len: usize, _writable: bool) -> io::Result<*mut u8> {
+    pub(super) fn map(_file: &File, _len: usize) -> io::Result<*const u8> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "mmap graph storage is only supported on Unix targets",
         ))
     }
 
-    pub(super) fn unmap(_ptr: *mut u8, _len: usize) {}
+    pub(super) fn unmap(_ptr: *const u8, _len: usize) {}
 }
 
-/// An owned `mmap(2)` region over a whole file; unmapped on drop.
+/// An owned read-only `mmap(2)` region over a whole file; unmapped on drop.
 pub(crate) struct MmapRegion {
-    ptr: *mut u8,
+    ptr: *const u8,
     len: usize,
-    writable: bool,
 }
 
-// The region is a plain byte buffer whose lifetime we own; the raw
-// pointer is only non-Send/Sync by default conservatism.
+// SAFETY: `ptr` addresses a read-only mapping this value owns, which
+// nothing writes through and only `Drop` unmaps; `len` is a plain count.
+// Sharing or moving it across threads is sharing immutable bytes.
 unsafe impl Send for MmapRegion {}
 unsafe impl Sync for MmapRegion {}
 
 impl MmapRegion {
     /// Map all `len` bytes of `file`. `len` must equal the file's size and
     /// be non-zero (`mmap` rejects empty mappings).
-    pub(crate) fn map(file: &File, len: u64, writable: bool) -> io::Result<Self> {
+    pub(crate) fn map(file: &File, len: u64) -> io::Result<Self> {
         if len == 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "cannot map an empty file"));
         }
         let len = usize::try_from(len).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidData, "file too large for this address space")
         })?;
-        let ptr = sys::map(file, len, writable)?;
-        Ok(Self { ptr, len, writable })
-    }
-
-    pub(crate) fn bytes(&self) -> &[u8] {
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        let ptr = sys::map(file, len)?;
+        Ok(Self { ptr, len })
     }
 
     /// The region as little-endian u64 words (the mapping is page-aligned,
     /// so the cast is always aligned; trailing non-word bytes are cut).
     pub(crate) fn u64s(&self) -> &[u64] {
         unsafe { std::slice::from_raw_parts(self.ptr.cast::<u64>(), self.len / 8) }
-    }
-
-    /// Mutable word view; panics if the region was mapped read-only.
-    pub(crate) fn u64s_mut(&mut self) -> &mut [u64] {
-        assert!(self.writable, "region was mapped read-only");
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.cast::<u64>(), self.len / 8) }
     }
 }
 
@@ -152,27 +129,11 @@ impl Drop for MmapRegion {
 
 impl std::fmt::Debug for MmapRegion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MmapRegion")
-            .field("len", &self.len)
-            .field("writable", &self.writable)
-            .finish()
+        f.debug_struct("MmapRegion").field("len", &self.len).finish()
     }
 }
 
-/// Magic of the on-disk container.
-pub(crate) const CSR_MAGIC: &[u8; 8] = b"DNECSRF2";
-/// Header size in bytes (magic + |V| + |E| + reserved word).
-pub(crate) const CSR_HEADER_BYTES: u64 = 32;
-
-/// Expected total file size for a `DNECSRF2` container with the given
-/// counts, or `None` on arithmetic overflow (an absurd header).
-pub(crate) fn csr_file_len(n: VertexId, m: u64) -> Option<u64> {
-    // words: edges 2m + degrees n
-    let words = m.checked_mul(2)?.checked_add(n)?;
-    words.checked_mul(8)?.checked_add(CSR_HEADER_BYTES)
-}
-
-/// The `mmap` storage backend: a read-only mapped `DNECSRF2` container.
+/// The `mmap` storage backend: a binary graph file mapped read-only.
 #[derive(Debug)]
 pub struct MmapCsr {
     path: PathBuf,
@@ -185,42 +146,19 @@ pub struct MmapCsr {
 }
 
 impl MmapCsr {
-    /// Map a `DNECSRF2` file and validate its structure (see the module
-    /// docs for exactly what is checked). `InvalidData` on any mismatch.
+    /// Validate a binary graph file with the shared open check (see the
+    /// module docs) and map it. `InvalidData` on any mismatch.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let file = File::open(&path)?;
-        let file_len = file.metadata()?.len();
-        let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
-        if file_len < CSR_HEADER_BYTES {
-            return Err(bad(format!("{}: too short for a DNECSRF2 header", path.display())));
-        }
-        let region = MmapRegion::map(&file, file_len, false)?;
-        if &region.bytes()[..8] != CSR_MAGIC {
-            return Err(bad(format!("{}: not a DNECSRF2 file", path.display())));
-        }
-        let words = region.u64s();
-        let n = u64::from_le(words[1]);
-        let m = u64::from_le(words[2]);
-        let expect = csr_file_len(n, m)
-            .ok_or_else(|| bad(format!("{}: header counts overflow", path.display())))?;
-        if file_len != expect {
-            return Err(bad(format!(
-                "{}: file is {file_len} bytes but |V| = {n}, |E| = {m} requires {expect}",
-                path.display()
-            )));
-        }
-        let edges_at = (CSR_HEADER_BYTES / 8) as usize;
+        let (file, n, m) = open_checked(&path)?;
+        let len = file_len(n, m).expect("open_checked bounds the counts");
+        let region = MmapRegion::map(&file, len)?;
+        let edges_at = (HEADER_BYTES / 8) as usize;
         let degrees_at = edges_at + 2 * m as usize;
-        let total =
-            words[degrees_at..].iter().try_fold(0u64, |sum, &d| sum.checked_add(u64::from_le(d)));
-        if total != Some(2 * m) {
-            return Err(bad(format!("{}: degrees do not sum to 2|E| = {}", path.display(), 2 * m)));
-        }
         Ok(Self { path, region, num_vertices: n, num_edges: m, edges_at, degrees_at })
     }
 
-    /// The mapped container file.
+    /// The mapped file.
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -289,8 +227,8 @@ mod tests {
     #[test]
     fn mmap_csr_matches_in_memory_accessors() {
         let g = gen::rmat(&gen::RmatConfig::graph500(8, 6, 11));
-        let p = tmp("g.csr");
-        io::write_csr(&g, &p).unwrap();
+        let p = tmp("g.bin");
+        io::write_chunked(&g, &p, 100).unwrap();
         let s = MmapCsr::open(&p).unwrap();
         assert_eq!(s.num_vertices(), g.num_vertices());
         assert_eq!(s.num_edges(), g.num_edges());
@@ -304,38 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn open_rejects_wrong_magic_truncation_and_liar_counts() {
-        let g = gen::rmat(&gen::RmatConfig::graph500(6, 4, 2));
-        let p = tmp("bad.csr");
-        io::write_csr(&g, &p).unwrap();
-        let good = std::fs::read(&p).unwrap();
-
-        let mut b = good.clone();
-        b[0] ^= 0xFF;
-        std::fs::write(&p, &b).unwrap();
-        assert!(MmapCsr::open(&p).is_err(), "wrong magic");
-
-        std::fs::write(&p, &good[..good.len() - 8]).unwrap();
-        assert!(MmapCsr::open(&p).is_err(), "truncated");
-
-        let mut b = good.clone();
-        b[16..24].copy_from_slice(&(1u64 << 61).to_le_bytes());
-        std::fs::write(&p, &b).unwrap();
-        assert!(MmapCsr::open(&p).is_err(), "liar edge count");
-
-        // A degree that no longer sums with the others to 2|E|.
-        let mut b = good.clone();
-        b[32 + 16 * g.num_edges() as usize] ^= 1;
-        std::fs::write(&p, &b).unwrap();
-        assert!(MmapCsr::open(&p).is_err(), "degrees must sum to 2|E|");
-    }
-
-    #[test]
     fn graph_via_mmap_equals_original() {
         let g = gen::rmat(&gen::RmatConfig::graph500(7, 5, 3));
-        let p = tmp("eq.csr");
-        io::write_csr(&g, &p).unwrap();
-        let m = io::open_csr_mmap(&p).unwrap();
+        let p = tmp("eq.bin");
+        io::write_chunked(&g, &p, 100).unwrap();
+        let m = io::open_chunked_with(&p, StorageKind::Mmap).unwrap();
         assert_eq!(m.storage_kind(), StorageKind::Mmap);
         assert_eq!(g, m);
         let mut back = Vec::new();
@@ -346,9 +257,9 @@ mod tests {
     #[test]
     fn graph_roundtrip_empty() {
         let g = Graph::from_canonical_edges(0, vec![]);
-        let p = tmp("empty.csr");
-        io::write_csr(&g, &p).unwrap();
-        let m = io::open_csr_mmap(&p).unwrap();
+        let p = tmp("empty.bin");
+        io::write_chunked(&g, &p, 100).unwrap();
+        let m = io::open_chunked_with(&p, StorageKind::Mmap).unwrap();
         assert_eq!(m.num_vertices(), 0);
         assert_eq!(m.num_edges(), 0);
     }

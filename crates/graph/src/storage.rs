@@ -4,18 +4,18 @@
 //! always holds its edge list in RAM lower-bounds every memory metric by
 //! `O(|E|)` regardless of the algorithm. This module splits the
 //! *representation* of a graph from its *interface* so the partitioners
-//! can run over storage that pages or streams the edge set instead:
+//! can run over storage that pages or streams the edge set instead. All
+//! three backends open the same binary file ([`crate::io`], written by
+//! [`crate::io::write_chunked`]):
 //!
 //! * [`InMemoryCsr`] — the canonical edge list and a degree array on the
 //!   heap: `16·|E| + 8·|V|` bytes. Fastest.
-//! * `MmapCsr` (see [`crate::mmap`]) — the same two arrays in an on-disk
-//!   container ([`crate::io::write_csr`] / [`crate::io::csr_from_chunked`])
-//!   mapped read-only; the OS pages them in on demand, so live *heap* is
-//!   `O(1)` and resident set follows the access pattern.
-//! * [`ChunkStore`] — sequential passes over a `DNECHNK1` chunk-framed
-//!   file ([`crate::io::ChunkedGraphWriter`]); at most one chunk is
-//!   buffered at a time. Heap is `O(chunk + frames)`, plus `O(|V|)` only
-//!   if a caller asks for degrees.
+//! * `MmapCsr` (see [`crate::mmap`]) — the file itself mapped read-only;
+//!   the OS pages the two arrays in on demand, so live *heap* is `O(1)`
+//!   and resident set follows the access pattern.
+//! * [`ChunkStore`] — sequential passes over the file through one 64 KiB
+//!   buffer, and a one-block cache for `edge(e)`. Heap is one block, plus
+//!   `O(|V|)` only if a caller asks for degrees.
 //!
 //! Every backend serves every accessor but [`GraphStorage::edge_slice`];
 //! the failure semantics are part of each method's contract. All backends
@@ -25,11 +25,12 @@
 //! suite asserts. Neighbour lists are not storage: callers that walk them
 //! derive a [`crate::Adjacency`] from any backend.
 
-use std::io;
+use std::fs::File;
+use std::io::{self, Seek};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
-use crate::io::{read_frame_payload, scan_chunked_frames, ChunkFrame, ChunkedEdgeReader};
+use crate::io::{open_checked, read_degrees, read_edges, scan_buffer, BLOCK_EDGES, HEADER_BYTES};
 use crate::types::{Edge, EdgeId, VertexId};
 use crate::HeapSize;
 
@@ -42,11 +43,10 @@ pub enum StorageKind {
     /// Heap-allocated edge list and degree array.
     #[default]
     InMemory,
-    /// Read-only memory-mapped on-disk container of the same two arrays:
-    /// the OS pages them in on demand; live heap is `O(1)`.
+    /// The binary graph file mapped read-only: the OS pages the same two
+    /// arrays in on demand; live heap is `O(1)`.
     Mmap,
-    /// Sequential passes over a `DNECHNK1` chunk-framed file with one
-    /// buffered chunk.
+    /// Sequential passes over the binary graph file through one buffer.
     ChunkStreamed,
 }
 
@@ -116,12 +116,12 @@ impl std::fmt::Display for StorageKind {
 
 /// Storage backend of a [`crate::Graph`]: the seam between the graph's
 /// *interface* (canonical edge ids, degrees) and its *representation*
-/// (heap arrays, a mapped file, a streamed chunk file).
+/// (heap arrays, a mapped file, a streamed file).
 ///
 /// ## Capabilities
 ///
 /// Every backend serves `edge`, `try_for_each_edge` and `degree`
-/// (chunk-streamed: a one-frame cache, a re-streamed file, and a lazy
+/// (chunk-streamed: a one-block cache, a re-streamed file, and a lazy
 /// `O(|V|)` degree pass). `edge_slice` is the one accessor that depends
 /// on the backend: only in-memory holds an addressable `[Edge]`.
 ///
@@ -132,8 +132,8 @@ impl std::fmt::Display for StorageKind {
 /// error) — by construction they can only be reached after the file
 /// validated at open time, so an error there is a torn environment, not
 /// an input condition. Anything that is an *input*
-/// condition (corrupt frame, wrong magic, count mismatch) is a typed
-/// `io::Error` from the open/convert entry points in [`crate::io`] or
+/// condition (corrupt record, wrong magic, count mismatch) is a typed
+/// `io::Error` from the open entry points in [`crate::io`] or
 /// from [`GraphStorage::try_for_each_edge`].
 pub trait GraphStorage: std::fmt::Debug + Send + Sync {
     /// Which backend this is.
@@ -161,7 +161,7 @@ pub trait GraphStorage: std::fmt::Debug + Send + Sync {
     /// Visit every edge in canonical ascending order as
     /// `f(edge_id, u, v)` — the sequential scan every backend serves at
     /// its best: slice iteration (in-memory), a linear page-in (mmap), or
-    /// one buffered chunk at a time (chunk-streamed).
+    /// one buffered block at a time (chunk-streamed).
     fn try_for_each_edge(&self, f: &mut dyn FnMut(EdgeId, VertexId, VertexId)) -> io::Result<()>;
 
     /// Live *heap* bytes owned by this storage right now — what the
@@ -190,6 +190,29 @@ impl InMemoryCsr {
     pub fn from_canonical_edges(num_vertices: VertexId, edges: Vec<Edge>, threads: usize) -> Self {
         let degrees = crate::parallel::validate_and_count(num_vertices, &edges, threads);
         Self { edges: edges.into_boxed_slice(), degrees: degrees.into_boxed_slice() }
+    }
+
+    /// Read a binary graph file onto the heap. Past the open check every
+    /// backend shares, each record is validated as it is read and the
+    /// degrees counted from them must equal the file's degree trailer; any
+    /// mismatch is an `InvalidData` error.
+    pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
+        let (mut file, n, m) = open_checked(path.as_ref())?;
+        let mut buf = scan_buffer();
+        let mut edges = Vec::with_capacity(m as usize);
+        read_edges(&mut file, m, n, &mut buf, |u, v| edges.push((u, v)))?;
+        let csr = Self::from_canonical_edges(n, edges, 1);
+        read_degrees(&mut file, n, &mut buf, |v, d| {
+            let counted = csr.degrees[v as usize];
+            if counted == d {
+                return Ok(());
+            }
+            Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("vertex {v}: degree trailer says {d}, its edges give {counted}"),
+            ))
+        })?;
+        Ok(csr)
     }
 }
 
@@ -236,68 +259,72 @@ impl GraphStorage for InMemoryCsr {
 // Chunk-streamed backend
 // ---------------------------------------------------------------------------
 
-/// Chunk-streamed storage over a `DNECHNK1` file: the frame directory is
-/// indexed at open (validating that the summed frame counts match the
-/// header's `|E|`), after which sequential scans re-stream the file and
-/// random `edge(e)` lookups page one frame at a time through a
-/// single-frame cache. Degrees are computed lazily with one extra pass
-/// only if asked for.
+/// Chunk-streamed storage over a binary graph file: the shared open
+/// check runs once, after which every sequential scan re-reads the records
+/// through one 64 KiB buffer, validating each, and a random `edge(e)`
+/// reads the block of 4096 records holding `e` into a
+/// one-block cache. Records are fixed-width, so the block is found by
+/// arithmetic. Degrees are computed lazily by one extra scan, only if
+/// asked for, so they always agree with the scanned edges.
 #[derive(Debug)]
 pub struct ChunkStore {
     path: PathBuf,
     num_vertices: VertexId,
     num_edges: u64,
-    frames: Vec<ChunkFrame>,
-    cache: Mutex<Option<(usize, Vec<Edge>)>>,
+    cache: Mutex<Option<(u64, Vec<Edge>)>>,
     degrees: OnceLock<Vec<u64>>,
 }
 
 impl ChunkStore {
-    /// Open a finished `DNECHNK1` file and index its frames.
-    ///
-    /// Fails with a typed `InvalidData` error on a wrong magic, an
-    /// unfinished header, or a frame directory whose summed edge counts
-    /// disagree with the header's `|E|` (naming both counts).
+    /// Open a binary graph file after the shared open check: a wrong
+    /// magic, a length that does not fit the declared counts, or degrees
+    /// that do not sum to `2|E|` is a typed `InvalidData` error.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let (header, frames) = scan_chunked_frames(&path)?;
+        let (_, num_vertices, num_edges) = open_checked(&path)?;
         Ok(Self {
             path,
-            num_vertices: header.num_vertices,
-            num_edges: header.declared_edges,
-            frames,
+            num_vertices,
+            num_edges,
             cache: Mutex::new(None),
             degrees: OnceLock::new(),
         })
     }
 
-    /// The chunked file this store streams from.
+    /// The file this store streams from.
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// Index of the frame containing edge `e`.
-    fn frame_of(&self, e: EdgeId) -> usize {
-        debug_assert!(e < self.num_edges);
-        self.frames.partition_point(|fr| fr.first_edge + fr.count <= e)
+    /// `count` records from edge `first` on, read and validated.
+    fn read_edges_from(
+        &self,
+        first: u64,
+        count: u64,
+        f: impl FnMut(VertexId, VertexId),
+    ) -> io::Result<()> {
+        let mut file = File::open(&self.path)?;
+        file.seek(io::SeekFrom::Start(HEADER_BYTES + 16 * first))?;
+        read_edges(&mut file, count, self.num_vertices, &mut scan_buffer(), f)
     }
 
-    /// Run `f` over the cached copy of frame `idx`, loading it if needed.
-    fn with_frame<R>(&self, idx: usize, f: impl FnOnce(&[Edge]) -> R) -> R {
-        let mut cache = self.cache.lock().expect("chunk cache poisoned");
+    /// Run `f` over the cached copy of block `block`, loading it if needed.
+    fn with_block<R>(&self, block: u64, f: impl FnOnce(&[Edge]) -> R) -> R {
+        let mut cache = self.cache.lock().expect("block cache poisoned");
         match *cache {
-            Some((held, ref buf)) if held == idx => f(buf),
+            Some((held, ref buf)) if held == block => f(buf),
             _ => {
-                let mut buf = Vec::new();
-                read_frame_payload(&self.path, &self.frames[idx], self.num_vertices, &mut buf)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "chunk-streamed storage: failed to re-read frame {idx} of {}: {e}",
-                            self.path.display()
-                        )
-                    });
+                let first = block * BLOCK_EDGES as u64;
+                let count = (self.num_edges - first).min(BLOCK_EDGES as u64);
+                let mut buf = Vec::with_capacity(count as usize);
+                self.read_edges_from(first, count, |u, v| buf.push((u, v))).unwrap_or_else(|e| {
+                    panic!(
+                        "chunk-streamed storage: failed to re-read block {block} of {}: {e}",
+                        self.path.display()
+                    )
+                });
                 let r = f(&buf);
-                *cache = Some((idx, buf));
+                *cache = Some((block, buf));
                 r
             }
         }
@@ -319,9 +346,8 @@ impl GraphStorage for ChunkStore {
 
     fn edge(&self, e: EdgeId) -> Edge {
         assert!(e < self.num_edges, "edge id {e} out of range (|E| = {})", self.num_edges);
-        let idx = self.frame_of(e);
-        let off = (e - self.frames[idx].first_edge) as usize;
-        self.with_frame(idx, |buf| buf[off])
+        let block = BLOCK_EDGES as u64;
+        self.with_block(e / block, |buf| buf[(e % block) as usize])
     }
 
     fn degree(&self, v: VertexId) -> u64 {
@@ -347,16 +373,11 @@ impl GraphStorage for ChunkStore {
     }
 
     fn try_for_each_edge(&self, f: &mut dyn FnMut(EdgeId, VertexId, VertexId)) -> io::Result<()> {
-        let mut r = ChunkedEdgeReader::open(&self.path)?;
-        let mut buf = Vec::new();
         let mut e: EdgeId = 0;
-        while r.next_chunk(&mut buf)? {
-            for &(u, v) in &buf {
-                f(e, u, v);
-                e += 1;
-            }
-        }
-        Ok(())
+        self.read_edges_from(0, self.num_edges, |u, v| {
+            f(e, u, v);
+            e += 1;
+        })
     }
 
     fn resident_bytes(&self) -> usize {
@@ -366,7 +387,7 @@ impl GraphStorage for ChunkStore {
             .map(|c| c.as_ref().map_or(0, |(_, buf)| buf.capacity() * 16))
             .unwrap_or(0);
         let degrees = self.degrees.get().map_or(0, |d| d.capacity() * 8);
-        self.frames.capacity() * std::mem::size_of::<ChunkFrame>() + cached + degrees
+        cached + degrees
     }
 }
 
@@ -396,13 +417,14 @@ mod tests {
 
     #[test]
     fn chunk_store_matches_in_memory_accessors() {
-        let g = gen::rmat(&gen::RmatConfig::graph500(8, 6, 7));
-        let p = tmp("store.chunked");
+        let g = gen::rmat(&gen::RmatConfig::graph500(11, 8, 7));
+        assert!(g.num_edges() > 2 * BLOCK_EDGES as u64, "several blocks");
+        let p = tmp("store.bin");
         crate::io::write_chunked(&g, &p, 100).unwrap();
         let s = ChunkStore::open(&p).unwrap();
         assert_eq!(s.num_vertices(), g.num_vertices());
         assert_eq!(s.num_edges(), g.num_edges());
-        // Random access through the frame cache, in a cache-hostile order.
+        // Random access through the block cache, in a cache-hostile order.
         for e in (0..g.num_edges()).rev() {
             assert_eq!(s.edge(e), g.edge(e));
         }
@@ -422,15 +444,5 @@ mod tests {
             s.resident_bytes() < g.heap_bytes(),
             "streamed residency must undercut the full edge list"
         );
-    }
-
-    #[test]
-    fn chunk_store_rejects_unfinished_file() {
-        let g = gen::rmat(&gen::RmatConfig::graph500(6, 4, 3));
-        let p = tmp("unfinished.chunked");
-        let mut w = crate::io::ChunkedGraphWriter::create(&p, g.num_vertices()).unwrap();
-        w.write_chunk(g.edges()).unwrap();
-        drop(w);
-        assert!(ChunkStore::open(&p).is_err());
     }
 }

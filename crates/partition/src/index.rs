@@ -258,7 +258,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("g.chunks");
         dne_graph::io::write_chunked(&g, &p, 9).unwrap();
-        let s = dne_graph::io::open_chunk_streamed(&p).unwrap();
+        let s =
+            dne_graph::io::open_chunked_with(&p, dne_graph::StorageKind::ChunkStreamed).unwrap();
         let streamed = ShardedAssignmentIndex::build(&s, &a, 8);
         assert_eq!(streamed.fingerprint(), mem.fingerprint());
         assert_eq!(streamed.total_replicas(), mem.total_replicas());

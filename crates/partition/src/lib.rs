@@ -112,7 +112,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.chunks");
         io::write_chunked(&g, &path, 256).unwrap();
-        let streamed = io::open_chunk_streamed(&path).unwrap();
+        let streamed = io::open_chunked_with(&path, dne_graph::StorageKind::ChunkStreamed).unwrap();
         for (method, pinned) in &methods {
             for g in [&g, &streamed] {
                 assert_eq!(

@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn streamed_storage_measures_identically() {
-        // Round-trip the graph through a chunked file opened with the
+        // Round-trip the graph through a binary file opened with the
         // chunk-streamed backend and re-measure.
         let g = gen::rmat(&gen::RmatConfig::graph500(6, 6, 11));
         let a = EdgeAssignment::from_fn(&g, 5, |e| (e % 5) as u32);
@@ -134,7 +134,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("streamed.chunks");
         dne_graph::io::write_chunked(&g, &p, 7).unwrap();
-        let s = dne_graph::io::open_chunk_streamed(&p).unwrap();
+        let s =
+            dne_graph::io::open_chunked_with(&p, dne_graph::StorageKind::ChunkStreamed).unwrap();
         assert_eq!(PartitionQuality::measure(&s, &a), q);
     }
 
@@ -163,7 +164,11 @@ mod tests {
         for (i, (g, a, bits)) in cases.into_iter().enumerate() {
             let p = dir.join(format!("{i}.chunks"));
             dne_graph::io::write_chunked(&g, &p, 7).unwrap();
-            for g in [dne_graph::io::open_chunk_streamed(&p).unwrap(), g] {
+            for g in [
+                dne_graph::io::open_chunked_with(&p, dne_graph::StorageKind::ChunkStreamed)
+                    .unwrap(),
+                g,
+            ] {
                 let q = PartitionQuality::measure(&g, &a);
                 let got =
                     [q.replication_factor, q.edge_balance, q.vertex_balance].map(f64::to_bits);

@@ -142,7 +142,6 @@ mod tests {
                     }
                 }
             }
-            let _ = std::fs::remove_file(io::csr_cache_path(&path));
             let _ = std::fs::remove_file(&path);
         }
     }

@@ -141,6 +141,31 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn peak_rss_reads_vm_hwm() {
+        // The check reads process-wide counters, so sibling test threads
+        // allocating between the read and the reset would break it: the
+        // test re-runs itself alone in a child process of this binary,
+        // marked by an env var, and the check runs there.
+        const CHILD: &str = "PEAK_RSS_TEST_CHILD";
+        if std::env::var_os(CHILD).is_none() {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["memory::tests::peak_rss_reads_vm_hwm", "--exact", "--test-threads=1"])
+                .env(CHILD, "1")
+                .output()
+                .expect("re-run the test binary");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success(),
+                "child failed: {stdout}{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(stdout.contains("1 passed"), "the child must run this test: {stdout}");
+            return;
+        }
+        // Even alone, a process at its high-water mark raises it with the
+        // next page it touches — the second read's own buffer, say. So the
+        // child first lifts its peak with 8 MiB it touches and hands back
+        // to the OS, leaving headroom that no read here can fill.
+        std::hint::black_box(vec![1u8; 8 << 20]);
         // Any live Linux process has touched at least a page.
         let peak = peak_rss_bytes().expect("procfs should be readable on Linux");
         assert!(peak > 0);

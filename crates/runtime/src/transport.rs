@@ -297,6 +297,16 @@ pub enum TransportError {
         /// Human-readable description of the failure.
         detail: String,
     },
+    /// A well-formed message of the wrong kind for the protocol phase it
+    /// arrived in.
+    Protocol {
+        /// Source rank of the message.
+        src: usize,
+        /// The message kind the phase expects.
+        expected: &'static str,
+        /// The message kind that arrived.
+        got: &'static str,
+    },
 }
 
 impl std::fmt::Display for TransportError {
@@ -319,6 +329,9 @@ impl std::fmt::Display for TransportError {
                 write!(f, "io failure while {context}: {error}")
             }
             TransportError::Bootstrap { detail } => write!(f, "tcp bootstrap failed: {detail}"),
+            TransportError::Protocol { src, expected, got } => {
+                write!(f, "rank {src} sent a {got} message where the protocol expects {expected}")
+            }
         }
     }
 }

@@ -58,19 +58,19 @@ pub fn assignment_fingerprint(a: &distributed_ne::partition::EdgeAssignment) -> 
     a.partition_fingerprint()
 }
 
-/// Write `g` as a DNECHNK1 chunked file under a per-`label` scratch
-/// directory and return the path. `label` must be unique per call site —
-/// suites run concurrently inside one test binary, and the mmap backend
-/// additionally drops a sibling `<path>.csr` cache next to the file.
+/// Write `g` as a binary graph file under a per-`label` scratch directory
+/// and return the path; every storage backend opens that one file.
+/// `label` must be unique per call site — suites run concurrently inside
+/// one test binary.
 pub fn materialize_chunked(g: &Graph, label: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("dne_integration_chunked").join(label);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let path = dir.join("graph.chunks");
-    io::write_chunked(g, &path, 1 << 12).expect("write chunked file");
+    io::write_chunked(g, &path, 1 << 12).expect("write graph file");
     path
 }
 
-/// Reopen a materialized chunked file with the given storage backend.
+/// Reopen a materialized graph file with the given storage backend.
 pub fn reopen(path: &std::path::Path, kind: StorageKind) -> Graph {
     io::open_chunked_with(path, kind)
         .unwrap_or_else(|e| panic!("open {} with {kind}: {e}", path.display()))

@@ -1,7 +1,7 @@
 //! The cross-backend storage equivalence harness — the acceptance gate
 //! for the pluggable `GraphStorage` seam.
 //!
-//! One shared driver materializes each graph as a DNECHNK1 chunked file,
+//! One shared driver materializes each graph as a binary graph file,
 //! reopens it with **every** storage backend (in-memory | mmap |
 //! chunk-streamed), and runs `DistributedNe` under every transport: the
 //! results must be bit-identical to the in-memory/loopback reference —
@@ -19,7 +19,7 @@ mod common;
 
 use common::{materialize_chunked, reopen, storage_transport_pairs, STORAGES};
 use distributed_ne::core::{DistributedNe, NeConfig};
-use distributed_ne::graph::{gen, EdgeListBuilder, StorageKind};
+use distributed_ne::graph::{gen, EdgeListBuilder};
 use distributed_ne::partition::PartitionQuality;
 use distributed_ne::runtime::TransportKind;
 use proptest::prelude::*;
@@ -60,35 +60,6 @@ fn distributed_ne_is_equivalent_across_every_storage_transport_pair() {
             assert_eq!(q.vertex_balance, q_ref.vertex_balance, "{label}: VB");
         }
     }
-}
-
-#[test]
-fn mmap_cache_is_reused_and_rebuilt_on_staleness() {
-    // Opening with the mmap backend drops a sibling `.csr` container;
-    // reopening must reuse it (same partitions), and a *newer* chunked
-    // file with different content must invalidate it.
-    let g1 = gen::rmat(&gen::RmatConfig::graph500(7, 4, 1));
-    let path = materialize_chunked(&g1, "mmap_cache");
-    let m1 = reopen(&path, StorageKind::Mmap);
-    assert_eq!(m1, g1);
-    let csr = {
-        let mut os = path.clone().into_os_string();
-        os.push(".csr");
-        std::path::PathBuf::from(os)
-    };
-    assert!(csr.exists(), "mmap open must leave a {} cache", csr.display());
-    let cached_mtime = std::fs::metadata(&csr).unwrap().modified().unwrap();
-    // Reopen: the fresh cache is reused, not rewritten.
-    let m2 = reopen(&path, StorageKind::Mmap);
-    assert_eq!(m2, g1);
-    assert_eq!(std::fs::metadata(&csr).unwrap().modified().unwrap(), cached_mtime);
-    // Rewrite the chunked file with a different graph and a strictly
-    // newer mtime: the stale cache must be rebuilt, not trusted.
-    let g2 = gen::star(300);
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    distributed_ne::graph::io::write_chunked(&g2, &path, 1 << 12).unwrap();
-    let m3 = reopen(&path, StorageKind::Mmap);
-    assert_eq!(m3, g2, "stale cache must be rebuilt from the rewritten chunked file");
 }
 
 static PROP_CASE: AtomicUsize = AtomicUsize::new(0);
