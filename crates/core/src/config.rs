@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use dne_runtime::{env_knob, BatchConfig, CollectiveTopology, TransportKind};
 
 /// Per-round checkpointing policy: every `every` completed rounds each
-/// rank writes a `DNESNAP1` snapshot of its machine state (see
+/// rank writes a `DNESNAP2` snapshot of its machine state (see
 /// [`crate::snapshot`]) into `dir`, keeping the two most recent rounds so
 /// a restarted job can agree on the newest round *every* rank completed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -253,7 +253,7 @@ impl Memberships {
         self.free[class] = at;
     }
 
-    /// Every set as an owned vector (the shape `DNESNAP1` stores).
+    /// Every set as an owned vector (the shape `DNESNAP2` stores).
     fn to_sets(&self) -> Vec<Vec<Part>> {
         (0..self.inline.len() as u32).map(|lv| self.get(lv).to_vec()).collect()
     }

@@ -52,7 +52,7 @@ wire_enum!(SelectAction { 1 => Vertices { vertices }, 2 => Random { target, budg
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NextSelect(pub Option<SelectAction>);
 
-// By hand because the layout is not a field list: `DNESNAP1` shares one tag
+// By hand because the layout is not a field list: `DNESNAP2` shares one tag
 // byte between the `Option` and the enum inside it.
 impl WireSize for NextSelect {
     fn wire_bytes(&self) -> usize {

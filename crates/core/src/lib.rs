@@ -15,7 +15,7 @@
 //! | Algorithm 4 (multi-expansion with factor λ) | [`boundary`] + [`expansion`] |
 //! | §6 Theorems 1–3 (upper bound, tightness, power-law expectations, Table 1) | [`theory`] |
 //! | Figure 4 work/data flow | [`partitioner`] (drives one machine per rank with colocated expansion + allocation processes) |
-//! | Elastic fault tolerance (beyond the paper: per-round `DNESNAP1` checkpoints, restart-and-rejoin) | [`snapshot`] |
+//! | Elastic fault tolerance (beyond the paper: per-round `DNESNAP2` checkpoints, restart-and-rejoin) | [`snapshot`] |
 //! | Dead-rank edge migration (beyond the paper: evacuate a lost partition onto survivors from checkpoints) | [`recovery`] |
 //!
 //! ## Quick start

@@ -19,13 +19,19 @@
 //! # Wire format
 //!
 //! A 1-byte variant tag, then the packed fields (each through its own
-//! type's codec — see [`dne_runtime::wire`]):
+//! type's codec — see [`dne_runtime::wire`]). Every `Vec` is a varint
+//! length and its elements, whose integers are varints too; the scalar
+//! fields are 8-byte little-endian words:
 //!
-//! | tag | variant | fields |
-//! |---|---|---|
-//! | 0 | `Select` | `vertices: Vec<u64>`, `random_budget: u64` |
-//! | 1 | `Sync` | `pairs: Vec<(u64, u32)>` |
-//! | 2 | `Result` | `boundary: Vec<(u64, u64)>`, `edges: Vec<u64>`, `free_edges: u64` |
+//! | tag | variant | fields | bytes |
+//! |---|---|---|---|
+//! | 0 | `Select` | `vertices: Vec<u64>`, `random_budget: u64` | 1 + ⌈len⌉ + Σ⌈v⌉ + 8 |
+//! | 1 | `Sync` | `pairs: Vec<(u64, u32)>` | 1 + ⌈len⌉ + Σ(⌈v⌉ + ⌈p⌉) |
+//! | 2 | `Result` | `boundary: Vec<(u64, u64)>`, `edges: Vec<u64>`, `free_edges: u64` | 1 + ⌈len⌉ + Σ(⌈v⌉ + ⌈d⌉) + ⌈len⌉ + Σ⌈e⌉ + 8 |
+//!
+//! where `⌈x⌉` is the varint length of `x`: one byte below 2^7, two below
+//! 2^14, three below 2^21, up to ten for `u64::MAX`. An empty envelope
+//! costs 10 (Select), 2 (Sync) or 11 (Result) bytes.
 //!
 //! The `wire_enum!` table below is the one statement of that layout: size
 //! estimate, encoder and decoder are expanded from it, so the loopback
@@ -152,14 +158,17 @@ mod tests {
 
     #[test]
     fn wire_sizes_scale_with_payload() {
+        // Ids in sequences are varints: one byte below 2^7, two below 2^14.
         let s0 = NeMsg::empty_select().wire_bytes();
         let s2 = NeMsg::Select { vertices: vec![1, 2], random_budget: 0 }.wire_bytes();
-        assert_eq!(s2 - s0, 16);
+        assert_eq!(s2 - s0, 2);
+        let s3 = NeMsg::Select { vertices: vec![1, 2, 1 << 13], random_budget: 0 }.wire_bytes();
+        assert_eq!(s3 - s0, 4);
         let y0 = NeMsg::empty_sync().wire_bytes();
         let y3 = NeMsg::Sync { pairs: vec![(1, 0), (2, 1), (3, 2)] }.wire_bytes();
-        assert_eq!(y3 - y0, 36);
+        assert_eq!(y3 - y0, 6);
         let r = NeMsg::Result { boundary: vec![(5, 2)], edges: vec![1, 2, 3], free_edges: 9 };
-        assert_eq!(r.wire_bytes(), 1 + 8 + 16 + 8 + 24 + 8);
+        assert_eq!(r.wire_bytes(), 1 + (1 + 2) + (1 + 3) + 8);
     }
 
     #[test]
@@ -173,20 +182,17 @@ mod tests {
 
     #[test]
     fn frame_payload_bytes_are_pinned() {
-        // One payload per shape, produced by the hand-written encoder this
-        // table replaced (commit 1c6976f): a round trip cannot see a change
-        // the encoder and decoder share.
+        // One payload per shape, written out by hand from the format table
+        // above: a round trip cannot see a change the encoder and decoder
+        // share. Lengths and ids are varints (`u64::MAX` is ten bytes); the
+        // scalars `random_budget` and `free_edges` are 8-byte words.
         let golden: [&[u8]; 6] = [
-            b"\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0",
-            b"\0\x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\
-              \xff\xff\xff\xff\xff\xff\xff\xff\x07\0\0\0\0\0\0\0",
-            b"\x01\0\0\0\0\0\0\0\0",
-            b"\x01\x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\
-              \x01\0\0\0\x03\0\0\0\0\0\0\0\x02\0\0\0",
-            b"\x02\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0",
-            b"\x02\x01\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\
-              \x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\
-              \x09\0\0\0\0\0\0\0",
+            b"\0\0\0\0\0\0\0\0\0\0",
+            b"\0\x03\x01\x02\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01\x07\0\0\0\0\0\0\0",
+            b"\x01\0",
+            b"\x01\x03\x01\0\x02\x01\x03\x02",
+            b"\x02\0\0\0\0\0\0\0\0\0\0",
+            b"\x02\x01\x05\x02\x03\x01\x02\x03\x09\0\0\0\0\0\0\0",
         ];
         for (msg, bytes) in shapes().into_iter().zip(golden) {
             assert_eq!(msg.to_wire(), bytes, "layout of {msg:?} moved");
@@ -210,5 +216,63 @@ mod tests {
     #[test]
     fn unknown_tag_is_an_error() {
         assert_eq!(NeMsg::from_wire(&[9]), Err(WireError::BadTag { tag: 9 }));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Decoding `bytes` either fails with a typed error or yields a
+        /// value that re-encodes to exactly `bytes`: every value has one
+        /// encoding, so no two byte strings mean the same message.
+        fn canonical_or_error<T: WireDecode + WireEncode>(bytes: &[u8]) {
+            if let Ok(v) = T::from_wire(bytes) {
+                assert_eq!(v.to_wire(), bytes, "a decoded value re-encodes differently");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn arbitrary_bytes_decode_canonically_or_fail(
+                head in 0u16..4,
+                body in prop::collection::vec(0u16..256, 0..48),
+            ) {
+                // A small first byte is a valid tag and a short length.
+                let bytes: Vec<u8> =
+                    std::iter::once(head).chain(body).map(|b| b as u8).collect();
+                canonical_or_error::<NeMsg>(&bytes);
+                canonical_or_error::<Vec<(u64, u32)>>(&bytes);
+            }
+
+            #[test]
+            fn corrupted_messages_decode_canonically_or_fail(
+                kind in 0u8..3,
+                ids in prop::collection::vec(0u64..1 << 21, 0..8),
+                parts in prop::collection::vec(0u32..1 << 8, 0..8),
+                flips in prop::collection::vec((0usize..256, 0u16..256), 1..4),
+            ) {
+                let pairs: Vec<(u64, u32)> = ids.iter().copied().zip(parts).collect();
+                let msg = match kind {
+                    0 => NeMsg::Select { vertices: ids.clone(), random_budget: ids.len() as u64 },
+                    1 => NeMsg::Sync { pairs: pairs.clone() },
+                    _ => NeMsg::Result {
+                        boundary: pairs.iter().map(|&(v, p)| (v, u64::from(p))).collect(),
+                        edges: ids,
+                        free_edges: 3,
+                    },
+                };
+                let (mut msg_bytes, mut pair_bytes) = (msg.to_wire(), pairs.to_wire());
+                for &(at, byte) in &flips {
+                    for bytes in [&mut msg_bytes, &mut pair_bytes] {
+                        let at = at % bytes.len();
+                        bytes[at] = byte as u8;
+                    }
+                }
+                canonical_or_error::<NeMsg>(&msg_bytes);
+                canonical_or_error::<Vec<(u64, u32)>>(&pair_bytes);
+            }
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! `DNESNAP1` — per-round checkpoints of a Distributed NE machine.
+//! `DNESNAP2` — per-round checkpoints of a Distributed NE machine.
 //!
 //! Elastic fault tolerance for the bulk-synchronous round loop: every
 //! `DNE_CHECKPOINT_EVERY` completed rounds each rank serializes the
@@ -25,7 +25,7 @@
 //!
 //! | field | bytes | notes |
 //! |---|---|---|
-//! | magic | 8 | `"DNESNAP1"` |
+//! | magic | 8 | `"DNESNAP2"` |
 //! | rank, nprocs | 4 + 4 | little-endian `u32` |
 //! | run fingerprint | 8 | `mix2`-fold of `(edges, parts, seed)` |
 //! | round | 8 | completed rounds at capture time |
@@ -40,7 +40,11 @@
 //! `wire_struct!` table under its definition; [`RankSnapshot`] is their
 //! concatenation. `next_select` is one tag byte: 0 = none, 1–3 = the
 //! [`SelectAction`](crate::expansion::SelectAction) variants (see
-//! [`NextSelect`]). The golden test pins whole files.
+//! [`NextSelect`]). Every vector is a varint length and elements whose
+//! integers are varints (see [`dne_runtime::wire`]); the scalar rows keep
+//! the widths above. The magic names the encoding: a `DNESNAP1` file, from
+//! before vectors became varints, is a [`SnapshotError::Corrupt`] error
+//! naming its magic, never decoded. The golden test pins whole files.
 //!
 //! Files are named `rank<r>-round<n>.dnesnap`; writes go through a unique
 //! temporary then `rename(2)`, so readers never observe a torn file, and
@@ -63,7 +67,7 @@ use crate::expansion::{ExpansionState, NextSelect};
 use crate::messages::Part;
 
 /// File magic: the first eight bytes of every snapshot.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DNESNAP1";
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DNESNAP2";
 
 /// How many checkpoint generations [`RankSnapshot::write_atomic`] retains
 /// per rank. Two: after a crash the newest rounds across ranks differ by
@@ -413,13 +417,19 @@ impl RankSnapshot {
                 detail: format!("{}: checksum mismatch", path.display()),
             });
         }
-        let snap = Self::from_wire(body)?;
-        if snap.header.magic != SNAPSHOT_MAGIC {
+        // The magic first: a file of another format version must not be
+        // decoded with this one's codec.
+        if body[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
             return Err(SnapshotError::Corrupt {
-                detail: format!("{}: bad magic {:02x?}", path.display(), snap.header.magic),
+                detail: format!(
+                    "{}: bad magic {:?}, expected {:?}",
+                    path.display(),
+                    String::from_utf8_lossy(&body[..SNAPSHOT_MAGIC.len()]),
+                    String::from_utf8_lossy(&SNAPSHOT_MAGIC)
+                ),
             });
         }
-        Ok(snap)
+        Ok(Self::from_wire(body)?)
     }
 
     /// The newest snapshot of `rank` in `dir`, with its round. `None` when
@@ -520,43 +530,55 @@ mod tests {
 
     #[test]
     fn checksummed_file_bytes_are_pinned() {
-        // Whole files for the four `next_select` cases, as the hand-written
-        // codec this module had at commit 1c6976f wrote them (`write_atomic`
-        // of the same four values there): header and loop state up to the
-        // select tag, the per-case select bytes, expansion + allocator, then
-        // the per-case checksum. A round trip cannot see a symmetric change.
+        // Whole files for the four `next_select` cases, written out by hand
+        // from the format table: header and loop state up to the select
+        // tag, the per-case select bytes, expansion + allocator, then the
+        // per-case checksum (the unchanged `checksum` of those bytes).
+        // Scalars are fixed-width words; every vector is a varint length
+        // and varint elements (900 = `\x84\x07`, `u32::MAX` =
+        // `\xff\xff\xff\xff\x0f`). A round trip cannot see a symmetric
+        // change.
         let head: &[u8] =
             b"\x01\0\0\0\x04\0\0\0\x4a\xb7\x4b\x06\x74\xfd\x7a\xf4\x07\0\0\0\0\0\0\0\x84\x03\0\
-              \0\0\0\0\0\x01\0\0\0\x04\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\x19\0\0\
-              \0\0\0\0\0\x07\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0\xfa\0\0\0\0\0\0\0\xe6\0\0\0\0\0\0\
-              \0\xd2\0\0\0\0\0\0\0\xd2\0\0\0\0\0\0\0";
+              \0\0\0\0\0\x01\0\0\0\x04\x03\0\x19\x07\x04\xfa\x01\xe6\x01\xd2\x01\xd2\x01";
         let tail: &[u8] =
-            b"\x03\0\0\0\0\0\0\0\x0a\0\0\0\0\0\0\0\x0b\0\0\0\0\0\0\0\x84\x03\0\0\0\0\0\0\x02\0\
-              \0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x2c\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\x02\0\0\0\0\0\
-              \0\0\x02\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x09\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0\x02\
-              \0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x09\0\0\0\0\0\0\0\x2c\0\0\0\0\0\0\0\x03\0\0\0\0\
-              \0\0\0\0\0\0\0\x03\0\0\0\xff\xff\xff\xff\x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\0\0\
-              \0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\0\0\0\0\0\0\0\
-              \0\0\0\0\0\x02\0\0\0\0\0\0\0\x01\0\0\0\x03\0\0\0\x04\0\0\0\0\0\0\0\x01\0\0\0\0\0\
-              \0\0\x01\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x02\0\
-              \0\0\0\0\0\0";
+            b"\x03\x0a\x0b\x84\x07\x02\x01\x2c\x03\x02\x02\x05\x09\x04\x02\x05\x09\x2c\x03\0\x03\
+              \xff\xff\xff\xff\x0f\x03\x01\0\x02\x03\x01\0\0\x02\x01\x03\x04\x01\x01\0\x01\x01\0\0\
+              \0\0\0\0\0\x02\0\0\0\0\0\0\0";
         let cases: [(&[u8], &[u8]); 4] = [
-            (
-                b"\x01\x03\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x09\0\0\0\0\0\0\0\x0c\0\0\0\0\0\0\0",
-                b"\xb0\x4b\x9c\x7d\x18\x79\xf1\x04",
-            ),
-            (b"\0", b"\x7d\x5f\xad\x6a\x28\xaf\x6e\x08"),
-            (b"\x02\x03\0\0\0\0\0\0\0\x11\0\0\0\0\0\0\0", b"\x98\x2f\xbe\xa8\x62\x01\x15\xdb"),
-            (b"\x03", b"\x06\x62\x27\x8d\x2d\x5f\x1d\xee"),
+            (b"\x01\x03\x05\x09\x0c", b"\x7a\x77\x2a\x4f\x0a\xd7\xf5\x6b"),
+            (b"\0", b"\xc1\xf9\x70\x8f\x1f\x7b\x1a\x12"),
+            (b"\x02\x03\0\0\0\0\0\0\0\x11\0\0\0\0\0\0\0", b"\x6e\x30\x76\x95\xfd\x5e\x06\x8a"),
+            (b"\x03", b"\xe9\x61\x31\x13\x68\x97\x7f\x96"),
         ];
         let dir = std::env::temp_dir().join(format!("dnesnap-golden-{}", std::process::id()));
         for (snap, (select, sum)) in sample_snapshots().into_iter().zip(cases) {
-            let golden = [b"DNESNAP1", head, select, tail, sum].concat();
+            let golden = [b"DNESNAP2", head, select, tail, sum].concat();
             let path = snap.write_atomic(&dir).unwrap();
-            assert_eq!(std::fs::read(&path).unwrap(), golden, "DNESNAP1 layout moved");
+            let written = std::fs::read(&path).unwrap();
+            assert_eq!(written[..written.len() - 8], golden[..golden.len() - 8], "layout moved");
+            assert_eq!(written, golden, "DNESNAP2 checksum moved");
             std::fs::write(&path, &golden).unwrap();
             assert_eq!(RankSnapshot::read(&path).unwrap(), snap);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_older_format_is_a_typed_error() {
+        // An intact `DNESNAP1` file: its checksum holds, its magic does not.
+        let dir = std::env::temp_dir().join(format!("dnesnap-v1-{}", std::process::id()));
+        let path = sample_snapshot().write_atomic(&dir).unwrap();
+        let mut body = sample_snapshot().to_wire();
+        body[..8].copy_from_slice(b"DNESNAP1");
+        let sum = checksum(&body);
+        sum.encode(&mut body);
+        std::fs::write(&path, &body).unwrap();
+        let err = RankSnapshot::read(&path).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Corrupt { detail } if detail.contains("DNESNAP1")),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -567,13 +589,13 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// `DNESNAP1` round-trips *arbitrary* machine states
+            /// `DNESNAP2` round-trips *arbitrary* machine states
             /// bit-identically: every `next_select` variant, empty-through-
             /// large vectors, FREE and allocated words alike. Beyond value
             /// equality, a decode-then-re-encode must reproduce the exact
             /// byte stream, so nothing in the format is ambiguous.
             #[test]
-            fn dnesnap1_roundtrips_arbitrary_states(
+            fn snapshots_roundtrip_arbitrary_states(
                 identity in (0u32..8, 2u32..9, 0u64..u64::MAX, 0u64..100_000),
                 loop_state in (0u64..1_000_000, 0u32..64),
                 free_hints in prop::collection::vec(0u64..1_000_000, 0..9),

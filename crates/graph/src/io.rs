@@ -49,6 +49,7 @@
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::mmap::MmapCsr;
@@ -158,15 +159,21 @@ pub(crate) fn file_len(n: VertexId, m: u64) -> Option<u64> {
     m.checked_mul(2)?.checked_add(n)?.checked_mul(8)?.checked_add(HEADER_BYTES)
 }
 
+/// Unique temporary-name counter: concurrent writers within a process
+/// never share a temporary (across processes the pid separates them).
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Write `g` as a `DNECSRF2` binary file (see the module docs), streaming
 /// its edges through a buffer of `chunk_edges` records. Works on any
 /// storage backend of `g`. The file is written under a sibling temporary
-/// name and renamed into place, so a reader of `path` sees the old file or
-/// the whole new one, never a partial write.
+/// name of its own and renamed into place, so a reader of `path` sees the
+/// old file or one whole new one, never a partial write — also when
+/// several threads write the same `path` at once (the last rename wins).
 pub fn write_chunked(g: &Graph, path: impl AsRef<Path>, chunk_edges: usize) -> io::Result<()> {
     let path = path.as_ref();
     let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(format!(".tmp{}", std::process::id()));
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    tmp.push(format!(".tmp{}-{seq}", std::process::id()));
     let tmp = PathBuf::from(tmp);
     let written = write_records(g, &tmp, chunk_edges).and_then(|()| std::fs::rename(&tmp, path));
     if written.is_err() {
@@ -499,6 +506,32 @@ mod tests {
         for entry in dir.flatten() {
             let name = entry.file_name();
             assert!(!temps.iter().any(|t| name.to_string_lossy().starts_with(&**t)), "{name:?}");
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_publish_one_whole_file() {
+        let graphs: Vec<Graph> =
+            (0..4).map(|seed| gen::rmat(&gen::RmatConfig::graph500(9, 8, seed))).collect();
+        let p = tmp("concurrent.bin");
+        let barrier = std::sync::Barrier::new(graphs.len());
+        std::thread::scope(|s| {
+            for g in &graphs {
+                let (p, barrier) = (&p, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    write_chunked(g, p, 64).unwrap();
+                });
+            }
+        });
+        for kind in StorageKind::ALL {
+            let back = open_chunked_with(&p, kind).unwrap();
+            assert!(graphs.contains(&back), "{kind}: the file is none of the four graphs");
+        }
+        let prefix = p.file_name().unwrap().to_string_lossy() + ".tmp";
+        for entry in std::fs::read_dir(p.parent().unwrap()).unwrap().flatten() {
+            let name = entry.file_name();
+            assert!(!name.to_string_lossy().starts_with(&*prefix), "{name:?} left behind");
         }
     }
 }

@@ -31,8 +31,10 @@ pub struct CommEstimate {
     pub max_partition_mirrors: u64,
 }
 
-/// Bytes of one `(vertex id, f64 value)` sync message (the `dne-apps`
-/// engine's wire format).
+/// Bytes of one `(vertex id, f64 value)` sync message of the `dne-apps`
+/// engine, as an upper bound: in a sequence the id is a varint (at most 8
+/// bytes for ids below 2^56, fewer for small ids) and the value an 8-byte
+/// `f64`.
 pub const SYNC_MSG_BYTES: u64 = 16;
 
 /// Estimate the per-superstep communication of `assignment` on `g`.

@@ -85,10 +85,11 @@ use crate::comm::CommEndpoint;
 use crate::transport::TransportError;
 use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireSize};
 
-/// Wire message of the collective lane: a packed block of `u64` words
-/// with **no** length prefix. The enclosing frame already carries the
-/// payload length, so the word count is `payload_len / 8` — a one-word
-/// collective round costs exactly 8 wire bytes. Because decoding consumes
+/// Wire message of the collective lane: a packed block of full-width
+/// 8-byte `u64` words (not varints, as inside a `Vec`) with **no** length
+/// prefix. The enclosing frame already carries the payload length, so the
+/// word count is `payload_len / 8` — a one-word collective round costs
+/// exactly 8 wire bytes. Because decoding consumes
 /// the whole remaining input, `CollMsg` is only valid as a frame's entire
 /// payload, never as a field of a larger message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +106,9 @@ impl WireSize for CollMsg {
 impl WireEncode for CollMsg {
     #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
-        u64::encode_slice(&self.0, buf);
+        for word in &self.0 {
+            word.encode(buf);
+        }
     }
 }
 
@@ -116,7 +119,7 @@ impl WireDecode for CollMsg {
             // A word block can never leave a partial word.
             return Err(WireError::Truncated { needed: rem + (8 - rem % 8), available: rem });
         }
-        Ok(CollMsg(u64::decode_slice(r, rem / 8)?))
+        (0..rem / 8).map(|_| u64::decode(r)).collect::<Result<_, _>>().map(CollMsg)
     }
 }
 

@@ -115,11 +115,19 @@ pub(crate) fn bye_frame(src: usize) -> [u8; FRAME_HEADER_BYTES] {
     f
 }
 
-/// Encode `msg` as one classic frame (`[u64 payload len | flag][u32 src][payload]`,
-/// `flag` 0 or [`COLL_FLAG`]) straight onto the end of `out` — no
-/// intermediate buffer — and return the frame's size.
-fn encode_frame_into<M: WireEncode>(out: &mut Vec<u8>, src: u32, msg: &M, flag: u64) -> usize {
-    let (start, payload_len) = (out.len(), msg.wire_bytes());
+/// Encode `msg`, whose `wire_bytes()` is `payload_len`, as one classic
+/// frame (`[u64 payload len | flag][u32 src][payload]`, `flag` 0 or
+/// [`COLL_FLAG`]) straight onto the end of `out` — no intermediate buffer —
+/// and return the frame's size. The caller passes the size it already
+/// checked: sizing a message is a pass over its sequences.
+fn encode_frame_into<M: WireEncode>(
+    out: &mut Vec<u8>,
+    src: u32,
+    msg: &M,
+    flag: u64,
+    payload_len: usize,
+) -> usize {
+    let start = out.len();
     out.reserve(FRAME_HEADER_BYTES + payload_len);
     (payload_len as u64 | flag).encode(out);
     src.encode(out);
@@ -140,8 +148,9 @@ pub(crate) fn push_frame<M: WireEncode>(
     src: u32,
     msg: &M,
 ) -> Result<usize, TransportError> {
-    check_payload_bound(msg.wire_bytes(), src as usize)?;
-    Ok(encode_frame_into(out, src, msg, 0))
+    let payload_len = msg.wire_bytes();
+    check_payload_bound(payload_len, src as usize)?;
+    Ok(encode_frame_into(out, src, msg, 0, payload_len))
 }
 
 /// Where an [`Outbox`] puts finished frames — the one backend-specific
@@ -232,7 +241,7 @@ impl Outbox {
             self.flush_pending(sink, dst, &mut self.pending[dst].lock())?;
         }
         let mut frame = 0;
-        sink.put(dst, |out| frame = encode_frame_into(out, self.rank as u32, msg, flag))?;
+        sink.put(dst, |out| frame = encode_frame_into(out, self.rank as u32, msg, flag, wire))?;
         if dst != self.rank {
             self.stats.record_frames(self.rank, 1);
         }
@@ -631,21 +640,21 @@ mod tests {
     fn multi_message_layout_is_pinned_byte_for_byte() {
         // [u64 body | BATCH_FLAG][u32 src][u32 count][(u32 sublen)(payload)]×3,
         // all little-endian: a u64 (8 bytes), an empty Vec<u64> (its
-        // 8-byte length word), and a u32 (4 bytes) from rank 5.
+        // 1-byte varint length), and a u32 (4 bytes) from rank 5.
         let (outbox, stats) = outbox(5, BatchConfig::msgs(8));
         let kept = Kept::default();
         assert_eq!(outbox.send(&kept, 6, &App(0x1122_3344_5566_7788u64)).unwrap(), 8);
-        assert_eq!(outbox.send(&kept, 6, &App(Vec::<u64>::new())).unwrap(), 8);
+        assert_eq!(outbox.send(&kept, 6, &App(Vec::<u64>::new())).unwrap(), 1);
         assert_eq!(outbox.send(&kept, 6, &App(0xAABB_CCDDu32)).unwrap(), 4);
         assert!(kept.0.lock().is_empty(), "nothing leaves before the flush point");
         outbox.flush(&kept).unwrap();
         #[rustfmt::skip]
         let golden: Vec<u8> = vec![
-            0x24, 0, 0, 0, 0, 0, 0, 0x80, // body = 4 + (4+8) + (4+8) + (4+4) = 36, flag bit 63
+            0x1d, 0, 0, 0, 0, 0, 0, 0x80, // body = 4 + (4+8) + (4+1) + (4+4) = 29, flag bit 63
             5, 0, 0, 0,                   // src
             3, 0, 0, 0,                   // count
             8, 0, 0, 0, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
-            8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, 0,
             4, 0, 0, 0, 0xDD, 0xCC, 0xBB, 0xAA,
         ];
         assert_eq!(kept.0.into_inner(), vec![golden]);
@@ -731,7 +740,8 @@ mod tests {
     fn undecodable_payload_names_the_source() {
         // A frame whose header is intact but whose payload is garbage for
         // the target type must attribute the decode failure to its sender.
-        let frame = encode_frame(2, &vec![1u8, 2, 3]);
+        // (A non-minimal varint as the one element of a `Vec<u64>`.)
+        let frame = encode_frame(2, &vec![0x80u8, 0x00]);
         match decode_frames::<Vec<u64>>(&frame) {
             Err(TransportError::Decode { src: 2, .. }) => {}
             other => panic!("expected Decode error from rank 2, got {other:?}"),
@@ -778,7 +788,7 @@ mod tests {
         // concatenated, cut in two at every byte offset, reassembled and
         // decoded: the send sequence comes back, in order.
         let kept = Kept::default();
-        let big: Vec<u64> = (0..40).collect();
+        let big: Vec<u64> = (0..100).collect();
         let sent: Vec<Vec<u64>> = vec![vec![1], vec![], vec![2, 3], big, vec![4]];
         let (plain, _) = outbox(0, BatchConfig::disabled());
         plain.send(&kept, 1, &App(sent[0].clone())).unwrap();

@@ -1102,9 +1102,10 @@ mod tests {
                     let (rank, bytes) = r.join().unwrap();
                     // Each rank: 2 collective rounds at the topology's
                     // published per-rank cost plus one exchange with two
-                    // non-self 24-byte payloads.
+                    // non-self 3-byte payloads (a varint length and two
+                    // one-byte ids).
                     let (coll_bytes, _) = topo.rank_traffic(rank, n);
-                    assert_eq!(bytes, 2 * coll_bytes + 2 * 24, "{topo} rank {rank}");
+                    assert_eq!(bytes, 2 * coll_bytes + 2 * 3, "{topo} rank {rank}");
                 }
             });
         }

@@ -18,12 +18,24 @@
 //! loopback estimate and the bytes-backend actual agree
 //! ([`WireEncode::to_wire`] still asserts it in debug builds).
 //!
-//! The encoding is the natural packed little-endian form (payload bytes, no
-//! framing): a `u64` is 8 bytes, a `[u8; N]` is its `N` bytes, a `Vec<T>` is
-//! an 8-byte length prefix plus elements, an `Option<T>` a 0/1 byte plus the
-//! value, a tuple or struct the concatenation of its fields, an enum a
-//! 1-byte tag plus the variant's fields. This mirrors how the paper's
-//! implementation serializes flat arrays over MPI.
+//! The encoding is packed little-endian with no framing. Outside a
+//! sequence every value has a fixed layout: a `u64` is 8 bytes, a
+//! `[u8; N]` its `N` bytes, an `Option<T>` a 0/1 byte plus the value, a
+//! tuple or struct the concatenation of its fields, an enum a 1-byte tag
+//! plus the variant's fields. A `Vec<T>` is its length as a canonical
+//! unsigned LEB128 varint, then its elements in their *sequence form*:
+//! every `u16`, `u32`, `u64` and `usize` that is an element, a field of a
+//! tuple or `wire_struct!` element, or inside a nested vector is a varint
+//! too. Everything else keeps its plain form in a sequence: bytes (`u8`,
+//! `bool`, `[u8; N]`), signed integers, floats, and enum and `Option`
+//! elements. Vertex, edge and partition ids — the bulk of Distributed NE
+//! traffic — are small, so an id below 2^7 travels in one byte, below 2^14
+//! in two and below 2^21 in three, while fixed-size records outside
+//! sequences (the bootstrap hello, the collective word block) keep a
+//! length known before the bytes arrive. "Canonical" means minimal: a
+//! varint with a redundant zero group, or longer than the ten bytes a
+//! `u64` needs, is [`WireError::NonCanonical`], so every value has exactly
+//! one encoding.
 //!
 //! # Adding a message
 //!
@@ -36,22 +48,30 @@
 //! 5. Pin the bytes of one value per variant in a golden test — a round
 //!    trip cannot see a change that encoder and decoder share.
 //!
-//! Hot-path notes: types whose encoded form has a fixed length advertise it
-//! through [`WireSize::FIXED_WIRE_BYTES`], which turns `Vec<T>::wire_bytes`
-//! into O(1) instead of O(n); `Vec<u64>` (vertex/edge-id payloads, the bulk
-//! of Distributed NE traffic) encodes and decodes through a single memcpy
-//! instead of a per-element loop.
+//! Hot-path notes: a vector's size is a pass over its elements (one
+//! `leading_zeros` per integer) and its encoding a per-element loop;
+//! [`WireEncode::to_wire`] sizes its buffer once, so the encoder never
+//! reallocates. A one-byte varint takes a single branch to decode.
 
 /// Estimated serialized size of a message in bytes.
 pub trait WireSize {
     /// `Some(k)` when *every* value of this type encodes to exactly `k`
-    /// bytes (primitives, tuples of fixed-size fields). Lets containers
-    /// compute their size in O(1) and lets the decoder pre-validate vector
-    /// lengths against the remaining input before allocating.
+    /// bytes outside a sequence (primitives, tuples of fixed-size fields):
+    /// a reader of a fixed-size record knows how many bytes to wait for.
+    /// `Some(0)` also marks the zero-size element types whose vector
+    /// lengths cannot be validated against the remaining input.
     const FIXED_WIRE_BYTES: Option<usize> = None;
 
     /// Number of bytes this value occupies on the wire.
     fn wire_bytes(&self) -> usize;
+
+    /// Number of bytes this value occupies as (part of) a sequence
+    /// element, where unsigned integers are varints. Defaults to
+    /// [`WireSize::wire_bytes`]: a type without integers inside has one form.
+    #[inline]
+    fn seq_wire_bytes(&self) -> usize {
+        self.wire_bytes()
+    }
 }
 
 /// Serialization into the packed little-endian wire form.
@@ -62,15 +82,11 @@ pub trait WireEncode: WireSize {
     /// Append this value's wire form to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
 
-    /// Bulk-encode a slice of values. The default loops over `encode`;
-    /// `u64` overrides it with a single memcpy (on little-endian targets).
-    fn encode_slice(items: &[Self], buf: &mut Vec<u8>)
-    where
-        Self: Sized,
-    {
-        for item in items {
-            item.encode(buf);
-        }
+    /// Append this value's sequence form to `buf`: exactly
+    /// [`WireSize::seq_wire_bytes`] bytes.
+    #[inline]
+    fn encode_in_seq(&self, buf: &mut Vec<u8>) {
+        self.encode(buf);
     }
 
     /// Encode into a fresh, exactly-sized buffer.
@@ -91,17 +107,10 @@ pub trait WireDecode: Sized {
     /// Decode one value from the reader, advancing its cursor.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
 
-    /// Bulk-decode `n` values. The default loops over `decode`; `u64`
-    /// overrides it with a single memcpy (the zero-copy bulk read for
-    /// vertex/edge-id payloads).
-    fn decode_slice(r: &mut WireReader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
-        // Cap the pre-allocation by what the remaining input could possibly
-        // hold so a corrupt length prefix cannot trigger a huge allocation.
-        let mut out = Vec::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            out.push(Self::decode(r)?);
-        }
-        Ok(out)
+    /// Decode one value in its sequence form.
+    #[inline]
+    fn decode_in_seq(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Self::decode(r)
     }
 
     /// Decode a value that must consume `bytes` exactly.
@@ -136,8 +145,12 @@ pub enum WireError {
         /// The offending tag value.
         tag: u8,
     },
-    /// A length prefix overflowed the addressable size.
+    /// A length prefix overflowed the addressable size, or an integer
+    /// its type.
     Overflow,
+    /// A varint was not in its one minimal form: a redundant zero group,
+    /// or longer than ten bytes.
+    NonCanonical,
 }
 
 impl std::fmt::Display for WireError {
@@ -150,7 +163,8 @@ impl std::fmt::Display for WireError {
                 write!(f, "trailing garbage: {remaining} bytes after value")
             }
             WireError::BadTag { tag } => write!(f, "unknown message tag {tag}"),
-            WireError::Overflow => write!(f, "length prefix overflows addressable size"),
+            WireError::Overflow => write!(f, "length prefix or integer overflows its type"),
+            WireError::NonCanonical => write!(f, "varint is not in its minimal form"),
         }
     }
 }
@@ -200,6 +214,50 @@ impl<'a> WireReader<'a> {
         let bytes = self.read_bytes(N)?;
         Ok(bytes.try_into().expect("read_bytes returned exactly N bytes"))
     }
+
+    /// Consume one canonical unsigned LEB128 varint, or fail without
+    /// advancing.
+    #[inline]
+    fn read_varint(&mut self) -> Result<u64, WireError> {
+        let rest = &self.buf[self.pos..];
+        let mut value = 0;
+        for (i, &byte) in rest.iter().take(10).enumerate() {
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte < 0x80 {
+                // The last group: not a redundant zero, and in the tenth
+                // byte no more than bit 63.
+                if byte == 0 && i > 0 {
+                    return Err(WireError::NonCanonical);
+                }
+                if i == 9 && byte > 1 {
+                    return Err(WireError::Overflow);
+                }
+                self.pos += i + 1;
+                return Ok(value);
+            }
+        }
+        Err(if rest.len() >= 10 {
+            WireError::NonCanonical
+        } else {
+            WireError::Truncated { needed: rest.len() + 1, available: rest.len() }
+        })
+    }
+}
+
+/// Bytes of `x` as an unsigned LEB128 varint: one per started group of 7 bits.
+#[inline]
+fn varint_len(x: u64) -> usize {
+    (64 - (x | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Append `x` as a canonical unsigned LEB128 varint.
+#[inline]
+fn put_varint(buf: &mut Vec<u8>, mut x: u64) {
+    while x >= 0x80 {
+        buf.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    buf.push(x as u8);
 }
 
 /// `Some(sum)` when every part is `Some` — the [`WireSize::FIXED_WIRE_BYTES`]
@@ -228,41 +286,60 @@ pub const fn fixed_of<S, T: WireSize>(_field: fn(&S) -> &T) -> Option<usize> {
 /// The codec of a struct, from one list of its fields in wire order:
 /// `wire_struct!(Type { a, b, c })`. Each field travels through its own
 /// type's codec (`decode` infers the types), so the struct is the
-/// concatenation of its fields and has a `FIXED_WIRE_BYTES` exactly when
-/// every field has one. The second form, `wire_struct!(<A, B> (0, 1))`, is
-/// the same for a tuple of generic fields.
+/// concatenation of its fields — in a sequence, of their sequence forms —
+/// and has a `FIXED_WIRE_BYTES` exactly when every field has one. The
+/// second form, `wire_struct!(<A, B> (0, 1))`, is the same for a tuple of
+/// generic fields.
 #[macro_export]
 macro_rules! wire_struct {
-    (@impls [$($g:ident),*] $t:ty, $r:ident, [$($f:tt),+], [$($fixed:expr),+], $build:expr) => {
+    // Each method is expanded twice, as the plain form and as the sequence
+    // form, and calls the method of the same name on every field.
+    (@impls [$($g:ident),*] $t:ty, [$($f:tt),+], [$($fixed:expr),+], $shape:tt) => {
         impl<$($g: $crate::WireSize),*> $crate::WireSize for $t {
             const FIXED_WIRE_BYTES: Option<usize> = $crate::wire::fixed_sum(&[$($fixed),+]);
-            #[inline]
-            fn wire_bytes(&self) -> usize {
-                0 $(+ $crate::WireSize::wire_bytes(&self.$f))+
-            }
+            $crate::wire_struct!(@size wire_bytes [$($f),+]);
+            $crate::wire_struct!(@size seq_wire_bytes [$($f),+]);
         }
         impl<$($g: $crate::WireEncode),*> $crate::WireEncode for $t {
-            #[inline]
-            fn encode(&self, buf: &mut Vec<u8>) {
-                $($crate::WireEncode::encode(&self.$f, buf);)+
-            }
+            $crate::wire_struct!(@encode encode [$($f),+]);
+            $crate::wire_struct!(@encode encode_in_seq [$($f),+]);
         }
         impl<$($g: $crate::WireDecode),*> $crate::WireDecode for $t {
-            #[inline]
-            fn decode($r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::WireError> {
-                Ok($build)
-            }
+            $crate::wire_struct!(@decode decode $shape);
+            $crate::wire_struct!(@decode decode_in_seq $shape);
+        }
+    };
+    (@size $m:ident [$($f:tt),+]) => {
+        #[inline]
+        fn $m(&self) -> usize {
+            0 $(+ $crate::WireSize::$m(&self.$f))+
+        }
+    };
+    (@encode $m:ident [$($f:tt),+]) => {
+        #[inline]
+        fn $m(&self, buf: &mut Vec<u8>) {
+            $($crate::WireEncode::$m(&self.$f, buf);)+
+        }
+    };
+    (@decode $m:ident [$($g:ident),+]) => {
+        #[inline]
+        fn $m(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::WireError> {
+            Ok(($(<$g as $crate::WireDecode>::$m(r)?,)+))
+        }
+    };
+    (@decode $m:ident {$($f:ident),+}) => {
+        #[inline]
+        fn $m(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::WireError> {
+            Ok(Self { $($f: $crate::WireDecode::$m(r)?),+ })
         }
     };
     (<$($g:ident),+> ($($i:tt),+)) => {
-        $crate::wire_struct!(@impls [$($g),+] ($($g,)+), r, [$($i),+],
-            [$($g::FIXED_WIRE_BYTES),+],
-            ($(<$g as $crate::WireDecode>::decode(r)?,)+));
+        $crate::wire_struct!(@impls [$($g),+] ($($g,)+), [$($i),+],
+            [$($g::FIXED_WIRE_BYTES),+], [$($g),+]);
     };
     ($t:ty { $($f:ident),+ $(,)? }) => {
-        $crate::wire_struct!(@impls [] $t, r, [$($f),+],
-            [$($crate::wire::fixed_of(|s: &$t| &s.$f)),+],
-            Self { $($f: $crate::WireDecode::decode(r)?),+ });
+        $crate::wire_struct!(@impls [] $t, [$($f),+],
+            [$($crate::wire::fixed_of(|s: &$t| &s.$f)),+], {$($f),+});
     };
 }
 
@@ -270,7 +347,8 @@ macro_rules! wire_struct {
 /// `wire_enum!(Type { 0 => Unit, 1 => Variant { a, b } })` — a 1-byte tag,
 /// then the variant's fields in the listed order, each through its own
 /// type's codec. A tag the table does not name decodes to
-/// [`WireError::BadTag`].
+/// [`WireError::BadTag`]. An enum has one form: inside a sequence it is
+/// encoded as outside.
 #[macro_export]
 macro_rules! wire_enum {
     ($t:ty { $($tag:literal => $v:ident $({ $($f:ident),+ $(,)? })?),+ $(,)? }) => {
@@ -304,95 +382,55 @@ macro_rules! wire_enum {
 
 /// Integers and floats travel as the little-endian bytes of a carrier type:
 /// themselves, except `usize`/`isize`, which are 8-byte words regardless of
-/// platform so frames stay portable between 32- and 64-bit builds.
+/// platform so frames stay portable between 32- and 64-bit builds. The
+/// `varint` rows are the unsigned integers wider than a byte, whose
+/// sequence form is a varint.
 macro_rules! le_wire {
-    ($($t:ty as $c:ty),*) => {
-        $(
-            impl WireSize for $t {
-                const FIXED_WIRE_BYTES: Option<usize> = Some(std::mem::size_of::<$c>());
-                #[inline]
-                fn wire_bytes(&self) -> usize { std::mem::size_of::<$c>() }
+    (@impls $t:ty, $c:ty, [$($size:tt)*], [$($enc:tt)*], [$($dec:tt)*]) => {
+        impl WireSize for $t {
+            const FIXED_WIRE_BYTES: Option<usize> = Some(std::mem::size_of::<$c>());
+            #[inline]
+            fn wire_bytes(&self) -> usize { std::mem::size_of::<$c>() }
+            $($size)*
+        }
+        impl WireEncode for $t {
+            #[inline]
+            fn encode(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&(*self as $c).to_le_bytes());
             }
-            impl WireEncode for $t {
-                #[inline]
-                fn encode(&self, buf: &mut Vec<u8>) {
-                    buf.extend_from_slice(&(*self as $c).to_le_bytes());
-                }
+            $($enc)*
+        }
+        impl WireDecode for $t {
+            #[inline]
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                <$t>::try_from(<$c>::from_le_bytes(r.read_array()?))
+                    .map_err(|_| WireError::Overflow)
             }
-            impl WireDecode for $t {
-                #[inline]
-                fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                    <$t>::try_from(<$c>::from_le_bytes(r.read_array()?))
-                        .map_err(|_| WireError::Overflow)
-                }
+            $($dec)*
+        }
+    };
+    (fixed: $($t:ty as $c:ty),*) => {
+        $(le_wire!(@impls $t, $c, [], [], []);)*
+    };
+    (varint: $($t:ty as $c:ty),*) => {
+        $(le_wire!(@impls $t, $c, [
+            #[inline]
+            fn seq_wire_bytes(&self) -> usize { varint_len(*self as u64) }
+        ], [
+            #[inline]
+            fn encode_in_seq(&self, buf: &mut Vec<u8>) { put_varint(buf, *self as u64) }
+        ], [
+            #[inline]
+            fn decode_in_seq(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                <$t>::try_from(r.read_varint()?).map_err(|_| WireError::Overflow)
             }
-        )*
+        ]);)*
     };
 }
 
-le_wire!(u8 as u8, u16 as u16, u32 as u32, i8 as i8, i16 as i16, i32 as i32, i64 as i64);
-le_wire!(f32 as f32, f64 as f64, usize as u64, isize as i64);
-
-// u64 gets hand-written impls so the slice hooks can use one memcpy for the
-// hot `Vec<u64>` payloads (vertex and edge ids) instead of an element loop.
-impl WireSize for u64 {
-    const FIXED_WIRE_BYTES: Option<usize> = Some(8);
-    #[inline]
-    fn wire_bytes(&self) -> usize {
-        8
-    }
-}
-
-impl WireEncode for u64 {
-    #[inline]
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
-        if cfg!(target_endian = "little") {
-            // SAFETY: any `u64` slice is readable as initialized bytes of
-            // length `8 * len`; on little-endian the in-memory layout *is*
-            // the wire layout, so this is one bulk append.
-            let bytes =
-                unsafe { std::slice::from_raw_parts(items.as_ptr() as *const u8, items.len() * 8) };
-            buf.extend_from_slice(bytes);
-        } else {
-            for item in items {
-                item.encode(buf);
-            }
-        }
-    }
-}
-
-impl WireDecode for u64 {
-    #[inline]
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.read_array().map(u64::from_le_bytes)
-    }
-
-    fn decode_slice(r: &mut WireReader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
-        let total = n.checked_mul(8).ok_or(WireError::Overflow)?;
-        let bytes = r.read_bytes(total)?;
-        let mut out: Vec<u64> = Vec::with_capacity(n);
-        // SAFETY: the allocation holds exactly `8 * n` writable bytes and
-        // `bytes` has exactly that many; distinct allocations cannot
-        // overlap; any bit pattern is a valid `u64`, so the copy fully
-        // initializes the `n` elements exposed by `set_len`. This is the
-        // zero-copy bulk read: one memcpy from the frame into the Vec,
-        // with no redundant zero-fill beforehand.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr() as *mut u8, total);
-            out.set_len(n);
-        }
-        // No-op on little-endian targets (the common case); byte-swaps on
-        // big-endian so the wire format stays portable.
-        for x in &mut out {
-            *x = u64::from_le(*x);
-        }
-        Ok(out)
-    }
-}
+le_wire!(fixed: u8 as u8, i8 as i8, i16 as i16, i32 as i32, i64 as i64, isize as i64);
+le_wire!(fixed: f32 as f32, f64 as f64);
+le_wire!(varint: u16 as u16, u32 as u32, u64 as u64, usize as u64);
 
 impl WireSize for bool {
     const FIXED_WIRE_BYTES: Option<usize> = Some(1);
@@ -465,20 +503,20 @@ impl<const N: usize> WireDecode for [u8; N] {
 wire_struct!(<A, B> (0, 1));
 wire_struct!(<A, B, C> (0, 1, 2));
 
+// A vector has one form: inside a sequence it is the same varint length
+// and elements in their sequence form.
 impl<T: WireSize> WireSize for Vec<T> {
     fn wire_bytes(&self) -> usize {
-        match T::FIXED_WIRE_BYTES {
-            // Fast path: fixed-size elements make the vector's size O(1).
-            Some(k) => 8 + k * self.len(),
-            None => 8 + self.iter().map(WireSize::wire_bytes).sum::<usize>(),
-        }
+        varint_len(self.len() as u64) + self.iter().map(WireSize::seq_wire_bytes).sum::<usize>()
     }
 }
 
 impl<T: WireEncode> WireEncode for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u64).encode(buf);
-        T::encode_slice(self, buf);
+        put_varint(buf, self.len() as u64);
+        for item in self {
+            item.encode_in_seq(buf);
+        }
     }
 }
 
@@ -490,21 +528,21 @@ const MAX_ZERO_SIZE_ELEMS: usize = 1 << 24;
 
 impl<T: WireDecode + WireSize> WireDecode for Vec<T> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = usize::decode(r)?;
-        match T::FIXED_WIRE_BYTES {
-            Some(0) if n > MAX_ZERO_SIZE_ELEMS => return Err(WireError::Overflow),
-            Some(k) => {
-                // Pre-validate the length prefix against the remaining
-                // input so a corrupt frame errors out before any large
-                // allocation.
-                let needed = n.checked_mul(k).ok_or(WireError::Overflow)?;
-                if r.remaining() < needed {
-                    return Err(WireError::Truncated { needed, available: r.remaining() });
-                }
+        let n = usize::try_from(r.read_varint()?).map_err(|_| WireError::Overflow)?;
+        if T::FIXED_WIRE_BYTES == Some(0) {
+            if n > MAX_ZERO_SIZE_ELEMS {
+                return Err(WireError::Overflow);
             }
-            None => {}
+        } else if n > r.remaining() {
+            // Every other element takes at least one byte, so a corrupt
+            // length prefix errors out here, before any allocation.
+            return Err(WireError::Truncated { needed: n, available: r.remaining() });
         }
-        T::decode_slice(r, n)
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::decode_in_seq(r)?);
+        }
+        Ok(out)
     }
 }
 
@@ -565,11 +603,11 @@ mod tests {
     #[test]
     fn composites() {
         assert_eq!((1u32, 2u64).wire_bytes(), 12);
-        assert_eq!(vec![1u64, 2, 3].wire_bytes(), 8 + 24);
+        assert_eq!(vec![1u64, 2, 3].wire_bytes(), 1 + 3);
         assert_eq!(Some(5u64).wire_bytes(), 9);
         assert_eq!(None::<u64>.wire_bytes(), 1);
         let nested: Vec<(u64, u32)> = vec![(1, 2), (3, 4)];
-        assert_eq!(nested.wire_bytes(), 8 + 2 * 12);
+        assert_eq!(nested.wire_bytes(), 1 + 2 * 2);
         roundtrip((1u32, 2u64));
         roundtrip(vec![1u64, 2, 3]);
         roundtrip(Some((1u64, 0.5f64)));
@@ -591,25 +629,65 @@ mod tests {
 
     #[test]
     fn vec_wire_bytes_matches_per_element_sum() {
-        // The O(1) fast path must agree with the generic fallback.
-        let v: Vec<u64> = (0..100).collect();
-        assert_eq!(v.wire_bytes(), 8 + v.iter().map(WireSize::wire_bytes).sum::<usize>());
+        // A varint length, then every element in its sequence form.
+        let v: Vec<u64> = (0..200).collect();
+        assert_eq!(v.wire_bytes(), 2 + 128 + 72 * 2);
         let nested: Vec<Vec<u64>> = vec![(0..5).collect(), vec![], (0..3).collect()];
-        assert_eq!(nested.wire_bytes(), 8 + nested.iter().map(WireSize::wire_bytes).sum::<usize>());
+        assert_eq!(nested.wire_bytes(), 1 + (1 + 5) + 1 + (1 + 3));
+        roundtrip(v);
+        roundtrip(nested);
     }
 
     #[test]
-    fn bulk_u64_roundtrip_matches_element_loop() {
-        let v: Vec<u64> = (0..1000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-        let bulk = v.to_wire();
-        // Reference encoding: length prefix + per-element loop.
-        let mut reference = Vec::new();
-        (v.len() as u64).encode(&mut reference);
-        for x in &v {
-            reference.extend_from_slice(&x.to_le_bytes());
+    fn varints_are_minimal_leb128() {
+        let cases: [(u64, &[u8]); 7] = [
+            (0, &[0x00]),
+            (1, &[0x01]),
+            (127, &[0x7f]),
+            (128, &[0x80, 0x01]),
+            (300, &[0xac, 0x02]),
+            (1 << 21, &[0x80, 0x80, 0x80, 0x01]),
+            (u64::MAX, &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]),
+        ];
+        for (x, bytes) in cases {
+            let wire = vec![x].to_wire();
+            assert_eq!(wire[0], 1, "length prefix of one element");
+            assert_eq!(&wire[1..], bytes, "varint of {x}");
+            assert_eq!(x.seq_wire_bytes(), bytes.len());
+            assert_eq!(Vec::<u64>::from_wire(&wire), Ok(vec![x]));
         }
-        assert_eq!(bulk, reference);
-        assert_eq!(Vec::<u64>::from_wire(&bulk).unwrap(), v);
+        // Outside a sequence an integer keeps its width.
+        assert_eq!(300u64.to_wire(), 300u64.to_le_bytes());
+        roundtrip(vec![0u16, 127, 128, u16::MAX]);
+        roundtrip(vec![0u32, 1 << 14, u32::MAX]);
+        roundtrip(vec![0usize, 1 << 28, usize::MAX]);
+        // Bytes, signed integers and floats keep their width in a sequence too.
+        assert_eq!(vec![1u8, 255].to_wire(), [2, 1, 255]);
+        assert_eq!(vec![-1i32].wire_bytes(), 1 + 4);
+        assert_eq!(vec![(1u64, 0.5f64)].wire_bytes(), 1 + 1 + 8);
+    }
+
+    #[test]
+    fn malformed_varints_are_typed_errors() {
+        // A redundant zero group, as a length prefix and as an element.
+        assert_eq!(Vec::<u64>::from_wire(&[0x80, 0x00]), Err(WireError::NonCanonical));
+        assert_eq!(Vec::<u64>::from_wire(&[0x01, 0x81, 0x00]), Err(WireError::NonCanonical));
+        // Eleven bytes: longer than any u64 needs.
+        let mut overlong = vec![0x01];
+        overlong.extend([0x80; 10]);
+        overlong.push(0x01);
+        assert_eq!(Vec::<u64>::from_wire(&overlong), Err(WireError::NonCanonical));
+        // Ten bytes whose last group spills past bit 63.
+        let mut spill = vec![0x01];
+        spill.extend([0xff; 9]);
+        spill.push(0x02);
+        assert_eq!(Vec::<u64>::from_wire(&spill), Err(WireError::Overflow));
+        // An element too wide for its type.
+        let wide = vec![1u64 << 32].to_wire();
+        assert_eq!(Vec::<u32>::from_wire(&wide), Err(WireError::Overflow));
+        assert_eq!(Vec::<u32>::from_wire(&vec![u64::from(u32::MAX)].to_wire()), Ok(vec![u32::MAX]));
+        // A varint cut short.
+        assert!(matches!(Vec::<u64>::from_wire(&[0x01, 0x80]), Err(WireError::Truncated { .. })));
     }
 
     #[test]
@@ -628,11 +706,27 @@ mod tests {
         assert_eq!(u64::from_wire(&bytes), Err(WireError::Trailing { remaining: 1 }));
     }
 
+    /// The varint length prefix of a vector of `n` elements.
+    fn prefix(n: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, n);
+        buf
+    }
+
     #[test]
     fn corrupt_length_prefix_errors_before_allocating() {
         // Claims u64::MAX elements with an empty body: must error, not OOM.
-        let bytes = u64::MAX.to_wire();
-        let err = Vec::<u64>::from_wire(&bytes).unwrap_err();
+        let err = Vec::<u64>::from_wire(&prefix(u64::MAX)).unwrap_err();
+        assert!(matches!(err, WireError::Truncated { .. } | WireError::Overflow), "{err}");
+        // Every element takes at least one byte, so a count above the
+        // remaining input fails before the vector is allocated.
+        let mut five = prefix(5);
+        five.extend([1, 2, 3, 4]);
+        assert_eq!(
+            Vec::<u64>::from_wire(&five),
+            Err(WireError::Truncated { needed: 5, available: 4 })
+        );
+        let err = Vec::<Vec<u64>>::from_wire(&prefix(1 << 40)).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. } | WireError::Overflow), "{err}");
     }
 
@@ -641,7 +735,7 @@ mod tests {
         // Zero-size elements consume no input, so the length prefix cannot
         // be validated against remaining bytes; absurd counts must still
         // error instead of looping for 2^64 iterations.
-        let err = Vec::<()>::from_wire(&u64::MAX.to_wire()).unwrap_err();
+        let err = Vec::<()>::from_wire(&prefix(u64::MAX)).unwrap_err();
         assert_eq!(err, WireError::Overflow);
         roundtrip(vec![(), (), ()]);
     }
@@ -710,6 +804,15 @@ mod tests {
         let pair = Probe::Pair { id: 2, weight: 0.0 }.to_wire();
         assert_eq!(pair, [3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(header().to_wire(), *b"PROBE\0\x01\xff\x09\0\0\0\x01\x03\x02");
+        // In a sequence the same fields recurse into their sequence forms:
+        // `rank` 9 and `flags.1` 0x0203 become varints, the bytes stay.
+        assert_eq!(vec![header()].to_wire(), *b"\x01PROBE\0\x01\xff\x09\x01\x83\x04");
+        // Enum and `Option` elements keep their one form.
+        let rows = vec![Some((300u64, 7u8)), None];
+        assert_eq!(rows.to_wire(), [2, 1, 0x2c, 0x01, 0, 0, 0, 0, 0, 0, 7, 0]);
+        let probes = vec![Probe::Pair { id: 2, weight: 0.0 }];
+        assert_eq!(probes.to_wire()[..4], [1, 3, 2, 0]);
+        assert_eq!(probes.wire_bytes(), 1 + 17);
     }
 
     #[test]
@@ -747,10 +850,10 @@ mod tests {
         assert_eq!(<Header as WireSize>::FIXED_WIRE_BYTES, Some(8 + 4 + 3));
         assert_eq!(<Open as WireSize>::FIXED_WIRE_BYTES, None);
         assert_eq!(<Probe as WireSize>::FIXED_WIRE_BYTES, None);
-        // The fixed size is what lets a vector of records size itself in
-        // O(1) and pre-validate its length prefix.
-        assert_eq!(vec![header(); 3].wire_bytes(), 8 + 3 * 15);
-        let err = Vec::<Header>::from_wire(&u64::MAX.to_wire()).unwrap_err();
+        // The fixed size is the record's plain form; in a sequence its
+        // integers are varints.
+        assert_eq!(vec![header(); 3].wire_bytes(), 1 + 3 * 12);
+        let err = Vec::<Header>::from_wire(&prefix(u64::MAX)).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. } | WireError::Overflow), "{err}");
     }
 

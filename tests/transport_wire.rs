@@ -86,7 +86,7 @@ proptest! {
 fn zero_length_payload_rounds_work_on_every_pair() {
     // Empty vectors (the common "nothing for you this round" envelope)
     // still frame, ship, and account correctly: each costs exactly its
-    // 8-byte length prefix — on every (transport × topology) pair.
+    // 1-byte varint length prefix — on every (transport × topology) pair.
     for (kind, topo) in transport_topology_pairs() {
         let out = cluster(3, kind, topo).run::<Vec<u64>, _, _>(|ctx| {
             for _ in 0..4 {
@@ -95,10 +95,10 @@ fn zero_length_payload_rounds_work_on_every_pair() {
             }
             ctx.barrier();
         });
-        // 4 rounds × 3 ranks × 2 non-self links × 8-byte prefix, plus one
+        // 4 rounds × 3 ranks × 2 non-self links × 1-byte prefix, plus one
         // barrier at the topology's published per-collective cost.
         let (barrier, _) = topo.total_traffic(3);
-        assert_eq!(out.comm.total_bytes(), 4 * 3 * 2 * 8 + barrier, "{kind}/{topo}");
+        assert_eq!(out.comm.total_bytes(), 4 * 3 * 2 + barrier, "{kind}/{topo}");
     }
 }
 
